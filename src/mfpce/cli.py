@@ -11,8 +11,8 @@ Global flags: ``--config``, ``--out``, ``--threads``, ``--seed``; each can
 also come from the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``,
 ``MFPCE_THREADS``, ``MFPCE_SEED``).
 
-Exit codes: 0 success, 2 configuration error, 3 model-evaluation error,
-4 numerical degeneracy.
+Exit codes: 0 success, 2 configuration error (including an unreadable
+evaluation-cache file), 3 model-evaluation error, 4 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, StudyConfig, load_config
-from .models import EvalCache, ModelError
+from .models import CacheFileError, EvalCache, ModelError
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from .study import (
     build_scheme,
@@ -188,6 +188,9 @@ def main(argv=None) -> int:
         return cmd_mc_check(cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CacheFileError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"model evaluation error: {exc}", file=sys.stderr)

@@ -257,16 +257,23 @@ def external_model(
 _KEY_DECIMALS = 12
 
 
-def _cache_key(xi) -> tuple[float, ...]:
-    return tuple(round(c, _KEY_DECIMALS) + 0.0 for c in xi)
+class CacheFileError(ValueError):
+    """A persisted cache file that cannot be read back."""
+
+
+def _cache_keys(X: np.ndarray) -> list[tuple[float, ...]]:
+    """Cache keys of the rows of ``X``: coordinates rounded to
+    ``_KEY_DECIMALS`` decimals, with -0.0 folded into 0.0."""
+    return list(map(tuple, (np.round(X, _KEY_DECIMALS) + 0.0).tolist()))
 
 
 class EvalCache:
     """Memoizes (model, node) evaluations and counts distinct evaluations.
 
     With a persistence path, existing records are loaded on construction and
-    fresh evaluations are appended as they happen, one
-    ``model_id<TAB>coords<TAB>value`` record per line.
+    the fresh evaluations of each batch are appended after the model returns,
+    one ``model_id<TAB>coords<TAB>value`` record per line. Loaded and fresh
+    nodes are keyed by the same :func:`_cache_keys`.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -277,32 +284,49 @@ class EvalCache:
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
+        """Read every record; a malformed line raises :class:`CacheFileError`
+        naming the file and its 1-based line number."""
+        records: dict[tuple[str, int], tuple[list, list]] = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                model_id, coords, value = line.split("\t")
-                xi = tuple(float(c) for c in coords.split())
-                self.store[(model_id, _cache_key(xi))] = float(value)
+                try:
+                    model_id, coords, value = line.split("\t")
+                    xi = [float(c) for c in coords.split()]
+                    y = float(value)
+                except ValueError:
+                    raise CacheFileError(
+                        f"{path}:{lineno}: malformed cache record {line!r}"
+                    ) from None
+                rows, values = records.setdefault((model_id, len(xi)), ([], []))
+                rows.append(xi)
+                values.append(y)
+        for (model_id, _), (rows, values) in records.items():
+            keys = _cache_keys(np.array(rows, dtype=float))
+            self.store.update(zip(((model_id, k) for k in keys), values))
 
-    def _append_record(self, model_id: str, xi, value: float) -> None:
+    def _append_records(self, model_id: str, X: np.ndarray, values) -> None:
         if self.path is None:
             return
+        lines = "".join(
+            f"{model_id}\t{_format_request(xi)}\t{value:.17g}\n" for xi, value in zip(X, values)
+        )
         with open(self.path, "a") as fh:
-            fh.write(f"{model_id}\t{_format_request(xi)}\t{value:.17g}\n")
+            fh.write(lines)
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),
         paying only for nodes not seen before."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        keys = [(model.id, _cache_key(xi)) for xi in X]
+        keys = [(model.id, k) for k in _cache_keys(X)]
         missing = [i for i, k in enumerate(keys) if k not in self.store]
         if missing:
-            fresh = model.batch(X[missing])
-            for i, value in zip(missing, fresh):
-                self.store[keys[i]] = float(value)
-                self._append_record(model.id, X[i], float(value))
+            new = X[missing]
+            fresh = [float(v) for v in model.batch(new)]
+            self.store.update(zip((keys[i] for i in missing), fresh))
+            self._append_records(model.id, new, fresh)
             self.counters[model.id] = self.counters.get(model.id, 0) + len(missing)
         return np.array([self.store[k] for k in keys])
 

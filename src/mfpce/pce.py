@@ -12,20 +12,17 @@ sparse expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from math import prod
 
 import numpy as np
 
-from .orthopoly import VariableSpec, eval_poly_table, gauss_rule, norm_sq
-from .sparse_grid import (
-    MultiIndex,
-    compositions,
-    growth,
-    level_terms,
-    smolyak_grid,
-    tensor_grid,
-)
+from .orthopoly import PolyFamily, VariableSpec, eval_poly_table, gauss_rule, norm_sq
+from .sparse_grid import PLAN_CACHE_SIZE, MultiIndex, compositions, grid_plan, growth
+
+# ``project`` takes values in ``smolyak_grid`` node order; the name stays in
+# this namespace, where bench/tracer.py and bench/selftest.py expect it.
+from .sparse_grid import smolyak_grid  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -73,53 +70,104 @@ def sparse_index_set(n: int, w: int) -> set[MultiIndex]:
 
 
 def basis_norms(specs, indices) -> dict[MultiIndex, float]:
-    return {
-        phi: prod(norm_sq(spec.family, d) for spec, d in zip(specs, phi))
-        for phi in indices
-    }
+    """``E[Psi_phi^2]`` per multi-index: the product of the per-axis norms,
+    multiplied left to right."""
+    indices = list(indices)
+    degrees = np.array(indices, dtype=int).reshape(len(indices), len(specs))
+    norms = np.ones(len(indices))
+    for spec, axis in zip(specs, degrees.T):
+        table = np.array([norm_sq(spec.family, d) for d in range(axis.max(initial=0) + 1)])
+        norms = norms * table[axis]
+    return dict(zip(indices, norms.tolist()))
+
+
+@dataclass(frozen=True)
+class _TermProjection:
+    """One Smolyak term of a projection plan (see :func:`projection_plan`)."""
+
+    coeff: int
+    rows: np.ndarray  # grid positions of the term's nodes, tensor order
+    shape: tuple[int, ...]  # points per axis
+    tables: tuple[np.ndarray, ...]  # per axis, B[d, p] = Psi_d(x_p) * w_p
+    norms: np.ndarray  # E[Psi^2] over the term's degree box, shape ``shape``
+    slots: np.ndarray  # coefficient positions of the degree box, C order
+
+
+@dataclass(frozen=True)
+class ProjectionPlan:
+    """Everything :func:`project` needs for one ``(n, w, families)``.
+
+    The coefficient order and basis norms are kept as arrays, which take a
+    fraction of the memory of the tuples and floats an expansion is made of.
+    """
+
+    size: int  # grid nodes
+    index: np.ndarray  # (K, n) degrees, coefficient order
+    norms: np.ndarray  # (K,) basis norms
+    terms: tuple[_TermProjection, ...]  # sorted by levels
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def projection_plan(w: int, families: tuple[PolyFamily, ...]) -> ProjectionPlan:
+    """Per Smolyak term, in sorted level order: where its nodes sit in the
+    cached grid, its ``Psi * w`` matrices and norm tensor, and the slots its
+    coefficients add into. Slots index ``list(sparse_index_set(n, w))``.
+    Terms share the matrices of each (family, level) rule."""
+    plan = grid_plan(w, families)
+    index = list(sparse_index_set(len(families), w))
+    slot_of = {phi: i for i, phi in enumerate(index)}
+    rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
+    tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
+    axis_norms = {k: np.array([norm_sq(k[0], d) for d in range(len(r))]) for k, r in rules.items()}
+    terms = []
+    for term, rows in sorted(zip(plan.terms, plan.rows), key=lambda tr: tr[0].levels):
+        keys = list(zip(families, term.levels))
+        shape = tuple(len(rules[k]) for k in keys)
+        norm_tensor = np.ones(())
+        for k in keys:
+            norm_tensor = np.multiply.outer(norm_tensor, axis_norms[k])
+        slots = np.array([slot_of[phi] for phi in product(*(range(m) for m in shape))])
+        terms.append(
+            _TermProjection(term.coeff, rows, shape, tuple(tables[k] for k in keys), norm_tensor, slots)
+        )
+    norms = np.array(list(basis_norms(plan.specs, index).values()))
+    index = np.array(index, dtype=np.int32).reshape(len(index), len(families))
+    for a in (*tables.values(), index, norms, *(t.norms for t in terms), *(t.slots for t in terms)):
+        a.setflags(write=False)
+    return ProjectionPlan(size=len(plan.weights), index=index, norms=norms, terms=tuple(terms))
 
 
 def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     """Spectral projection of model values sampled on ``smolyak_grid``.
 
     ``grid_values`` must be aligned with the canonical node order of
-    ``smolyak_grid(len(specs), w, specs)``.
+    ``smolyak_grid(len(specs), w, specs)``. The grid is not rebuilt: each
+    term gathers its values through the cached :func:`projection_plan`,
+    contracts them with its ``Psi * w`` matrices, divides by the basis norms
+    and scatter-adds the result into the coefficient vector.
     """
     specs = tuple(specs)
-    n = len(specs)
-    grid = smolyak_grid(n, w, specs)
+    plan = projection_plan(w, tuple(spec.family for spec in specs))
     values = np.asarray(grid_values, dtype=float)
-    if values.shape != (len(grid),):
+    if values.shape != (plan.size,):
         raise ValueError(
-            f"expected {len(grid)} grid values for (n={n}, w={w}), got {values.shape}"
+            f"expected {plan.size} grid values for (n={len(specs)}, w={w}), got {values.shape}"
         )
-    value_of = dict(zip(grid.keys, values))
-
-    terms: dict[MultiIndex, float] = {phi: 0.0 for phi in sparse_index_set(n, w)}
+    coeffs = np.zeros(len(plan.index))
     # Fixed (sorted) term order keeps the accumulation bitwise reproducible.
-    for term in sorted(level_terms(n, w), key=lambda t: t.levels):
-        rules = [gauss_rule(spec.family, growth(l)) for spec, l in zip(specs, term.levels)]
-        shape = tuple(len(r) for r in rules)
-        sub = tensor_grid(term.levels, specs)
-        f = np.array([value_of[k] for k in sub.keys]).reshape(shape)
-        # Contract one dimension at a time with B[d, p] = Psi_d(x_p) * w_p;
-        # after n contractions the axes are the per-dimension degrees.
-        coeffs = f
-        for rule, spec in zip(rules, specs):
-            table = eval_poly_table(spec.family, len(rule) - 1, rule.points)
-            coeffs = np.tensordot(coeffs, table * rule.weights, axes=([0], [1]))
-        norm_tensor = np.ones(())
-        for j, m in enumerate(shape):
-            axis = np.array([norm_sq(specs[j].family, d) for d in range(m)])
-            norm_tensor = np.multiply.outer(norm_tensor, axis)
-        flat = (coeffs / norm_tensor).ravel()
-        for i, phi in enumerate(product(*(range(m) for m in shape))):
-            terms[phi] += term.coeff * flat[i]
+    for term in plan.terms:
+        # Contract one dimension at a time; after n contractions the axes
+        # are the per-dimension degrees.
+        partial = values[term.rows].reshape(term.shape)
+        for table in term.tables:
+            partial = np.tensordot(partial, table, axes=([0], [1]))
+        coeffs[term.slots] += term.coeff * (partial / term.norms).ravel()
 
+    index = list(map(tuple, plan.index.tolist()))
     return Expansion(
         specs=specs,
-        terms=terms,
-        norms=basis_norms(specs, terms),
+        terms=dict(zip(index, coeffs)),
+        norms=dict(zip(index, plan.norms.tolist())),
         provenance=provenance,
     )
 

@@ -134,11 +134,11 @@ def test_companion_ishigami_closed_form_values():
     """Formula-exact shares, cross-checked with 40-digit arithmetic."""
     report = ishigami_analytic(7.0, 0.1)
     assert report.variance == pytest.approx(13.844587940719254, rel=1e-12)
-    assert report.first_order(0) == pytest.approx(0.3139051911449033, rel=1e-10)
-    assert report.first_order(1) == pytest.approx(0.4424111447900409, rel=1e-10)
-    assert report.subset_indices[(0, 2)] == pytest.approx(0.2436836640650559, rel=1e-10)
-    assert report.total_indices[0] == pytest.approx(0.5575888552099592, rel=1e-10)
-    assert report.total_indices[2] == pytest.approx(0.2436836640650559, rel=1e-10)
+    assert report.first_order(0) == pytest.approx(0.31390519114781145, rel=1e-12)
+    assert report.first_order(1) == pytest.approx(0.4424111447900409, rel=1e-12)
+    assert report.subset_indices[(0, 2)] == pytest.approx(0.24368366406214773, rel=1e-12)
+    assert report.total_indices[0] == pytest.approx(0.5575888552099592, rel=1e-12)
+    assert report.total_indices[2] == pytest.approx(0.24368366406214773, rel=1e-12)
 
 
 def test_criterion_02_ishigami_pce_convergence(ishigami_hf_w6, analytic_reference):

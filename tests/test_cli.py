@@ -136,6 +136,17 @@ class TestExitCodes:
         )
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 3
 
+    def test_malformed_cache_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.tsv"
+        # A crash during an append leaves a truncated last record.
+        cache.write_text("hf\t0 0 0\t3.5\nhf\t1 2\n")
+        cfg = ishigami_config(tmp_path, out, cache=str(cache))
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{cache}:2:" in err
+        assert "Traceback" not in err
+
     def test_degenerate_model_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

@@ -7,6 +7,7 @@ import pytest
 
 from mfpce.models import (
     BENCHMARK_SPECS,
+    CacheFileError,
     EvalCache,
     Model,
     ModelError,
@@ -217,6 +218,42 @@ class TestEvalCache:
         again = reloaded.evaluate_many(probe, X)
         assert np.allclose(again, values)
         assert calls == []
+
+    def test_reopened_cache_pays_nothing(self, tmp_path):
+        # 2461.7621578959875 rounds to ...988 in numpy but to ...987 with
+        # Python's round(); both paths must key it the same way.
+        path = tmp_path / "cache.tsv"
+        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        X = np.array([[2461.7621578959875, -0.0], [0.1, 1e-13], [-3.25, 7.0]])
+        EvalCache(path).evaluate_many(model, X)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+
+        reloaded = EvalCache(path)
+        again = reloaded.evaluate_many(model, X)
+        assert reloaded.count("m") == 0
+        assert np.array_equal(again, X.sum(axis=1))
+        assert path.read_text().splitlines() == lines
+
+    def test_one_append_per_batch(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.tsv"
+        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        cache = EvalCache(path)
+        opened = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open", lambda *a, **k: opened.append(a) or real_open(*a, **k)
+        )
+        cache.evaluate_many(model, np.arange(10.0).reshape(5, 2))
+        cache.evaluate_many(model, np.arange(10.0).reshape(5, 2))
+        assert len(opened) == 1
+        assert len(path.read_text().splitlines()) == 5
+
+    def test_malformed_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("m\t0.5 2\t2.5\n\nm\t1 2\n")
+        with pytest.raises(CacheFileError, match=r"cache\.tsv:3: malformed"):
+            EvalCache(path)
 
     def test_persistence_format(self, tmp_path):
         path = tmp_path / "cache.tsv"

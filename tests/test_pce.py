@@ -7,7 +7,18 @@ from mfpce.models import (
     BENCHMARK_SPECS,
     builtin_model,
 )
-from mfpce.orthopoly import PolyFamily, Uniform, VariableSpec, eval_poly
+from itertools import product
+
+from mfpce.orthopoly import (
+    Normal,
+    PolyFamily,
+    Uniform,
+    VariableSpec,
+    eval_poly,
+    eval_poly_table,
+    gauss_rule,
+    norm_sq,
+)
 from mfpce.pce import (
     Expansion,
     basis_norms,
@@ -20,7 +31,7 @@ from mfpce.pce import (
     total_order_index_set,
     variance,
 )
-from mfpce.sparse_grid import smolyak_grid
+from mfpce.sparse_grid import growth, level_terms, smolyak_grid
 
 
 def project_model(model, specs, w):
@@ -124,6 +135,48 @@ class TestProjection:
         grid = smolyak_grid(2, 1, list(unit_uniform_specs))
         e = project(np.ones(len(grid)), 1, unit_uniform_specs, provenance="LF")
         assert e.provenance == "LF"
+
+    def test_equals_per_node_projection(self):
+        """The plan-based projection against the per-node algorithm it
+        replaced: values looked up by rounded node key, term by term in
+        sorted level order, accumulated into a dict entry by entry."""
+        specs = (
+            VariableSpec("u", Uniform(2.0, 6.0)),
+            VariableSpec("g", Normal(-1.0, 0.5)),
+            VariableSpec("v", Uniform(-1.0, 3.0)),
+        )
+        n, w = 3, 4
+        grid = smolyak_grid(n, w, list(specs))
+        values = np.exp(0.3 * grid.nodes.sum(axis=1)) + np.prod(np.cos(grid.nodes), axis=1)
+
+        def key(node):
+            return tuple(round(c, 12) + 0.0 for c in node)
+
+        value_of = {key(node): v for node, v in zip(grid.nodes, values)}
+        terms = {phi: 0.0 for phi in sparse_index_set(n, w)}
+        for term in sorted(level_terms(n, w), key=lambda t: t.levels):
+            rules = [gauss_rule(s.family, growth(l)) for s, l in zip(specs, term.levels)]
+            shape = tuple(len(r) for r in rules)
+            f = np.array(
+                [value_of[key(node)] for node in product(*(r.points for r in rules))]
+            ).reshape(shape)
+            coeffs = f
+            for rule, spec in zip(rules, specs):
+                table = eval_poly_table(spec.family, len(rule) - 1, rule.points)
+                coeffs = np.tensordot(coeffs, table * rule.weights, axes=([0], [1]))
+            norm_tensor = np.ones(())
+            for j, m in enumerate(shape):
+                axis = np.array([norm_sq(specs[j].family, d) for d in range(m)])
+                norm_tensor = np.multiply.outer(norm_tensor, axis)
+            flat = (coeffs / norm_tensor).ravel()
+            for i, phi in enumerate(product(*(range(m) for m in shape))):
+                terms[phi] += term.coeff * flat[i]
+
+        e = project(values, w, specs)
+        assert len(terms) > 100
+        assert list(e.terms.items()) == list(terms.items())
+        norms = {phi: math.prod(norm_sq(s.family, d) for s, d in zip(specs, phi)) for phi in terms}
+        assert list(e.norms.items()) == list(norms.items())
 
     def test_projection_deterministic(self, ishigami_range_specs):
         model = builtin_model("ishigami", "hf")

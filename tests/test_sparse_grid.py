@@ -5,15 +5,43 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfpce.orthopoly import PolyFamily, gauss_rule
+import mfpce.sparse_grid as sparse_grid
+from mfpce.orthopoly import Normal, PolyFamily, Uniform, VariableSpec, gauss_rule
+from mfpce.pce import project, projection_plan
 from mfpce.sparse_grid import (
     compositions,
+    grid_plan,
     growth,
     level_terms,
-    node_key,
     smolyak_grid,
     tensor_grid,
 )
+
+LEG = VariableSpec("u", Uniform(2.0, 6.0))
+HER = VariableSpec("g", Normal(-1.0, 0.5))
+
+
+def rounded_key_grid(n, w, specs):
+    """The float-key assembly integer node ids replaced: each tensor node is
+    keyed by its coordinates rounded to 12 decimals, weights accumulate in a
+    dict in ``level_terms`` order, and nodes are sorted by key."""
+    acc, coords = {}, {}
+    for term in level_terms(n, w):
+        rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(term.levels, specs)]
+        mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
+        nodes = np.column_stack([m.ravel() for m in mesh])
+        weights = np.ones(1)
+        for r in rules:
+            weights = np.outer(weights, r.weights).ravel()
+        for node, wgt in zip(nodes, weights):
+            key = tuple(round(c, 12) + 0.0 for c in node)
+            if key in acc:
+                acc[key] += term.coeff * wgt
+            else:
+                acc[key] = term.coeff * wgt
+                coords[key] = node
+    keys = sorted(acc)
+    return np.array([coords[k] for k in keys]), np.array([acc[k] for k in keys])
 
 
 class TestGrowth:
@@ -74,18 +102,13 @@ class TestTensorGrid:
         assert np.allclose(grid.nodes, expected)
         w_expected = np.outer(leg.weights, her.weights).ravel()
         assert np.allclose(grid.weights, w_expected)
+        assert [tuple(row) for row in grid.ids] == list(product(range(3), range(3)))
+        assert np.array_equal(grid.nodes[:, 0], leg.points[grid.ids[:, 0]])
+        assert np.array_equal(grid.nodes[:, 1], her.points[grid.ids[:, 1]])
 
     def test_dimension_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
             tensor_grid((1,), list(mixed_specs))
-
-
-class TestNodeKey:
-    def test_negative_zero_normalized(self):
-        assert node_key((-0.0, 0.0)) == (0.0, 0.0)
-
-    def test_rounding(self):
-        assert node_key((0.1234567890123456,)) == (0.123456789012,)
 
 
 class TestSmolyakGrid:
@@ -106,17 +129,66 @@ class TestSmolyakGrid:
         grid = smolyak_grid(2, w, list(mixed_specs))
         assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_keys_are_unique_and_sorted(self, ishigami_range_specs):
+    def test_ids_are_unique_and_sorted(self, ishigami_range_specs):
         grid = smolyak_grid(3, 3, list(ishigami_range_specs))
-        assert len(set(grid.keys)) == len(grid.keys)
-        assert list(grid.keys) == sorted(grid.keys)
+        assert grid.ids.shape == (len(grid), 3) and len(grid) == 159
+        assert np.issubdtype(grid.ids.dtype, np.integer)
+        rows = [tuple(row) for row in grid.ids.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert rows == sorted(rows)
+        # Id order is coordinate order, axis by axis.
+        assert [tuple(row) for row in grid.nodes.tolist()] == sorted(map(tuple, grid.nodes.tolist()))
+        for j in range(3):
+            points = np.unique(grid.nodes[:, j])
+            assert np.array_equal(np.searchsorted(points, grid.nodes[:, j]), grid.ids[:, j])
 
     def test_deterministic(self, mixed_specs):
         a = smolyak_grid(2, 3, list(mixed_specs))
+        grid_plan.cache_clear()
         b = smolyak_grid(2, 3, list(mixed_specs))
-        assert a.keys == b.keys
+        assert a.ids is not b.ids and len(a) > 1
+        assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [(LEG,), (HER,), (LEG, HER), (HER, LEG), (LEG, HER, LEG), (HER, HER, LEG)],
+        ids=lambda specs: "".join(s.name for s in specs),
+    )
+    @pytest.mark.parametrize("w", range(0, 5))
+    def test_equals_rounded_key_assembly(self, specs, w):
+        grid = smolyak_grid(len(specs), w, list(specs))
+        nodes, weights = rounded_key_grid(len(specs), w, specs)
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.weights, weights)
+
+    def test_equals_rounded_key_assembly_in_twenty_dimensions(self):
+        specs = [LEG, HER] * 10
+        grid = smolyak_grid(20, 2, specs)
+        nodes, weights = rounded_key_grid(20, 2, specs)
+        assert len(grid) == 921
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.weights, weights)
+
+    def test_one_cached_plan_per_level_and_families(self, monkeypatch, mixed_specs):
+        grid_plan.cache_clear()
+        projection_plan.cache_clear()
+        calls = []
+        original = sparse_grid.tensor_grid
+        monkeypatch.setattr(
+            sparse_grid, "tensor_grid", lambda *a: calls.append(a[0]) or original(*a)
+        )
+        first = smolyak_grid(2, 3, list(mixed_specs))
+        for _ in range(2):
+            assert smolyak_grid(2, 3, list(mixed_specs)).ids is first.ids
+            project(np.ones(len(first)), 3, mixed_specs)
+        # Standard coordinates: other ranges of the same families share it.
+        other = (VariableSpec("a", Uniform(0.0, 1.0)), VariableSpec("b", Normal(5.0, 2.0)))
+        again = smolyak_grid(2, 3, list(other))
+        assert again.weights is first.weights and np.array_equal(again.nodes, first.nodes)
+        assert calls == [t.levels for t in level_terms(2, 3)]
+        assert not first.ids.flags.writeable and not first.weights.flags.writeable
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
