@@ -7,9 +7,8 @@ Subcommands::
     mfpce decay    --config cfg.yaml --scheme mf1 --w 5
     mfpce mc-check --config cfg.yaml --model hf [--n 65536]
 
-Global flags: ``--config``, ``--out``, ``--threads``, ``--seed``; each can
-also come from the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``,
-``MFPCE_THREADS``, ``MFPCE_SEED``).
+Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
+the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
 Exit codes: 0 success, 2 configuration error (including an unreadable
 evaluation-cache file), 3 model-evaluation error, 4 numerical degeneracy.
@@ -53,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=_env_default("CONFIG"), help="study config (YAML)")
     parser.add_argument("--out", default=_env_default("OUT"), help="output directory override")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(_env_default("THREADS", 1)),
-        help="worker threads for external oneshot models",
-    )
     parser.add_argument(
         "--seed", type=int, default=_env_default("SEED"), help="override the validation/MC seed"
     )

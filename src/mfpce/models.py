@@ -318,10 +318,15 @@ class EvalCache:
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),
-        paying only for nodes not seen before."""
+        paying only for nodes not seen before. Rows sharing a key are paid
+        once, at their first occurrence."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         keys = [(model.id, k) for k in _cache_keys(X)]
-        missing = [i for i, k in enumerate(keys) if k not in self.store]
+        first: dict[tuple[str, tuple[float, ...]], int] = {}
+        for i, k in enumerate(keys):
+            if k not in self.store:
+                first.setdefault(k, i)
+        missing = list(first.values())
         if missing:
             new = X[missing]
             fresh = [float(v) for v in model.batch(new)]

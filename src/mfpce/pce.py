@@ -172,24 +172,74 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     )
 
 
+# ``evaluate_batch`` blocking: the 1D tables are built once per outer block
+# of points, and the prefix products run over inner column blocks of about
+# ``INNER_BYTES`` per array, so that they stay in cache.
+OUTER_POINTS = 8192
+INNER_BYTES = 1 << 20
+
+
+def _prefix_tree(phis: np.ndarray, coeffs: np.ndarray):
+    """Prefix structure of the lexicographically sorted multi-indices ``phis``.
+
+    For each axis ``j < n - 1`` returns, per distinct prefix over axes
+    ``0..j`` in sorted order, the position of its parent prefix (over axes
+    ``0..j-1``) and its degree on axis ``j``. The coefficients are scattered
+    into a dense ``(prefixes over axes 0..n-2, last-axis degrees)`` matrix.
+    """
+    K, n = phis.shape
+    new = np.zeros(K, dtype=bool)
+    new[0] = True
+    ids = np.zeros(K, dtype=np.intp)
+    levels = []
+    for j in range(n - 1):
+        new[1:] |= phis[1:, j] != phis[:-1, j]
+        starts = np.flatnonzero(new)
+        levels.append((ids[starts], phis[starts, j]))
+        ids = np.cumsum(new) - 1
+    dense = np.zeros((ids[-1] + 1, phis[:, -1].max() + 1))
+    dense[ids, phis[:, -1]] = coeffs
+    return levels, dense
+
+
 def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
-    """Evaluate the expansion at rows of physical-coordinate points."""
+    """Evaluate the expansion at rows of physical-coordinate points.
+
+    The sorted multi-indices form a prefix tree: the product of the 1D
+    polynomials over axes ``0..j`` is formed once per distinct prefix, as its
+    parent's product times the axis-``j`` table row, multiplied left to
+    right. The last axis is one matrix product of the dense coefficient
+    matrix with its table, weighted by the products over axes ``0..n-2``.
+
+    Two block levels bound memory: the 1D tables are built once per outer
+    block of ``OUTER_POINTS`` points, and the products run over inner column
+    blocks sized so that no array exceeds about ``INNER_BYTES``.
+    """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
-    phis = np.array(sorted(e.terms), dtype=int)
-    coeffs = np.array([e.terms[tuple(phi)] for phi in phis])
-    std = np.column_stack([spec.to_standard(X[:, j]) for j, spec in enumerate(e.specs)])
+    index = sorted(e.terms)
+    phis = np.array(index, dtype=np.intp)
+    levels, dense = _prefix_tree(phis, np.array([e.terms[phi] for phi in index]))
+    top = phis.max(axis=0)
+    # Longer prefixes are at least as many, so the dense rows are the most.
+    width = max(1, INNER_BYTES // (8 * len(dense)))
 
     out = np.empty(len(X))
-    chunk = max(1, int(2e7) // max(1, len(phis)))
-    for start in range(0, len(X), chunk):
-        stop = min(start + chunk, len(X))
-        block = np.ones((len(phis), stop - start))
-        for j, spec in enumerate(e.specs):
-            table = eval_poly_table(spec.family, int(phis[:, j].max()), std[start:stop, j])
-            block *= table[phis[:, j], :]
-        out[start:stop] = coeffs @ block
+    for start in range(0, len(X), OUTER_POINTS):
+        block = X[start : start + OUTER_POINTS]
+        tables = [
+            eval_poly_table(spec.family, int(top[j]), spec.to_standard(block[:, j]))
+            for j, spec in enumerate(e.specs)
+        ]
+        for a in range(0, len(block), width):
+            b = min(a + width, len(block))
+            prod = np.ones((1, b - a))
+            for (parent, degree), table in zip(levels, tables):
+                prod = prod[parent]
+                prod *= table[degree, a:b]
+            last = dense @ tables[-1][:, a:b]
+            out[start + a : start + b] = np.einsum("uc,uc->c", prod, last)
     return out
 
 

@@ -147,6 +147,15 @@ class TestExitCodes:
         assert f"{cache}:2:" in err
         assert "Traceback" not in err
 
+    def test_threads_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg = ishigami_config(tmp_path, tmp_path / "out")
+        monkeypatch.setenv("MFPCE_THREADS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--threads=2", "sobol", "--scheme", "hf", "--w", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
+
     def test_degenerate_model_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

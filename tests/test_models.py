@@ -176,6 +176,23 @@ class TestEvalCache:
         assert calls == [2]
         assert cache.count("m") == 2
 
+    def test_duplicate_rows_in_one_batch_are_paid_once(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        calls = []
+
+        def fn(X):
+            calls.append(X.copy())
+            return X.sum(axis=1)
+
+        model = Model(id="m", fidelity="hf", fn=fn)
+        cache = EvalCache(path)
+        values = cache.evaluate_many(model, [[1, 2], [1, 2], [1 + 1e-14, 2]])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [[1.0, 2.0]])
+        assert cache.count("m") == 1
+        assert np.array_equal(values, [3.0, 3.0, 3.0])
+        assert len(path.read_text().splitlines()) == 1
+
     def test_near_identical_nodes_merge(self):
         model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
         cache = EvalCache()

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mfpce.mf import MfConfig, build_mf
 from mfpce.models import (
     BENCHMARK_SPECS,
+    Model,
     builtin_model,
 )
 from itertools import product
@@ -185,7 +188,94 @@ class TestProjection:
         assert a.terms == b.terms
 
 
+def _evaluate_batch_reference(e: Expansion, xi_physical) -> np.ndarray:
+    """The block algorithm ``evaluate_batch`` replaced: one (K, chunk)
+    product block per chunk of about 2e7 entries, then a GEMV."""
+    X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
+    phis = np.array(sorted(e.terms), dtype=int)
+    coeffs = np.array([e.terms[tuple(phi)] for phi in phis])
+    std = np.column_stack([spec.to_standard(X[:, j]) for j, spec in enumerate(e.specs)])
+
+    out = np.empty(len(X))
+    chunk = max(1, int(2e7) // max(1, len(phis)))
+    for start in range(0, len(X), chunk):
+        stop = min(start + chunk, len(X))
+        block = np.ones((len(phis), stop - start))
+        for j, spec in enumerate(e.specs):
+            table = eval_poly_table(spec.family, int(phis[:, j].max()), std[start:stop, j])
+            block *= table[phis[:, j], :]
+        out[start:stop] = coeffs @ block
+    return out
+
+
+def _sample(specs, count, seed=5):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return np.column_stack([spec.sample(rng, count) for spec in specs])
+
+
+# A prime above two outer blocks: neither block size divides it.
+ODD_COUNT = 16411
+MIXED3 = (
+    VariableSpec("u", Uniform(-2.0, 3.0)),
+    VariableSpec("g", Normal(1.0, 0.5)),
+    VariableSpec("v", Uniform(0.0, 1.0)),
+)
+
+
+def _smooth(X):
+    return np.exp(0.2 * X.sum(axis=1)) + np.sin(X[:, 0]) * X[:, -1] ** 2
+
+
+def _expansion(case):
+    if case == "n1":
+        specs = (VariableSpec("g", Normal(0.5, 2.0)),)
+        return project_model(Model(id="f", fidelity="hf", fn=_smooth), specs, 5)
+    if case == "n3_mixed":
+        return project_model(Model(id="f", fidelity="hf", fn=_smooth), MIXED3, 4)
+    if case == "borehole_w3":
+        return project_model(builtin_model("borehole", "hf"), BENCHMARK_SPECS["borehole"], 3)
+    if case == "constant":
+        return Expansion(specs=MIXED3, terms={(0, 0, 0): 2.5}, norms={(0, 0, 0): 1.0})
+    if case == "not_downward_closed":
+        specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
+        terms = {(0, 0): 0.5, (3, 0): -1.25, (0, 5): 0.75, (2, 4): 2.0}
+        return Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms))
+    assert case == "mf_combined"
+    specs = tuple(BENCHMARK_SPECS["ishigami"])
+    hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
+    return build_mf(lf, hf, specs, MfConfig(w=4, q=2))
+
+
 class TestEvaluation:
+    @pytest.mark.parametrize(
+        "case",
+        ["n1", "n3_mixed", "borehole_w3", "constant", "not_downward_closed", "mf_combined"],
+    )
+    @pytest.mark.parametrize("count", [1, ODD_COUNT])
+    def test_equals_reference_blocks(self, case, count):
+        assert count == 1 or all(count % d for d in range(2, math.isqrt(count) + 1))
+        e = _expansion(case)
+        X = _sample(e.specs, count)
+        ref = _evaluate_batch_reference(e, X)
+        got = evaluate_batch(e, X)
+        assert got.shape == ref.shape == (count,)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_peak_memory_is_blocked(self):
+        # K = 1023 terms at 100k points; one unblocked (K, N) array is 818 MB.
+        specs = tuple(BENCHMARK_SPECS["ishigami"])
+        e = project_model(builtin_model("ishigami", "hf"), specs, 5)
+        assert len(e.terms) == 1023
+        X = _sample(specs, 100_000)
+        tracemalloc.start()
+        try:
+            out = evaluate_batch(e, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= out.nbytes  # numpy reports its buffers to tracemalloc
+        assert peak < 64e6
+
     def test_scalar_matches_batch(self, unit_uniform_specs):
         grid = smolyak_grid(2, 2, list(unit_uniform_specs))
         e = project(np.sin(grid.nodes).sum(axis=1), 2, unit_uniform_specs)
