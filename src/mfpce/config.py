@@ -18,9 +18,10 @@ Schema (see README for a full example)::
     #          {kind: pce, model: hf, w: 5}
     #          {kind: mc,  model: hf, n: 65536, seed: 7}
     validation: {count: 10000, seed: 42}
-    rt_values: [0.25, 0.125, 0.0625, 0.03125]
     output: out
     cache: cache.tsv             # optional persistent evaluation cache
+
+Any other top-level key is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,18 @@ from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
 from .study import SchemeSpec, build_scheme, ishigami_analytic
 
-DEFAULT_RT_VALUES = (0.25, 0.125, 0.0625, 0.03125)
+#: The top-level keys of a study config.
+CONFIG_KEYS = (
+    "problem",
+    "variables",
+    "models",
+    "schemes",
+    "levels",
+    "reference",
+    "validation",
+    "output",
+    "cache",
+)
 
 
 class ConfigError(ValueError):
@@ -73,7 +85,6 @@ class StudyConfig:
     reference: ReferenceSpec
     validation_count: int = 10000
     validation_seed: int = 42
-    rt_values: tuple[float, ...] = DEFAULT_RT_VALUES
     output: str = "out"
     cache_path: str | None = None
     problem: str | None = None
@@ -125,6 +136,9 @@ def _parse_variable(entry: dict) -> VariableSpec:
 def parse_config(data: dict) -> StudyConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
 
     problem = data.get("problem")
     if "variables" in data:
@@ -197,7 +211,6 @@ def parse_config(data: dict) -> StudyConfig:
         reference=reference,
         validation_count=int(validation.get("count", 10000)),
         validation_seed=int(validation.get("seed", 42)),
-        rt_values=tuple(float(r) for r in data.get("rt_values", DEFAULT_RT_VALUES)),
         output=str(data.get("output", "out")),
         cache_path=data.get("cache"),
         problem=problem,
@@ -262,7 +275,6 @@ def config_to_dict(cfg: StudyConfig) -> dict:
         "levels": {"min": cfg.level_min, "max": cfg.level_max},
         "reference": ref,
         "validation": {"count": cfg.validation_count, "seed": cfg.validation_seed},
-        "rt_values": list(cfg.rt_values),
         "output": cfg.output,
     }
     if cfg.problem is not None:

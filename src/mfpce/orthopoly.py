@@ -98,7 +98,10 @@ def eval_poly_table(family: PolyFamily, max_degree: int, x) -> np.ndarray:
     """Evaluate all polynomials of degree 0..max_degree at points ``x``.
 
     Returns an array of shape ``(max_degree + 1, len(x))`` built with the
-    three-term recurrence of the family.
+    three-term recurrence of the family. Each row is written in place, with
+    one scratch vector, in the operation order of
+    ``((2k + 1) * x * T[k] - k * T[k-1]) / (k + 1)`` (Legendre) and
+    ``x * T[k] - k * T[k-1]`` (Hermite).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((max_degree + 1, x.size))
@@ -106,12 +109,19 @@ def eval_poly_table(family: PolyFamily, max_degree: int, x) -> np.ndarray:
     if max_degree == 0:
         return table
     table[1] = x
-    if family is PolyFamily.LEGENDRE:
-        for k in range(1, max_degree):
-            table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
-    else:
-        for k in range(1, max_degree):
-            table[k + 1] = x * table[k] - k * table[k - 1]
+    scratch = np.empty(x.size)
+    legendre = family is PolyFamily.LEGENDRE
+    for k in range(1, max_degree):
+        row = table[k + 1]
+        if legendre:
+            np.multiply(x, 2 * k + 1, out=row)
+            np.multiply(row, table[k], out=row)
+        else:
+            np.multiply(x, table[k], out=row)
+        np.multiply(table[k - 1], k, out=scratch)
+        np.subtract(row, scratch, out=row)
+        if legendre:
+            np.divide(row, k + 1, out=row)
     return table
 
 

@@ -27,10 +27,16 @@ from .sparse_grid import smolyak_grid  # noqa: F401
 
 @dataclass(frozen=True)
 class Expansion:
-    """A PCE: coefficient and basis-norm tables over a multi-index set."""
+    """A PCE: coefficient and basis-norm tables over a multi-index set.
+
+    A coefficient is a float, or a length-``E`` vector for ``E`` outputs
+    over the shared basis (see :func:`stack`). Vector coefficients are for
+    :func:`evaluate_batch` only; :func:`mean`, :func:`variance` and the
+    Sobol post-processing take scalar coefficients.
+    """
 
     specs: tuple[VariableSpec, ...]
-    terms: dict[MultiIndex, float] = field(repr=False)
+    terms: dict[MultiIndex, float | np.ndarray] = field(repr=False)
     norms: dict[MultiIndex, float] = field(repr=False)
     provenance: str = "HF"  # HF | LF | Correction | Combined
 
@@ -45,6 +51,25 @@ class Expansion:
         missing = set(self.terms) - set(self.norms)
         if missing:
             raise ValueError(f"missing basis norms for {sorted(missing)[:3]}")
+
+
+def stack(expansions) -> Expansion:
+    """One multi-output expansion over the shared index set of
+    ``expansions``: per multi-index, the vector of their coefficients in
+    order. :func:`evaluate_batch` returns one column per expansion."""
+    expansions = list(expansions)
+    if not expansions:
+        raise ValueError("need at least one expansion")
+    first = expansions[0]
+    for e in expansions[1:]:
+        if e.specs != first.specs or e.terms.keys() != first.terms.keys():
+            raise ValueError("stacked expansions must share specs and multi-indices")
+    return Expansion(
+        specs=first.specs,
+        terms={phi: np.array([e.terms[phi] for e in expansions]) for phi in first.terms},
+        norms=first.norms,
+        provenance="+".join(e.provenance for e in expansions),
+    )
 
 
 def tensor_index_set(p: MultiIndex) -> set[MultiIndex]:
@@ -174,58 +199,111 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
 
 # ``evaluate_batch`` blocking: the 1D tables are built once per outer block
 # of points, and the prefix products run over inner column blocks of about
-# ``INNER_BYTES`` per array, so that they stay in cache.
-OUTER_POINTS = 8192
+# ``INNER_BYTES``, so that they stay in cache.
+OUTER_POINTS = 4096
 INNER_BYTES = 1 << 20
 
 
-def _prefix_tree(phis: np.ndarray, coeffs: np.ndarray):
-    """Prefix structure of the lexicographically sorted multi-indices ``phis``.
+def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
+    """How :func:`evaluate_batch` forms the sorted multi-indices ``phis``
+    with their ``(K, E)`` coefficients.
 
-    For each axis ``j < n - 1`` returns, per distinct prefix over axes
-    ``0..j`` in sorted order, the position of its parent prefix (over axes
-    ``0..j-1``) and its degree on axis ``j``. The coefficients are scattered
-    into a dense ``(prefixes over axes 0..n-2, last-axis degrees)`` matrix.
+    The sorted multi-indices form a prefix tree. Each distinct prefix over
+    axes ``0..n-2`` needs the product of its 1D polynomials, and a trailing
+    degree 0 leaves a product unchanged (``T[0] = 1``), so a product row is
+    made once, at the last axis where its prefix has a non-zero degree, as
+    its parent's row times one table row. Returns the row of the empty
+    product, per axis ``j < n - 1`` the ``(rows, parents, degrees)`` made
+    there, and the row count.
+
+    The distinct prefixes take the first rows, ordered stably by last-axis
+    width (largest last degree + 1), and are cut into runs of equal width
+    ``d``. Per run the plan holds ``(first, stop, d, C)``: its rows and its
+    coefficient block. A run of at least ``d`` rows contracts its rows in
+    the matrix product: ``C`` is ``(d * E, rows)`` and its row ``k * E + c``
+    holds output ``c``'s coefficients of last degree ``k``. A shorter run
+    contracts its degrees: ``C`` is ``(rows * E, d)`` and its row
+    ``u * E + c`` holds output ``c``'s coefficients of the run's row ``u``.
     """
     K, n = phis.shape
     new = np.zeros(K, dtype=bool)
     new[0] = True
     ids = np.zeros(K, dtype=np.intp)
-    levels = []
+    row = np.zeros(1, dtype=np.intp)  # product row per distinct prefix
+    steps, made = [], 1
     for j in range(n - 1):
         new[1:] |= phis[1:, j] != phis[:-1, j]
         starts = np.flatnonzero(new)
-        levels.append((ids[starts], phis[starts, j]))
+        parent, degree = row[ids[starts]], phis[starts, j]
+        fresh = np.flatnonzero(degree)
+        row = parent.copy()
+        row[fresh] = np.arange(made, made + len(fresh))
+        steps.append((row[fresh], parent[fresh], degree[fresh]))
+        made += len(fresh)
         ids = np.cumsum(new) - 1
-    dense = np.zeros((ids[-1] + 1, phis[:, -1].max() + 1))
-    dense[ids, phis[:, -1]] = coeffs
-    return levels, dense
+
+    last = phis[:, -1]
+    widths = np.zeros(len(row), dtype=np.intp)
+    np.maximum.at(widths, ids, last + 1)
+    order = np.argsort(widths, kind="stable")
+    target = np.full(made, -1)
+    target[row[order]] = np.arange(len(row))
+    target[target < 0] = np.arange(len(row), made)  # products no term uses
+    steps = [(target[rows], target[parents], degree) for rows, parents, degree in steps]
+
+    E = coeffs.shape[1]
+    widths, slot = widths[order], target[row[ids]]
+    cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    runs = []
+    for first, stop in zip(cuts[:-1], cuts[1:]):
+        d = int(widths[first])
+        mine = (slot >= first) & (slot < stop)
+        block = np.zeros((d, E, stop - first))
+        block[last[mine], :, slot[mine] - first] = coeffs[mine]
+        if stop - first < d:
+            block = block.transpose(2, 1, 0).copy()
+        runs.append((first, stop, d, block.reshape(-1, block.shape[-1])))
+    return int(target[0]), steps, made, runs
 
 
 def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
     """Evaluate the expansion at rows of physical-coordinate points.
 
-    The sorted multi-indices form a prefix tree: the product of the 1D
-    polynomials over axes ``0..j`` is formed once per distinct prefix, as its
-    parent's product times the axis-``j`` table row, multiplied left to
-    right. The last axis is one matrix product of the dense coefficient
-    matrix with its table, weighted by the products over axes ``0..n-2``.
+    Returns shape ``(N,)`` for scalar coefficients and ``(N, E)`` for
+    length-``E`` coefficient vectors, one column per output; all outputs
+    share the tables and products below.
+
+    The products of the 1D polynomials over axes ``0..n-2`` are formed
+    once per distinct prefix of the multi-indices, as a parent's product
+    times one table row, multiplied left to right (see
+    :func:`_evaluation_plan`). The last axis is ragged: the prefixes are
+    grouped into runs of equal last-axis width ``d``, and each run is one
+    matrix product ``Z`` of its coefficient block with its prefix products,
+    followed by ``sum_k T_last[k] * Z[k]`` over ``k < d``; a run of fewer
+    than ``d`` prefixes contracts the degrees with ``T_last`` first and sums
+    over its prefixes after. For a downward-closed set that is ``K * E``
+    multiply-adds per point.
 
     Two block levels bound memory: the 1D tables are built once per outer
     block of ``OUTER_POINTS`` points, and the products run over inner column
-    blocks sized so that no array exceeds about ``INNER_BYTES``.
+    blocks sized from the number of prefix products alone, so that they
+    take about ``INNER_BYTES``.
     """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
     index = sorted(e.terms)
+    # Raises ValueError unless all coefficients are scalars or all are
+    # vectors of one length.
+    coeffs = np.array([e.terms[phi] for phi in index], dtype=float)
+    E = coeffs.shape[1] if coeffs.ndim == 2 else 1
     phis = np.array(index, dtype=np.intp)
-    levels, dense = _prefix_tree(phis, np.array([e.terms[phi] for phi in index]))
+    one, steps, made, runs = _evaluation_plan(phis, coeffs.reshape(len(index), E))
     top = phis.max(axis=0)
-    # Longer prefixes are at least as many, so the dense rows are the most.
-    width = max(1, INNER_BYTES // (8 * len(dense)))
+    width = min(OUTER_POINTS, max(1, INNER_BYTES // (8 * made)))
 
-    out = np.empty(len(X))
+    out = np.zeros((E, len(X)))
+    products = np.empty((made, min(width, len(X))))
     for start in range(0, len(X), OUTER_POINTS):
         block = X[start : start + OUTER_POINTS]
         tables = [
@@ -234,13 +312,22 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
         ]
         for a in range(0, len(block), width):
             b = min(a + width, len(block))
-            prod = np.ones((1, b - a))
-            for (parent, degree), table in zip(levels, tables):
-                prod = prod[parent]
-                prod *= table[degree, a:b]
-            last = dense @ tables[-1][:, a:b]
-            out[start + a : start + b] = np.einsum("uc,uc->c", prod, last)
-    return out
+            prod = products[:, : b - a]
+            prod[one] = 1.0
+            for (rows, parents, degree), table in zip(steps, tables):
+                made_here = prod[parents]
+                made_here *= table[degree, a:b]
+                prod[rows] = made_here
+            acc = out[:, start + a : start + b]
+            for first, stop, d, C in runs:
+                if stop - first < d:
+                    Z = (C @ tables[-1][:d, a:b]).reshape(stop - first, E, b - a)
+                    Z *= prod[first:stop, None, :]
+                else:
+                    Z = (C @ prod[first:stop]).reshape(d, E, b - a)
+                    Z *= tables[-1][:d, None, a:b]
+                acc += Z.sum(axis=0)
+    return out.T if coeffs.ndim == 2 else out[0]
 
 
 def evaluate(e: Expansion, xi_physical) -> float:

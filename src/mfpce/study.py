@@ -13,7 +13,7 @@ import numpy as np
 
 from .mf import MfConfig, build_mf_parts, physical_nodes
 from .models import EvalCache, Model
-from .pce import Expansion, evaluate_batch, mean, project, variance
+from .pce import Expansion, evaluate_batch, mean, project, stack, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
 from .sparse_grid import smolyak_grid
 
@@ -184,12 +184,29 @@ def build_scheme(
     return BuiltScheme(exp, None, None, n_hf=0, n_lf=count)
 
 
+def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
+    """``prediction_error`` of each expansion at the rows of ``X`` against
+    ``y_true[i]``. Expansions that share specs and multi-indices are
+    stacked and evaluated by one :func:`evaluate_batch` call per group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, e in enumerate(expansions):
+        groups.setdefault((e.specs, frozenset(e.terms)), []).append(i)
+    scores: list = [None] * len(expansions)
+    for members in groups.values():
+        y_pred = evaluate_batch(stack(expansions[i] for i in members), X)
+        for column, i in enumerate(members):
+            scores[i] = prediction_error(y_true[i], y_pred[:, column])
+    return scores
+
+
 def run_convergence(cfg) -> list[ConvergenceRow]:
     """One row per (scheme, level), in config order, deterministically.
 
     ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
     built once; each cell gets a fresh cache so its counters reflect only
-    that build. MF rows are emitted only for levels with ``w >= q``.
+    that build. MF rows are emitted only for levels with ``w >= q``. The
+    cells are built first; cells with one index set (one level) are then
+    validated together.
     """
     from .config import build_reference  # local import to avoid a cycle
 
@@ -199,40 +216,45 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     X_val = np.column_stack([s.sample(rng, cfg.validation_count) for s in cfg.variables])
     y_true: dict[str, np.ndarray] = {}
 
-    rows = []
+    cells = []
     for scheme in cfg.schemes:
-        truth_id = scheme.hf
-        if truth_id not in y_true:
-            y_true[truth_id] = models[truth_id].batch(X_val)
+        if scheme.hf not in y_true:
+            y_true[scheme.hf] = models[scheme.hf].batch(X_val)
         for w in range(cfg.level_min, cfg.level_max + 1):
             if scheme.kind == "mf" and w < scheme.q:
                 continue
-            built = build_scheme(scheme, w, cfg.variables, models)
-            y_pred = evaluate_batch(built.expansion, X_val)
-            r2, mare = prediction_error(y_true[truth_id], y_pred)
-            e, e_t = sobol_errors(all_indices(built.expansion), reference)
-            n_e = built.n_hf if scheme.kind != "lf" else built.n_lf
-            if scheme.rt is not None:
-                n_tot = built.n_hf + scheme.rt * built.n_lf
-            else:
-                n_tot = float(n_e)
-            rows.append(
-                ConvergenceRow(
-                    scheme=scheme.name,
-                    w=w,
-                    q=scheme.q if scheme.kind == "mf" else 0,
-                    n_hf=built.n_hf,
-                    n_lf=built.n_lf,
-                    n_e=n_e,
-                    n_tot=n_tot,
-                    mare=mare,
-                    r2=r2,
-                    e=e,
-                    e_t=e_t,
-                    mean=mean(built.expansion),
-                    std=math.sqrt(max(variance(built.expansion), 0.0)),
-                )
+            cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
+    scores = _prediction_scores(
+        [built.expansion for _, _, built in cells],
+        X_val,
+        [y_true[scheme.hf] for scheme, _, _ in cells],
+    )
+
+    rows = []
+    for (scheme, w, built), (r2, mare) in zip(cells, scores):
+        e, e_t = sobol_errors(all_indices(built.expansion), reference)
+        n_e = built.n_hf if scheme.kind != "lf" else built.n_lf
+        if scheme.rt is not None:
+            n_tot = built.n_hf + scheme.rt * built.n_lf
+        else:
+            n_tot = float(n_e)
+        rows.append(
+            ConvergenceRow(
+                scheme=scheme.name,
+                w=w,
+                q=scheme.q if scheme.kind == "mf" else 0,
+                n_hf=built.n_hf,
+                n_lf=built.n_lf,
+                n_e=n_e,
+                n_tot=n_tot,
+                mare=mare,
+                r2=r2,
+                e=e,
+                e_t=e_t,
+                mean=mean(built.expansion),
+                std=math.sqrt(max(variance(built.expansion), 0.0)),
             )
+        )
     return rows
 
 

@@ -119,6 +119,15 @@ class TestExitCodes:
         path = write_config(tmp_path, {"problem": "ishigami"})
         assert main(["--config", str(path), "converge"]) == 2
 
+    @pytest.mark.parametrize("key", ["rt_values", "levles"])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, key):
+        cfg = ishigami_config(tmp_path, tmp_path / "out", **{key: {"min": 1, "max": 2}})
+        assert main(["--config", str(cfg), "converge"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config keys: '{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
     def test_model_failure_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

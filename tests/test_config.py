@@ -108,6 +108,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(minimal_config(levels={"min": 3, "max": 1}))
 
+    @pytest.mark.parametrize("key", ["rt_values", "levles"])
+    def test_unknown_top_level_key(self, key):
+        data = minimal_config(**{key: [0.25, 0.125]})
+        with pytest.raises(ConfigError, match=repr(key)):
+            parse_config(data)
+
     def test_root_must_be_mapping(self):
         with pytest.raises(ConfigError):
             parse_config(["not", "a", "mapping"])
@@ -118,7 +124,7 @@ class TestRoundTrip:
         cfg = parse_config(
             minimal_config(
                 validation={"count": 5000, "seed": 3},
-                rt_values=[0.25, 0.125],
+                output="results",
                 cache="cache.tsv",
             )
         )

@@ -56,6 +56,23 @@ class TestEvaluation:
             for xi, val in zip(x, table[k]):
                 assert eval_poly(PolyFamily.LEGENDRE, k, xi) == pytest.approx(val)
 
+    @pytest.mark.parametrize("family", list(PolyFamily))
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 62])
+    def test_table_equals_recurrence_formula(self, family, max_degree):
+        """The in-place recurrence against the row-by-row formula, bit for
+        bit."""
+        x = np.random.default_rng(3).uniform(-1.5, 1.5, 4097)
+        want = np.empty((max_degree + 1, x.size))
+        want[0] = 1.0
+        if max_degree > 0:
+            want[1] = x
+        for k in range(1, max_degree):
+            if family is PolyFamily.LEGENDRE:
+                want[k + 1] = ((2 * k + 1) * x * want[k] - k * want[k - 1]) / (k + 1)
+            else:
+                want[k + 1] = x * want[k] - k * want[k - 1]
+        assert np.array_equal(eval_poly_table(family, max_degree, x), want)
+
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_legendre_matches_numpy(self, x, k):
         ours = eval_poly(PolyFamily.LEGENDRE, k, x)

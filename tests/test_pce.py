@@ -30,6 +30,7 @@ from mfpce.pce import (
     mean,
     project,
     sparse_index_set,
+    stack,
     tensor_index_set,
     total_order_index_set,
     variance,
@@ -246,6 +247,50 @@ def _expansion(case):
     return build_mf(lf, hf, specs, MfConfig(w=4, q=2))
 
 
+def _stack_case(case):
+    """Expansions over one index set, as ``converge`` stacks them."""
+    if case == "n1":
+        specs = (VariableSpec("g", Normal(0.5, 2.0)),)
+        return [
+            project_model(Model(id="f", fidelity="hf", fn=fn), specs, 5)
+            for fn in (_smooth, lambda X: np.cos(X[:, 0]))
+        ]
+    if case == "n3_mixed":
+        return [
+            project_model(Model(id="f", fidelity="hf", fn=fn), MIXED3, 4)
+            for fn in (
+                _smooth,
+                lambda X: X[:, 0] * X[:, 1] - X[:, 2] ** 3,
+                lambda X: np.cos(X).sum(axis=1),
+            )
+        ]
+    if case == "borehole_hf_mf_w3":
+        specs = tuple(BENCHMARK_SPECS["borehole"])
+        hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
+        return [project_model(hf, specs, 3), build_mf(lf, hf, specs, MfConfig(w=3, q=1))]
+    if case == "constant":
+        return [
+            Expansion(specs=MIXED3, terms={(0, 0, 0): c}, norms={(0, 0, 0): 1.0})
+            for c in (2.5, -0.75)
+        ]
+    if case == "not_downward_closed":
+        specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
+        out = []
+        for coeffs in ((0.5, -1.25, 0.75, 2.0), (-3.0, 0.25, 1.5, -0.5)):
+            terms = dict(zip([(0, 0), (3, 0), (0, 5), (2, 4)], coeffs))
+            out.append(Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms)))
+        return out
+    if case == "sparse_3d":
+        # Prefix (2, 3) needs the product of prefix (2), which no term has.
+        out = []
+        for coeffs in ((1.0, -0.5, 0.25, 2.0, -1.5), (0.5, 1.5, -2.0, 0.75, 1.0)):
+            terms = dict(zip([(0, 0, 0), (2, 3, 1), (0, 4, 0), (1, 0, 2), (2, 3, 0)], coeffs))
+            out.append(Expansion(specs=MIXED3, terms=terms, norms=basis_norms(MIXED3, terms)))
+        return out
+    assert case == "single"
+    return [_expansion("n3_mixed")]
+
+
 class TestEvaluation:
     @pytest.mark.parametrize(
         "case",
@@ -261,20 +306,65 @@ class TestEvaluation:
         assert got.shape == ref.shape == (count,)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "n1",
+            "n3_mixed",
+            "borehole_hf_mf_w3",
+            "constant",
+            "not_downward_closed",
+            "sparse_3d",
+            "single",
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, ODD_COUNT])
+    def test_stacked_equals_each_expansion(self, case, count):
+        expansions = _stack_case(case)
+        X = _sample(expansions[0].specs, count)
+        got = evaluate_batch(stack(expansions), X)
+        assert got.shape == (count, len(expansions))
+        for column, e in zip(got.T, expansions):
+            ref = _evaluate_batch_reference(e, X)
+            tol = 1e-12 * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(column - ref) <= tol)
+            assert np.all(np.abs(column - evaluate_batch(e, X)) <= tol)
+
+    def test_unequal_coefficient_vectors_rejected(self):
+        specs = (VariableSpec("u", Uniform(-1.0, 1.0)),)
+        terms = {(0,): np.array([1.0, 2.0]), (1,): np.array([0.5])}
+        e = Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms))
+        with pytest.raises(ValueError):
+            evaluate_batch(e, np.zeros((3, 1)))
+
+    def test_stack_needs_one_index_set(self):
+        specs = tuple(BENCHMARK_SPECS["ishigami"])
+        model = builtin_model("ishigami", "hf")
+        with pytest.raises(ValueError):
+            stack([project_model(model, specs, 2), project_model(model, specs, 3)])
+        with pytest.raises(ValueError):
+            stack([])
+
     def test_peak_memory_is_blocked(self):
         # K = 1023 terms at 100k points; one unblocked (K, N) array is 818 MB.
         specs = tuple(BENCHMARK_SPECS["ishigami"])
-        e = project_model(builtin_model("ishigami", "hf"), specs, 5)
+        hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
+        e = project_model(hf, specs, 5)
         assert len(e.terms) == 1023
+        # Three outputs are one level of the ishigami study: HF, LF and MF.
+        mf = build_mf(lf, hf, specs, MfConfig(w=5, q=2))
+        stacked = stack([e, project_model(lf, specs, 5), mf])
         X = _sample(specs, 100_000)
-        tracemalloc.start()
-        try:
-            out = evaluate_batch(e, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak >= out.nbytes  # numpy reports its buffers to tracemalloc
-        assert peak < 64e6
+        for expansion, shape in ((e, (100_000,)), (stacked, (100_000, 3))):
+            tracemalloc.start()
+            try:
+                out = evaluate_batch(expansion, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == shape
+            assert peak >= out.nbytes  # numpy reports its buffers to tracemalloc
+            assert peak < 64e6
 
     def test_scalar_matches_batch(self, unit_uniform_specs):
         grid = smolyak_grid(2, 2, list(unit_uniform_specs))

@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mfpce.config import parse_config
 from mfpce.models import builtin_model
+from mfpce.pce import evaluate_batch, mean, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.study import (
+    ConvergenceRow,
     SchemeSpec,
     build_scheme,
     decay_report,
     ishigami_analytic,
     prediction_error,
+    run_convergence,
     similarity,
     sobol_errors,
     write_convergence_csv,
@@ -172,6 +177,69 @@ class TestBuildScheme:
         assert built.lf_expansion is not None
         assert built.correction is not None
         assert built.n_hf > 0 and built.n_lf > 0
+
+
+class TestRunConvergence:
+    def test_equals_per_cell_scalar_loop(self):
+        """Stacked validation against one scalar ``evaluate_batch`` per
+        (scheme, level) cell, scored and counted cell by cell."""
+        cfg = parse_config(
+            {
+                "problem": "ishigami",
+                "models": [
+                    {"id": "hf", "builtin": "ishigami/hf"},
+                    {"id": "lf", "builtin": "ishigami/lf1"},
+                ],
+                "schemes": [
+                    {"name": "hf", "kind": "hf", "hf": "hf"},
+                    {"name": "lf", "kind": "lf", "hf": "hf", "lf": "lf"},
+                    {"name": "mf", "kind": "mf", "hf": "hf", "lf": "lf", "q": 2, "rt": 0.125},
+                ],
+                "levels": {"min": 1, "max": 4},
+                "reference": {"kind": "analytic", "a": 7.0, "b": 0.1},
+                "validation": {"count": 5000, "seed": 11},
+            }
+        )
+        rows = run_convergence(cfg)
+
+        models = cfg.resolved_models()
+        reference = ishigami_analytic(7.0, 0.1)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        X = np.column_stack([s.sample(rng, 5000) for s in cfg.variables])
+        y_true = models["hf"].batch(X)
+        expected = []
+        for scheme in cfg.schemes:
+            for w in range(1, 5):
+                if scheme.kind == "mf" and w < scheme.q:
+                    continue
+                built = build_scheme(scheme, w, cfg.variables, models)
+                r2, mare = prediction_error(y_true, evaluate_batch(built.expansion, X))
+                e, e_t = sobol_errors(all_indices(built.expansion), reference)
+                n_e = built.n_lf if scheme.kind == "lf" else built.n_hf
+                n_tot = built.n_hf + scheme.rt * built.n_lf if scheme.rt else float(n_e)
+                expected.append(
+                    ConvergenceRow(
+                        scheme=scheme.name,
+                        w=w,
+                        q=scheme.q,
+                        n_hf=built.n_hf,
+                        n_lf=built.n_lf,
+                        n_e=n_e,
+                        n_tot=n_tot,
+                        mare=mare,
+                        r2=r2,
+                        e=e,
+                        e_t=e_t,
+                        mean=mean(built.expansion),
+                        std=math.sqrt(max(variance(built.expansion), 0.0)),
+                    )
+                )
+
+        assert len(rows) == len(expected) == 11
+        for row, want in zip(rows, expected):
+            assert abs(row.mare - want.mare) <= 1e-12
+            assert abs(row.r2 - want.r2) <= 1e-12
+            assert dataclasses.replace(row, mare=want.mare, r2=want.r2) == want
 
 
 class TestDecay:
