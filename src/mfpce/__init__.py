@@ -11,7 +11,6 @@ from .orthopoly import (
     VariableSpec,
     eval_poly,
     gauss_rule,
-    norm_sq,
 )
 from .pce import Expansion, evaluate, evaluate_batch, mean, project, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol, subset_index, total_indices
@@ -46,7 +45,6 @@ __all__ = [
     "VariableSpec",
     "eval_poly",
     "gauss_rule",
-    "norm_sq",
     "Expansion",
     "evaluate",
     "evaluate_batch",

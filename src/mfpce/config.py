@@ -8,7 +8,7 @@ Schema (see README for a full example)::
       - {name: p,  dist: normal,  mu: 500.0,  sigma: 100.0}
     models:
       - {id: hf, builtin: ishigami/hf}
-      - {id: lf, builtin: ishigami/lf1, cost_unit: 0.125}
+      - {id: lf, builtin: ishigami/lf1}
       - {id: ext, command: "python model.py", mode: stream, fidelity: hf}
     schemes:
       - {name: hf,  kind: hf, hf: hf}
@@ -61,7 +61,6 @@ class ModelBinding:
     command: str | None = None
     mode: str = "oneshot"
     fidelity: str = "hf"
-    cost_unit: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,12 @@ class StudyConfig:
                     base = builtin_model(problem, fidelity)
                 except KeyError as exc:
                     raise ConfigError(str(exc)) from exc
-                out[binding.id] = Model(
-                    id=binding.id,
-                    fidelity=base.fidelity,
-                    fn=base.fn,
-                    cost_unit=binding.cost_unit,
-                )
+                out[binding.id] = Model(id=binding.id, fidelity=base.fidelity, fn=base.fn)
             else:
                 out[binding.id] = external_model(
                     binding.command,
                     fidelity=binding.fidelity,
                     mode=binding.mode,
-                    cost_unit=binding.cost_unit,
                     id=binding.id,
                 )
         return out
@@ -246,8 +239,6 @@ def config_to_dict(cfg: StudyConfig) -> dict:
             entry["builtin"] = m.builtin
         else:
             entry.update({"command": m.command, "mode": m.mode, "fidelity": m.fidelity})
-        if m.cost_unit != 1.0:
-            entry["cost_unit"] = m.cost_unit
         models.append(entry)
     schemes = []
     for s in cfg.schemes:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import EvalCache, Model
-from .pce import Expansion, basis_norms, project
-from .sparse_grid import smolyak_grid
+from .pce import Expansion, project
+from .sparse_grid import row_keys, smolyak_grid
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,10 @@ def build_mf_parts(
         correction_values(hf_at_cr, lf_at_cr), w_cr, specs, provenance="Correction"
     )
 
-    terms = dict(lf_exp.terms)
-    for phi, coeff in cr_exp.terms.items():
-        terms[phi] = terms[phi] + coeff
-    combined = Expansion(
-        specs=specs,
-        terms=terms,
-        norms=basis_norms(specs, terms),
-        provenance="Combined",
-    )
+    # The level w - q multi-indices are a subset of the level w ones.
+    coeffs = lf_exp.coeffs.copy()
+    coeffs[np.searchsorted(row_keys(lf_exp.terms), row_keys(cr_exp.terms))] += cr_exp.coeffs
+    combined = Expansion(specs=specs, terms=lf_exp.terms, coeffs=coeffs, provenance="Combined")
     return MfBuild(
         lf=lf_exp,
         correction=cr_exp,

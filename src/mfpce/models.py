@@ -33,12 +33,11 @@ class ModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class Model:
-    """A deterministic scalar model with a relative cost per evaluation."""
+    """A deterministic scalar model."""
 
     id: str
     fidelity: str  # "hf" or "lf<k>"
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    cost_unit: float = 1.0
 
     def __call__(self, xi) -> float:
         return float(self.batch(np.asarray(xi, dtype=float)[None, :])[0])
@@ -240,16 +239,10 @@ def external_model(
     command: str,
     fidelity: str = "hf",
     mode: str = "oneshot",
-    cost_unit: float = 1.0,
     id: str | None = None,
 ) -> Model:
     proc = ExternalModel(command, mode=mode)
-    return Model(
-        id=id or f"external/{fidelity}",
-        fidelity=fidelity,
-        fn=proc.batch,
-        cost_unit=cost_unit,
-    )
+    return Model(id=id or f"external/{fidelity}", fidelity=fidelity, fn=proc.batch)
 
 
 # --- evaluation cache -------------------------------------------------------
@@ -340,6 +333,3 @@ class EvalCache:
 
     def count(self, model_id: str) -> int:
         return self.counters.get(model_id, 0)
-
-    def reset_counters(self) -> None:
-        self.counters.clear()

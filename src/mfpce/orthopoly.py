@@ -1,12 +1,15 @@
-"""One-dimensional orthogonal polynomial families and Gauss quadrature.
+"""One-dimensional orthonormal polynomial families and Gauss quadrature.
 
-Two families are supported, each orthogonal with respect to a probability
-density:
+Two families are supported, each orthonormal with respect to a probability
+density, ``E[psi_j psi_k] = delta_jk``:
 
-* Legendre ``P_k`` (convention ``P_k(1) = 1``) for the uniform density
-  ``1/2`` on ``[-1, 1]``.
-* Probabilists' Hermite ``He_k`` for the standard normal density on the
-  real line.
+* Legendre, ``psi_k = sqrt(2k + 1) P_k`` (with ``P_k(1) = 1``), for the
+  uniform density ``1/2`` on ``[-1, 1]``.
+* Probabilists' Hermite, ``psi_k = He_k / sqrt(k!)``, for the standard
+  normal density on the real line.
+
+One three-term recurrence per family (:func:`_recurrence`) defines both the
+polynomials and the Gauss rules.
 
 All quadrature weights are probability-normalized (they sum to one), so
 integrating a function against a rule approximates an expectation under the
@@ -18,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 class PolyFamily(Enum):
@@ -94,75 +95,72 @@ class GaussRule:
         return len(self.points)
 
 
+def _recurrence(family: PolyFamily, m: int) -> np.ndarray:
+    """``b_1 .. b_{m-1}`` of the orthonormal three-term recurrence
+    ``x psi_k = b_{k+1} psi_{k+1} + b_k psi_{k-1}`` (both densities are
+    symmetric, so the diagonal is zero). They are the off-diagonal of the
+    family's Jacobi matrix."""
+    k = np.arange(1, m, dtype=float)
+    if family is PolyFamily.LEGENDRE:
+        return k / np.sqrt(4.0 * k * k - 1.0)
+    return np.sqrt(k)
+
+
 def eval_poly_table(family: PolyFamily, max_degree: int, x) -> np.ndarray:
-    """Evaluate all polynomials of degree 0..max_degree at points ``x``.
+    """Evaluate the orthonormal polynomials of degree 0..max_degree at ``x``.
 
     Returns an array of shape ``(max_degree + 1, len(x))`` built with the
-    three-term recurrence of the family. Each row is written in place, with
-    one scratch vector, in the operation order of
-    ``((2k + 1) * x * T[k] - k * T[k-1]) / (k + 1)`` (Legendre) and
-    ``x * T[k] - k * T[k-1]`` (Hermite).
+    recurrence of :func:`_recurrence`, multiplied through by ``1 / b_{k+1}``.
+    Each row is written in place, with one scratch vector, in the operation
+    order of ``x * T[k] * a_k - c_k * T[k-1]`` with ``a_k = 1 / b_{k+1}``
+    and ``c_k = b_k * a_k``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((max_degree + 1, x.size))
     table[0] = 1.0
     if max_degree == 0:
         return table
-    table[1] = x
+    b = _recurrence(family, max_degree + 1)  # b[k - 1] is b_k
+    a = 1.0 / b  # a[k] is a_k
+    c = b[:-1] * a[1:]  # c[k - 1] is c_k
+    np.multiply(x, a[0], out=table[1])
     scratch = np.empty(x.size)
-    legendre = family is PolyFamily.LEGENDRE
     for k in range(1, max_degree):
         row = table[k + 1]
-        if legendre:
-            np.multiply(x, 2 * k + 1, out=row)
-            np.multiply(row, table[k], out=row)
-        else:
-            np.multiply(x, table[k], out=row)
-        np.multiply(table[k - 1], k, out=scratch)
+        np.multiply(x, table[k], out=row)
+        np.multiply(row, a[k], out=row)
+        np.multiply(table[k - 1], c[k - 1], out=scratch)
         np.subtract(row, scratch, out=row)
-        if legendre:
-            np.divide(row, k + 1, out=row)
     return table
 
 
 def eval_poly(family: PolyFamily, degree: int, x: float) -> float:
-    """Evaluate a single polynomial of the family at a scalar point."""
+    """Evaluate a single orthonormal polynomial of the family at a scalar
+    point."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     return float(eval_poly_table(family, degree, x)[degree, 0])
-
-
-def norm_sq(family: PolyFamily, degree: int) -> float:
-    """Closed-form ``E[Psi_k^2]`` under the family's probability density."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if family is PolyFamily.LEGENDRE:
-        return 1.0 / (2 * degree + 1)
-    return float(factorial(degree))
 
 
 @lru_cache(maxsize=None)
 def gauss_rule(family: PolyFamily, m: int) -> GaussRule:
     """m-point Gauss rule, exact for polynomials of degree <= 2m - 1.
 
-    Computed by Golub-Welsch: eigendecomposition of the symmetric
-    tridiagonal Jacobi matrix of the recurrence, with weights from the
-    squared first eigenvector components (total mass 1).
+    Golub-Welsch: the points are the eigenvalues of the Jacobi matrix of
+    :func:`_recurrence`. The weights come from the Christoffel function of
+    the same recurrence, ``1 / sum_k psi_k(x_i)^2`` over ``k < m``, which
+    keeps its relative accuracy at the outermost points, where squared
+    eigenvector components do not. Far-out Hermite points whose true weight
+    is below the smallest double get weight 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return GaussRule(points=np.zeros(1), weights=np.ones(1))
-    k = np.arange(1, m, dtype=float)
-    if family is PolyFamily.LEGENDRE:
-        offdiag = k / np.sqrt(4.0 * k * k - 1.0)
-    else:
-        offdiag = np.sqrt(k)
-    try:
-        points, vecs = eigh_tridiagonal(np.zeros(m), offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK defect
-        raise RuntimeError(f"Jacobi eigensolve failed for {family}, m={m}") from exc
-    weights = vecs[0] ** 2
+    b = _recurrence(family, m)
+    points = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))[0]
+    with np.errstate(over="ignore"):
+        weights = 1.0 / np.square(eval_poly_table(family, m - 1, points)).sum(axis=0)
     # Both densities are symmetric; enforce the symmetry the eigensolver
     # delivers only to rounding error.
     points = 0.5 * (points - points[::-1])

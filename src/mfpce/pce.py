@@ -1,24 +1,25 @@
 """Polynomial chaos expansions via pseudo-spectral projection on sparse grids.
 
-An :class:`Expansion` maps multi-indices (per-dimension polynomial degrees)
-to coefficients, with the basis norms ``E[Psi^2]`` tracked alongside the
-unnormalized coefficients. Coefficients are computed subspace-wise: each
-tensor term of the Smolyak combination contributes its own tensor-product
-pseudo-spectral coefficients, capped at the degree the term's Gauss rules
-integrate exactly, and the signed combination of these partial tables is the
-sparse expansion.
+An :class:`Expansion` holds its multi-indices (per-dimension polynomial
+degrees) as rows of an integer array and its coefficients in the
+orthonormal basis of :mod:`mfpce.orthopoly`, so no basis norms are needed:
+the mean is the constant-term coefficient and every other squared
+coefficient is that term's share of the variance. Coefficients are computed
+subspace-wise: each tensor term of the Smolyak combination contributes its
+own tensor-product pseudo-spectral coefficients, capped at the degree the
+term's Gauss rules integrate exactly, and the signed combination of these
+partial tables is the sparse expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .orthopoly import PolyFamily, VariableSpec, eval_poly_table, gauss_rule, norm_sq
-from .sparse_grid import PLAN_CACHE_SIZE, MultiIndex, compositions, grid_plan, growth
+from .orthopoly import PolyFamily, VariableSpec, eval_poly_table, gauss_rule
+from .sparse_grid import PLAN_CACHE_SIZE, grid_plan, growth, unique_rows
 
 # ``project`` takes values in ``smolyak_grid`` node order; the name stays in
 # this namespace, where bench/tracer.py and bench/selftest.py expect it.
@@ -27,17 +28,19 @@ from .sparse_grid import smolyak_grid  # noqa: F401
 
 @dataclass(frozen=True)
 class Expansion:
-    """A PCE: coefficient and basis-norm tables over a multi-index set.
+    """A PCE in the orthonormal basis.
 
-    A coefficient is a float, or a length-``E`` vector for ``E`` outputs
-    over the shared basis (see :func:`stack`). Vector coefficients are for
-    :func:`evaluate_batch` only; :func:`mean`, :func:`variance` and the
-    Sobol post-processing take scalar coefficients.
+    ``terms`` is an ``(K, n)`` integer array of distinct multi-indices in
+    lexicographic order, so row 0 is the zero index. ``coeffs[k]`` is the
+    coefficient of ``terms[k]``: ``coeffs`` is ``(K,)``, or ``(K, E)`` for
+    ``E`` outputs over the shared basis (see :func:`stack`). Vector
+    coefficients are for :func:`evaluate_batch` only; the Sobol
+    post-processing takes scalar coefficients.
     """
 
     specs: tuple[VariableSpec, ...]
-    terms: dict[MultiIndex, float | np.ndarray] = field(repr=False)
-    norms: dict[MultiIndex, float] = field(repr=False)
+    terms: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     provenance: str = "HF"  # HF | LF | Correction | Combined
 
     @property
@@ -45,16 +48,22 @@ class Expansion:
         return len(self.specs)
 
     def __post_init__(self) -> None:
-        zero = (0,) * self.n
-        if zero not in self.terms:
-            raise ValueError("the zero multi-index must be present")
-        missing = set(self.terms) - set(self.norms)
-        if missing:
-            raise ValueError(f"missing basis norms for {sorted(missing)[:3]}")
+        terms = np.asarray(self.terms, dtype=np.intp).reshape(-1, self.n)
+        # Raises ValueError for coefficient vectors of unequal length.
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.ndim not in (1, 2) or len(coeffs) != len(terms):
+            raise ValueError(f"expected {len(terms)} coefficients, got shape {coeffs.shape}")
+        step = np.diff(terms, axis=0)
+        first = (step != 0).argmax(axis=1)
+        increasing = (step[np.arange(len(step)), first] > 0).all()
+        if len(terms) == 0 or terms[0].any() or (terms < 0).any() or not increasing:
+            raise ValueError("terms must start at the zero index and increase lexicographically")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def stack(expansions) -> Expansion:
-    """One multi-output expansion over the shared index set of
+    """One multi-output expansion over the shared multi-indices of
     ``expansions``: per multi-index, the vector of their coefficients in
     order. :func:`evaluate_batch` returns one column per expansion."""
     expansions = list(expansions)
@@ -62,48 +71,14 @@ def stack(expansions) -> Expansion:
         raise ValueError("need at least one expansion")
     first = expansions[0]
     for e in expansions[1:]:
-        if e.specs != first.specs or e.terms.keys() != first.terms.keys():
+        if e.specs != first.specs or not np.array_equal(e.terms, first.terms):
             raise ValueError("stacked expansions must share specs and multi-indices")
     return Expansion(
         specs=first.specs,
-        terms={phi: np.array([e.terms[phi] for e in expansions]) for phi in first.terms},
-        norms=first.norms,
+        terms=first.terms,
+        coeffs=np.column_stack([e.coeffs for e in expansions]),
         provenance="+".join(e.provenance for e in expansions),
     )
-
-
-def tensor_index_set(p: MultiIndex) -> set[MultiIndex]:
-    """All degrees with ``phi_j <= p_j``; cardinality ``prod(p_j + 1)``."""
-    return set(product(*(range(pj + 1) for pj in p)))
-
-
-def total_order_index_set(n: int, p: int) -> set[MultiIndex]:
-    """All degrees with ``|phi| <= p``; cardinality ``(n+p)! / (n! p!)``."""
-    out: set[MultiIndex] = set()
-    for total in range(p + 1):
-        out.update(compositions(n, total))
-    return out
-
-
-def sparse_index_set(n: int, w: int) -> set[MultiIndex]:
-    """Union over admissible levels of the degree boxes each level's rule
-    integrates without noise (``phi_j <= growth(l_j) - 1``)."""
-    out: set[MultiIndex] = set()
-    for levels in compositions(n, w):
-        out.update(product(*(range(growth(l)) for l in levels)))
-    return out
-
-
-def basis_norms(specs, indices) -> dict[MultiIndex, float]:
-    """``E[Psi_phi^2]`` per multi-index: the product of the per-axis norms,
-    multiplied left to right."""
-    indices = list(indices)
-    degrees = np.array(indices, dtype=int).reshape(len(indices), len(specs))
-    norms = np.ones(len(indices))
-    for spec, axis in zip(specs, degrees.T):
-        table = np.array([norm_sq(spec.family, d) for d in range(axis.max(initial=0) + 1)])
-        norms = norms * table[axis]
-    return dict(zip(indices, norms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -113,53 +88,43 @@ class _TermProjection:
     coeff: int
     rows: np.ndarray  # grid positions of the term's nodes, tensor order
     shape: tuple[int, ...]  # points per axis
-    tables: tuple[np.ndarray, ...]  # per axis, B[d, p] = Psi_d(x_p) * w_p
-    norms: np.ndarray  # E[Psi^2] over the term's degree box, shape ``shape``
+    tables: tuple[np.ndarray, ...]  # per axis, B[d, p] = psi_d(x_p) * w_p
     slots: np.ndarray  # coefficient positions of the degree box, C order
 
 
 @dataclass(frozen=True)
 class ProjectionPlan:
-    """Everything :func:`project` needs for one ``(n, w, families)``.
-
-    The coefficient order and basis norms are kept as arrays, which take a
-    fraction of the memory of the tuples and floats an expansion is made of.
-    """
+    """Everything :func:`project` needs for one ``(n, w, families)``."""
 
     size: int  # grid nodes
-    index: np.ndarray  # (K, n) degrees, coefficient order
-    norms: np.ndarray  # (K,) basis norms
+    index: np.ndarray  # (K, n) degrees in lexicographic order
     terms: tuple[_TermProjection, ...]  # sorted by levels
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def projection_plan(w: int, families: tuple[PolyFamily, ...]) -> ProjectionPlan:
     """Per Smolyak term, in sorted level order: where its nodes sit in the
-    cached grid, its ``Psi * w`` matrices and norm tensor, and the slots its
-    coefficients add into. Slots index ``list(sparse_index_set(n, w))``.
-    Terms share the matrices of each (family, level) rule."""
+    cached grid, its ``psi * w`` matrices, and the slots its coefficients
+    add into. The index set is the union of the terms' degree boxes (the
+    degrees each term's rules integrate without noise,
+    ``phi_j <= growth(l_j) - 1``), found with the slots in one
+    ``np.unique``. Terms share the matrices of each (family, level) rule."""
     plan = grid_plan(w, families)
-    index = list(sparse_index_set(len(families), w))
-    slot_of = {phi: i for i, phi in enumerate(index)}
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
-    axis_norms = {k: np.array([norm_sq(k[0], d) for d in range(len(r))]) for k, r in rules.items()}
-    terms = []
-    for term, rows in sorted(zip(plan.terms, plan.rows), key=lambda tr: tr[0].levels):
-        keys = list(zip(families, term.levels))
-        shape = tuple(len(rules[k]) for k in keys)
-        norm_tensor = np.ones(())
-        for k in keys:
-            norm_tensor = np.multiply.outer(norm_tensor, axis_norms[k])
-        slots = np.array([slot_of[phi] for phi in product(*(range(m) for m in shape))])
-        terms.append(
-            _TermProjection(term.coeff, rows, shape, tuple(tables[k] for k in keys), norm_tensor, slots)
-        )
-    norms = np.array(list(basis_norms(plan.specs, index).values()))
-    index = np.array(index, dtype=np.int32).reshape(len(index), len(families))
-    for a in (*tables.values(), index, norms, *(t.norms for t in terms), *(t.slots for t in terms)):
+    order = sorted(range(len(plan.terms)), key=lambda i: plan.terms[i].levels)
+    keys = [list(zip(families, plan.terms[i].levels)) for i in order]
+    shapes = [tuple(len(rules[k]) for k in ks) for ks in keys]
+    boxes = [np.indices(shape).reshape(len(families), -1).T for shape in shapes]
+    index, inverse = unique_rows(np.concatenate(boxes))
+    slots = np.split(inverse, np.cumsum([len(b) for b in boxes])[:-1])
+    terms = tuple(
+        _TermProjection(plan.terms[i].coeff, plan.rows[i], shape, tuple(tables[k] for k in ks), s)
+        for i, ks, shape, s in zip(order, keys, shapes, slots)
+    )
+    for a in (*tables.values(), index, *slots):
         a.setflags(write=False)
-    return ProjectionPlan(size=len(plan.weights), index=index, norms=norms, terms=tuple(terms))
+    return ProjectionPlan(size=len(plan.weights), index=index, terms=terms)
 
 
 def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
@@ -168,8 +133,8 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     ``grid_values`` must be aligned with the canonical node order of
     ``smolyak_grid(len(specs), w, specs)``. The grid is not rebuilt: each
     term gathers its values through the cached :func:`projection_plan`,
-    contracts them with its ``Psi * w`` matrices, divides by the basis norms
-    and scatter-adds the result into the coefficient vector.
+    contracts them with its ``psi * w`` matrices and scatter-adds the
+    result into the coefficient vector.
     """
     specs = tuple(specs)
     plan = projection_plan(w, tuple(spec.family for spec in specs))
@@ -186,15 +151,8 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
         partial = values[term.rows].reshape(term.shape)
         for table in term.tables:
             partial = np.tensordot(partial, table, axes=([0], [1]))
-        coeffs[term.slots] += term.coeff * (partial / term.norms).ravel()
-
-    index = list(map(tuple, plan.index.tolist()))
-    return Expansion(
-        specs=specs,
-        terms=dict(zip(index, coeffs)),
-        norms=dict(zip(index, plan.norms.tolist())),
-        provenance=provenance,
-    )
+        coeffs[term.slots] += term.coeff * partial.ravel()
+    return Expansion(specs=specs, terms=plan.index, coeffs=coeffs, provenance=provenance)
 
 
 # ``evaluate_batch`` blocking: the 1D tables are built once per outer block
@@ -292,13 +250,9 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
-    index = sorted(e.terms)
-    # Raises ValueError unless all coefficients are scalars or all are
-    # vectors of one length.
-    coeffs = np.array([e.terms[phi] for phi in index], dtype=float)
+    phis, coeffs = e.terms, e.coeffs
     E = coeffs.shape[1] if coeffs.ndim == 2 else 1
-    phis = np.array(index, dtype=np.intp)
-    one, steps, made, runs = _evaluation_plan(phis, coeffs.reshape(len(index), E))
+    one, steps, made, runs = _evaluation_plan(phis, coeffs.reshape(len(phis), E))
     top = phis.max(axis=0)
     width = min(OUTER_POINTS, max(1, INNER_BYTES // (8 * made)))
 
@@ -335,12 +289,11 @@ def evaluate(e: Expansion, xi_physical) -> float:
     return float(evaluate_batch(e, np.asarray(xi_physical, dtype=float)[None, :])[0])
 
 
-def mean(e: Expansion) -> float:
+def mean(e: Expansion):
     """The expansion mean is the constant-term coefficient."""
-    return e.terms[(0,) * e.n]
+    return e.coeffs[0]
 
 
-def variance(e: Expansion) -> float:
-    """Sum of squared non-constant coefficients weighted by basis norms."""
-    zero = (0,) * e.n
-    return sum(c * c * e.norms[phi] for phi, c in e.terms.items() if phi != zero)
+def variance(e: Expansion):
+    """The sum of the squared non-constant coefficients."""
+    return (e.coeffs[1:] ** 2).sum(axis=0)

@@ -1,8 +1,8 @@
 """Sobol index post-processing of expansions plus a Monte Carlo oracle.
 
-The variance of an expansion partitions over subsets of variable positions:
-a multi-index contributes to the subset of dimensions where its degree is
-non-zero. First-order, arbitrary-subset, and total indices all fall out of
+The variance of an orthonormal expansion partitions over subsets of variable
+positions: a multi-index contributes its squared coefficient to the subset
+of dimensions where its degree is non-zero. First-order, arbitrary-subset, and total indices all fall out of
 that partition. ``mc_sobol`` estimates first-order and total indices
 directly from model samples (pick-freeze design) for cross-validation.
 """
@@ -16,6 +16,7 @@ import numpy as np
 from .models import Model
 from .orthopoly import VariableSpec
 from .pce import Expansion, mean, variance
+from .sparse_grid import unique_rows
 
 #: Subsets contributing less than this fraction of the variance are dropped
 #: from report maps; absent entries read as zero.
@@ -50,60 +51,46 @@ class SobolReport:
         return self.subset_indices.get((i,), 0.0)
 
 
-def _partial_variances(e: Expansion) -> dict[tuple[int, ...], float]:
-    partials: dict[tuple[int, ...], float] = {}
-    zero = (0,) * e.n
-    for phi, coeff in e.terms.items():
-        if phi == zero:
-            continue
-        subset = tuple(i for i, d in enumerate(phi) if d > 0)
-        partials[subset] = partials.get(subset, 0.0) + coeff * coeff * e.norms[phi]
-    return partials
-
-
-def _check_variance(d: float, mu: float) -> None:
-    if d <= _DEGENERATE_REL * max(1.0, mu * mu):
+def _decomposition(e: Expansion) -> tuple[float, np.ndarray, np.ndarray]:
+    """The variance, the supports (the distinct 0/1 rows of "degree
+    non-zero" over the non-constant multi-indices) and each support's
+    partial variance, the sum of its terms' squared coefficients."""
+    d = variance(e)
+    if d <= _DEGENERATE_REL * max(1.0, mean(e) ** 2):
         raise ZeroVarianceError("expansion has zero variance; Sobol indices are undefined")
+    supports, inverse = unique_rows(e.terms[1:] > 0)
+    partials = np.bincount(inverse, weights=e.coeffs[1:] ** 2, minlength=len(supports))
+    return float(d), supports, partials
 
 
 def subset_index(e: Expansion, subset) -> float:
     """Fraction of variance from multi-indices non-zero exactly on ``subset``."""
-    subset = tuple(sorted(subset))
-    if not subset:
+    if not len(subset):
         raise ValueError("subset must be non-empty")
-    d = variance(e)
-    _check_variance(d, mean(e))
-    return _partial_variances(e).get(subset, 0.0) / d
+    d, supports, partials = _decomposition(e)
+    mask = np.zeros(e.n, dtype=bool)
+    mask[list(subset)] = True
+    return float(partials[(supports == mask).all(axis=1)].sum()) / d
 
 
 def total_indices(e: Expansion) -> tuple[float, ...]:
     """Per-variable totals: variance share of every term touching variable i."""
-    d = variance(e)
-    _check_variance(d, mean(e))
-    totals = np.zeros(e.n)
-    for subset, dv in _partial_variances(e).items():
-        for i in subset:
-            totals[i] += dv
-    return tuple(totals / d)
+    return all_indices(e).total_indices
 
 
 def all_indices(e: Expansion) -> SobolReport:
     """Full report: every contributing subset plus totals and moments."""
-    d = variance(e)
-    _check_variance(d, mean(e))
-    partials = _partial_variances(e)
-    subsets = {
-        s: dv / d for s, dv in sorted(partials.items()) if dv >= _SUBSET_FLOOR * d
-    }
-    totals = np.zeros(e.n)
-    for subset, dv in partials.items():
-        for i in subset:
-            totals[i] += dv
+    d, supports, partials = _decomposition(e)
+    keep = partials >= _SUBSET_FLOOR * d
+    subsets = sorted(
+        (tuple(np.flatnonzero(s).tolist()), float(dv) / d)
+        for s, dv in zip(supports[keep], partials[keep])
+    )
     return SobolReport(
-        mean=mean(e),
+        mean=float(mean(e)),
         variance=d,
-        subset_indices=subsets,
-        total_indices=tuple(totals / d),
+        subset_indices=dict(subsets),
+        total_indices=tuple((partials @ supports / d).tolist()),
     )
 
 

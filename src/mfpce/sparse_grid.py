@@ -28,8 +28,8 @@ from .orthopoly import GaussRule, Normal, PolyFamily, Uniform, VariableSpec, gau
 
 MultiIndex = tuple[int, ...]
 
-#: Axis ids in deduplication: big-endian, so that comparing the bytes of
-#: two rows compares their ids lexicographically.
+#: Ids in row keys: big-endian, so that comparing the bytes of two rows
+#: compares their ids lexicographically.
 _ID_DTYPE = np.dtype(">u4")
 
 #: Grids live in standard coordinates, where a variable is known by its
@@ -88,7 +88,6 @@ class GridPlan:
     points: tuple[np.ndarray, ...] = field(repr=False)
     terms: tuple[LevelTerm, ...]
     rows: tuple[np.ndarray, ...] = field(repr=False)
-    specs: tuple[VariableSpec, ...]  # standard specs, one per axis
 
 
 def growth(level: int) -> int:
@@ -142,6 +141,21 @@ def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid
     return QuadratureGrid(nodes=nodes, weights=weights, ids=ids)
 
 
+def row_keys(rows) -> np.ndarray:
+    """One opaque key per row of a non-negative integer array, ordered as
+    the rows are lexicographically: the bytes of the row's big-endian ids.
+    ``np.unique`` and ``np.searchsorted`` work on them."""
+    rows = np.ascontiguousarray(rows, dtype=_ID_DTYPE)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def unique_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative integer array in lexicographic
+    order, and the position among them of each input row."""
+    keys, inverse = np.unique(row_keys(rows), return_inverse=True)
+    return keys.view(_ID_DTYPE).reshape(len(keys), -1).astype(np.intp), inverse
+
+
 def _axis_ids(family: PolyFamily, w: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Sorted distinct points of the family's rules at levels ``0..w``, and
     per level the ids of that rule's points among them."""
@@ -173,16 +187,14 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
             )
         )
         term_weights.append(term.coeff * sub.weights)
-    all_ids = np.concatenate(term_ids).astype(_ID_DTYPE)
-    row_bytes = all_ids.view(np.dtype((np.void, all_ids.itemsize * n))).ravel()
-    unique, inverse = np.unique(row_bytes, return_inverse=True)
-    ids = unique.view(_ID_DTYPE).reshape(-1, n).astype(np.uint32)
+    ids, inverse = unique_rows(np.concatenate(term_ids))
+    ids = ids.astype(np.uint32)
     weights = np.bincount(inverse, weights=np.concatenate(term_weights), minlength=len(ids))
     rows = tuple(np.split(inverse, np.cumsum([len(t) for t in term_ids])[:-1]))
     points = tuple(axes[f][0] for f in families)
     for a in (weights, ids, *points, *rows):
         a.setflags(write=False)
-    return GridPlan(ids=ids, weights=weights, points=points, terms=tuple(terms), rows=rows, specs=specs)
+    return GridPlan(ids=ids, weights=weights, points=points, terms=tuple(terms), rows=rows)
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:

@@ -190,7 +190,7 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     stacked and evaluated by one :func:`evaluate_batch` call per group."""
     groups: dict[tuple, list[int]] = {}
     for i, e in enumerate(expansions):
-        groups.setdefault((e.specs, frozenset(e.terms)), []).append(i)
+        groups.setdefault((e.specs, e.terms.tobytes()), []).append(i)
     scores: list = [None] * len(expansions)
     for members in groups.values():
         y_pred = evaluate_batch(stack(expansions[i] for i in members), X)
@@ -260,13 +260,14 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
 
 def decay_report(expansions) -> list[tuple[str, int, float]]:
     """(provenance, rank, |coefficient|) rows, each spectrum sorted by
-    descending magnitude."""
+    descending magnitude. Coefficients are orthonormal, so a magnitude is
+    its term's share of the standard deviation."""
     expansions = list(expansions)
     if not expansions:
         raise ValueError("need at least one expansion")
     rows = []
     for exp in expansions:
-        spectrum = sorted((abs(c) for c in exp.terms.values()), reverse=True)
+        spectrum = np.sort(np.abs(exp.coeffs))[::-1].tolist()
         rows.extend((exp.provenance, rank, mag) for rank, mag in enumerate(spectrum, 1))
     return rows
 

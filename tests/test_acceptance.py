@@ -236,10 +236,8 @@ def test_criterion_06_degenerate_q_identity():
         direct = build_hf(problem, w)
         for lf_name in lf_names:
             combined = build_mf(problem, lf_name, w, 0).combined
-            assert set(combined.terms) == set(direct.terms)
-            worst = max(
-                abs(combined.terms[phi] - c) for phi, c in direct.terms.items()
-            )
+            assert np.array_equal(combined.terms, direct.terms)
+            worst = np.abs(combined.coeffs - direct.coeffs).max()
             assert worst <= 1e-12, f"{problem}/{lf_name}: {worst}"
 
 
@@ -329,16 +327,14 @@ def test_criterion_09_external_process_workflow(tmp_path):
     ext = external_model(command, mode="stream")
     external = project(ext.batch(nodes), w, specs)
     builtin = project(builtin_model("ishigami", "hf").batch(nodes), w, specs)
-    worst = max(
-        abs(external.terms[phi] - c) for phi, c in builtin.terms.items()
-    )
-    assert worst <= 1e-9
+    assert np.array_equal(external.terms, builtin.terms)
+    assert np.abs(external.coeffs - builtin.coeffs).max() <= 1e-9
 
     config = {
         "problem": "ishigami",
         "models": [
             {"id": "hf", "command": command, "mode": "stream"},
-            {"id": "lf", "builtin": "ishigami/lf1", "cost_unit": 0.125},
+            {"id": "lf", "builtin": "ishigami/lf1"},
         ],
         "schemes": [
             {"name": "hf", "kind": "hf", "hf": "hf"},

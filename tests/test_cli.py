@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,7 +21,7 @@ def ishigami_config(tmp_path, out, **overrides):
         "problem": "ishigami",
         "models": [
             {"id": "hf", "builtin": "ishigami/hf"},
-            {"id": "lf", "builtin": "ishigami/lf1", "cost_unit": 0.125},
+            {"id": "lf", "builtin": "ishigami/lf1"},
         ],
         "schemes": [
             {"name": "hf", "kind": "hf", "hf": "hf"},
@@ -115,9 +118,20 @@ class TestExitCodes:
         monkeypatch.delenv("MFPCE_CONFIG", raising=False)
         assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 2
 
-    def test_invalid_config_is_config_error(self, tmp_path):
+    def test_invalid_config_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "ishigami"})
         assert main(["--config", str(path), "converge"]) == 2
+        # A model key the binding does not know, e.g. the removed cost_unit.
+        models = [
+            {"id": "hf", "builtin": "ishigami/hf"},
+            {"id": "lf", "builtin": "ishigami/lf1", "cost_unit": 0.125},
+        ]
+        capsys.readouterr()
+        cfg = ishigami_config(tmp_path, tmp_path / "out", models=models)
+        assert main(["--config", str(cfg), "converge"]) == 2
+        err = capsys.readouterr().err
+        assert "cost_unit" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["rt_values", "levles"])
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys, key):
@@ -201,3 +215,14 @@ class TestEnvironmentOverrides:
         assert main(["--config", str(cfg), "mc-check", "--model", "hf", "--n", "512"]) == 0
         payload = json.loads((out / "mc_hf_n512.json").read_text())
         assert payload["seed"] == 99
+
+
+def test_import_does_not_load_scipy():
+    """The CLI runs on numpy alone: importing it in a fresh interpreter
+    loads no SciPy module."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, mfpce.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

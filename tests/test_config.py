@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -9,6 +10,7 @@ from mfpce.config import (
     parse_config,
     save_config,
 )
+from mfpce.models import builtin_model
 from mfpce.orthopoly import Normal, Uniform
 
 
@@ -17,7 +19,7 @@ def minimal_config(**overrides):
         "problem": "ishigami",
         "models": [
             {"id": "hf", "builtin": "ishigami/hf"},
-            {"id": "lf", "builtin": "ishigami/lf1", "cost_unit": 0.125},
+            {"id": "lf", "builtin": "ishigami/lf1"},
         ],
         "schemes": [
             {"name": "hf", "kind": "hf", "hf": "hf"},
@@ -147,12 +149,14 @@ class TestRoundTrip:
 
 
 class TestResolution:
-    def test_builtin_models_carry_cost_unit(self):
+    def test_builtin_models_resolve(self):
         cfg = parse_config(minimal_config())
         models = cfg.resolved_models()
         assert set(models) == {"hf", "lf"}
-        assert models["lf"].cost_unit == 0.125
         assert models["hf"].id == "hf"
+        assert (models["lf"].id, models["lf"].fidelity) == ("lf", "lf1")
+        x = np.array([[0.3, -1.2, 2.0]])
+        assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
 
     def test_unknown_builtin(self):
         data = minimal_config(

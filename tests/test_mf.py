@@ -45,22 +45,17 @@ class TestBuild:
     def test_identical_models_give_zero_correction(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         parts = build_mf_parts(hf, hf, ishigami_range_specs, MfConfig(w=3, q=1))
-        assert all(
-            abs(c) < 1e-12 for c in parts.correction.terms.values()
-        )
-        assert parts.combined.terms == pytest.approx(parts.lf.terms)
+        assert np.abs(parts.correction.coeffs).max() < 1e-12
+        assert np.array_equal(parts.combined.terms, parts.lf.terms)
+        assert parts.combined.coeffs == pytest.approx(parts.lf.coeffs)
 
     def test_constant_offset_is_fully_corrected(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = shifted(hf, 2.5)
         parts = build_mf_parts(lf, hf, ishigami_range_specs, MfConfig(w=3, q=2))
-        zero = (0, 0, 0)
-        assert parts.correction.terms[zero] == pytest.approx(2.5)
-        assert all(
-            abs(c) < 1e-12
-            for phi, c in parts.correction.terms.items()
-            if phi != zero
-        )
+        assert parts.correction.terms[0].tolist() == [0, 0, 0]
+        assert parts.correction.coeffs[0] == pytest.approx(2.5)
+        assert np.abs(parts.correction.coeffs[1:]).max() < 1e-12
         assert mean(parts.combined) == pytest.approx(mean(parts.lf) + 2.5)
         assert variance(parts.combined) == pytest.approx(variance(parts.lf))
 
@@ -75,25 +70,25 @@ class TestBuild:
         combined = build_mf(lf, hf, specs, MfConfig(w=w, q=0))
         grid = smolyak_grid(len(specs), w, list(specs))
         direct = project(hf.batch(physical_nodes(grid, specs)), w, specs)
-        assert set(combined.terms) == set(direct.terms)
-        scale = max(abs(c) for c in direct.terms.values())
-        for phi, c in direct.terms.items():
-            assert abs(combined.terms[phi] - c) <= 1e-12 * scale
+        assert np.array_equal(combined.terms, direct.terms)
+        scale = np.abs(direct.coeffs).max()
+        assert np.abs(combined.coeffs - direct.coeffs).max() <= 1e-12 * scale
 
     def test_correction_basis_is_contained(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf2")
         parts = build_mf_parts(lf, hf, ishigami_range_specs, MfConfig(w=3, q=1))
-        assert set(parts.correction.terms) <= set(parts.lf.terms)
-        assert set(parts.combined.terms) == set(parts.lf.terms)
+        rows = lambda e: set(map(tuple, e.terms.tolist()))  # noqa: E731
+        assert rows(parts.correction) <= rows(parts.lf)
+        assert rows(parts.combined) == rows(parts.lf)
 
     def test_coefficients_add_on_shared_bases(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf1")
         parts = build_mf_parts(lf, hf, ishigami_range_specs, MfConfig(w=3, q=1))
-        for phi, c in parts.combined.terms.items():
-            expected = parts.lf.terms[phi] + parts.correction.terms.get(phi, 0.0)
-            assert c == pytest.approx(expected, abs=1e-15)
+        correction = dict(zip(map(tuple, parts.correction.terms.tolist()), parts.correction.coeffs))
+        for phi, lf, c in zip(map(tuple, parts.lf.terms.tolist()), parts.lf.coeffs, parts.combined.coeffs):
+            assert c == pytest.approx(lf + correction.get(phi, 0.0), abs=1e-15)
 
     def test_evaluation_counts(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")

@@ -1,9 +1,11 @@
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfpce.models import (
     BENCHMARK_SPECS,
@@ -12,6 +14,7 @@ from mfpce.models import (
     Model,
     ModelError,
     ExternalModel,
+    _cache_keys,
     borehole_hf,
     borehole_lf,
     builtin_model,
@@ -209,15 +212,6 @@ class TestEvalCache:
         assert cache.evaluate(b, x[0]) == pytest.approx(6.0)
         assert cache.count("a") == 1 and cache.count("b") == 1
 
-    def test_reset_counters_keeps_values(self):
-        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
-        cache = EvalCache()
-        cache.evaluate(model, np.array([1.0, 2.0]))
-        cache.reset_counters()
-        assert cache.count("m") == 0
-        assert cache.evaluate(model, np.array([1.0, 2.0])) == pytest.approx(3.0)
-        assert cache.count("m") == 0  # served from the store, not re-counted
-
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
@@ -251,6 +245,35 @@ class TestEvalCache:
         assert reloaded.count("m") == 0
         assert np.array_equal(again, X.sum(axis=1))
         assert path.read_text().splitlines() == lines
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_written_rows_are_found_on_reload(self, rows):
+        """Any finite row written by ``_append_records`` and read back by
+        ``_load`` has the key ``evaluate_many`` computes for it fresh, so a
+        reopened cache pays for none of them."""
+        X = np.array(rows, dtype=float)
+        values = np.arange(len(X), dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.tsv"
+            EvalCache(path)._append_records("m", X, values)
+            reloaded = EvalCache(path)
+
+            def unpaid(Y):
+                raise AssertionError(f"re-evaluated {Y!r}")
+
+            got = reloaded.evaluate_many(Model(id="m", fidelity="hf", fn=unpaid), X)
+        assert reloaded.count("m") == 0
+        last = {k: v for k, v in zip(_cache_keys(X), values)}
+        assert got.tolist() == [last[k] for k in _cache_keys(X)]
 
     def test_one_append_per_batch(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"

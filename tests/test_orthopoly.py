@@ -13,40 +13,41 @@ from mfpce.orthopoly import (
     eval_poly,
     eval_poly_table,
     gauss_rule,
-    norm_sq,
 )
 
 
-def double_factorial(k: int) -> int:
-    out = 1
-    for i in range(k - 1, 0, -2):
-        out *= i
-    return out
+def classical_scale(family: PolyFamily, k: int) -> float:
+    """``psi_k / P_k`` (Legendre) or ``psi_k / He_k`` (Hermite)."""
+    if family is PolyFamily.LEGENDRE:
+        return math.sqrt(2 * k + 1)
+    return 1.0 / math.sqrt(math.factorial(k))
 
 
 class TestEvaluation:
     def test_legendre_low_degrees(self):
-        # P2 = (3x^2 - 1)/2, P3 = (5x^3 - 3x)/2
+        # psi_k = sqrt(2k+1) P_k; P2 = (3x^2 - 1)/2, P3 = (5x^3 - 3x)/2
         assert eval_poly(PolyFamily.LEGENDRE, 0, 0.7) == 1.0
-        assert eval_poly(PolyFamily.LEGENDRE, 1, 0.7) == pytest.approx(0.7)
-        assert eval_poly(PolyFamily.LEGENDRE, 2, 0.5) == pytest.approx(-0.125)
-        assert eval_poly(PolyFamily.LEGENDRE, 3, 0.5) == pytest.approx(-0.4375)
+        assert eval_poly(PolyFamily.LEGENDRE, 1, 0.7) == pytest.approx(0.7 * math.sqrt(3))
+        assert eval_poly(PolyFamily.LEGENDRE, 2, 0.5) == pytest.approx(-0.125 * math.sqrt(5))
+        assert eval_poly(PolyFamily.LEGENDRE, 3, 0.5) == pytest.approx(-0.4375 * math.sqrt(7))
 
     def test_legendre_is_one_at_one(self):
         for k in range(12):
-            assert eval_poly(PolyFamily.LEGENDRE, k, 1.0) == pytest.approx(1.0)
+            assert eval_poly(PolyFamily.LEGENDRE, k, 1.0) == pytest.approx(
+                classical_scale(PolyFamily.LEGENDRE, k)
+            )
 
     def test_hermite_low_degrees(self):
-        # He2 = x^2 - 1, He3 = x^3 - 3x, He4 = x^4 - 6x^2 + 3
-        assert eval_poly(PolyFamily.HERMITE, 2, 2.0) == pytest.approx(3.0)
-        assert eval_poly(PolyFamily.HERMITE, 3, 2.0) == pytest.approx(2.0)
-        assert eval_poly(PolyFamily.HERMITE, 4, 0.0) == pytest.approx(3.0)
+        # psi_k = He_k / sqrt(k!); He2 = x^2 - 1, He3 = x^3 - 3x, He4 = x^4 - 6x^2 + 3
+        assert eval_poly(PolyFamily.HERMITE, 2, 2.0) == pytest.approx(3.0 / math.sqrt(2))
+        assert eval_poly(PolyFamily.HERMITE, 3, 2.0) == pytest.approx(2.0 / math.sqrt(6))
+        assert eval_poly(PolyFamily.HERMITE, 4, 0.0) == pytest.approx(3.0 / math.sqrt(24))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             eval_poly(PolyFamily.LEGENDRE, -1, 0.0)
         with pytest.raises(ValueError):
-            norm_sq(PolyFamily.HERMITE, -2)
+            eval_poly(PolyFamily.HERMITE, -2, 0.0)
 
     def test_table_shape_and_consistency(self):
         x = np.linspace(-1, 1, 7)
@@ -59,38 +60,48 @@ class TestEvaluation:
     @pytest.mark.parametrize("family", list(PolyFamily))
     @pytest.mark.parametrize("max_degree", [0, 1, 2, 62])
     def test_table_equals_recurrence_formula(self, family, max_degree):
-        """The in-place recurrence against the row-by-row formula, bit for
-        bit."""
+        """The in-place recurrence against the row-by-row formula
+        ``x psi_k / b_{k+1} - (b_k / b_{k+1}) psi_{k-1}``, bit for bit."""
         x = np.random.default_rng(3).uniform(-1.5, 1.5, 4097)
+        k = np.arange(1, max_degree + 1, dtype=float)
+        if family is PolyFamily.LEGENDRE:
+            b = np.concatenate([[0.0], k / np.sqrt(4.0 * k * k - 1.0)])
+        else:
+            b = np.concatenate([[0.0], np.sqrt(k)])
         want = np.empty((max_degree + 1, x.size))
         want[0] = 1.0
         if max_degree > 0:
-            want[1] = x
+            want[1] = x * (1.0 / b[1])
         for k in range(1, max_degree):
-            if family is PolyFamily.LEGENDRE:
-                want[k + 1] = ((2 * k + 1) * x * want[k] - k * want[k - 1]) / (k + 1)
-            else:
-                want[k + 1] = x * want[k] - k * want[k - 1]
+            a = 1.0 / b[k + 1]
+            want[k + 1] = x * want[k] * a - b[k] * a * want[k - 1]
         assert np.array_equal(eval_poly_table(family, max_degree, x), want)
 
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_legendre_matches_numpy(self, x, k):
         ours = eval_poly(PolyFamily.LEGENDRE, k, x)
-        ref = np.polynomial.legendre.Legendre.basis(k)(x)
+        ref = np.polynomial.legendre.Legendre.basis(k)(x) * classical_scale(PolyFamily.LEGENDRE, k)
         assert ours == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
 
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_hermite_matches_numpy(self, x, k):
         ours = eval_poly(PolyFamily.HERMITE, k, x)
-        ref = np.polynomial.hermite_e.HermiteE.basis(k)(x)
+        ref = np.polynomial.hermite_e.HermiteE.basis(k)(x) * classical_scale(PolyFamily.HERMITE, k)
         assert ours == pytest.approx(float(ref), rel=1e-10, abs=1e-8)
 
 
 class TestNorms:
     def test_closed_forms(self):
-        for k in range(8):
-            assert norm_sq(PolyFamily.LEGENDRE, k) == pytest.approx(1.0 / (2 * k + 1))
-            assert norm_sq(PolyFamily.HERMITE, k) == math.factorial(k)
+        """``E[psi_k^2] = 1``: the classical norms ``1/(2k+1)`` and ``k!``
+        times the squared scale of the orthonormal polynomials, integrated
+        by a rule exact to degree 2k."""
+        for family in PolyFamily:
+            r = gauss_rule(family, 8)
+            table = eval_poly_table(family, 7, r.points)
+            for k in range(8):
+                classical = 1.0 / (2 * k + 1) if family is PolyFamily.LEGENDRE else math.factorial(k)
+                assert classical * classical_scale(family, k) ** 2 == pytest.approx(1.0)
+                assert r.weights @ table[k] ** 2 == pytest.approx(1.0, rel=1e-13)
 
 
 class TestGaussRules:
@@ -102,42 +113,33 @@ class TestGaussRules:
 
     def test_legendre_three_point(self):
         r = gauss_rule(PolyFamily.LEGENDRE, 3)
-        assert r.points == pytest.approx([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-        assert r.weights == pytest.approx([5 / 18, 8 / 18, 5 / 18])
+        assert np.abs(r.points - [-math.sqrt(0.6), 0.0, math.sqrt(0.6)]).max() <= 1e-15
+        assert np.abs(r.weights - [5 / 18, 4 / 9, 5 / 18]).max() <= 1e-15
 
     def test_hermite_three_point(self):
         r = gauss_rule(PolyFamily.HERMITE, 3)
-        assert r.points == pytest.approx([-math.sqrt(3.0), 0.0, math.sqrt(3.0)])
-        assert r.weights == pytest.approx([1 / 6, 2 / 3, 1 / 6])
+        assert np.abs(r.points - [-math.sqrt(3.0), 0.0, math.sqrt(3.0)]).max() <= 1e-15
+        assert np.abs(r.weights - [1 / 6, 2 / 3, 1 / 6]).max() <= 1e-15
 
     @pytest.mark.parametrize("family", list(PolyFamily))
-    @pytest.mark.parametrize("m", list(range(1, 32)))
+    @pytest.mark.parametrize("m", [*range(1, 32), 255])
     def test_exactness_to_degree_2m_minus_1(self, family, m):
-        # The error of an exactly-integrated monomial is measured against the
-        # quadrature's own summand scale: odd moments vanish analytically
-        # while their summands grow past 1e40 for high-order Hermite rules.
+        # The products psi_j psi_k with j < m and k <= m span the
+        # polynomials of degree <= 2m - 1, so the rule is exact to that
+        # degree when it integrates them to the identity. Unlike monomial
+        # moments, which pass 1e300 for Hermite at m = 255, every entry
+        # is of order one.
         r = gauss_rule(family, m)
-        for d in range(2 * m):
-            approx = float(r.weights @ r.points**d)
-            if d % 2 == 1:
-                exact = 0.0
-            elif family is PolyFamily.LEGENDRE:
-                exact = 1.0 / (d + 1)
-            else:
-                exact = float(double_factorial(d))
-            scale = max(float(r.weights @ np.abs(r.points) ** d), 1.0)
-            assert abs(approx - exact) / scale < 1e-9
+        table = eval_poly_table(family, m, r.points)
+        gram = (table[:m] * r.weights) @ table.T
+        assert np.abs(gram - np.eye(m, m + 1)).max() < 1e-12
 
     @pytest.mark.parametrize("family", list(PolyFamily))
     def test_orthogonality_at_m12(self, family):
         r = gauss_rule(family, 12)
         table = eval_poly_table(family, 10, r.points)
         gram = (table * r.weights) @ table.T
-        for k in range(11):
-            for j in range(11):
-                scale = math.sqrt(norm_sq(family, k) * norm_sq(family, j))
-                expected = norm_sq(family, k) if k == j else 0.0
-                assert abs(gram[k, j] - expected) / scale < 1e-12
+        assert np.abs(gram - np.eye(11)).max() < 1e-12
 
     @pytest.mark.parametrize("family", list(PolyFamily))
     @pytest.mark.parametrize("m", [2, 3, 7, 15, 31])

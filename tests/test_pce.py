@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,22 +21,18 @@ from mfpce.orthopoly import (
     eval_poly,
     eval_poly_table,
     gauss_rule,
-    norm_sq,
 )
 from mfpce.pce import (
     Expansion,
-    basis_norms,
     evaluate,
     evaluate_batch,
     mean,
     project,
-    sparse_index_set,
+    projection_plan,
     stack,
-    tensor_index_set,
-    total_order_index_set,
     variance,
 )
-from mfpce.sparse_grid import growth, level_terms, smolyak_grid
+from mfpce.sparse_grid import compositions, growth, level_terms, smolyak_grid, tensor_grid
 
 
 def project_model(model, specs, w):
@@ -46,45 +43,58 @@ def project_model(model, specs, w):
     return project(model.batch(nodes), w, specs)
 
 
+def from_map(specs, coefficients) -> Expansion:
+    """The expansion with ``coefficients[phi]`` at each multi-index."""
+    terms = sorted(coefficients)
+    return Expansion(specs=specs, terms=terms, coeffs=[coefficients[phi] for phi in terms])
+
+
+def as_map(e: Expansion) -> dict:
+    """``{multi-index: coefficient}`` of an expansion, in its row order."""
+    return dict(zip(map(tuple, e.terms.tolist()), e.coeffs.tolist()))
+
+
+def physical(grid, specs) -> np.ndarray:
+    return np.column_stack([spec.from_standard(grid.nodes[:, j]) for j, spec in enumerate(specs)])
+
+
 class TestIndexSets:
-    def test_tensor_cardinality(self):
-        s = tensor_index_set((1, 1))
-        assert s == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_total_order_cardinality(self):
-        s = total_order_index_set(3, 2)
-        assert len(s) == 10
-        assert all(sum(phi) <= 2 for phi in s)
-
     def test_sparse_level_zero(self):
-        assert sparse_index_set(4, 0) == {(0, 0, 0, 0)}
+        assert projection_plan(0, (PolyFamily.LEGENDRE,) * 4).index.tolist() == [[0, 0, 0, 0]]
 
     def test_sparse_level_one_boxes(self):
-        s = sparse_index_set(2, 1)
-        # union of the boxes [0..2]x[0] and [0]x[0..2]
-        assert s == {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)}
+        # union of the boxes [0..2]x[0] and [0]x[0..2], in lexicographic order
+        index = projection_plan(1, (PolyFamily.LEGENDRE, PolyFamily.HERMITE)).index
+        assert index.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0]]
 
 
 class TestExpansionInvariants:
     def test_zero_index_required(self, unit_uniform_specs):
         with pytest.raises(ValueError):
-            Expansion(
-                specs=unit_uniform_specs,
-                terms={(1, 0): 1.0},
-                norms={(1, 0): 1 / 3},
-            )
+            Expansion(specs=unit_uniform_specs, terms=[(1, 0)], coeffs=[1.0])
 
-    def test_norms_required(self, unit_uniform_specs):
+    @pytest.mark.parametrize(
+        "terms,coeffs",
+        [
+            ([(0, 0), (1, 0), (0, 1)], [1.0, 2.0, 3.0]),
+            ([(0, 0), (1, 0), (1, 0)], [1.0, 2.0, 3.0]),
+            ([(0, 0), (0, -1)], [1.0, 2.0]),
+            ([(0, 0), (1, 0)], [1.0]),
+        ],
+        ids=["unsorted", "duplicate", "negative", "missing_coefficient"],
+    )
+    def test_malformed_expansion_rejected(self, unit_uniform_specs, terms, coeffs):
         with pytest.raises(ValueError):
-            Expansion(
-                specs=unit_uniform_specs,
-                terms={(0, 0): 1.0, (1, 0): 1.0},
-                norms={(0, 0): 1.0},
-            )
+            Expansion(specs=unit_uniform_specs, terms=terms, coeffs=coeffs)
 
     def test_basis_norms_product(self, mixed_specs):
-        norms = basis_norms(mixed_specs, [(2, 3)])
-        assert norms[(2, 3)] == pytest.approx((1 / 5) * math.factorial(3))
+        """The basis is orthonormal: ``E[Psi_(2,3)^2] = 1``, the product of
+        the per-axis norms, integrated by a tensor rule of 3 x 7 points
+        (exact to degrees 5 and 13)."""
+        e = from_map(mixed_specs, {(0, 0): 0.0, (2, 3): 1.0})
+        grid = tensor_grid((1, 2), list(mixed_specs))
+        psi = evaluate_batch(e, physical(grid, mixed_specs))
+        assert grid.weights @ psi**2 == pytest.approx(1.0, rel=1e-14)
 
 
 class TestProjection:
@@ -97,10 +107,11 @@ class TestProjection:
     def test_linear_function(self, unit_uniform_specs):
         grid = smolyak_grid(2, 1, list(unit_uniform_specs))
         e = project(grid.nodes[:, 0], 1, unit_uniform_specs)
-        assert e.terms[(1, 0)] == pytest.approx(1.0)
-        for phi, c in e.terms.items():
-            if phi != (1, 0):
-                assert c == pytest.approx(0.0, abs=1e-13)
+        # x = psi_1 / sqrt(3)
+        coefficients = as_map(e)
+        assert coefficients.pop((1, 0)) == pytest.approx(1 / math.sqrt(3))
+        for c in coefficients.values():
+            assert c == pytest.approx(0.0, abs=1e-13)
         assert variance(e) == pytest.approx(1 / 3)
 
     def test_value_count_mismatch(self, unit_uniform_specs):
@@ -110,7 +121,7 @@ class TestProjection:
     def test_polynomial_reproduction(self, mixed_specs, rng):
         # a dense cubic lies inside the level-3 sparse index set, so the
         # surrogate must reproduce it pointwise
-        coef = {phi: rng.normal() for phi in total_order_index_set(2, 3)}
+        coef = {(d1, d2): rng.normal() for d1 in range(4) for d2 in range(4 - d1)}
 
         def poly(std):
             out = np.zeros(len(std))
@@ -126,8 +137,9 @@ class TestProjection:
 
         grid = smolyak_grid(2, 3, list(mixed_specs))
         e = project(poly(grid.nodes), 3, mixed_specs)
+        coefficients = as_map(e)
         for phi, c in coef.items():
-            assert e.terms[phi] == pytest.approx(c, abs=1e-10)
+            assert coefficients[phi] == pytest.approx(c, abs=1e-10)
 
         pts_std = rng.uniform(-1, 1, size=(50, 2))
         pts_phys = np.column_stack(
@@ -157,7 +169,11 @@ class TestProjection:
             return tuple(round(c, 12) + 0.0 for c in node)
 
         value_of = {key(node): v for node, v in zip(grid.nodes, values)}
-        terms = {phi: 0.0 for phi in sparse_index_set(n, w)}
+        terms = {
+            phi: 0.0
+            for levels in compositions(n, w)
+            for phi in product(*(range(growth(l)) for l in levels))
+        }
         for term in sorted(level_terms(n, w), key=lambda t: t.levels):
             rules = [gauss_rule(s.family, growth(l)) for s, l in zip(specs, term.levels)]
             shape = tuple(len(r) for r in rules)
@@ -168,33 +184,40 @@ class TestProjection:
             for rule, spec in zip(rules, specs):
                 table = eval_poly_table(spec.family, len(rule) - 1, rule.points)
                 coeffs = np.tensordot(coeffs, table * rule.weights, axes=([0], [1]))
-            norm_tensor = np.ones(())
-            for j, m in enumerate(shape):
-                axis = np.array([norm_sq(specs[j].family, d) for d in range(m)])
-                norm_tensor = np.multiply.outer(norm_tensor, axis)
-            flat = (coeffs / norm_tensor).ravel()
+            flat = coeffs.ravel()
             for i, phi in enumerate(product(*(range(m) for m in shape))):
                 terms[phi] += term.coeff * flat[i]
 
         e = project(values, w, specs)
         assert len(terms) > 100
-        assert list(e.terms.items()) == list(terms.items())
-        norms = {phi: math.prod(norm_sq(s.family, d) for s, d in zip(specs, phi)) for phi in terms}
-        assert list(e.norms.items()) == list(norms.items())
+        assert list(as_map(e).items()) == sorted(terms.items())
 
     def test_projection_deterministic(self, ishigami_range_specs):
         model = builtin_model("ishigami", "hf")
         a = project_model(model, ishigami_range_specs, 3)
         b = project_model(model, ishigami_range_specs, 3)
-        assert a.terms == b.terms
+        assert np.array_equal(a.terms, b.terms)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("w", [5, 6, 7, 8])
+    def test_lognormal_variance_at_high_levels(self, w):
+        """Var[exp(aZ)] = e^(a^2) (e^(a^2) - 1) for a standard normal Z; at
+        w >= 6 the outer Hermite weights are far below the largest ones,
+        where eigenvector weights lose their relative accuracy."""
+        a = 0.5
+        specs = (VariableSpec("z", Normal(0.0, 1.0)),)
+        grid = smolyak_grid(1, w, list(specs))
+        e = project(np.exp(a * grid.nodes[:, 0]), w, specs)
+        with mpmath.workdps(40):
+            exact = float(mpmath.exp(a * a) * mpmath.expm1(a * a))
+        assert abs(variance(e) - exact) <= 1e-12 * exact
 
 
 def _evaluate_batch_reference(e: Expansion, xi_physical) -> np.ndarray:
     """The block algorithm ``evaluate_batch`` replaced: one (K, chunk)
     product block per chunk of about 2e7 entries, then a GEMV."""
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
-    phis = np.array(sorted(e.terms), dtype=int)
-    coeffs = np.array([e.terms[tuple(phi)] for phi in phis])
+    phis, coeffs = e.terms, e.coeffs
     std = np.column_stack([spec.to_standard(X[:, j]) for j, spec in enumerate(e.specs)])
 
     out = np.empty(len(X))
@@ -236,11 +259,10 @@ def _expansion(case):
     if case == "borehole_w3":
         return project_model(builtin_model("borehole", "hf"), BENCHMARK_SPECS["borehole"], 3)
     if case == "constant":
-        return Expansion(specs=MIXED3, terms={(0, 0, 0): 2.5}, norms={(0, 0, 0): 1.0})
+        return from_map(MIXED3, {(0, 0, 0): 2.5})
     if case == "not_downward_closed":
         specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
-        terms = {(0, 0): 0.5, (3, 0): -1.25, (0, 5): 0.75, (2, 4): 2.0}
-        return Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms))
+        return from_map(specs, {(0, 0): 0.5, (3, 0): -1.25, (0, 5): 0.75, (2, 4): 2.0})
     assert case == "mf_combined"
     specs = tuple(BENCHMARK_SPECS["ishigami"])
     hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
@@ -269,23 +291,19 @@ def _stack_case(case):
         hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
         return [project_model(hf, specs, 3), build_mf(lf, hf, specs, MfConfig(w=3, q=1))]
     if case == "constant":
-        return [
-            Expansion(specs=MIXED3, terms={(0, 0, 0): c}, norms={(0, 0, 0): 1.0})
-            for c in (2.5, -0.75)
-        ]
+        return [from_map(MIXED3, {(0, 0, 0): c}) for c in (2.5, -0.75)]
     if case == "not_downward_closed":
         specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
         out = []
         for coeffs in ((0.5, -1.25, 0.75, 2.0), (-3.0, 0.25, 1.5, -0.5)):
-            terms = dict(zip([(0, 0), (3, 0), (0, 5), (2, 4)], coeffs))
-            out.append(Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms)))
+            out.append(from_map(specs, dict(zip([(0, 0), (3, 0), (0, 5), (2, 4)], coeffs))))
         return out
     if case == "sparse_3d":
         # Prefix (2, 3) needs the product of prefix (2), which no term has.
         out = []
         for coeffs in ((1.0, -0.5, 0.25, 2.0, -1.5), (0.5, 1.5, -2.0, 0.75, 1.0)):
             terms = dict(zip([(0, 0, 0), (2, 3, 1), (0, 4, 0), (1, 0, 2), (2, 3, 0)], coeffs))
-            out.append(Expansion(specs=MIXED3, terms=terms, norms=basis_norms(MIXED3, terms)))
+            out.append(from_map(MIXED3, terms))
         return out
     assert case == "single"
     return [_expansion("n3_mixed")]
@@ -332,10 +350,8 @@ class TestEvaluation:
 
     def test_unequal_coefficient_vectors_rejected(self):
         specs = (VariableSpec("u", Uniform(-1.0, 1.0)),)
-        terms = {(0,): np.array([1.0, 2.0]), (1,): np.array([0.5])}
-        e = Expansion(specs=specs, terms=terms, norms=basis_norms(specs, terms))
         with pytest.raises(ValueError):
-            evaluate_batch(e, np.zeros((3, 1)))
+            Expansion(specs=specs, terms=[(0,), (1,)], coeffs=[np.array([1.0, 2.0]), np.array([0.5])])
 
     def test_stack_needs_one_index_set(self):
         specs = tuple(BENCHMARK_SPECS["ishigami"])

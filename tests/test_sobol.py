@@ -5,7 +5,7 @@ import pytest
 
 from mfpce.models import Model, builtin_model
 from mfpce.orthopoly import Uniform, VariableSpec
-from mfpce.pce import Expansion, basis_norms
+from mfpce.pce import Expansion
 from mfpce.sobol import (
     SobolReport,
     ZeroVarianceError,
@@ -19,12 +19,14 @@ from mfpce.pce import project
 
 
 def hand_expansion(unit_uniform_specs):
-    """y = 2 + 3*x1 + 4*x2 + 6*x1*x2 on U[-1,1]^2, exact by construction."""
-    terms = {(0, 0): 2.0, (1, 0): 3.0, (0, 1): 4.0, (1, 1): 6.0}
+    """y = 2 + 3*x1 + 4*x2 + 6*x1*x2 on U[-1,1]^2, exact by construction.
+
+    With ``x = psi_1 / sqrt(3)`` the orthonormal coefficients are
+    ``3/sqrt(3)``, ``4/sqrt(3)`` and ``6/3``."""
     return Expansion(
         specs=unit_uniform_specs,
-        terms=terms,
-        norms=basis_norms(unit_uniform_specs, terms),
+        terms=[(0, 0), (0, 1), (1, 0), (1, 1)],
+        coeffs=[2.0, 4.0 / math.sqrt(3.0), 3.0 / math.sqrt(3.0), 6.0 / 3.0],
     )
 
 
@@ -75,11 +77,7 @@ class TestFromExpansion:
             assert report.total_indices[i] == pytest.approx(covering, abs=1e-12)
 
     def test_constant_expansion_raises(self, unit_uniform_specs):
-        e = Expansion(
-            specs=unit_uniform_specs,
-            terms={(0, 0): 1.0},
-            norms={(0, 0): 1.0},
-        )
+        e = Expansion(specs=unit_uniform_specs, terms=[(0, 0)], coeffs=[1.0])
         for fn in (lambda: subset_index(e, (0,)), lambda: total_indices(e), lambda: all_indices(e)):
             with pytest.raises(ZeroVarianceError):
                 fn()

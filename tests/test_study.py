@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfpce.config import parse_config
-from mfpce.models import builtin_model
+from mfpce.models import Model, builtin_model
 from mfpce.pce import evaluate_batch, mean, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.study import (
@@ -251,6 +251,18 @@ class TestDecay:
         mags = [m for _, _, m in rows]
         assert mags == sorted(mags, reverse=True)
         assert [r for _, r, _ in rows] == list(range(1, len(rows) + 1))
+
+    def test_magnitudes_are_orthonormal(self, unit_uniform_specs):
+        """f = x1 + 2 x2^2 on U[-1,1]^2: each magnitude past the mean is the
+        term's share of the standard deviation, 1/sqrt(3) for x1 and
+        (4/3)/sqrt(5) for the degree-2 term of 2 x2^2, not the classical
+        Legendre coefficients 1 and 4/3."""
+        models = {"f": Model(id="f", fidelity="hf", fn=lambda X: X[:, 0] + 2 * X[:, 1] ** 2)}
+        built = build_scheme(SchemeSpec(name="f", kind="hf", hf="f"), 2, unit_uniform_specs, models)
+        mags = [m for _, _, m in decay_report([built.expansion])]
+        # The mean 2/3 leads, then 4/(3 sqrt(5)) = 0.596 and 1/sqrt(3) = 0.577.
+        assert mags[:3] == pytest.approx([2 / 3, 4 / 3 / math.sqrt(5), 1 / math.sqrt(3)], rel=1e-14)
+        assert max(mags[3:]) < 1e-14
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
