@@ -138,13 +138,14 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     scheme = cfg.scheme(args.scheme)
     models = cfg.resolved_models()
-    built = build_scheme(scheme, args.w, cfg.variables, models, EvalCache(cfg.cache_path))
+    cache = EvalCache(cfg.cache_path)
+    built = build_scheme(scheme, args.w, cfg.variables, models, cache)
     expansions = [built.expansion]
     if built.lf_expansion is not None:
         expansions = [built.lf_expansion, built.correction, built.expansion]
-        # add the HF spectrum at the correction level for comparison
+        # the HF spectrum at the correction level, from the correction's HF values
         hf_scheme = dataclasses.replace(scheme, kind="hf", q=0)
-        hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models)
+        hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
         expansions.append(hf_built.expansion)
     rows = decay_report(expansions)
     path = out / f"decay_{scheme.name}_w{args.w}.csv"

@@ -256,8 +256,12 @@ class CacheFileError(ValueError):
 
 def _cache_keys(X: np.ndarray) -> list[tuple[float, ...]]:
     """Cache keys of the rows of ``X``: coordinates rounded to
-    ``_KEY_DECIMALS`` decimals, with -0.0 folded into 0.0."""
-    return list(map(tuple, (np.round(X, _KEY_DECIMALS) + 0.0).tolist()))
+    ``_KEY_DECIMALS`` decimals, with -0.0 folded into 0.0. A coordinate of
+    magnitude ``2**52`` or more has no fractional digits and is its own
+    key; rounding it would overflow to ``inf`` above about 1.8e296."""
+    whole = np.abs(X) >= 2.0**52
+    rounded = np.round(np.where(whole, 0.0, X), _KEY_DECIMALS)
+    return list(map(tuple, (np.where(whole, X, rounded) + 0.0).tolist()))
 
 
 class EvalCache:

@@ -8,18 +8,20 @@ coefficient is that term's share of the variance. Coefficients are computed
 subspace-wise: each tensor term of the Smolyak combination contributes its
 own tensor-product pseudo-spectral coefficients, capped at the degree the
 term's Gauss rules integrate exactly, and the signed combination of these
-partial tables is the sparse expansion.
+partial tables is the sparse expansion. The terms, their tables and the
+index set come from the grid's own cached plan
+(:func:`mfpce.sparse_grid.grid_plan`); :func:`project` only gathers,
+contracts and adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import PolyFamily, VariableSpec, eval_poly_table, gauss_rule
-from .sparse_grid import PLAN_CACHE_SIZE, grid_plan, growth, unique_rows
+from .orthopoly import VariableSpec, eval_poly_table
+from .sparse_grid import grid_plan
 
 # ``project`` takes values in ``smolyak_grid`` node order; the name stays in
 # this namespace, where bench/tracer.py and bench/selftest.py expect it.
@@ -81,74 +83,29 @@ def stack(expansions) -> Expansion:
     )
 
 
-@dataclass(frozen=True)
-class _TermProjection:
-    """One Smolyak term of a projection plan (see :func:`projection_plan`)."""
-
-    coeff: int
-    rows: np.ndarray  # grid positions of the term's nodes, tensor order
-    shape: tuple[int, ...]  # points per axis
-    tables: tuple[np.ndarray, ...]  # per axis, B[d, p] = psi_d(x_p) * w_p
-    slots: np.ndarray  # coefficient positions of the degree box, C order
-
-
-@dataclass(frozen=True)
-class ProjectionPlan:
-    """Everything :func:`project` needs for one ``(n, w, families)``."""
-
-    size: int  # grid nodes
-    index: np.ndarray  # (K, n) degrees in lexicographic order
-    terms: tuple[_TermProjection, ...]  # sorted by levels
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def projection_plan(w: int, families: tuple[PolyFamily, ...]) -> ProjectionPlan:
-    """Per Smolyak term, in sorted level order: where its nodes sit in the
-    cached grid, its ``psi * w`` matrices, and the slots its coefficients
-    add into. The index set is the union of the terms' degree boxes (the
-    degrees each term's rules integrate without noise,
-    ``phi_j <= growth(l_j) - 1``), found with the slots in one
-    ``np.unique``. Terms share the matrices of each (family, level) rule."""
-    plan = grid_plan(w, families)
-    rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
-    tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
-    order = sorted(range(len(plan.terms)), key=lambda i: plan.terms[i].levels)
-    keys = [list(zip(families, plan.terms[i].levels)) for i in order]
-    shapes = [tuple(len(rules[k]) for k in ks) for ks in keys]
-    boxes = [np.indices(shape).reshape(len(families), -1).T for shape in shapes]
-    index, inverse = unique_rows(np.concatenate(boxes))
-    slots = np.split(inverse, np.cumsum([len(b) for b in boxes])[:-1])
-    terms = tuple(
-        _TermProjection(plan.terms[i].coeff, plan.rows[i], shape, tuple(tables[k] for k in ks), s)
-        for i, ks, shape, s in zip(order, keys, shapes, slots)
-    )
-    for a in (*tables.values(), index, *slots):
-        a.setflags(write=False)
-    return ProjectionPlan(size=len(plan.weights), index=index, terms=terms)
-
-
 def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     """Spectral projection of model values sampled on ``smolyak_grid``.
 
     ``grid_values`` must be aligned with the canonical node order of
     ``smolyak_grid(len(specs), w, specs)``. The grid is not rebuilt: each
-    term gathers its values through the cached :func:`projection_plan`,
-    contracts them with its ``psi * w`` matrices and scatter-adds the
+    term of the cached :func:`~mfpce.sparse_grid.grid_plan` gathers its
+    values, contracts them with its ``psi * w`` tables and scatter-adds the
     result into the coefficient vector.
     """
     specs = tuple(specs)
-    plan = projection_plan(w, tuple(spec.family for spec in specs))
+    plan = grid_plan(w, tuple(spec.family for spec in specs))
     values = np.asarray(grid_values, dtype=float)
-    if values.shape != (plan.size,):
+    if values.shape != plan.weights.shape:
         raise ValueError(
-            f"expected {plan.size} grid values for (n={len(specs)}, w={w}), got {values.shape}"
+            f"expected {len(plan.weights)} grid values for (n={len(specs)}, w={w}), "
+            f"got {values.shape}"
         )
     coeffs = np.zeros(len(plan.index))
     # Fixed (sorted) term order keeps the accumulation bitwise reproducible.
     for term in plan.terms:
         # Contract one dimension at a time; after n contractions the axes
         # are the per-dimension degrees.
-        partial = values[term.rows].reshape(term.shape)
+        partial = values[term.rows].reshape([len(table) for table in term.tables])
         for table in term.tables:
             partial = np.tensordot(partial, table, axes=([0], [1]))
         coeffs[term.slots] += term.coeff * partial.ravel()

@@ -11,9 +11,10 @@ two rules share, so no rounding tolerance is involved. A tensor node is the
 row of its ``n`` axis ids. The grid lists its nodes in lexicographic order of
 those rows, which is lexicographic order of the coordinates.
 
-Each ``(n, w, families)`` grid is assembled once per process and kept in a
-small cache (:func:`grid_plan`), together with the grid positions of every
-tensor term's nodes, which :func:`mfpce.pce.project` reads.
+The same signed combination is the sparse projection, where each term
+projects its own nodes (:func:`mfpce.pce.project`). One cached
+:func:`grid_plan` per ``(w, families)`` holds the grid and, per term,
+everything the projection reads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from math import comb
 
 import numpy as np
 
-from .orthopoly import GaussRule, Normal, PolyFamily, Uniform, VariableSpec, gauss_rule
+from .orthopoly import GaussRule, Normal, PolyFamily, Uniform, VariableSpec
+from .orthopoly import eval_poly_table, gauss_rule
 
 MultiIndex = tuple[int, ...]
 
@@ -72,22 +74,34 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True)
+class PlanTerm:
+    """One tensor term of a :class:`GridPlan`. Its nodes, in C order of
+    their per-axis point indices, and its degree box (``d_j < growth(l_j)``,
+    the degrees its rules integrate exactly) share one shape and order."""
+
+    levels: MultiIndex
+    coeff: int
+    rows: np.ndarray = field(repr=False)  # grid positions of the term's nodes
+    tables: tuple[np.ndarray, ...] = field(repr=False)  # per axis, psi_d(x_p) * w_p
+    slots: np.ndarray = field(repr=False)  # positions in the index of the degree box
+
+
+@dataclass(frozen=True)
 class GridPlan:
-    """A Smolyak grid by node ids, with the grid positions of each term's
-    nodes.
+    """A Smolyak grid by node ids, and the projection onto its index set.
 
     ``points[j]`` are the sorted distinct points of axis ``j``, which
-    ``ids[:, j]`` index. ``rows[k]`` lists, in :func:`tensor_grid` order,
-    the positions in the grid of the nodes of ``terms[k]`` (``level_terms``
-    order). Coordinates are not kept: :func:`smolyak_grid` gathers them
-    from ``points`` when asked, so a cached plan holds a few bytes per node.
+    ``ids[:, j]`` index. ``index`` is the union of the terms' degree boxes
+    in lexicographic order. ``terms`` are in sorted level order, the order
+    in which :func:`mfpce.pce.project` adds them up. Coordinates are not
+    kept: :func:`smolyak_grid` gathers them from ``points`` when asked.
     """
 
     ids: np.ndarray = field(repr=False)  # (N, n), canonical order
     weights: np.ndarray = field(repr=False)  # (N,)
     points: tuple[np.ndarray, ...] = field(repr=False)
-    terms: tuple[LevelTerm, ...]
-    rows: tuple[np.ndarray, ...] = field(repr=False)
+    index: np.ndarray = field(repr=False)  # (K, n) degrees
+    terms: tuple[PlanTerm, ...]
 
 
 def growth(level: int) -> int:
@@ -122,16 +136,12 @@ def level_terms(n: int, w: int) -> list[LevelTerm]:
     return terms
 
 
-def _rules_for(levels: MultiIndex, specs: list[VariableSpec]) -> list[GaussRule]:
-    return [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
-
-
 def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid:
     """Cartesian product of the per-dimension Gauss rules, in C order of the
     per-axis point indices (which are the grid's ``ids``)."""
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
-    rules = _rules_for(levels, specs)
+    rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
     shape = tuple(len(r) for r in rules)
     ids = np.indices(shape).reshape(len(shape), -1).T
     nodes = np.column_stack([r.points[i] for r, i in zip(rules, ids.T)])
@@ -156,45 +166,61 @@ def unique_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(_ID_DTYPE).reshape(len(keys), -1).astype(np.intp), inverse
 
 
-def _axis_ids(family: PolyFamily, w: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sorted distinct points of the family's rules at levels ``0..w``, and
-    per level the ids of that rule's points among them."""
-    rules = [gauss_rule(family, growth(l)) for l in range(w + 1)]
+def _axis_ids(rules: list[GaussRule]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct points of an axis's rules at levels ``0..w``, and at
+    ``[l, i]`` the id among them of point ``i`` of the level-``l`` rule."""
     points = np.unique(np.concatenate([r.points for r in rules]))
-    return points, [np.searchsorted(points, r.points) for r in rules]
+    table = np.zeros((len(rules), len(rules[-1])), dtype=np.intp)
+    for l, r in enumerate(rules):
+        table[l, : len(r)] = np.searchsorted(points, r.points)
+    return points, table
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
-    """Assemble the Smolyak grid of level ``w`` over ``families``.
+    """Assemble the Smolyak grid of level ``w`` over ``families`` and its
+    projection.
 
-    Each term's nodes come from :func:`tensor_grid` and are mapped to rows of
-    axis ids; the rows of all terms are deduplicated in one ``np.unique``
-    over their bytes, whose sort order is the canonical node order. Weights
-    are summed per node with ``np.bincount`` in ``level_terms`` order. The
-    plan is cached and its arrays are read-only.
+    Each term's per-axis point indices come from :func:`tensor_grid`. They
+    are the term's degree box, so one ``np.unique`` over them gives the
+    index set and each term's slots in it. Mapped to rows of axis ids, they
+    are the term's nodes: a second ``np.unique`` over the rows' bytes, whose
+    sort order is the canonical node order, deduplicates them. Weights are
+    summed per node with ``np.bincount`` in ``level_terms`` order. Terms
+    share the ``psi * w`` tables of each (family, level) rule. The plan is
+    cached and its arrays are read-only.
     """
     n = len(families)
     terms = level_terms(n, w)
     specs = tuple(_STANDARD_SPECS[f] for f in families)
-    axes = {f: _axis_ids(f, w) for f in set(families)}
-    term_ids, term_weights = [], []
+    rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
+    tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
+    axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
+    boxes, term_weights = [], []
     for term in terms:
         sub = tensor_grid(term.levels, specs)
-        term_ids.append(
-            np.column_stack(
-                [axes[f][1][l][i] for f, l, i in zip(families, term.levels, sub.ids.T)]
-            )
-        )
+        boxes.append(sub.ids)
         term_weights.append(term.coeff * sub.weights)
-    ids, inverse = unique_rows(np.concatenate(term_ids))
+    sizes = [len(b) for b in boxes]
+    boxes = np.concatenate(boxes)
+    index, slots = unique_rows(boxes)
+    levels = np.array([t.levels for t in terms])
+    node_ids = np.empty(boxes.shape, dtype=_ID_DTYPE)
+    for j, f in enumerate(families):
+        node_ids[:, j] = axes[f][1][np.repeat(levels[:, j], sizes), boxes[:, j]]
+    del boxes  # lowers the peak of the second np.unique
+    ids, inverse = unique_rows(node_ids)
     ids = ids.astype(np.uint32)
     weights = np.bincount(inverse, weights=np.concatenate(term_weights), minlength=len(ids))
-    rows = tuple(np.split(inverse, np.cumsum([len(t) for t in term_ids])[:-1]))
+    cuts = np.cumsum(sizes)[:-1]
     points = tuple(axes[f][0] for f in families)
-    for a in (weights, ids, *points, *rows):
+    for a in (weights, ids, index, *points, *tables.values(), inverse, slots):
         a.setflags(write=False)
-    return GridPlan(ids=ids, weights=weights, points=points, terms=tuple(terms), rows=rows)
+    plan_terms = (
+        PlanTerm(t.levels, t.coeff, r, tuple(tables[k] for k in zip(families, t.levels)), s)
+        for t, r, s in zip(terms, np.split(inverse, cuts), np.split(slots, cuts))
+    )
+    return GridPlan(ids, weights, points, index, tuple(sorted(plan_terms, key=lambda t: t.levels)))
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 import yaml
 
 from mfpce.cli import main
+from mfpce.models import ISHIGAMI_SPECS, Model
+from mfpce.sparse_grid import smolyak_grid
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -86,13 +89,20 @@ class TestConvergeCommand:
 
 
 class TestDecayCommand:
-    def test_mf_decay_includes_all_spectra(self, tmp_path):
+    def test_mf_decay_includes_all_spectra(self, tmp_path, monkeypatch):
+        rows = collections.Counter()
+        batch = Model.batch
+        monkeypatch.setattr(
+            Model, "batch", lambda self, X: rows.update({self.id: len(X)}) or batch(self, X)
+        )
         out = tmp_path / "out"
         cfg = ishigami_config(tmp_path, out)
         assert main(["--config", str(cfg), "decay", "--scheme", "mf", "--w", "2"]) == 0
         lines = (out / "decay_mf_w2.csv").read_text().splitlines()
         provenances = {line.split(",")[0] for line in lines[1:]}
         assert provenances == {"LF", "Correction", "Combined", "HF"}
+        # The HF spectrum at w - q = 1 reuses the correction's HF values.
+        assert rows["hf"] == len(smolyak_grid(3, 1, ISHIGAMI_SPECS))
 
 
 class TestMcCheckCommand:

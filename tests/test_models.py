@@ -275,6 +275,25 @@ class TestEvalCache:
         last = {k: v for k, v in zip(_cache_keys(X), values)}
         assert got.tolist() == [last[k] for k in _cache_keys(X)]
 
+    def test_huge_coordinates_are_keyed_apart(self):
+        calls = []
+        model = Model(id="m", fidelity="hf", fn=lambda X: calls.append(len(X)) or X[:, 0])
+        cache = EvalCache()
+        values = cache.evaluate_many(model, [[1e300], [2e300], [-2.0**52 - 2]])
+        assert calls == [3] and cache.count("m") == 3
+        assert values.tolist() == [1e300, 2e300, -2.0**52 - 2]
+
+    @given(
+        st.lists(
+            st.floats(min_value=-(2.0**52), max_value=2.0**52, exclude_max=True, exclude_min=True),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_keys_below_two_to_the_52_are_rounded(self, coords):
+        X = np.array([coords, [-0.0] * len(coords)])
+        assert _cache_keys(X) == list(map(tuple, (np.round(X, 12) + 0.0).tolist()))
+
     def test_one_append_per_batch(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))

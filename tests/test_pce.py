@@ -28,11 +28,17 @@ from mfpce.pce import (
     evaluate_batch,
     mean,
     project,
-    projection_plan,
     stack,
     variance,
 )
-from mfpce.sparse_grid import compositions, growth, level_terms, smolyak_grid, tensor_grid
+from mfpce.sparse_grid import (
+    compositions,
+    grid_plan,
+    growth,
+    level_terms,
+    smolyak_grid,
+    tensor_grid,
+)
 
 
 def project_model(model, specs, w):
@@ -60,11 +66,11 @@ def physical(grid, specs) -> np.ndarray:
 
 class TestIndexSets:
     def test_sparse_level_zero(self):
-        assert projection_plan(0, (PolyFamily.LEGENDRE,) * 4).index.tolist() == [[0, 0, 0, 0]]
+        assert grid_plan(0, (PolyFamily.LEGENDRE,) * 4).index.tolist() == [[0, 0, 0, 0]]
 
     def test_sparse_level_one_boxes(self):
         # union of the boxes [0..2]x[0] and [0]x[0..2], in lexicographic order
-        index = projection_plan(1, (PolyFamily.LEGENDRE, PolyFamily.HERMITE)).index
+        index = grid_plan(1, (PolyFamily.LEGENDRE, PolyFamily.HERMITE)).index
         assert index.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0]]
 
 

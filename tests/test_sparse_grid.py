@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import mfpce.sparse_grid as sparse_grid
 from mfpce.orthopoly import Normal, PolyFamily, Uniform, VariableSpec, gauss_rule
-from mfpce.pce import project, projection_plan
+from mfpce.pce import project
 from mfpce.sparse_grid import (
     compositions,
     grid_plan,
@@ -173,7 +173,6 @@ class TestSmolyakGrid:
 
     def test_one_cached_plan_per_level_and_families(self, monkeypatch, mixed_specs):
         grid_plan.cache_clear()
-        projection_plan.cache_clear()
         calls = []
         original = sparse_grid.tensor_grid
         monkeypatch.setattr(
@@ -189,6 +188,27 @@ class TestSmolyakGrid:
         assert again.weights is first.weights and np.array_equal(again.nodes, first.nodes)
         assert calls == [t.levels for t in level_terms(2, 3)]
         assert not first.ids.flags.writeable and not first.weights.flags.writeable
+
+    @pytest.mark.parametrize("specs", [(LEG,), (HER, LEG), (LEG, HER, LEG)], ids=["L", "HL", "LHL"])
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_plan_terms_address_their_nodes_and_degree_boxes(self, specs, w):
+        """The plan's index is the union of the boxes ``np.indices(growth(l))``
+        over ``level_terms``; each term's slots address its own box and its
+        rows its own tensor nodes, both in C order."""
+        n = len(specs)
+        plan = grid_plan(w, tuple(spec.family for spec in specs))
+        nodes = smolyak_grid(n, w, list(specs)).nodes
+        terms = level_terms(n, w)
+        boxes = {
+            t.levels: np.indices([growth(l) for l in t.levels]).reshape(n, -1).T for t in terms
+        }
+        union = sorted({tuple(row) for box in boxes.values() for row in box.tolist()})
+        assert [tuple(row) for row in plan.index.tolist()] == union
+        assert [t.levels for t in plan.terms] == sorted(boxes)
+        assert {t.levels: t.coeff for t in plan.terms} == {t.levels: t.coeff for t in terms}
+        for term in plan.terms:
+            assert np.array_equal(plan.index[term.slots], boxes[term.levels])
+            assert np.array_equal(nodes[term.rows], tensor_grid(term.levels, list(specs)).nodes)
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
