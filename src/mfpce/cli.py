@@ -10,8 +10,10 @@ Subcommands::
 Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
 the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
-Exit codes: 0 success, 2 configuration error (including an unreadable
-evaluation-cache file), 3 model-evaluation error, 4 numerical degeneracy.
+Exit codes: 0 success, 2 configuration error (including an out-of-range
+number and an unreadable evaluation-cache file), 3 model-evaluation error,
+4 numerical degeneracy. Each command closes the models it resolved, so no
+stream-mode child outlives it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, StudyConfig, load_config
+from .config import ConfigError, StudyConfig, int_at_least, load_config, seed_value
 from .models import CacheFileError, EvalCache, ModelError
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from .study import (
+    SchemeSpec,
     build_scheme,
     decay_report,
     run_convergence,
@@ -79,7 +82,7 @@ def _load(args) -> tuple[StudyConfig, Path]:
         raise ConfigError("no config given (use --config or MFPCE_CONFIG)")
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, validation_seed=int(args.seed))
+        cfg = dataclasses.replace(cfg, validation_seed=seed_value(args.seed, "--seed"))
     out = Path(args.out) if args.out else Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -105,13 +108,24 @@ def _report_payload(report: SobolReport, variables) -> dict:
     return payload
 
 
-def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
+def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
+    """The scheme of ``--scheme``, with ``--q`` if given, checked to build
+    at level ``--w``: an MF scheme needs ``w >= q``."""
     scheme = cfg.scheme(args.scheme)
-    if args.q is not None:
-        scheme = dataclasses.replace(scheme, q=args.q)
-    models = cfg.resolved_models()
+    if getattr(args, "q", None) is not None:
+        scheme = dataclasses.replace(scheme, q=int_at_least(args.q, 0, "--q"))
+    if scheme.kind == "mf":
+        int_at_least(args.w, scheme.q, f"--w of scheme {scheme.name!r} with q={scheme.q}")
+    else:
+        int_at_least(args.w, 0, "--w")
+    return scheme
+
+
+def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
+    scheme = _scheme(cfg, args)
     cache = EvalCache(cfg.cache_path)
-    built = build_scheme(scheme, args.w, cfg.variables, models, cache)
+    with cfg.open_models() as models:
+        built = build_scheme(scheme, args.w, cfg.variables, models, cache)
     report = all_indices(built.expansion)
     stem = f"sobol_{scheme.name}_w{args.w}"
     payload = _report_payload(report, cfg.variables)
@@ -136,17 +150,17 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 
 
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
-    scheme = cfg.scheme(args.scheme)
-    models = cfg.resolved_models()
+    scheme = _scheme(cfg, args)
     cache = EvalCache(cfg.cache_path)
-    built = build_scheme(scheme, args.w, cfg.variables, models, cache)
-    expansions = [built.expansion]
-    if built.lf_expansion is not None:
-        expansions = [built.lf_expansion, built.correction, built.expansion]
-        # the HF spectrum at the correction level, from the correction's HF values
-        hf_scheme = dataclasses.replace(scheme, kind="hf", q=0)
-        hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
-        expansions.append(hf_built.expansion)
+    with cfg.open_models() as models:
+        built = build_scheme(scheme, args.w, cfg.variables, models, cache)
+        expansions = [built.expansion]
+        if built.lf_expansion is not None:
+            expansions = [built.lf_expansion, built.correction, built.expansion]
+            # the HF spectrum at the correction level, from the correction's HF values
+            hf_scheme = dataclasses.replace(scheme, kind="hf", q=0)
+            hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
+            expansions.append(hf_built.expansion)
     rows = decay_report(expansions)
     path = out / f"decay_{scheme.name}_w{args.w}.csv"
     write_decay_csv(rows, path)
@@ -155,10 +169,11 @@ def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
-    models = cfg.resolved_models()
-    if args.model not in models:
-        raise ConfigError(f"unknown model {args.model!r}")
-    report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation_seed)
+    int_at_least(args.n, 2, "--n")
+    with cfg.open_models() as models:
+        if args.model not in models:
+            raise ConfigError(f"unknown model {args.model!r}")
+        report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation_seed)
     payload = _report_payload(report, cfg.variables)
     payload["model"] = args.model
     payload["n"] = args.n

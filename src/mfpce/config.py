@@ -26,7 +26,9 @@ Any other top-level key is a :class:`ConfigError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -52,6 +54,26 @@ CONFIG_KEYS = (
 
 class ConfigError(ValueError):
     """Invalid or inconsistent study configuration."""
+
+
+def int_at_least(value, low: int, what: str) -> int:
+    """``value`` as an integer no less than ``low``, or a :class:`ConfigError`
+    naming ``what`` and the value."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ConfigError(f"{what} must be >= {low}, got {number}")
+    return number
+
+
+def seed_value(value, what: str) -> int:
+    """``value`` as a seed: a key of the Philox generator, ``0 <= seed < 2**128``."""
+    seed = int_at_least(value, 0, what)
+    if seed >= 2**128:
+        raise ConfigError(f"{what} must be < 2**128, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -106,6 +128,17 @@ class StudyConfig:
                     id=binding.id,
                 )
         return out
+
+    @contextmanager
+    def open_models(self):
+        """:meth:`resolved_models`, closed when the block ends, on success
+        or on error, so that no stream child outlives it."""
+        models = self.resolved_models()
+        try:
+            yield models
+        finally:
+            for model in models.values():
+                model.close()
 
     def scheme(self, name: str) -> SchemeSpec:
         for s in self.schemes:
@@ -193,6 +226,14 @@ def parse_config(data: dict) -> StudyConfig:
             raise ConfigError("pce reference needs 'w'")
         if reference.kind == "mc" and reference.n is None:
             raise ConfigError("mc reference needs 'n'")
+    if reference.kind == "pce":
+        reference = dataclasses.replace(reference, w=int_at_least(reference.w, 0, "reference w"))
+    if reference.kind == "mc":
+        reference = dataclasses.replace(
+            reference,
+            n=int_at_least(reference.n, 2, "reference n"),
+            seed=None if reference.seed is None else seed_value(reference.seed, "reference seed"),
+        )
 
     validation = data.get("validation", {})
     return StudyConfig(
@@ -202,8 +243,8 @@ def parse_config(data: dict) -> StudyConfig:
         level_min=level_min,
         level_max=level_max,
         reference=reference,
-        validation_count=int(validation.get("count", 10000)),
-        validation_seed=int(validation.get("seed", 42)),
+        validation_count=int_at_least(validation.get("count", 10000), 2, "validation count"),
+        validation_seed=seed_value(validation.get("seed", 42), "validation seed"),
         output=str(data.get("output", "out")),
         cache_path=data.get("cache"),
         problem=problem,

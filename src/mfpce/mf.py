@@ -14,7 +14,7 @@ import numpy as np
 
 from .models import EvalCache, Model
 from .pce import Expansion, project
-from .sparse_grid import row_keys, smolyak_grid
+from .sparse_grid import physical_nodes, row_keys, smolyak_grid
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,6 @@ def correction_values(hf, lf) -> np.ndarray:
     if hf.shape != lf.shape:
         raise ValueError(f"length mismatch: {hf.shape} vs {lf.shape}")
     return hf - lf
-
-
-def physical_nodes(grid, specs) -> np.ndarray:
-    return np.column_stack(
-        [spec.from_standard(grid.nodes[:, j]) for j, spec in enumerate(specs)]
-    )
 
 
 def build_mf_parts(

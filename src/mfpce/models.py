@@ -45,6 +45,12 @@ class Model:
     def batch(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
 
+    def close(self) -> None:
+        """End the child process of an external stream model, if one runs."""
+        owner = getattr(self.fn, "__self__", None)
+        if isinstance(owner, ExternalModel):
+            owner.close()
+
 
 # --- borehole ---------------------------------------------------------------
 
@@ -225,10 +231,21 @@ class ExternalModel:
         return _parse_response(raw, xi)
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
-        self._proc = None
+        """End the stream child: close its input, wait for it to exit (and
+        kill it if it has not within 10 s), then close its output."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the child has exited; input left in the buffer is moot
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         evaluate = self._eval_oneshot if self.mode == "oneshot" else self._eval_stream

@@ -89,22 +89,22 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     ``grid_values`` must be aligned with the canonical node order of
     ``smolyak_grid(len(specs), w, specs)``. The grid is not rebuilt: each
     term of the cached :func:`~mfpce.sparse_grid.grid_plan` gathers its
-    values, contracts them with its ``psi * w`` tables and scatter-adds the
-    result into the coefficient vector.
+    values, contracts them with the ``psi * w`` tables of its level > 0
+    axes and scatter-adds the result into the coefficient vector.
     """
     specs = tuple(specs)
     plan = grid_plan(w, tuple(spec.family for spec in specs))
     values = np.asarray(grid_values, dtype=float)
-    if values.shape != plan.weights.shape:
+    if values.shape != (len(plan.grid),):
         raise ValueError(
-            f"expected {len(plan.weights)} grid values for (n={len(specs)}, w={w}), "
+            f"expected {len(plan.grid)} grid values for (n={len(specs)}, w={w}), "
             f"got {values.shape}"
         )
     coeffs = np.zeros(len(plan.index))
     # Fixed (sorted) term order keeps the accumulation bitwise reproducible.
     for term in plan.terms:
-        # Contract one dimension at a time; after n contractions the axes
-        # are the per-dimension degrees.
+        # Contract one level > 0 axis at a time; after the last contraction
+        # the axes are those axes' degrees (a level-0 axis has degree 0 only).
         partial = values[term.rows].reshape([len(table) for table in term.tables])
         for table in term.tables:
             partial = np.tensordot(partial, table, axes=([0], [1]))

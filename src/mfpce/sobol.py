@@ -55,6 +55,11 @@ def _decomposition(e: Expansion) -> tuple[float, np.ndarray, np.ndarray]:
     """The variance, the supports (the distinct 0/1 rows of "degree
     non-zero" over the non-constant multi-indices) and each support's
     partial variance, the sum of its terms' squared coefficients."""
+    if e.coeffs.ndim != 1:
+        raise ValueError(
+            f"Sobol indices need scalar coefficients, got shape {e.coeffs.shape}; "
+            "pass each expansion of a stack on its own"
+        )
     d = variance(e)
     if d <= _DEGENERATE_REL * max(1.0, mean(e) ** 2):
         raise ZeroVarianceError("expansion has zero variance; Sobol indices are undefined")

@@ -9,12 +9,14 @@ Node identity is exact and integer. On each axis, the rules at levels
 its rank in that set. Under the 2m+1 growth the center 0.0 is the only point
 two rules share, so no rounding tolerance is involved. A tensor node is the
 row of its ``n`` axis ids. The grid lists its nodes in lexicographic order of
-those rows, which is lexicographic order of the coordinates.
+those rows, which is lexicographic order of the coordinates. A grid
+(:class:`QuadratureGrid`) keeps only the axis points, the ids and the
+weights; coordinates are gathered from them when read.
 
 The same signed combination is the sparse projection, where each term
 projects its own nodes (:func:`mfpce.pce.project`). One cached
 :func:`grid_plan` per ``(w, families)`` holds the grid and, per term,
-everything the projection reads.
+everything the projection reads; a term contracts only its level > 0 axes.
 """
 
 from __future__ import annotations
@@ -54,52 +56,51 @@ class LevelTerm:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Node/weight set in standard coordinates.
+    """Nodes and weights in standard coordinates, as ids into axis points.
 
-    ``ids[:, j]`` indexes the sorted points that axis ``j`` draws from: the
-    axis rule for a tensor grid, and the distinct points of the rules at
-    levels ``0..w`` for a Smolyak grid at level ``w``.
+    ``points[j]`` are the sorted points that axis ``j`` draws from: the axis
+    rule for a tensor grid, and the distinct points of the rules at levels
+    ``0..w`` for a Smolyak grid at level ``w``. Node ``k`` has coordinate
+    ``points[j][ids[k, j]]`` on axis ``j`` and weight ``weights[k]``.
     """
 
-    nodes: np.ndarray = field(repr=False)  # shape (N, n)
-    weights: np.ndarray = field(repr=False)  # shape (N,)
+    points: tuple[np.ndarray, ...] = field(repr=False)
     ids: np.ndarray = field(repr=False)  # shape (N, n), integer
+    weights: np.ndarray = field(repr=False)  # shape (N,)
 
     def __len__(self) -> int:
         return len(self.weights)
 
     @property
-    def ndim(self) -> int:
-        return self.nodes.shape[1]
+    def nodes(self) -> np.ndarray:
+        """The ``(N, n)`` coordinates, gathered from ``points`` on each read."""
+        return np.column_stack([p[i] for p, i in zip(self.points, self.ids.T)])
 
 
 @dataclass(frozen=True)
 class PlanTerm:
     """One tensor term of a :class:`GridPlan`. Its nodes, in C order of
     their per-axis point indices, and its degree box (``d_j < growth(l_j)``,
-    the degrees its rules integrate exactly) share one shape and order."""
+    the degrees its rules integrate exactly) share one shape and order. A
+    level-0 axis's table is exactly ``[[1.0]]``, so it has none in ``tables``."""
 
     levels: MultiIndex
     coeff: int
     rows: np.ndarray = field(repr=False)  # grid positions of the term's nodes
-    tables: tuple[np.ndarray, ...] = field(repr=False)  # per axis, psi_d(x_p) * w_p
+    tables: tuple[np.ndarray, ...] = field(repr=False)  # per level > 0 axis
     slots: np.ndarray = field(repr=False)  # positions in the index of the degree box
 
 
 @dataclass(frozen=True)
 class GridPlan:
-    """A Smolyak grid by node ids, and the projection onto its index set.
+    """A Smolyak grid and the projection onto its index set.
 
-    ``points[j]`` are the sorted distinct points of axis ``j``, which
-    ``ids[:, j]`` index. ``index`` is the union of the terms' degree boxes
-    in lexicographic order. ``terms`` are in sorted level order, the order
-    in which :func:`mfpce.pce.project` adds them up. Coordinates are not
-    kept: :func:`smolyak_grid` gathers them from ``points`` when asked.
+    ``index`` is the union of the terms' degree boxes in lexicographic
+    order. ``terms`` are in sorted level order, the order in which
+    :func:`mfpce.pce.project` adds them up.
     """
 
-    ids: np.ndarray = field(repr=False)  # (N, n), canonical order
-    weights: np.ndarray = field(repr=False)  # (N,)
-    points: tuple[np.ndarray, ...] = field(repr=False)
+    grid: QuadratureGrid
     index: np.ndarray = field(repr=False)  # (K, n) degrees
     terms: tuple[PlanTerm, ...]
 
@@ -142,13 +143,11 @@ def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
     rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
-    shape = tuple(len(r) for r in rules)
-    ids = np.indices(shape).reshape(len(shape), -1).T
-    nodes = np.column_stack([r.points[i] for r, i in zip(rules, ids.T)])
+    ids = np.indices([len(r) for r in rules]).reshape(len(rules), -1).T
     weights = np.ones(1)
     for r in rules:
         weights = np.outer(weights, r.weights).ravel()
-    return QuadratureGrid(nodes=nodes, weights=weights, ids=ids)
+    return QuadratureGrid(points=tuple(r.points for r in rules), ids=ids, weights=weights)
 
 
 def row_keys(rows) -> np.ndarray:
@@ -213,26 +212,30 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     ids = ids.astype(np.uint32)
     weights = np.bincount(inverse, weights=np.concatenate(term_weights), minlength=len(ids))
     cuts = np.cumsum(sizes)[:-1]
-    points = tuple(axes[f][0] for f in families)
-    for a in (weights, ids, index, *points, *tables.values(), inverse, slots):
+    grid = QuadratureGrid(points=tuple(axes[f][0] for f in families), ids=ids, weights=weights)
+    for a in (weights, ids, index, *grid.points, *tables.values(), inverse, slots):
         a.setflags(write=False)
     plan_terms = (
-        PlanTerm(t.levels, t.coeff, r, tuple(tables[k] for k in zip(families, t.levels)), s)
+        PlanTerm(t.levels, t.coeff, r, tuple(tables[k] for k in zip(families, t.levels) if k[1]), s)
         for t, r, s in zip(terms, np.split(inverse, cuts), np.split(slots, cuts))
     )
-    return GridPlan(ids, weights, points, index, tuple(sorted(plan_terms, key=lambda t: t.levels)))
+    return GridPlan(grid, index, tuple(sorted(plan_terms, key=lambda t: t.levels)))
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:
     """Union of the combination's tensor grids with accumulated weights.
 
-    Nodes are returned in the canonical order (lexicographic by axis ids,
-    hence by coordinates), so the grid is deterministic for a given
-    (n, w, families). Its ``weights`` and ``ids`` are the cached plan's,
-    and read-only.
+    Nodes are in the canonical order (lexicographic by axis ids, hence by
+    coordinates), so the grid is deterministic for a given (n, w,
+    families). The grid is the cached plan's, and its arrays are read-only.
     """
     if len(specs) != n:
         raise ValueError(f"expected {n} variable specs, got {len(specs)}")
-    plan = grid_plan(w, tuple(spec.family for spec in specs))
-    nodes = np.column_stack([p[i] for p, i in zip(plan.points, plan.ids.T)])
-    return QuadratureGrid(nodes=nodes, weights=plan.weights, ids=plan.ids)
+    return grid_plan(w, tuple(spec.family for spec in specs)).grid
+
+
+def physical_nodes(grid: QuadratureGrid, specs) -> np.ndarray:
+    """``grid.nodes`` in the physical coordinates of ``specs``, mapped per axis point."""
+    return np.column_stack(
+        [spec.from_standard(p)[i] for spec, p, i in zip(specs, grid.points, grid.ids.T)]
+    )

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mf import MfConfig, build_mf_parts, physical_nodes
+from .mf import MfConfig, build_mf_parts
 from .models import EvalCache, Model
 from .pce import Expansion, evaluate_batch, mean, project, stack, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
-from .sparse_grid import smolyak_grid
+from .sparse_grid import physical_nodes, smolyak_grid
 
 log = logging.getLogger(__name__)
 
@@ -206,24 +206,24 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     built once; each cell gets a fresh cache so its counters reflect only
     that build. MF rows are emitted only for levels with ``w >= q``. The
     cells are built first; cells with one index set (one level) are then
-    validated together.
+    validated together. The models are closed before it returns.
     """
     from .config import build_reference  # local import to avoid a cycle
 
-    models = cfg.resolved_models()
-    reference = build_reference(cfg, models)
-    rng = np.random.Generator(np.random.Philox(key=cfg.validation_seed))
-    X_val = np.column_stack([s.sample(rng, cfg.validation_count) for s in cfg.variables])
-    y_true: dict[str, np.ndarray] = {}
+    with cfg.open_models() as models:
+        reference = build_reference(cfg, models)
+        rng = np.random.Generator(np.random.Philox(key=cfg.validation_seed))
+        X_val = np.column_stack([s.sample(rng, cfg.validation_count) for s in cfg.variables])
+        y_true: dict[str, np.ndarray] = {}
 
-    cells = []
-    for scheme in cfg.schemes:
-        if scheme.hf not in y_true:
-            y_true[scheme.hf] = models[scheme.hf].batch(X_val)
-        for w in range(cfg.level_min, cfg.level_max + 1):
-            if scheme.kind == "mf" and w < scheme.q:
-                continue
-            cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
+        cells = []
+        for scheme in cfg.schemes:
+            if scheme.hf not in y_true:
+                y_true[scheme.hf] = models[scheme.hf].batch(X_val)
+            for w in range(cfg.level_min, cfg.level_max + 1):
+                if scheme.kind == "mf" and w < scheme.q:
+                    continue
+                cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
         X_val,

@@ -13,6 +13,14 @@ from mfpce.models import ISHIGAMI_SPECS, Model
 from mfpce.sparse_grid import smolyak_grid
 
 
+#: A 1-D stream-mode model answering each request line with ``output``.
+STREAM_MODEL = """import sys
+for line in sys.stdin:
+    x = float(line)
+    print({output}, flush=True)
+"""
+
+
 def write_config(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
@@ -207,6 +215,98 @@ class TestExitCodes:
         assert (
             main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 4
         )
+
+    @pytest.mark.parametrize(
+        "argv, overrides, message",
+        [
+            (["sobol", "--scheme", "hf", "--w", "-1"], {}, "--w must be >= 0, got -1"),
+            (["sobol", "--scheme", "hf", "--w", "2", "--q", "-1"], {}, "--q must be >= 0, got -1"),
+            (["sobol", "--scheme", "mf1", "--w", "1"], {}, "q=2 must be >= 2, got 1"),
+            (["decay", "--scheme", "mf1", "--w", "1"], {}, "q=2 must be >= 2, got 1"),
+            (["mc-check", "--model", "hf", "--n", "1"], {}, "--n must be >= 2, got 1"),
+            (["--seed", "-3", "mc-check", "--model", "hf"], {}, "--seed must be >= 0, got -3"),
+            (["converge"], {"validation": {"count": 1}}, "validation count must be >= 2, got 1"),
+            (["converge"], {"validation": {"seed": -3}}, "validation seed must be >= 0, got -3"),
+            (
+                ["converge"],
+                {"reference": {"kind": "pce", "model": "hf", "w": -1}},
+                "reference w must be >= 0, got -1",
+            ),
+            (
+                ["converge"],
+                {"reference": {"kind": "mc", "model": "hf", "n": 1}},
+                "reference n must be >= 2, got 1",
+            ),
+            (
+                ["converge"],
+                {"reference": {"kind": "mc", "model": "hf", "n": 64, "seed": -1}},
+                "reference seed must be >= 0, got -1",
+            ),
+        ],
+        ids=[
+            "sobol_w",
+            "sobol_q",
+            "sobol_w_below_q",
+            "decay_w_below_q",
+            "mc_check_n",
+            "seed",
+            "validation_count",
+            "validation_seed",
+            "reference_pce_w",
+            "reference_mc_n",
+            "reference_mc_seed",
+        ],
+    )
+    def test_out_of_range_number_is_config_error(
+        self, tmp_path, monkeypatch, capsys, argv, overrides, message
+    ):
+        """Exit 2 with one line naming the value, before any model runs."""
+        evaluated = []
+        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        schemes = [
+            {"name": "hf", "kind": "hf", "hf": "hf"},
+            {"name": "mf1", "kind": "mf", "hf": "hf", "lf": "lf", "q": 2},
+        ]
+        cfg = ishigami_config(tmp_path, tmp_path / "out", schemes=schemes, **overrides)
+        assert main(["--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert evaluated == []
+
+    @pytest.mark.parametrize("output, code", [("x", 0), ("'nan'", 3)], ids=["ok", "model_error"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sobol", "--scheme", "hf", "--w", "1"],
+            ["converge"],
+            ["decay", "--scheme", "hf", "--w", "1"],
+            ["mc-check", "--model", "m", "--n", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_stream_child_outlives_the_command(self, tmp_path, monkeypatch, argv, output, code):
+        script = tmp_path / "model.py"
+        script.write_text(STREAM_MODEL.format(output=output))
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": "stream"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "levels": {"min": 1, "max": 1},
+                "reference": {"kind": "pce", "model": "m", "w": 1},
+                "validation": {"count": 8},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        children = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(
+            subprocess, "Popen", lambda *a, **k: children.append(popen(*a, **k)) or children[-1]
+        )
+        assert main(["--config", str(cfg), *argv]) == code
+        assert children and all(child.poll() is not None for child in children)
 
 
 class TestEnvironmentOverrides:

@@ -5,7 +5,7 @@ import pytest
 
 from mfpce.models import Model, builtin_model
 from mfpce.orthopoly import Uniform, VariableSpec
-from mfpce.pce import Expansion
+from mfpce.pce import Expansion, stack
 from mfpce.sobol import (
     SobolReport,
     ZeroVarianceError,
@@ -49,6 +49,16 @@ class TestFromExpansion:
     def test_empty_subset_rejected(self, unit_uniform_specs):
         with pytest.raises(ValueError):
             subset_index(hand_expansion(unit_uniform_specs), ())
+
+    @pytest.mark.parametrize(
+        "indices",
+        [all_indices, total_indices, lambda e: subset_index(e, (0,))],
+        ids=["all_indices", "total_indices", "subset_index"],
+    )
+    def test_stacked_coefficients_rejected(self, unit_uniform_specs, indices):
+        e = hand_expansion(unit_uniform_specs)
+        with pytest.raises(ValueError, match="Sobol indices need scalar coefficients"):
+            indices(stack([e, e]))
 
     def test_report_fields(self, unit_uniform_specs):
         report = all_indices(hand_expansion(unit_uniform_specs))

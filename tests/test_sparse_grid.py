@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mfpce.sparse_grid as sparse_grid
-from mfpce.orthopoly import Normal, PolyFamily, Uniform, VariableSpec, gauss_rule
+from mfpce.orthopoly import Normal, PolyFamily, Uniform, VariableSpec, eval_poly_table, gauss_rule
 from mfpce.pce import project
 from mfpce.sparse_grid import (
     compositions,
@@ -194,7 +194,8 @@ class TestSmolyakGrid:
     def test_plan_terms_address_their_nodes_and_degree_boxes(self, specs, w):
         """The plan's index is the union of the boxes ``np.indices(growth(l))``
         over ``level_terms``; each term's slots address its own box and its
-        rows its own tensor nodes, both in C order."""
+        rows its own tensor nodes, both in C order. Its tables are the
+        ``psi * w`` tables of its level > 0 axes only."""
         n = len(specs)
         plan = grid_plan(w, tuple(spec.family for spec in specs))
         nodes = smolyak_grid(n, w, list(specs)).nodes
@@ -209,6 +210,14 @@ class TestSmolyakGrid:
         for term in plan.terms:
             assert np.array_equal(plan.index[term.slots], boxes[term.levels])
             assert np.array_equal(nodes[term.rows], tensor_grid(term.levels, list(specs)).nodes)
+            expected = []
+            for spec, l in zip(specs, term.levels):
+                if l > 0:
+                    r = gauss_rule(spec.family, growth(l))
+                    expected.append(eval_poly_table(spec.family, len(r) - 1, r.points) * r.weights)
+            assert len(term.tables) == len(expected) and all(
+                np.array_equal(t, e) for t, e in zip(term.tables, expected)
+            )
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
