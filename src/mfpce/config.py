@@ -68,6 +68,23 @@ def int_at_least(value, low: int, what: str) -> int:
     return number
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, or a :class:`ConfigError` naming ``what`` and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _mapping(data: dict, key: str) -> dict:
+    """The section ``data[key]`` (empty if absent), or a :class:`ConfigError`
+    if it is not a mapping."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
+    return section
+
+
 def seed_value(value, what: str) -> int:
     """``value`` as a seed: a key of the Philox generator, ``0 <= seed < 2**128``."""
     seed = int_at_least(value, 0, what)
@@ -119,6 +136,12 @@ class StudyConfig:
                     base = builtin_model(problem, fidelity)
                 except KeyError as exc:
                     raise ConfigError(str(exc)) from exc
+                inputs = len(BENCHMARK_SPECS[problem])
+                if inputs != len(self.variables):
+                    raise ConfigError(
+                        f"model {binding.id!r}: builtin {binding.builtin!r} takes {inputs} "
+                        f"inputs, but the config has {len(self.variables)} variables"
+                    )
                 out[binding.id] = Model(id=binding.id, fidelity=base.fidelity, fn=base.fn)
             else:
                 out[binding.id] = external_model(
@@ -148,6 +171,8 @@ class StudyConfig:
 
 
 def _parse_variable(entry: dict) -> VariableSpec:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a variable must be a mapping, got {entry!r}")
     kind = entry.get("dist")
     try:
         if kind == "uniform":
@@ -168,6 +193,8 @@ def parse_config(data: dict) -> StudyConfig:
 
     problem = data.get("problem")
     if "variables" in data:
+        if not isinstance(data["variables"], list):
+            raise ConfigError(f"'variables' must be a list, got {data['variables']!r}")
         variables = tuple(_parse_variable(v) for v in data["variables"])
     elif problem in BENCHMARK_SPECS:
         variables = tuple(BENCHMARK_SPECS[problem])
@@ -204,11 +231,9 @@ def parse_config(data: dict) -> StudyConfig:
             if ref is not None and ref not in model_ids:
                 raise ConfigError(f"scheme {scheme.name!r} references unknown model {ref!r}")
 
-    levels = data.get("levels", {})
-    level_min = int(levels.get("min", 1))
-    level_max = int(levels.get("max", level_min))
-    if level_min < 0 or level_max < level_min:
-        raise ConfigError(f"bad level range [{level_min}, {level_max}]")
+    levels = _mapping(data, "levels")
+    level_min = int_at_least(levels.get("min", 1), 0, "levels min")
+    level_max = int_at_least(levels.get("max", level_min), level_min, "levels max")
 
     ref_data = data.get("reference")
     if not isinstance(ref_data, dict) or "kind" not in ref_data:
@@ -219,6 +244,10 @@ def parse_config(data: dict) -> StudyConfig:
         raise ConfigError(f"bad reference section: {exc}") from exc
     if reference.kind not in ("analytic", "pce", "mc"):
         raise ConfigError(f"unknown reference kind {reference.kind!r}")
+    if reference.kind == "analytic":
+        reference = dataclasses.replace(
+            reference, a=_number(reference.a, "reference a"), b=_number(reference.b, "reference b")
+        )
     if reference.kind in ("pce", "mc"):
         if reference.model not in model_ids:
             raise ConfigError(f"reference model {reference.model!r} not defined")
@@ -235,7 +264,10 @@ def parse_config(data: dict) -> StudyConfig:
             seed=None if reference.seed is None else seed_value(reference.seed, "reference seed"),
         )
 
-    validation = data.get("validation", {})
+    validation = _mapping(data, "validation")
+    cache_path = data.get("cache")
+    if cache_path is not None and not isinstance(cache_path, str):
+        raise ConfigError(f"'cache' must be a path, got {cache_path!r}")
     return StudyConfig(
         variables=variables,
         models=models,
@@ -246,7 +278,7 @@ def parse_config(data: dict) -> StudyConfig:
         validation_count=int_at_least(validation.get("count", 10000), 2, "validation count"),
         validation_seed=seed_value(validation.get("seed", 42), "validation seed"),
         output=str(data.get("output", "out")),
-        cache_path=data.get("cache"),
+        cache_path=cache_path,
         problem=problem,
     )
 

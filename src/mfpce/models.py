@@ -271,27 +271,32 @@ class CacheFileError(ValueError):
     """A persisted cache file that cannot be read back."""
 
 
-def _cache_keys(X: np.ndarray) -> list[tuple[float, ...]]:
-    """Cache keys of the rows of ``X``: coordinates rounded to
-    ``_KEY_DECIMALS`` decimals, with -0.0 folded into 0.0. A coordinate of
-    magnitude ``2**52`` or more has no fractional digits and is its own
-    key; rounding it would overflow to ``inf`` above about 1.8e296."""
+def _cache_keys(X: np.ndarray) -> np.ndarray:
+    """Cache keys of the rows of ``X``: the bytes of the row with its
+    coordinates rounded to ``_KEY_DECIMALS`` decimals and -0.0 folded into
+    0.0, one fixed-width ``np.void`` per row. A coordinate of magnitude
+    ``2**52`` or more has no fractional digits and is its own key; rounding
+    it would overflow to ``inf`` above about 1.8e296."""
     whole = np.abs(X) >= 2.0**52
     rounded = np.round(np.where(whole, 0.0, X), _KEY_DECIMALS)
-    return list(map(tuple, (np.where(whole, X, rounded) + 0.0).tolist()))
+    keys = np.ascontiguousarray(np.where(whole, X, rounded) + 0.0)
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
 class EvalCache:
     """Memoizes (model, node) evaluations and counts distinct evaluations.
 
-    With a persistence path, existing records are loaded on construction and
-    the fresh evaluations of each batch are appended after the model returns,
-    one ``model_id<TAB>coords<TAB>value`` record per line. Loaded and fresh
-    nodes are keyed by the same :func:`_cache_keys`.
+    The store holds, per model id and dimension, the sorted
+    :func:`_cache_keys` of the nodes seen and their values; a batch is
+    looked up with ``np.unique`` and ``np.searchsorted``. With a
+    persistence path, existing records are loaded on construction (the
+    last record of a key wins) and the fresh evaluations of each batch are
+    appended after the model returns, one ``model_id<TAB>coords<TAB>value``
+    record per line.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self.store: dict[tuple[str, tuple[float, ...]], float] = {}
+        self.store: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self.counters: dict[str, int] = {}
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
@@ -310,6 +315,8 @@ class EvalCache:
                     model_id, coords, value = line.split("\t")
                     xi = [float(c) for c in coords.split()]
                     y = float(value)
+                    if not xi:
+                        raise ValueError("no coordinates")
                 except ValueError:
                     raise CacheFileError(
                         f"{path}:{lineno}: malformed cache record {line!r}"
@@ -317,9 +324,11 @@ class EvalCache:
                 rows, values = records.setdefault((model_id, len(xi)), ([], []))
                 rows.append(xi)
                 values.append(y)
-        for (model_id, _), (rows, values) in records.items():
-            keys = _cache_keys(np.array(rows, dtype=float))
-            self.store.update(zip(((model_id, k) for k in keys), values))
+        for slot, (rows, values) in records.items():
+            # Reversed, a key's first record is the last one written.
+            keys = _cache_keys(np.array(rows[::-1], dtype=float))
+            keys, last = np.unique(keys, return_index=True)
+            self.store[slot] = keys, np.array(values[::-1], dtype=float)[last]
 
     def _append_records(self, model_id: str, X: np.ndarray, values) -> None:
         if self.path is None:
@@ -333,21 +342,34 @@ class EvalCache:
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),
         paying only for nodes not seen before. Rows sharing a key are paid
-        once, at their first occurrence."""
+        once, at their first occurrence, and in the order of those."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        keys = [(model.id, k) for k in _cache_keys(X)]
-        first: dict[tuple[str, tuple[float, ...]], int] = {}
-        for i, k in enumerate(keys):
-            if k not in self.store:
-                first.setdefault(k, i)
-        missing = list(first.values())
-        if missing:
-            new = X[missing]
-            fresh = [float(v) for v in model.batch(new)]
-            self.store.update(zip((keys[i] for i in missing), fresh))
-            self._append_records(model.id, new, fresh)
-            self.counters[model.id] = self.counters.get(model.id, 0) + len(missing)
-        return np.array([self.store[k] for k in keys])
+        slot = (model.id, X.shape[1])
+        keys, first, inverse = np.unique(_cache_keys(X), return_index=True, return_inverse=True)
+        known, known_values = self.store.get(slot, (keys[:0], np.empty(0)))
+        at = np.searchsorted(known, keys)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == keys[hit]
+        values = np.empty(len(keys))
+        values[hit] = known_values[at[hit]]
+        missing = np.flatnonzero(~hit)
+        if len(missing):
+            rows = np.sort(first[missing])
+            new = X[rows]
+            fresh = np.asarray(model.batch(new), dtype=float)
+            if fresh.shape != (len(rows),):
+                raise ModelError(
+                    f"model {model.id!r} returned shape {fresh.shape} for {len(rows)} nodes"
+                )
+            values[inverse[rows]] = fresh
+            self._append_records(model.id, new, fresh.tolist())
+            self.counters[model.id] = self.counters.get(model.id, 0) + len(rows)
+            at = at[missing]
+            self.store[slot] = (
+                np.insert(known, at, keys[missing]),
+                np.insert(known_values, at, values[missing]),
+            )
+        return values[inverse]
 
     def evaluate(self, model: Model, xi) -> float:
         return float(self.evaluate_many(model, np.asarray(xi, dtype=float)[None, :])[0])

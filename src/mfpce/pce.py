@@ -105,9 +105,11 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     for term in plan.terms:
         # Contract one level > 0 axis at a time; after the last contraction
         # the axes are those axes' degrees (a level-0 axis has degree 0 only).
-        partial = values[term.rows].reshape([len(table) for table in term.tables])
+        # Each step is ``np.tensordot(partial, table, ([0], [1]))`` without
+        # its per-call overhead: the same transposed views go to ``np.dot``.
+        partial = values[term.rows]
         for table in term.tables:
-            partial = np.tensordot(partial, table, axes=([0], [1]))
+            partial = np.dot(partial.reshape(table.shape[1], -1).T, table.T)
         coeffs[term.slots] += term.coeff * partial.ravel()
     return Expansion(specs=specs, terms=plan.index, coeffs=coeffs, provenance=provenance)
 

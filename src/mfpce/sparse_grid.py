@@ -11,7 +11,10 @@ two rules share, so no rounding tolerance is involved. A tensor node is the
 row of its ``n`` axis ids. The grid lists its nodes in lexicographic order of
 those rows, which is lexicographic order of the coordinates. A grid
 (:class:`QuadratureGrid`) keeps only the axis points, the ids and the
-weights; coordinates are gathered from them when read.
+weights; coordinates are gathered from them when read. Both the nodes and
+the projection's degrees form sets with a closed form, so a row's position
+in its set is counted from its entries, not found by sorting all rows
+(:func:`grid_plan`).
 
 The same signed combination is the sparse projection, where each term
 projects its own nodes (:func:`mfpce.pce.project`). One cached
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -143,11 +146,17 @@ def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
     rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
-    ids = np.indices([len(r) for r in rules]).reshape(len(rules), -1).T
+    shape = [len(r.points) for r in rules]
+    ids = np.zeros((prod(shape), len(shape)), dtype=np.intp)
     weights = np.ones(1)
-    for r in rules:
-        weights = np.outer(weights, r.weights).ravel()
-    return QuadratureGrid(points=tuple(r.points for r in rules), ids=ids, weights=weights)
+    # A one-point rule has point index 0 and weight exactly 1.0, so it
+    # changes neither the ids nor the weights.
+    for j, (size, r) in enumerate(zip(shape, rules)):
+        if size > 1:
+            column = ids.reshape(*shape, -1)[..., j]
+            column[...] = np.arange(size).reshape(size, *[1] * (len(shape) - j - 1))
+            weights = np.multiply.outer(weights, r.weights)
+    return QuadratureGrid(points=tuple(r.points for r in rules), ids=ids, weights=weights.ravel())
 
 
 def row_keys(rows) -> np.ndarray:
@@ -165,29 +174,80 @@ def unique_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(_ID_DTYPE).reshape(len(keys), -1).astype(np.intp), inverse
 
 
-def _axis_ids(rules: list[GaussRule]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct points of an axis's rules at levels ``0..w``, and at
-    ``[l, i]`` the id among them of point ``i`` of the level-``l`` rule."""
-    points = np.unique(np.concatenate([r.points for r in rules]))
-    table = np.zeros((len(rules), len(rules[-1])), dtype=np.intp)
+def _axis_ids(rules: list[GaussRule]):
+    """An axis's rules at levels ``0..w``: their sorted distinct points; at
+    ``[l, i]`` the id among these of point ``i`` of the level-``l`` rule;
+    per id its cost, the level of the one rule holding the point, 0 for the
+    centre 0.0, which every rule holds; and per id 1 for the centre, else 0.
+    """
+    level = np.repeat(np.arange(len(rules)), [len(r.points) for r in rules])
+    points = np.concatenate([r.points for r in rules])
+    once = (points != 0.0) | (level == 0)
+    order = np.argsort(points[once])
+    points, cost = points[once][order], level[once][order]
+    if (points[1:] == points[:-1]).any():
+        raise ValueError("rules of two levels share a point other than the centre")
+    table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.intp)
     for l, r in enumerate(rules):
-        table[l, : len(r)] = np.searchsorted(points, r.points)
-    return points, table
+        table[l, : len(r.points)] = np.searchsorted(points, r.points)
+    return points, table, cost, (points == 0.0).astype(np.intp)
+
+
+def _lex_ranks(rows, costs, centres, w: int, floor: int) -> tuple[np.ndarray, int]:
+    """Lexicographic ranks of ``rows`` in the set ``S`` of all rows ``x``
+    with ``sum_j costs[j][x_j] <= w``, and, unless some ``centres[j][x_j]``
+    holds, that sum at least ``floor``; and the size of ``S``. No sort.
+
+    A row's rank counts the rows of ``S`` before it: per axis ``j``, those
+    that agree on axes ``< j`` and are smaller on axis ``j``. That count
+    depends only on ``x_j`` and the state after axes ``< j``: the budget
+    left and whether a centre was among them. Per axis, a table holds it,
+    as prefix sums over ``x_j`` of the completions of the axes after ``j``
+    (counted from the last axis back), together with the next state; a
+    rank is then one gather per axis and table.
+    """
+    budget = np.arange(w + 1)[:, None, None]
+    seen = np.arange(2)[None, :, None]
+    # completions[b, c]: tails with budget b left, c = a centre came before them.
+    completions = np.stack([budget[:, 0, 0] <= w - floor, np.ones(w + 1, dtype=bool)], axis=1)
+    steps = []
+    for cost, centre in zip(costs[::-1], centres[::-1]):
+        left = budget - cost
+        counts = np.where(left >= 0, completions[np.maximum(left, 0), seen | centre], 0)
+        before = np.zeros((w + 1, 2, len(cost) + 1), dtype=np.intp)
+        np.cumsum(counts, axis=2, out=before[:, :, 1:])
+        completions = before[:, :, -1]
+        # The state is 2 * budget + seen; a row of S never overspends.
+        after = 2 * np.maximum(left, 0) + (seen | centre)
+        steps.append((before[:, :, :-1].ravel(), after.ravel(), len(cost)))
+    ranks = np.zeros(len(rows), dtype=np.intp)
+    state = np.full(len(rows), 2 * w)
+    for x, (before, after, width) in zip(rows.T, steps[::-1]):
+        state *= width
+        state += x
+        ranks += before[state]
+        state = after[state]
+    return ranks, int(completions[w, 0])
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     """Assemble the Smolyak grid of level ``w`` over ``families`` and its
-    projection.
+    projection, ranking rows by counting instead of sorting them.
 
     Each term's per-axis point indices come from :func:`tensor_grid`. They
-    are the term's degree box, so one ``np.unique`` over them gives the
-    index set and each term's slots in it. Mapped to rows of axis ids, they
-    are the term's nodes: a second ``np.unique`` over the rows' bytes, whose
-    sort order is the canonical node order, deduplicates them. Weights are
-    summed per node with ``np.bincount`` in ``level_terms`` order. Terms
-    share the ``psi * w`` tables of each (family, level) rule. The plan is
-    cached and its arrays are read-only.
+    are the term's degree box ``d_j < growth(l_j)``. The union of the boxes
+    is the index set ``{d : sum_j lvl(d_j) <= w}``, where ``lvl(d)`` is the
+    lowest level whose rule has more than ``d`` points, so a box row's slot
+    is its lexicographic rank there (:func:`_lex_ranks`). Mapped to rows of
+    axis ids, the point indices are the term's nodes. A point other than
+    the centre is in the rule of one level, its cost, and the union of the
+    terms' nodes is ``{x : sum_j cost(x_j) <= w}`` where some ``x_j`` is the
+    centre, or the cost sum is at least ``w - n + 1``; a node's rank there
+    is its position in the canonical order. Weights are summed per node
+    with ``np.bincount`` in ``level_terms`` order. Terms share the
+    ``psi * w`` tables of each (family, level) rule. The plan is cached and
+    its arrays are read-only.
     """
     n = len(families)
     terms = level_terms(n, w)
@@ -195,24 +255,28 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
     axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
-    boxes, term_weights = [], []
-    for term in terms:
-        sub = tensor_grid(term.levels, specs)
-        boxes.append(sub.ids)
-        term_weights.append(term.coeff * sub.weights)
-    sizes = [len(b) for b in boxes]
-    boxes = np.concatenate(boxes)
-    index, slots = unique_rows(boxes)
+    points, id_tables, costs, centres = zip(*(axes[f] for f in families))
+    subs = [tensor_grid(term.levels, specs) for term in terms]
+    sizes = [len(sub) for sub in subs]
+    boxes = np.concatenate([sub.ids for sub in subs])
+    term_weights = np.concatenate([t.coeff * sub.weights for t, sub in zip(terms, subs)])
+    del subs  # the per-term copies; freed early, as is ``boxes``, to lower the peak
+    degree_cost = np.repeat(np.arange(w + 1), np.diff([0] + [growth(l) for l in range(w + 1)]))
+    no_centre = np.zeros(len(degree_cost), dtype=np.intp)
+    slots, size = _lex_ranks(boxes, [degree_cost] * n, [no_centre] * n, w, 0)
+    index = np.empty((size, n), dtype=np.intp)
+    index[slots] = boxes
     levels = np.array([t.levels for t in terms])
-    node_ids = np.empty(boxes.shape, dtype=_ID_DTYPE)
-    for j, f in enumerate(families):
-        node_ids[:, j] = axes[f][1][np.repeat(levels[:, j], sizes), boxes[:, j]]
-    del boxes  # lowers the peak of the second np.unique
-    ids, inverse = unique_rows(node_ids)
-    ids = ids.astype(np.uint32)
-    weights = np.bincount(inverse, weights=np.concatenate(term_weights), minlength=len(ids))
+    node_ids = np.empty(boxes.shape, dtype=np.uint32)
+    for j, table in enumerate(id_tables):
+        node_ids[:, j] = table[np.repeat(levels[:, j], sizes), boxes[:, j]]
+    del boxes
+    inverse, size = _lex_ranks(node_ids, costs, centres, w, w - n + 1)
+    ids = np.empty((size, n), dtype=np.uint32)
+    ids[inverse] = node_ids
+    weights = np.bincount(inverse, weights=term_weights, minlength=size)
     cuts = np.cumsum(sizes)[:-1]
-    grid = QuadratureGrid(points=tuple(axes[f][0] for f in families), ids=ids, weights=weights)
+    grid = QuadratureGrid(points=points, ids=ids, weights=weights)
     for a in (weights, ids, index, *grid.points, *tables.values(), inverse, slots):
         a.setflags(write=False)
     plan_terms = (

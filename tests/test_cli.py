@@ -274,6 +274,63 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert evaluated == []
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"validation": 16}, "'validation' must be a mapping, got 16"),
+            ({"levels": [1, 2]}, "'levels' must be a mapping, got [1, 2]"),
+            ({"levels": {"min": "one"}}, "levels min must be an integer, got 'one'"),
+            ({"levels": {"min": 2, "max": "two"}}, "levels max must be an integer, got 'two'"),
+            ({"levels": {"min": 2, "max": 1}}, "levels max must be >= 2, got 1"),
+            ({"variables": 3}, "'variables' must be a list, got 3"),
+            ({"variables": ["x"]}, "a variable must be a mapping, got 'x'"),
+            (
+                {"reference": {"kind": "analytic", "a": "seven"}},
+                "reference a must be a number, got 'seven'",
+            ),
+            ({"cache": 5}, "'cache' must be a path, got 5"),
+        ],
+        ids=[
+            "validation_not_mapping",
+            "levels_not_mapping",
+            "levels_min_not_integer",
+            "levels_max_not_integer",
+            "levels_max_below_min",
+            "variables_not_list",
+            "variable_not_mapping",
+            "reference_a_not_number",
+            "cache_not_path",
+        ],
+    )
+    def test_malformed_section_is_config_error(
+        self, tmp_path, monkeypatch, capsys, overrides, message
+    ):
+        """A section that is not a mapping, or a value that is not a number
+        or a path, exits 2 with one line naming it, before any model runs."""
+        evaluated = []
+        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
+        assert main(["--config", str(cfg), "converge"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert evaluated == []
+
+    @pytest.mark.parametrize("argv", [["converge"], ["sobol", "--scheme", "hf", "--w", "1"]])
+    def test_builtin_dimension_mismatch_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        """A builtin model whose input count differs from the config's
+        variables exits 2 when the models are loaded, before any runs."""
+        evaluated = []
+        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        variables = [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}]
+        cfg = ishigami_config(tmp_path, tmp_path / "out", variables=variables)
+        assert main(["--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        message = "model 'hf': builtin 'ishigami/hf' takes 3 inputs, but the config has 1 variables"
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert evaluated == []
+
     @pytest.mark.parametrize("output, code", [("x", 0), ("'nan'", 3)], ids=["ok", "model_error"])
     @pytest.mark.parametrize(
         "argv",

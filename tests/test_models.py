@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfpce.models import (
     BENCHMARK_SPECS,
@@ -162,6 +162,80 @@ class TestExternal:
             ExternalModel("true", mode="pipe")
 
 
+def tuple_keys(X):
+    """Cache keys as tuples of floats, the representation the array keys
+    replaced: rounded to 12 decimals below 2**52, -0.0 folded into 0.0."""
+    whole = np.abs(X) >= 2.0**52
+    rounded = np.round(np.where(whole, 0.0, X), 12)
+    return list(map(tuple, (np.where(whole, X, rounded) + 0.0).tolist()))
+
+
+class TupleDictCache:
+    """The tuple-dict cache algorithm, written out as the reference for
+    :class:`EvalCache`: one dict from ``(model id, key tuple)`` to value,
+    loaded from the file with the last record of a key winning, and a
+    batch that pays for each missing key at its first row, in row order,
+    with one append per batch."""
+
+    def __init__(self, path):
+        self.store, self.counters, self.path = {}, {}, path
+        if path.exists():
+            for line in path.read_text().splitlines():
+                model_id, coords, value = line.split("\t")
+                xi = np.array([[float(c) for c in coords.split()]])
+                self.store[(model_id, tuple_keys(xi)[0])] = float(value)
+
+    def evaluate_many(self, model, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        keys = [(model.id, k) for k in tuple_keys(X)]
+        first = {}
+        for i, k in enumerate(keys):
+            if k not in self.store:
+                first.setdefault(k, i)
+        missing = list(first.values())
+        if missing:
+            new = X[missing]
+            fresh = [float(v) for v in model.batch(new)]
+            self.store.update(zip((keys[i] for i in missing), fresh))
+            with open(self.path, "a") as fh:
+                fh.write(
+                    "".join(
+                        f"{model.id}\t{' '.join(f'{c:.17g}' for c in xi)}\t{v:.17g}\n"
+                        for xi, v in zip(new, fresh)
+                    )
+                )
+            self.counters[model.id] = self.counters.get(model.id, 0) + len(missing)
+        return np.array([self.store[k] for k in keys])
+
+
+#: Coordinates that stress the keys: a signed zero, two values that round
+#: to one key, numpy-vs-Python rounding, and magnitudes of 2**52 and more.
+KEY_EDGES = [0.0, -0.0, 0.5, 0.5 + 1e-14, 1e-13, -3.25, 2461.7621578959875,
+             2.0**52, -(2.0**52) - 2, 2.0**53 + 2, 1e300, -1e300]
+coordinates = st.sampled_from(KEY_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("eval"),
+            st.sampled_from(["a", "b"]),
+            st.integers(1, 2).flatmap(
+                lambda d: st.lists(
+                    st.lists(coordinates, min_size=d, max_size=d), min_size=1, max_size=8
+                )
+            ),
+        ),
+        st.tuples(st.just("reload"), st.none(), st.none()),
+        st.tuples(
+            st.just("inject"),
+            st.sampled_from(["a", "b"]),
+            st.tuples(st.lists(coordinates, min_size=1, max_size=2), st.floats(-10, 10)),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
 class TestEvalCache:
     def test_counts_distinct_nodes_once(self):
         calls = []
@@ -272,8 +346,9 @@ class TestEvalCache:
 
             got = reloaded.evaluate_many(Model(id="m", fidelity="hf", fn=unpaid), X)
         assert reloaded.count("m") == 0
-        last = {k: v for k, v in zip(_cache_keys(X), values)}
-        assert got.tolist() == [last[k] for k in _cache_keys(X)]
+        keys = [k.tobytes() for k in _cache_keys(X)]
+        last = dict(zip(keys, values))
+        assert got.tolist() == [last[k] for k in keys]
 
     def test_huge_coordinates_are_keyed_apart(self):
         calls = []
@@ -292,7 +367,61 @@ class TestEvalCache:
     )
     def test_keys_below_two_to_the_52_are_rounded(self, coords):
         X = np.array([coords, [-0.0] * len(coords)])
-        assert _cache_keys(X) == list(map(tuple, (np.round(X, 12) + 0.0).tolist()))
+        keys = _cache_keys(X)
+        assert keys.shape == (2,) and keys.dtype.itemsize == 8 * len(coords)
+        assert [k.tobytes() for k in keys] == [row.tobytes() for row in np.round(X, 12) + 0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @example(
+        [
+            ("eval", "a", [[0.5, -0.0], [0.5 + 1e-14, 0.0], [2.0**53 + 2, 1.0], [0.5, -0.0]]),
+            ("eval", "b", [[0.5], [1e300], [-(2.0**52) - 2], [1e300]]),
+            ("inject", "a", ([0.5, 0.0], 7.0)),
+            ("reload", None, None),
+            ("eval", "a", [[0.5, 0.0], [2.0**53 + 2, 1.0], [-3.25, 1e-13]]),
+            ("eval", "b", [[0.5], [2461.7621578959875], [1e300]]),
+        ]
+    )
+    @given(cache_ops)
+    def test_array_store_equals_tuple_dict_cache(self, ops):
+        """Values, counts, the rows each model is asked for, in order, and
+        the appended bytes all equal those of :class:`TupleDictCache`, over
+        duplicate rows, signed zeros, huge coordinates, two model ids, two
+        dimensions, records appended from outside and reloads."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "array.tsv", Path(tmp) / "tuple.tsv"
+            caches = EvalCache(paths[0]), TupleDictCache(paths[1])
+            calls = {}
+
+            def model(impl, model_id):
+                offset = {"a": 0.0, "b": 0.25}[model_id]
+
+                def fn(X):
+                    calls.setdefault((impl, model_id), []).append(X.copy())
+                    return np.cos(X).sum(axis=1) + X.shape[1] + offset
+
+                return Model(id=model_id, fidelity="hf", fn=fn)
+
+            for op, model_id, arg in ops:
+                if op == "eval":
+                    got = [c.evaluate_many(model(i, model_id), arg) for i, c in enumerate(caches)]
+                    assert got[0].dtype == got[1].dtype and got[0].tobytes() == got[1].tobytes()
+                elif op == "reload":
+                    caches = EvalCache(paths[0]), TupleDictCache(paths[1])
+                else:
+                    row, value = arg
+                    record = f"{model_id}\t{' '.join(f'{c:.17g}' for c in row)}\t{value:.17g}\n"
+                    for path in paths:
+                        with open(path, "a") as fh:
+                            fh.write(record)
+                for model_id in "ab":
+                    assert caches[0].count(model_id) == caches[1].counters.get(model_id, 0)
+                    asked = calls.get((0, model_id), []), calls.get((1, model_id), [])
+                    assert [(x.shape, x.tobytes()) for x in asked[0]] == [
+                        (y.shape, y.tobytes()) for y in asked[1]
+                    ]
+                written = [p.read_bytes() if p.exists() else b"" for p in paths]
+                assert written[0] == written[1]
 
     def test_one_append_per_batch(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
@@ -312,6 +441,12 @@ class TestEvalCache:
         path = tmp_path / "cache.tsv"
         path.write_text("m\t0.5 2\t2.5\n\nm\t1 2\n")
         with pytest.raises(CacheFileError, match=r"cache\.tsv:3: malformed"):
+            EvalCache(path)
+
+    def test_record_without_coordinates_is_malformed(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("m\t0.5 2\t2.5\nm\t\t1.0\n")
+        with pytest.raises(CacheFileError, match=r"cache\.tsv:2: malformed"):
             EvalCache(path)
 
     def test_persistence_format(self, tmp_path):

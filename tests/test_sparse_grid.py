@@ -17,6 +17,7 @@ from mfpce.sparse_grid import (
     tensor_grid,
 )
 
+L, H = PolyFamily.LEGENDRE, PolyFamily.HERMITE
 LEG = VariableSpec("u", Uniform(2.0, 6.0))
 HER = VariableSpec("g", Normal(-1.0, 0.5))
 
@@ -42,6 +43,53 @@ def rounded_key_grid(n, w, specs):
                 coords[key] = node
     keys = sorted(acc)
     return np.array([coords[k] for k in keys]), np.array([acc[k] for k in keys])
+
+
+def sorted_assembly(w, families):
+    """The sort-based plan assembly that counting ranks replaced: per term
+    in ``level_terms`` order its degree box (``np.indices``), its node rows
+    of axis ids and its weights (``np.outer``); ``np.unique`` over the
+    big-endian bytes of the box rows gives the index and the slots, and
+    over the node rows the ids and each node's position; weights are summed
+    with ``np.bincount``. Returns the index, ids, weights, and per term in
+    sorted level order its rows and slots."""
+    n = len(families)
+    terms = level_terms(n, w)
+    rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
+    axes = {}
+    for f in set(families):
+        points = np.unique(np.concatenate([rules[f, l].points for l in range(w + 1)]))
+        axes[f] = [np.searchsorted(points, rules[f, l].points) for l in range(w + 1)]
+    boxes, nodes, weights = [], [], []
+    for term in terms:
+        box = np.indices([growth(l) for l in term.levels]).reshape(n, -1).T
+        boxes.append(box)
+        levels = list(zip(families, term.levels))
+        nodes.append(np.column_stack([axes[f][l][box[:, j]] for j, (f, l) in enumerate(levels)]))
+        wgt = np.ones(1)
+        for f, l in zip(families, term.levels):
+            wgt = np.outer(wgt, rules[f, l].weights).ravel()
+        weights.append(term.coeff * wgt)
+
+    def unique_rows(rows):
+        rows = np.ascontiguousarray(np.concatenate(rows), dtype=">u4")
+        keys = rows.view(np.dtype((np.void, 4 * n))).ravel()
+        keys, inverse = np.unique(keys, return_inverse=True)
+        return keys.view(">u4").reshape(len(keys), n), inverse
+
+    index, slots = unique_rows(boxes)
+    ids, positions = unique_rows(nodes)
+    summed = np.bincount(positions, weights=np.concatenate(weights), minlength=len(ids))
+    cuts = np.cumsum([len(b) for b in boxes])[:-1]
+    per_term = {
+        t.levels: (r, s) for t, r, s in zip(terms, np.split(positions, cuts), np.split(slots, cuts))
+    }
+    return (
+        index.astype(np.intp),
+        ids.astype(np.uint32),
+        summed,
+        [per_term[levels] for levels in sorted(per_term)],
+    )
 
 
 class TestGrowth:
@@ -218,6 +266,25 @@ class TestSmolyakGrid:
             assert len(term.tables) == len(expected) and all(
                 np.array_equal(t, e) for t, e in zip(term.tables, expected)
             )
+
+    @pytest.mark.parametrize(
+        "w, families",
+        [(w, (L,)) for w in range(8)]
+        + [(w, (L, L)) for w in (5, 6, 7)]
+        + [(5, (L, H, L)), (4, (H, L, H, L, L)), (5, (L,) * 8), (2, (L, H) * 10)],
+        ids=lambda v: v if isinstance(v, int) else "".join(f.name[0] for f in v),
+    )
+    def test_ranks_equal_the_sorted_assembly(self, w, families):
+        """Counting ranks give the index, slots, rows, ids and weights of
+        the sort-based assembly, bit for bit and with the same dtypes."""
+        plan = grid_plan(w, families)
+        index, ids, weights, per_term = sorted_assembly(w, families)
+        for got, want in [(plan.index, index), (plan.grid.ids, ids), (plan.grid.weights, weights)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(plan.terms) == len(per_term)
+        for term, (rows, slots) in zip(plan.terms, per_term):
+            assert term.rows.dtype == rows.dtype and np.array_equal(term.rows, rows)
+            assert term.slots.dtype == slots.dtype and np.array_equal(term.slots, slots)
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
