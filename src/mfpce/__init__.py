@@ -1,7 +1,7 @@
 """Variance-based global sensitivity analysis with single- and
 multi-fidelity polynomial chaos expansions on Smolyak sparse grids."""
 
-from .mf import MfConfig, build_mf, build_mf_parts, correction_values
+from .mf import BuiltScheme, build_mf_parts
 from .models import EvalCache, Model, ModelError, builtin_model, external_model
 from .orthopoly import (
     GaussRule,
@@ -29,10 +29,8 @@ from .study import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MfConfig",
-    "build_mf",
+    "BuiltScheme",
     "build_mf_parts",
-    "correction_values",
     "EvalCache",
     "Model",
     "ModelError",

@@ -11,10 +11,10 @@ Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
 the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
 Exit codes: 0 success, 2 configuration error (including an out-of-range
-or malformed value, a section that is not a mapping, a builtin model whose
-input count differs from the variables', and an unreadable
-evaluation-cache file), 3 model-evaluation error,
-4 numerical degeneracy. Each command closes the models it resolved, so no
+or malformed value, an unknown key, a section that is not a mapping, a
+builtin model whose input count differs from the variables', and an
+unreadable evaluation-cache file), 3 model-evaluation error, 4 numerical
+degeneracy. Each command closes the models it resolved, so no
 stream-mode child outlives it.
 """
 

@@ -21,7 +21,8 @@ Schema (see README for a full example)::
     output: out
     cache: cache.tsv             # optional persistent evaluation cache
 
-Any other top-level key is a :class:`ConfigError`.
+Any other key, at the top level or in ``levels`` or ``validation``, is a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -58,14 +59,15 @@ class ConfigError(ValueError):
 
 def int_at_least(value, low: int, what: str) -> int:
     """``value`` as an integer no less than ``low``, or a :class:`ConfigError`
-    naming ``what`` and the value."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
-    if number < low:
-        raise ConfigError(f"{what} must be >= {low}, got {number}")
-    return number
+    naming ``what`` and the value. An integral float such as ``2.0`` is an
+    integer; a boolean, a string or any other float is not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _number(value, what: str) -> float:
@@ -76,13 +78,30 @@ def _number(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
-def _mapping(data: dict, key: str) -> dict:
+def _known_keys(section: dict, keys, what: str) -> None:
+    """A :class:`ConfigError` naming every key of ``section`` not in ``keys``."""
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
+
+
+def _mapping(data: dict, key: str, keys) -> dict:
     """The section ``data[key]`` (empty if absent), or a :class:`ConfigError`
-    if it is not a mapping."""
+    if it is not a mapping or has a key not in ``keys``."""
     section = data.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
+    _known_keys(section, keys, key)
     return section
+
+
+def _list(data: dict, key: str) -> list:
+    """The entries ``data[key]`` (empty if absent), or a :class:`ConfigError`
+    if they are not a list."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"'{key}' must be a list, got {entries!r}")
+    return entries
 
 
 def seed_value(value, what: str) -> int:
@@ -179,23 +198,30 @@ def _parse_variable(entry: dict) -> VariableSpec:
             return VariableSpec(entry["name"], Uniform(float(entry["a"]), float(entry["b"])))
         if kind == "normal":
             return VariableSpec(entry["name"], Normal(float(entry["mu"]), float(entry["sigma"])))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad variable entry {entry!r}: {exc}") from exc
     raise ConfigError(f"variable {entry.get('name')!r}: unknown dist {kind!r}")
+
+
+def _parse_scheme(entry: dict) -> SchemeSpec:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a scheme must be a mapping, got {entry!r}")
+    if "q" in entry:
+        entry = {**entry, "q": int_at_least(entry["q"], 0, f"scheme {entry.get('name')!r} q")}
+    try:
+        return SchemeSpec(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scheme entry: {exc}") from exc
 
 
 def parse_config(data: dict) -> StudyConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = [key for key in data if key not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    _known_keys(data, CONFIG_KEYS, "config")
 
     problem = data.get("problem")
     if "variables" in data:
-        if not isinstance(data["variables"], list):
-            raise ConfigError(f"'variables' must be a list, got {data['variables']!r}")
-        variables = tuple(_parse_variable(v) for v in data["variables"])
+        variables = tuple(_parse_variable(v) for v in _list(data, "variables"))
     elif problem in BENCHMARK_SPECS:
         variables = tuple(BENCHMARK_SPECS[problem])
     else:
@@ -204,26 +230,29 @@ def parse_config(data: dict) -> StudyConfig:
         raise ConfigError("at least one variable is required")
 
     try:
-        models = tuple(ModelBinding(**m) for m in data.get("models", []))
+        models = tuple(ModelBinding(**m) for m in _list(data, "models"))
     except TypeError as exc:
         raise ConfigError(f"bad model binding: {exc}") from exc
     if not models:
         raise ConfigError("at least one model is required")
     for binding in models:
+        if not isinstance(binding.id, str):
+            raise ConfigError(f"model id must be a string, got {binding.id!r}")
+        for key in ("builtin", "command"):
+            value = getattr(binding, key)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"model {binding.id!r}: {key} must be a string, got {value!r}")
         if (binding.builtin is None) == (binding.command is None):
             raise ConfigError(
                 f"model {binding.id!r} needs exactly one of 'builtin' or 'command'"
             )
         if binding.mode not in ("oneshot", "stream"):
             raise ConfigError(f"model {binding.id!r}: unknown mode {binding.mode!r}")
-    model_ids = {m.id for m in models}
-    if len(model_ids) != len(models):
+    model_ids = [m.id for m in models]
+    if len(set(model_ids)) != len(models):
         raise ConfigError("model ids must be unique")
 
-    try:
-        schemes = tuple(SchemeSpec(**s) for s in data.get("schemes", []))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scheme entry: {exc}") from exc
+    schemes = tuple(_parse_scheme(s) for s in _list(data, "schemes"))
     if not schemes:
         raise ConfigError("at least one scheme is required")
     for scheme in schemes:
@@ -231,7 +260,7 @@ def parse_config(data: dict) -> StudyConfig:
             if ref is not None and ref not in model_ids:
                 raise ConfigError(f"scheme {scheme.name!r} references unknown model {ref!r}")
 
-    levels = _mapping(data, "levels")
+    levels = _mapping(data, "levels", ("min", "max"))
     level_min = int_at_least(levels.get("min", 1), 0, "levels min")
     level_max = int_at_least(levels.get("max", level_min), level_min, "levels max")
 
@@ -264,7 +293,7 @@ def parse_config(data: dict) -> StudyConfig:
             seed=None if reference.seed is None else seed_value(reference.seed, "reference seed"),
         )
 
-    validation = _mapping(data, "validation")
+    validation = _mapping(data, "validation", ("count", "seed"))
     cache_path = data.get("cache")
     if cache_path is not None and not isinstance(cache_path, str):
         raise ConfigError(f"'cache' must be a path, got {cache_path!r}")

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mf import MfConfig, build_mf_parts
+from .mf import BuiltScheme, build_mf_parts
 from .models import EvalCache, Model
-from .pce import Expansion, evaluate_batch, mean, project, stack, variance
+from .pce import evaluate_batch, mean, project, stack, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
 from .sparse_grid import physical_nodes, smolyak_grid
 
@@ -141,17 +141,6 @@ class ConvergenceRow:
     std: float
 
 
-@dataclass(frozen=True)
-class BuiltScheme:
-    """Expansions and evaluation counts of one (scheme, level) cell."""
-
-    expansion: Expansion
-    lf_expansion: Expansion | None
-    correction: Expansion | None
-    n_hf: int
-    n_lf: int
-
-
 def build_scheme(
     scheme: SchemeSpec,
     w: int,
@@ -162,26 +151,17 @@ def build_scheme(
     """Build the expansion a scheme prescribes at sparse level ``w``."""
     cache = cache if cache is not None else EvalCache()
     specs = tuple(specs)
-    n = len(specs)
     if scheme.kind == "mf":
-        parts = build_mf_parts(
-            models[scheme.lf], models[scheme.hf], specs, MfConfig(w=w, q=scheme.q), cache
-        )
-        return BuiltScheme(
-            expansion=parts.combined,
-            lf_expansion=parts.lf,
-            correction=parts.correction,
-            n_hf=parts.n_hf,
-            n_lf=parts.n_lf,
-        )
+        return build_mf_parts(models[scheme.lf], models[scheme.hf], specs, w, scheme.q, cache)
     model = models[scheme.hf if scheme.kind == "hf" else scheme.lf]
-    grid = smolyak_grid(n, w, specs)
+    before = cache.count(model.id)
+    grid = smolyak_grid(len(specs), w, specs)
     values = cache.evaluate_many(model, physical_nodes(grid, specs))
     exp = project(values, w, specs, provenance=scheme.kind.upper())
-    count = cache.count(model.id)
+    paid = cache.count(model.id) - before
     if scheme.kind == "hf":
-        return BuiltScheme(exp, None, None, n_hf=count, n_lf=0)
-    return BuiltScheme(exp, None, None, n_hf=0, n_lf=count)
+        return BuiltScheme(exp, None, None, n_hf=paid, n_lf=0)
+    return BuiltScheme(exp, None, None, n_hf=0, n_lf=paid)
 
 
 def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
@@ -203,8 +183,9 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     """One row per (scheme, level), in config order, deterministically.
 
     ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
-    built once; each cell gets a fresh cache so its counters reflect only
-    that build. MF rows are emitted only for levels with ``w >= q``. The
+    built once. Every cell is built on a fresh in-memory cache, so each
+    row's counts are that cell's own cost; the config's ``cache`` file is
+    read by ``sobol`` and ``decay`` only. MF rows are emitted only for levels with ``w >= q``. The
     cells are built first; cells with one index set (one level) are then
     validated together. The models are closed before it returns.
     """

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from mfpce.cli import main as cli_main
-from mfpce.mf import MfConfig, build_mf_parts, physical_nodes
+from mfpce.mf import build_mf_parts, physical_nodes
 from mfpce.models import BENCHMARK_SPECS, EvalCache, builtin_model, external_model
 from mfpce.orthopoly import PolyFamily, gauss_rule
 from mfpce.pce import project, variance
@@ -36,15 +36,7 @@ def build_hf(problem, w, cache=None):
 
 def build_mf(problem, lf_name, w, q):
     specs = tuple(BENCHMARK_SPECS[problem])
-    cache = EvalCache()
-    parts = build_mf_parts(
-        builtin_model(problem, lf_name),
-        builtin_model(problem, "hf"),
-        specs,
-        MfConfig(w=w, q=q),
-        cache,
-    )
-    return parts
+    return build_mf_parts(builtin_model(problem, lf_name), builtin_model(problem, "hf"), specs, w, q)
 
 
 def e_t_or_inf(expansion, reference):
@@ -205,7 +197,7 @@ def test_criterion_05_mf_dominance(
     ]
     for problem, lf_name, q, reference in cases:
         for w in (2, 3, 4):
-            mf = build_mf(problem, lf_name, w, q).combined
+            mf = build_mf(problem, lf_name, w, q).expansion
             hf = build_hf(problem, w - q)
             e_t_mf = e_t_or_inf(mf, reference)
             e_t_hf = e_t_or_inf(hf, reference)
@@ -215,8 +207,8 @@ def test_criterion_05_mf_dominance(
 
     # Strict clause, compared at equal HF budget: both builds consume the
     # level-3 HF grid. The same-level comparison is printed for reference.
-    e_t_mf41 = e_t_or_inf(build_mf("borehole", "lf", 4, 1).combined, borehole_reference_w5)
-    e_t_mf31 = e_t_or_inf(build_mf("borehole", "lf", 3, 1).combined, borehole_reference_w5)
+    e_t_mf41 = e_t_or_inf(build_mf("borehole", "lf", 4, 1).expansion, borehole_reference_w5)
+    e_t_mf31 = e_t_or_inf(build_mf("borehole", "lf", 3, 1).expansion, borehole_reference_w5)
     e_t_hf3 = e_t_or_inf(build_hf("borehole", 3), borehole_reference_w5)
     print(
         f"borehole strict clause: e_t(MF(4,1))={e_t_mf41:.3g} < e_t(HF(3))={e_t_hf3:.3g}; "
@@ -235,7 +227,7 @@ def test_criterion_06_degenerate_q_identity():
     for problem, lf_names in pairs:
         direct = build_hf(problem, w)
         for lf_name in lf_names:
-            combined = build_mf(problem, lf_name, w, 0).combined
+            combined = build_mf(problem, lf_name, w, 0).expansion
             assert np.array_equal(combined.terms, direct.terms)
             worst = np.abs(combined.coeffs - direct.coeffs).max()
             assert worst <= 1e-12, f"{problem}/{lf_name}: {worst}"
@@ -366,7 +358,7 @@ def test_criterion_10_cost_accounting(borehole_reference_w5):
     assert n_tot_mf < n_tot_hf, f"{n_tot_mf} >= {n_tot_hf}"
 
     # the cheaper build must still satisfy criterion 5's accuracy ordering
-    e_t_mf = e_t_or_inf(parts.combined, borehole_reference_w5)
+    e_t_mf = e_t_or_inf(parts.expansion, borehole_reference_w5)
     e_t_hf2 = e_t_or_inf(build_hf("borehole", 2), borehole_reference_w5)
     assert e_t_mf <= e_t_hf2
     print(

@@ -289,6 +289,31 @@ class TestExitCodes:
                 "reference a must be a number, got 'seven'",
             ),
             ({"cache": 5}, "'cache' must be a path, got 5"),
+            ({"levels": {"min": 1, "max": 1, "step": 2}}, "unknown levels keys: 'step'"),
+            ({"validation": {"count": 100, "sed": 3}}, "unknown validation keys: 'sed'"),
+            ({"levels": {"min": 1.5, "max": 2.9}}, "levels min must be an integer, got 1.5"),
+            ({"levels": {"min": True}}, "levels min must be an integer, got True"),
+            ({"validation": {"count": 100.7}}, "validation count must be an integer, got 100.7"),
+            (
+                {"schemes": [{"name": "mf", "kind": "mf", "hf": "hf", "lf": "lf", "q": 1.5}]},
+                "scheme 'mf' q must be an integer, got 1.5",
+            ),
+            (
+                {"models": [{"id": "hf", "builtin": 3}]},
+                "model 'hf': builtin must be a string, got 3",
+            ),
+            (
+                {"models": [{"id": "hf", "command": 5}]},
+                "model 'hf': command must be a string, got 5",
+            ),
+            (
+                {"models": [{"id": [1], "builtin": "ishigami/hf"}]},
+                "model id must be a string, got [1]",
+            ),
+            (
+                {"schemes": [{"name": "hf", "kind": "hf", "hf": [1]}]},
+                "scheme 'hf' references unknown model [1]",
+            ),
         ],
         ids=[
             "validation_not_mapping",
@@ -300,13 +325,24 @@ class TestExitCodes:
             "variable_not_mapping",
             "reference_a_not_number",
             "cache_not_path",
+            "levels_unknown_key",
+            "validation_unknown_key",
+            "levels_fractional",
+            "levels_boolean",
+            "validation_count_fractional",
+            "scheme_q_fractional",
+            "model_builtin_not_string",
+            "model_command_not_string",
+            "model_id_not_string",
+            "scheme_model_not_string",
         ],
     )
     def test_malformed_section_is_config_error(
         self, tmp_path, monkeypatch, capsys, overrides, message
     ):
-        """A section that is not a mapping, or a value that is not a number
-        or a path, exits 2 with one line naming it, before any model runs."""
+        """A section that is not a mapping, an unknown key in a section, or a
+        value that is not an integer, a number, a string or a path exits 2
+        with one line naming it, before any model runs."""
         evaluated = []
         monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
         cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)

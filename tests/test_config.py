@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -12,6 +14,8 @@ from mfpce.config import (
 )
 from mfpce.models import builtin_model
 from mfpce.orthopoly import Normal, Uniform
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def minimal_config(**overrides):
@@ -157,6 +161,14 @@ class TestResolution:
         assert (models["lf"].id, models["lf"].fidelity) == ("lf", "lf1")
         x = np.array([[0.3, -1.2, 2.0]])
         assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads_and_resolves(self, path):
+        cfg = load_config(path)
+        with cfg.open_models() as models:
+            assert list(models) == [binding.id for binding in cfg.models]
+        for scheme in cfg.schemes:
+            assert {scheme.hf, scheme.lf} - {None} <= models.keys()
 
     def test_unknown_builtin(self):
         data = minimal_config(

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mfpce.mf import MfConfig, build_mf
+from mfpce.mf import build_mf_parts
 from mfpce.models import (
     BENCHMARK_SPECS,
     Model,
@@ -272,7 +272,7 @@ def _expansion(case):
     assert case == "mf_combined"
     specs = tuple(BENCHMARK_SPECS["ishigami"])
     hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
-    return build_mf(lf, hf, specs, MfConfig(w=4, q=2))
+    return build_mf_parts(lf, hf, specs, w=4, q=2).expansion
 
 
 def _stack_case(case):
@@ -295,7 +295,7 @@ def _stack_case(case):
     if case == "borehole_hf_mf_w3":
         specs = tuple(BENCHMARK_SPECS["borehole"])
         hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
-        return [project_model(hf, specs, 3), build_mf(lf, hf, specs, MfConfig(w=3, q=1))]
+        return [project_model(hf, specs, 3), build_mf_parts(lf, hf, specs, w=3, q=1).expansion]
     if case == "constant":
         return [from_map(MIXED3, {(0, 0, 0): c}) for c in (2.5, -0.75)]
     if case == "not_downward_closed":
@@ -374,7 +374,7 @@ class TestEvaluation:
         e = project_model(hf, specs, 5)
         assert len(e.terms) == 1023
         # Three outputs are one level of the ishigami study: HF, LF and MF.
-        mf = build_mf(lf, hf, specs, MfConfig(w=5, q=2))
+        mf = build_mf_parts(lf, hf, specs, w=5, q=2).expansion
         stacked = stack([e, project_model(lf, specs, 5), mf])
         X = _sample(specs, 100_000)
         for expansion, shape in ((e, (100_000,)), (stacked, (100_000, 3))):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfpce.config import parse_config
-from mfpce.models import Model, builtin_model
+from mfpce.models import EvalCache, Model, builtin_model
 from mfpce.pce import evaluate_batch, mean, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.study import (
@@ -177,6 +177,27 @@ class TestBuildScheme:
         assert built.lf_expansion is not None
         assert built.correction is not None
         assert built.n_hf > 0 and built.n_lf > 0
+
+    def test_each_build_reports_what_it_paid(self, ishigami_range_specs):
+        """On a shared cache a build counts the evaluations it paid, not the
+        cache's running total."""
+        models = {
+            "hf": builtin_model("ishigami", "hf"),
+            "lf": builtin_model("ishigami", "lf1"),
+        }
+        hf = SchemeSpec(name="hf", kind="hf", hf="hf")
+        mf = SchemeSpec(name="mf", kind="mf", hf="hf", lf="lf", q=2)
+        cache = EvalCache()
+        assert build_scheme(hf, 3, ishigami_range_specs, models, cache).n_hf == 159
+        # The 37 nodes of the w=2 grid are among the w=3 grid's 159.
+        assert build_scheme(hf, 2, ishigami_range_specs, models, cache).n_hf == 0
+
+        cache = EvalCache()
+        first = build_scheme(mf, 3, ishigami_range_specs, models, cache)
+        again = build_scheme(mf, 3, ishigami_range_specs, models, cache)
+        assert (first.n_hf, first.n_lf) == (7, 159)
+        assert (again.n_hf, again.n_lf) == (0, 0)
+        assert (cache.count(models["hf"].id), cache.count(models["lf"].id)) == (7, 159)
 
 
 class TestRunConvergence:
