@@ -70,10 +70,17 @@ def int_at_least(value, low: int, what: str) -> int:
     return value
 
 
+def _float(value) -> float:
+    """``float(value)``, with a ``TypeError`` for a boolean, which is no number."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a number, got {value!r}")
+    return float(value)
+
+
 def _number(value, what: str) -> float:
     """``value`` as a float, or a :class:`ConfigError` naming ``what`` and the value."""
     try:
-        return float(value)
+        return _float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
@@ -192,12 +199,14 @@ class StudyConfig:
 def _parse_variable(entry: dict) -> VariableSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"a variable must be a mapping, got {entry!r}")
+    if not isinstance(entry.get("name"), str):
+        raise ConfigError(f"a variable name must be a string, got {entry.get('name')!r}")
     kind = entry.get("dist")
     try:
         if kind == "uniform":
-            return VariableSpec(entry["name"], Uniform(float(entry["a"]), float(entry["b"])))
+            return VariableSpec(entry["name"], Uniform(_float(entry["a"]), _float(entry["b"])))
         if kind == "normal":
-            return VariableSpec(entry["name"], Normal(float(entry["mu"]), float(entry["sigma"])))
+            return VariableSpec(entry["name"], Normal(_float(entry["mu"]), _float(entry["sigma"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad variable entry {entry!r}: {exc}") from exc
     raise ConfigError(f"variable {entry.get('name')!r}: unknown dist {kind!r}")
@@ -220,6 +229,8 @@ def parse_config(data: dict) -> StudyConfig:
     _known_keys(data, CONFIG_KEYS, "config")
 
     problem = data.get("problem")
+    if problem is not None and not isinstance(problem, str):
+        raise ConfigError(f"'problem' must be a string, got {problem!r}")
     if "variables" in data:
         variables = tuple(_parse_variable(v) for v in _list(data, "variables"))
     elif problem in BENCHMARK_SPECS:

@@ -9,13 +9,20 @@ Three builtin families ship with their study input distributions:
 
 External executables are wrapped through a line-oriented wire protocol:
 one request line of space-separated physical coordinates, one response line
-holding a single decimal. ``oneshot`` mode spawns one process per request;
-``stream`` mode keeps a long-lived child answering line-for-line.
+holding a single decimal. ``oneshot`` mode spawns one process per request,
+running up to as many at once as this process may use CPUs (so they must
+not share scratch files); ``stream`` mode keeps a long-lived child answering
+line-for-line, and pipelines a batch's requests, so the child must answer
+each line in order and flush. Either way a batch returns its values in row
+order, and a failure raises :class:`ModelError` naming the node, with no
+child of the batch left running.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import selectors
 import shlex
 import subprocess
 from dataclasses import dataclass, field
@@ -162,8 +169,22 @@ def builtin_model(problem: str, fidelity: str) -> Model:
 
 # --- external processes -----------------------------------------------------
 
+#: Request lines encoded per write to a stream child, so a batch is never
+#: held as one string.
+_STREAM_CHUNK_ROWS = 64
+#: Bytes read from a child's pipe per ready event.
+_READ_BYTES = 8192
+#: Lines of a failed oneshot child's stderr quoted in its ModelError.
+_STDERR_LINES = 5
+
+
 def _format_request(xi) -> str:
     return " ".join(f"{c:.17g}" for c in xi)
+
+
+def _node(xi) -> tuple:
+    """A node as a tuple of floats, as error messages name it."""
+    return tuple(np.asarray(xi, dtype=float).tolist())
 
 
 def _parse_response(raw: str, xi) -> float:
@@ -171,17 +192,106 @@ def _parse_response(raw: str, xi) -> float:
         value = float(raw.strip())
     except ValueError:
         raise ModelError(
-            f"malformed response {raw.strip()!r} from external model at node {tuple(xi)}"
+            f"malformed response {raw.strip()!r} from external model at node {_node(xi)}"
         ) from None
     if not math.isfinite(value):
         raise ModelError(
-            f"non-finite output {raw.strip()!r} from external model at node {tuple(xi)}"
+            f"non-finite output {raw.strip()!r} from external model at node {_node(xi)}"
         )
     return value
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most oneshot children kept in
+    flight, so ``taskset -c 0`` runs them one at a time."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _stderr_tail(raw: bytes) -> str:
+    lines = raw.decode(errors="replace").strip().splitlines()
+    return " | ".join(line.strip() for line in lines[-_STDERR_LINES:])
+
+
+class _Oneshot:
+    """One oneshot child. The selector loop calls :meth:`on_ready` with each
+    pipe it reports ready: the request goes to stdin, which is then closed,
+    and stdout and stderr are read to their ends."""
+
+    def __init__(self, argv: list[str], row: int, node, selector: selectors.BaseSelector):
+        self.row = row
+        self.node = node
+        self.selector = selector
+        self.proc = subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0
+        )
+        self.request = memoryview((_format_request(node) + "\n").encode())
+        self.stdout = bytearray()
+        self.stderr = bytearray()
+        self.open = [self.proc.stdin, self.proc.stdout, self.proc.stderr]
+        for pipe in self.open:
+            os.set_blocking(pipe.fileno(), False)
+            event = selectors.EVENT_WRITE if pipe is self.proc.stdin else selectors.EVENT_READ
+            selector.register(pipe, event, self)
+
+    def _close(self, pipe) -> None:
+        self.selector.unregister(pipe)
+        pipe.close()
+        self.open.remove(pipe)
+
+    def on_ready(self, pipe) -> bool:
+        """Move the bytes ``pipe`` is ready for; True once all three are closed."""
+        if pipe is self.proc.stdin:
+            try:
+                self.request = self.request[os.write(pipe.fileno(), self.request) :]
+            except BrokenPipeError:
+                self.request = self.request[:0]  # it stopped reading; its exit tells
+            if not self.request:
+                self._close(pipe)
+        else:
+            data = os.read(pipe.fileno(), _READ_BYTES)
+            if data:
+                (self.stdout if pipe is self.proc.stdout else self.stderr).extend(data)
+            else:
+                self._close(pipe)
+        return not self.open
+
+    def result(self, command: str) -> float:
+        """Reap the child and read its reply; raise :class:`ModelError`, with
+        the last lines of its stderr, for a non-zero exit or a bad reply."""
+        returncode = self.proc.wait()
+        try:
+            if returncode != 0:
+                raise ModelError(
+                    f"external model {command!r} failed at node {self.node}: "
+                    f"exit status {returncode}"
+                )
+            return _parse_response(self.stdout.decode(errors="replace"), self.node)
+        except ModelError as exc:
+            tail = _stderr_tail(self.stderr)
+            if tail:
+                raise ModelError(f"{exc}; stderr: {tail}") from None
+            raise
+
+    def kill(self) -> None:
+        self.proc.kill()
+        for pipe in list(self.open):
+            self._close(pipe)
+        self.proc.wait()
+
+
 class ExternalModel:
-    """Subprocess-backed model honoring the line-oriented wire protocol."""
+    """Subprocess-backed model honoring the line-oriented wire protocol.
+
+    One :meth:`batch` overlaps its evaluations in one single-threaded
+    ``selectors`` loop. In oneshot mode up to :func:`_usable_cpus` children
+    run at once; in stream mode the requests are written to the one child
+    in bounded chunks while its replies are read back. Either way the
+    values come back in row order, and a failure raises :class:`ModelError`
+    for the lowest failing row with no child of the batch left running.
+    """
 
     def __init__(self, command: str, mode: str = "oneshot"):
         if mode not in ("oneshot", "stream"):
@@ -190,45 +300,123 @@ class ExternalModel:
         self.mode = mode
         self._proc: subprocess.Popen | None = None
 
-    def _eval_oneshot(self, xi) -> float:
-        try:
-            result = subprocess.run(
-                shlex.split(self.command),
-                input=_format_request(xi) + "\n",
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise ModelError(
-                f"external model {self.command!r} failed at node {tuple(xi)}: {exc}"
-            ) from exc
-        return _parse_response(result.stdout, xi)
+    def _batch_oneshot(self, X: np.ndarray) -> np.ndarray:
+        """Start a child per row, in row order, keeping up to
+        :func:`_usable_cpus` in flight. After a failure no child starts and
+        those of higher rows are killed; those of lower rows finish, since
+        one of them may fail too, and the lowest failing row is raised."""
+        argv = shlex.split(self.command)
+        width = min(len(X), _usable_cpus())
+        values = np.empty(len(X))
+        failures: dict[int, ModelError] = {}
+        running: dict[int, _Oneshot] = {}
+        started = 0
+        with selectors.DefaultSelector() as selector:
+            try:
+                while running or (started < len(X) and not failures):
+                    while len(running) < width and started < len(X) and not failures:
+                        node = _node(X[started])
+                        try:
+                            running[started] = _Oneshot(argv, started, node, selector)
+                        except OSError as exc:
+                            failures[started] = ModelError(
+                                f"cannot start external model {self.command!r} "
+                                f"at node {node}: {exc}"
+                            )
+                        started += 1
+                    if not running:
+                        break
+                    for key, _ in selector.select():
+                        child = key.data
+                        # A child killed earlier in this round of events is skipped.
+                        if running.get(child.row) is not child or not child.on_ready(key.fileobj):
+                            continue
+                        del running[child.row]
+                        try:
+                            values[child.row] = child.result(self.command)
+                        except ModelError as exc:
+                            failures[child.row] = exc
+                            for later in [r for r in running if r > min(failures)]:
+                                running.pop(later).kill()
+            finally:
+                for child in running.values():
+                    child.kill()
+        if failures:
+            raise failures[min(failures)]
+        return values
 
-    def _eval_stream(self, xi) -> float:
-        if self._proc is None or self._proc.poll() is not None:
+    def _child(self) -> subprocess.Popen:
+        """The stream child, started afresh if none runs."""
+        if self._proc is not None and self._proc.poll() is not None:
+            self._kill()
+        if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
                     shlex.split(self.command),
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
-                    text=True,
+                    bufsize=0,
                 )
             except OSError as exc:
                 raise ModelError(f"cannot start external model {self.command!r}: {exc}") from exc
-        try:
-            self._proc.stdin.write(_format_request(xi) + "\n")
-            self._proc.stdin.flush()
-            raw = self._proc.stdout.readline()
-        except (OSError, BrokenPipeError) as exc:
-            raise ModelError(
-                f"external model {self.command!r} pipe failure at node {tuple(xi)}: {exc}"
-            ) from exc
-        if raw == "":
-            raise ModelError(
-                f"external model {self.command!r} closed its output at node {tuple(xi)}"
-            )
-        return _parse_response(raw, xi)
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            os.set_blocking(self._proc.stdout.fileno(), False)
+        return self._proc
+
+    def _batch_stream(self, X: np.ndarray) -> np.ndarray:
+        """Write the requests in chunks of :data:`_STREAM_CHUNK_ROWS` lines
+        while reading the replies, which answer the rows in order. On any
+        failure the child is killed and reaped before the error propagates,
+        so the next batch starts a fresh one."""
+        proc = self._child()
+        values = np.empty(len(X))
+        pending = memoryview(b"")
+        sent = answered = 0
+        partial = b""
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdin, selectors.EVENT_WRITE)
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            try:
+                while answered < len(X):
+                    for key, _ in selector.select():
+                        if key.fileobj is proc.stdin:
+                            if not pending:
+                                chunk = X[sent : sent + _STREAM_CHUNK_ROWS].tolist()
+                                pending = memoryview(
+                                    "".join(_format_request(xi) + "\n" for xi in chunk).encode()
+                                )
+                                sent += len(chunk)
+                            try:
+                                pending = pending[os.write(proc.stdin.fileno(), pending) :]
+                            except BrokenPipeError:
+                                pending, sent = pending[:0], len(X)  # its output tells
+                            if not pending and sent == len(X):
+                                selector.unregister(proc.stdin)
+                            continue
+                        data = os.read(proc.stdout.fileno(), _READ_BYTES)
+                        if not data:
+                            raise ModelError(
+                                f"external model {self.command!r} closed its output "
+                                f"at node {_node(X[answered])}"
+                            )
+                        lines = (partial + data).split(b"\n")
+                        partial = lines.pop()
+                        for line in lines[: len(X) - answered]:
+                            reply = line.decode(errors="replace")
+                            values[answered] = _parse_response(reply, X[answered])
+                            answered += 1
+            except BaseException:
+                self._kill()
+                raise
+        return values
+
+    def _kill(self) -> None:
+        """Kill and reap the stream child and close its pipes."""
+        proc, self._proc = self._proc, None
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
     def close(self) -> None:
         """End the stream child: close its input, wait for it to exit (and
@@ -236,10 +424,7 @@ class ExternalModel:
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass  # the child has exited; input left in the buffer is moot
+        proc.stdin.close()
         try:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
@@ -248,8 +433,10 @@ class ExternalModel:
         proc.stdout.close()
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        evaluate = self._eval_oneshot if self.mode == "oneshot" else self._eval_stream
-        return np.array([evaluate(xi) for xi in np.atleast_2d(X)])
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.mode == "oneshot":
+            return self._batch_oneshot(X)
+        return self._batch_stream(X)
 
 
 def external_model(

@@ -1,4 +1,5 @@
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -34,3 +35,14 @@ def ishigami_range_specs():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240817))
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every child started through ``subprocess.Popen``, in start order."""
+    children = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(
+        subprocess, "Popen", lambda *a, **k: children.append(popen(*a, **k)) or children[-1]
+    )
+    return children

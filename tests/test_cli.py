@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,15 @@ STREAM_MODEL = """import sys
 for line in sys.stdin:
     x = float(line)
     print({output}, flush=True)
+"""
+
+
+#: A 1-D stream-mode model answering ``x`` line for line, with ``{fault}``
+#: at its third request.
+STREAM_FAULT = """for i, line in enumerate(sys.stdin):
+    if i == 2:
+        {fault}
+    print(float(line), flush=True)
 """
 
 
@@ -314,6 +324,19 @@ class TestExitCodes:
                 {"schemes": [{"name": "hf", "kind": "hf", "hf": [1]}]},
                 "scheme 'hf' references unknown model [1]",
             ),
+            ({"problem": [1]}, "'problem' must be a string, got [1]"),
+            (
+                {"variables": [{"name": [1], "dist": "uniform", "a": -1.0, "b": 1.0}]},
+                "a variable name must be a string, got [1]",
+            ),
+            (
+                {"reference": {"kind": "analytic", "a": True}},
+                "reference a must be a number, got True",
+            ),
+            (
+                {"variables": [{"name": "x", "dist": "uniform", "a": False, "b": True}]},
+                "a boolean is not a number, got False",
+            ),
         ],
         ids=[
             "validation_not_mapping",
@@ -335,6 +358,10 @@ class TestExitCodes:
             "model_command_not_string",
             "model_id_not_string",
             "scheme_model_not_string",
+            "problem_not_string",
+            "variable_name_not_string",
+            "reference_a_boolean",
+            "variable_bound_boolean",
         ],
     )
     def test_malformed_section_is_config_error(
@@ -378,7 +405,7 @@ class TestExitCodes:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_no_stream_child_outlives_the_command(self, tmp_path, monkeypatch, argv, output, code):
+    def test_no_stream_child_outlives_the_command(self, tmp_path, spawned, argv, output, code):
         script = tmp_path / "model.py"
         script.write_text(STREAM_MODEL.format(output=output))
         cfg = write_config(
@@ -393,13 +420,48 @@ class TestExitCodes:
                 "output": str(tmp_path / "out"),
             },
         )
-        children = []
-        popen = subprocess.Popen
-        monkeypatch.setattr(
-            subprocess, "Popen", lambda *a, **k: children.append(popen(*a, **k)) or children[-1]
-        )
         assert main(["--config", str(cfg), *argv]) == code
-        assert children and all(child.poll() is not None for child in children)
+        assert spawned and all(child.poll() is not None for child in spawned)
+
+    @pytest.mark.parametrize(
+        "mode, model, message",
+        [
+            (
+                "oneshot",
+                "x = float(input())\nif x > 0.5:\n    sys.exit('x above 0.5')\nprint(x)",
+                "exit status 1; stderr: x above 0.5",
+            ),
+            (
+                "stream",
+                STREAM_FAULT.format(fault="print('garbage', flush=True)"),
+                "malformed response 'garbage'",
+            ),
+            ("stream", STREAM_FAULT.format(fault="break"), "closed its output"),
+        ],
+        ids=["oneshot_exit", "stream_garbage", "stream_exit"],
+    )
+    def test_external_fault_is_model_error(self, tmp_path, capsys, spawned, mode, model, message):
+        """A oneshot child failing above 0.5, or a stream child answering
+        garbage or exiting at its third request, exits 3 within 5 s with
+        one line naming the node, and leaves no child running."""
+        script = tmp_path / "model.py"
+        script.write_text("import sys\n" + model)
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": mode}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "reference": {"kind": "pce", "model": "m", "w": 1},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        start = time.monotonic()
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]) == 3
+        assert time.monotonic() - start < 5
+        err = capsys.readouterr().err
+        assert "at node (" in err and message in err and err.count("\n") == 1
+        assert spawned and all(child.poll() is not None for child in spawned)
 
 
 class TestEnvironmentOverrides:

@@ -1,12 +1,15 @@
 import math
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mfpce import models
 from mfpce.models import (
     BENCHMARK_SPECS,
     CacheFileError,
@@ -15,6 +18,7 @@ from mfpce.models import (
     ModelError,
     ExternalModel,
     _cache_keys,
+    _usable_cpus,
     borehole_hf,
     borehole_lf,
     builtin_model,
@@ -23,6 +27,27 @@ from mfpce.models import (
 )
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
+
+#: A 1-D oneshot model answering ``x`` for ``x <= t`` and failing above it,
+#: slowly just above ``t``, so that a later row's failure is seen first.
+ONESHOT_ABOVE_T = """import sys, time
+x = float(sys.stdin.readline())
+if x > {t}:
+    if x < {t} + 0.1:
+        time.sleep(0.5)
+    print("x above {t}", file=sys.stderr)
+    sys.exit(1)
+print(x)
+"""
+
+#: A 1-D stream model answering ``x`` line for line, with ``{fault}`` at
+#: the 0-based line ``{k}``.
+STREAM_FAULT_AT_K = """import sys
+for i, line in enumerate(sys.stdin):
+    if i == {k}:
+        {fault}
+    print(float(line), flush=True)
+"""
 
 
 class TestBorehole:
@@ -122,12 +147,16 @@ class TestRegistry:
 
 
 class TestExternal:
-    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
-    def test_matches_builtin(self, mode):
+    @pytest.mark.parametrize(
+        "mode, rows", [("oneshot", 16), ("stream", 1000)], ids=["oneshot", "stream"]
+    )
+    def test_matches_builtin(self, mode, rows):
+        """An overlapped batch returns the builtin values in row order."""
+        X = np.random.default_rng(11).uniform(-math.pi, math.pi, size=(rows, 3))
         ext = external_model(f"{sys.executable} {SCRIPT}", mode=mode)
-        builtin = builtin_model("ishigami", "hf")
-        X = np.array([[0.1, -0.7, 2.3], [math.pi / 3, 0.0, -1.0]])
-        assert ext.batch(X) == pytest.approx(builtin.batch(X), abs=1e-9)
+        got = ext.batch(X)
+        ext.close()
+        assert got == pytest.approx(builtin_model("ishigami", "hf").batch(X), rel=1e-12, abs=1e-12)
 
     def test_stream_reuses_one_process(self):
         proc = ExternalModel(f"{sys.executable} {SCRIPT}", mode="stream")
@@ -160,6 +189,74 @@ class TestExternal:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             ExternalModel("true", mode="pipe")
+
+    def test_failure_quotes_child_stderr(self):
+        ext = external_model(
+            f"{sys.executable} -c \"import sys; print('boom', file=sys.stderr); sys.exit(1)\""
+        )
+        with pytest.raises(ModelError, match=r"at node \(0\.5, 2\.0\).*exit status 1.*boom"):
+            ext.batch(np.array([[0.5, 2.0]]))
+
+
+class TestOverlappedFaults:
+    """Faults in the middle of an overlapped batch end in a ModelError for the
+    right row, quickly, with no child of the batch left running."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_oneshot_keeps_cpus_children_in_flight(self, tmp_path, monkeypatch, spawned, cpus):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+        popen, in_flight = subprocess.Popen, []
+
+        def start(*args, **kwargs):
+            in_flight.append(sum(child.poll() is None for child in spawned))
+            return popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", start)
+        script = tmp_path / "model.py"
+        script.write_text("import time\ntime.sleep(0.15)\nprint(float(input()))\n")
+        X = np.arange(3.0)[:, None]
+        assert external_model(f"{sys.executable} {script}").batch(X).tolist() == X[:, 0].tolist()
+        assert in_flight == [min(row, cpus - 1) for row in range(3)]
+
+    def test_oneshot_raises_the_first_failing_row(self, tmp_path, spawned):
+        script = tmp_path / "model.py"
+        script.write_text(ONESHOT_ABOVE_T.format(t=0.5))
+        X = np.linspace(0.0, 1.0, 12)[:, None]
+        k = int(np.argmax(X[:, 0] > 0.5))
+        start = time.monotonic()
+        with pytest.raises(ModelError) as info:
+            external_model(f"{sys.executable} {script}").batch(X)
+        assert time.monotonic() - start < 5
+        assert f"at node {(float(X[k, 0]),)}" in str(info.value)
+        assert "x above 0.5" in str(info.value)
+        assert k < len(spawned) <= k + _usable_cpus()
+        assert all(child.poll() is not None for child in spawned)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("print('garbage', flush=True)", "malformed response 'garbage'"),
+            ("break", "closed its output"),
+        ],
+        ids=["garbage", "exit"],
+    )
+    def test_stream_raises_row_k_and_kills_the_child(self, tmp_path, spawned, fault, message):
+        k = 613
+        script = tmp_path / "model.py"
+        script.write_text(STREAM_FAULT_AT_K.format(k=k, fault=fault))
+        X = np.linspace(-1.0, 1.0, 1000)[:, None]
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
+        start = time.monotonic()
+        with pytest.raises(ModelError, match=message) as info:
+            proc.batch(X)
+        assert time.monotonic() - start < 5
+        assert f"at node {(float(X[k, 0]),)}" in str(info.value)
+        assert proc._proc is None
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert proc.batch(X[:3]) == pytest.approx(X[:3, 0])  # a fresh child
+        assert len(spawned) == 2
+        proc.close()
+        assert spawned[1].poll() is not None
 
 
 def tuple_keys(X):
