@@ -10,9 +10,8 @@ Subcommands::
 Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
 the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
-Exit codes: 0 success, 2 configuration error (including an out-of-range
-or malformed value, an unknown key, a section that is not a mapping, a
-builtin model whose input count differs from the variables', and an
+Exit codes: 0 success, 2 configuration error (a config that breaks the
+tables of README "Study configuration", an out-of-range flag, or an
 unreadable evaluation-cache file), 3 model-evaluation error, 4 numerical
 degeneracy. Each command closes the models it resolved, so no
 stream-mode child outlives it.
@@ -84,7 +83,8 @@ def _load(args) -> tuple[StudyConfig, Path]:
         raise ConfigError("no config given (use --config or MFPCE_CONFIG)")
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, validation_seed=seed_value(args.seed, "--seed"))
+        seed = seed_value(args.seed, "--seed")
+        cfg = dataclasses.replace(cfg, validation=dataclasses.replace(cfg.validation, seed=seed))
     out = Path(args.out) if args.out else Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -125,7 +125,7 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
-    cache = EvalCache(cfg.cache_path)
+    cache = EvalCache(cfg.cache)
     with cfg.open_models() as models:
         built = build_scheme(scheme, args.w, cfg.variables, models, cache)
     report = all_indices(built.expansion)
@@ -153,7 +153,7 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
-    cache = EvalCache(cfg.cache_path)
+    cache = EvalCache(cfg.cache)
     with cfg.open_models() as models:
         built = build_scheme(scheme, args.w, cfg.variables, models, cache)
         expansions = [built.expansion]
@@ -175,11 +175,11 @@ def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
     with cfg.open_models() as models:
         if args.model not in models:
             raise ConfigError(f"unknown model {args.model!r}")
-        report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation_seed)
+        report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation.seed)
     payload = _report_payload(report, cfg.variables)
     payload["model"] = args.model
     payload["n"] = args.n
-    payload["seed"] = cfg.validation_seed
+    payload["seed"] = cfg.validation.seed
     path = out / f"mc_{args.model}_n{args.n}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")

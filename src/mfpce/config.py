@@ -1,36 +1,19 @@
 """Study configuration: a YAML file with nested key/value sections.
 
-Schema (see README for a full example)::
-
-    problem: ishigami            # optional builtin: pulls variables
-    variables:                   # explicit list, overrides problem
-      - {name: x1, dist: uniform, a: -3.1416, b: 3.1416}
-      - {name: p,  dist: normal,  mu: 500.0,  sigma: 100.0}
-    models:
-      - {id: hf, builtin: ishigami/hf}
-      - {id: lf, builtin: ishigami/lf1}
-      - {id: ext, command: "python model.py", mode: stream, fidelity: hf}
-    schemes:
-      - {name: hf,  kind: hf, hf: hf}
-      - {name: mf1, kind: mf, hf: hf, lf: lf, q: 2, rt: 0.03125}
-    levels: {min: 1, max: 4}
-    reference: {kind: analytic, a: 7.0, b: 0.1}
-    #          {kind: pce, model: hf, w: 5}
-    #          {kind: mc,  model: hf, n: 65536, seed: 7}
-    validation: {count: 10000, seed: 42}
-    output: out
-    cache: cache.tsv             # optional persistent evaluation cache
-
-Any other key, at the top level or in ``levels`` or ``validation``, is a
-:class:`ConfigError`.
+Each section is described once, as a :class:`Section`: a table of fields,
+each with a check and a default. :data:`CONFIG` and the sections it nests
+are read by one walker and written back by :func:`config_to_dict`. The
+README's "Study configuration" has the same tables and a full example.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import shlex
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -39,22 +22,12 @@ from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
 from .study import SchemeSpec, build_scheme, ishigami_analytic
 
-#: The top-level keys of a study config.
-CONFIG_KEYS = (
-    "problem",
-    "variables",
-    "models",
-    "schemes",
-    "levels",
-    "reference",
-    "validation",
-    "output",
-    "cache",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent study configuration."""
+
+
+# --- field checks: each takes a value and its label and returns the value ----
 
 
 def int_at_least(value, low: int, what: str) -> int:
@@ -70,47 +43,6 @@ def int_at_least(value, low: int, what: str) -> int:
     return value
 
 
-def _float(value) -> float:
-    """``float(value)``, with a ``TypeError`` for a boolean, which is no number."""
-    if isinstance(value, bool):
-        raise TypeError(f"a boolean is not a number, got {value!r}")
-    return float(value)
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float, or a :class:`ConfigError` naming ``what`` and the value."""
-    try:
-        return _float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-def _known_keys(section: dict, keys, what: str) -> None:
-    """A :class:`ConfigError` naming every key of ``section`` not in ``keys``."""
-    unknown = [key for key in section if key not in keys]
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
-
-
-def _mapping(data: dict, key: str, keys) -> dict:
-    """The section ``data[key]`` (empty if absent), or a :class:`ConfigError`
-    if it is not a mapping or has a key not in ``keys``."""
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{key}' must be a mapping, got {section!r}")
-    _known_keys(section, keys, key)
-    return section
-
-
-def _list(data: dict, key: str) -> list:
-    """The entries ``data[key]`` (empty if absent), or a :class:`ConfigError`
-    if they are not a list."""
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"'{key}' must be a list, got {entries!r}")
-    return entries
-
-
 def seed_value(value, what: str) -> int:
     """``value`` as a seed: a key of the Philox generator, ``0 <= seed < 2**128``."""
     seed = int_at_least(value, 0, what)
@@ -119,13 +51,147 @@ def seed_value(value, what: str) -> int:
     return seed
 
 
+def at_least(low: int) -> Callable:
+    """The check of an integer no less than ``low``."""
+    return lambda value, what: int_at_least(value, low, what)
+
+
+def string(value, what: str, noun: str = "a string") -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def path(value, what: str) -> str:
+    return string(value, what, "a path")
+
+
+def shell_words(value, what: str) -> str:
+    """A string that ``shlex.split`` splits into a program and its arguments,
+    as an external model is run."""
+    words = string(value, what)
+    try:
+        argv = shlex.split(words)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be shell words ({exc}), got {value!r}") from None
+    if not argv:
+        raise ConfigError(f"{what} must name a program, got {value!r}")
+    return words
+
+
+def number(value, what: str) -> float:
+    """A finite number, as a float; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def one_of(*choices: str) -> Callable:
+    """The check of one of the strings ``choices``."""
+
+    def check(value, what: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{what} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return check
+
+
+# --- sections -----------------------------------------------------------------
+
+#: The default of a key that must be given.
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Section:
+    """One mapping of a config, or with ``many`` a list of them, described
+    as a table of fields; ``noun`` names it in errors.
+
+    ``fields`` maps each key to ``(check, default)``. A check is a function
+    of the value and its label, or a nested :class:`Section`. A dict in
+    place of a check makes the key a tag: its value picks one of the dict's
+    tables, whose fields join the section. A ``null`` value is an absent key
+    and takes the default, which is checked like a given value; a default
+    of :data:`REQUIRED` makes the key required. A field's label is
+    ``label`` formatted with its ``key`` and the ``name`` in the entry's
+    first field. ``build`` makes the section's object from its fields and
+    ``view`` gives them back.
+    """
+
+    noun: str
+    label: str
+    fields: dict
+    many: bool = False
+    build: Callable = dict
+    view: Callable = vars
+
+    def __call__(self, value, what: str):
+        if not self.many:
+            return self._read(value, what)
+        if not isinstance(value, list):
+            raise ConfigError(f"{what} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{what} needs at least one entry")
+        return tuple(self._read(entry, f"a {self.noun}") for entry in value)
+
+    def _read(self, data, what: str):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{what} must be a mapping, got {data!r}")
+        fields, got = dict(self.fields), {}
+        keys = list(fields)
+        for key in keys:  # a tag extends ``keys`` by its variant's
+            check, default = fields[key]
+            value = default if data.get(key) is None else data[key]
+            if self.many and not got:
+                label = f"a {self.noun} {key}"
+            else:
+                label = self.label.format(key=key, name=next(iter(got.values()), None))
+            if value is REQUIRED:
+                raise ConfigError(f"{label} is required")
+            if isinstance(check, dict):
+                value = one_of(*check)(value, label)
+                fields.update(check[value])
+                keys += check[value]
+            elif value is not None:
+                value = check(value, label)
+            got[key] = value
+        unknown = [key for key in data if key not in fields]
+        if unknown:
+            raise ConfigError(f"unknown {self.noun} keys: {', '.join(map(repr, unknown))}")
+        try:
+            return self.build(**got)
+        except ValueError as exc:
+            raise ConfigError(f"bad {self.noun} {data!r}: {exc}") from None
+
+    def dump(self, obj) -> dict:
+        """The mapping of ``obj`` by this table: each field that is not None."""
+        values, fields, out = self.view(obj), dict(self.fields), {}
+        keys = list(fields)
+        for key in keys:  # a tag extends ``keys`` by its variant's
+            check, value = fields[key][0], values[key]
+            if isinstance(check, dict):
+                fields.update(check[value])
+                keys += check[value]
+            elif isinstance(check, Section) and value is not None:
+                value = [check.dump(v) for v in value] if check.many else check.dump(value)
+            if value is not None:
+                out[key] = value
+        return out
+
+
+# --- the config's objects and tables -----------------------------------------
+
+
 @dataclass(frozen=True)
 class ModelBinding:
     id: str
-    builtin: str | None = None
-    command: str | None = None
-    mode: str = "oneshot"
-    fidelity: str = "hf"
+    builtin: str | None
+    command: str | None
+    mode: str
+    fidelity: str
 
 
 @dataclass(frozen=True)
@@ -135,23 +201,104 @@ class ReferenceSpec:
     w: int | None = None
     n: int | None = None
     seed: int | None = None
-    a: float = 7.0
-    b: float = 0.1
+    a: float | None = None
+    b: float | None = None
+
+
+@dataclass(frozen=True)
+class Levels:
+    min: int
+    max: int
+
+
+@dataclass(frozen=True)
+class Validation:
+    count: int
+    seed: int
+
+
+#: The input distributions, by the ``dist`` tag of a variable.
+DISTS = {"uniform": Uniform, "normal": Normal}
+
+
+def _variable(name: str, dist: str, **params) -> VariableSpec:
+    return VariableSpec(name, DISTS[dist](**params))
+
+
+def _variable_fields(spec: VariableSpec) -> dict:
+    dist = next(tag for tag, kind in DISTS.items() if isinstance(spec.dist, kind))
+    return {"name": spec.name, "dist": dist, **vars(spec.dist)}
+
+
+VARIABLE = Section("variable", "variable {name!r} {key}", many=True,
+                   build=_variable, view=_variable_fields, fields={
+    "name": (string, REQUIRED),
+    "dist": ({
+        "uniform": {"a": (number, REQUIRED), "b": (number, REQUIRED)},
+        "normal": {"mu": (number, REQUIRED), "sigma": (number, REQUIRED)},
+    }, REQUIRED),
+})
+
+MODEL = Section("model", "model {name!r}: {key}", many=True, build=ModelBinding, fields={
+    "id": (string, REQUIRED),
+    "builtin": (string, None),
+    "command": (shell_words, None),
+    "mode": (one_of("oneshot", "stream"), "oneshot"),
+    "fidelity": (string, "hf"),
+})
+
+SCHEME = Section("scheme", "scheme {name!r} {key}", many=True, build=SchemeSpec, fields={
+    "name": (string, REQUIRED),
+    "kind": (one_of("hf", "lf", "mf"), REQUIRED),
+    "hf": (string, REQUIRED),
+    "lf": (string, None),
+    "q": (at_least(0), 0),
+    "rt": (number, None),
+})
+
+REFERENCE = Section("reference", "reference {key}", build=ReferenceSpec, fields={
+    "kind": ({
+        "analytic": {"a": (number, 7.0), "b": (number, 0.1)},
+        "pce": {"model": (string, REQUIRED), "w": (at_least(0), REQUIRED)},
+        "mc": {"model": (string, REQUIRED), "n": (at_least(2), REQUIRED), "seed": (seed_value, 0)},
+    }, REQUIRED),
+})
+
+LEVELS = Section("levels", "levels {key}", fields={  # parse_config makes the Levels
+    "min": (at_least(0), 1),
+    "max": (at_least(0), None),
+})
+
+VALIDATION = Section("validation", "validation {key}", build=Validation, fields={
+    "count": (at_least(2), 10000),
+    "seed": (seed_value, 42),
+})
+
+#: The whole config, whose fields make a :class:`StudyConfig`.
+CONFIG = Section("config", "'{key}'", fields={
+    "problem": (string, None),
+    "variables": (VARIABLE, None),
+    "models": (MODEL, REQUIRED),
+    "schemes": (SCHEME, REQUIRED),
+    "levels": (LEVELS, {}),
+    "reference": (REFERENCE, REQUIRED),
+    "validation": (VALIDATION, {}),
+    "output": (string, "out"),
+    "cache": (path, None),
+})
 
 
 @dataclass(frozen=True)
 class StudyConfig:
+    problem: str | None
     variables: tuple[VariableSpec, ...]
     models: tuple[ModelBinding, ...]
     schemes: tuple[SchemeSpec, ...]
-    level_min: int
-    level_max: int
+    levels: Levels
     reference: ReferenceSpec
-    validation_count: int = 10000
-    validation_seed: int = 42
-    output: str = "out"
-    cache_path: str | None = None
-    problem: str | None = None
+    validation: Validation
+    output: str
+    cache: str | None
 
     def resolved_models(self) -> dict[str, Model]:
         out: dict[str, Model] = {}
@@ -171,10 +318,7 @@ class StudyConfig:
                 out[binding.id] = Model(id=binding.id, fidelity=base.fidelity, fn=base.fn)
             else:
                 out[binding.id] = external_model(
-                    binding.command,
-                    fidelity=binding.fidelity,
-                    mode=binding.mode,
-                    id=binding.id,
+                    binding.command, binding.fidelity, binding.mode, binding.id
                 )
         return out
 
@@ -196,131 +340,29 @@ class StudyConfig:
         raise ConfigError(f"unknown scheme {name!r}")
 
 
-def _parse_variable(entry: dict) -> VariableSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"a variable must be a mapping, got {entry!r}")
-    if not isinstance(entry.get("name"), str):
-        raise ConfigError(f"a variable name must be a string, got {entry.get('name')!r}")
-    kind = entry.get("dist")
-    try:
-        if kind == "uniform":
-            return VariableSpec(entry["name"], Uniform(_float(entry["a"]), _float(entry["b"])))
-        if kind == "normal":
-            return VariableSpec(entry["name"], Normal(_float(entry["mu"]), _float(entry["sigma"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad variable entry {entry!r}: {exc}") from exc
-    raise ConfigError(f"variable {entry.get('name')!r}: unknown dist {kind!r}")
-
-
-def _parse_scheme(entry: dict) -> SchemeSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"a scheme must be a mapping, got {entry!r}")
-    if "q" in entry:
-        entry = {**entry, "q": int_at_least(entry["q"], 0, f"scheme {entry.get('name')!r} q")}
-    try:
-        return SchemeSpec(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scheme entry: {exc}") from exc
-
-
-def parse_config(data: dict) -> StudyConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    _known_keys(data, CONFIG_KEYS, "config")
-
-    problem = data.get("problem")
-    if problem is not None and not isinstance(problem, str):
-        raise ConfigError(f"'problem' must be a string, got {problem!r}")
-    if "variables" in data:
-        variables = tuple(_parse_variable(v) for v in _list(data, "variables"))
-    elif problem in BENCHMARK_SPECS:
-        variables = tuple(BENCHMARK_SPECS[problem])
-    else:
-        raise ConfigError("config needs 'variables' or a builtin 'problem'")
-    if not variables:
-        raise ConfigError("at least one variable is required")
-
-    try:
-        models = tuple(ModelBinding(**m) for m in _list(data, "models"))
-    except TypeError as exc:
-        raise ConfigError(f"bad model binding: {exc}") from exc
-    if not models:
-        raise ConfigError("at least one model is required")
-    for binding in models:
-        if not isinstance(binding.id, str):
-            raise ConfigError(f"model id must be a string, got {binding.id!r}")
-        for key in ("builtin", "command"):
-            value = getattr(binding, key)
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"model {binding.id!r}: {key} must be a string, got {value!r}")
-        if (binding.builtin is None) == (binding.command is None):
-            raise ConfigError(
-                f"model {binding.id!r} needs exactly one of 'builtin' or 'command'"
-            )
-        if binding.mode not in ("oneshot", "stream"):
-            raise ConfigError(f"model {binding.id!r}: unknown mode {binding.mode!r}")
+def parse_config(data) -> StudyConfig:
+    """The config ``data`` read through :data:`CONFIG`, then checked by the
+    rules that span fields."""
+    fields = CONFIG(data, "config")
+    if fields["variables"] is None:
+        if fields["problem"] not in BENCHMARK_SPECS:
+            raise ConfigError("config needs 'variables' or a builtin 'problem'")
+        fields["variables"] = tuple(BENCHMARK_SPECS[fields["problem"]])
+    models, schemes, reference = fields["models"], fields["schemes"], fields["reference"]
     model_ids = [m.id for m in models]
-    if len(set(model_ids)) != len(models):
-        raise ConfigError("model ids must be unique")
-
-    schemes = tuple(_parse_scheme(s) for s in _list(data, "schemes"))
-    if not schemes:
-        raise ConfigError("at least one scheme is required")
-    for scheme in schemes:
-        for ref in (scheme.hf, scheme.lf):
-            if ref is not None and ref not in model_ids:
-                raise ConfigError(f"scheme {scheme.name!r} references unknown model {ref!r}")
-
-    levels = _mapping(data, "levels", ("min", "max"))
-    level_min = int_at_least(levels.get("min", 1), 0, "levels min")
-    level_max = int_at_least(levels.get("max", level_min), level_min, "levels max")
-
-    ref_data = data.get("reference")
-    if not isinstance(ref_data, dict) or "kind" not in ref_data:
-        raise ConfigError("config needs a 'reference' section with a 'kind'")
-    try:
-        reference = ReferenceSpec(**ref_data)
-    except TypeError as exc:
-        raise ConfigError(f"bad reference section: {exc}") from exc
-    if reference.kind not in ("analytic", "pce", "mc"):
-        raise ConfigError(f"unknown reference kind {reference.kind!r}")
-    if reference.kind == "analytic":
-        reference = dataclasses.replace(
-            reference, a=_number(reference.a, "reference a"), b=_number(reference.b, "reference b")
-        )
-    if reference.kind in ("pce", "mc"):
-        if reference.model not in model_ids:
-            raise ConfigError(f"reference model {reference.model!r} not defined")
-        if reference.kind == "pce" and reference.w is None:
-            raise ConfigError("pce reference needs 'w'")
-        if reference.kind == "mc" and reference.n is None:
-            raise ConfigError("mc reference needs 'n'")
-    if reference.kind == "pce":
-        reference = dataclasses.replace(reference, w=int_at_least(reference.w, 0, "reference w"))
-    if reference.kind == "mc":
-        reference = dataclasses.replace(
-            reference,
-            n=int_at_least(reference.n, 2, "reference n"),
-            seed=None if reference.seed is None else seed_value(reference.seed, "reference seed"),
-        )
-
-    validation = _mapping(data, "validation", ("count", "seed"))
-    cache_path = data.get("cache")
-    if cache_path is not None and not isinstance(cache_path, str):
-        raise ConfigError(f"'cache' must be a path, got {cache_path!r}")
-    return StudyConfig(
-        variables=variables,
-        models=models,
-        schemes=schemes,
-        level_min=level_min,
-        level_max=level_max,
-        reference=reference,
-        validation_count=int_at_least(validation.get("count", 10000), 2, "validation count"),
-        validation_seed=seed_value(validation.get("seed", 42), "validation seed"),
-        output=str(data.get("output", "out")),
-        cache_path=cache_path,
-        problem=problem,
-    )
+    for what, names in (("model ids", model_ids), ("scheme names", [s.name for s in schemes])):
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{what} must be unique, got {names}")
+    for binding in models:
+        if (binding.builtin is None) == (binding.command is None):
+            raise ConfigError(f"model {binding.id!r} needs exactly one of 'builtin' or 'command'")
+    uses = [(f"scheme {s.name!r}", ref) for s in schemes for ref in (s.hf, s.lf)]
+    for user, ref in uses + [("reference", reference.model)]:
+        if ref is not None and ref not in model_ids:
+            raise ConfigError(f"{user} references unknown model {ref!r}")
+    low, high = fields["levels"]["min"], fields["levels"]["max"]
+    fields["levels"] = Levels(low, int_at_least(low if high is None else high, low, "levels max"))
+    return StudyConfig(**fields)
 
 
 def load_config(path: str | Path) -> StudyConfig:
@@ -335,57 +377,8 @@ def load_config(path: str | Path) -> StudyConfig:
 
 
 def config_to_dict(cfg: StudyConfig) -> dict:
-    variables = []
-    for spec in cfg.variables:
-        if isinstance(spec.dist, Uniform):
-            variables.append(
-                {"name": spec.name, "dist": "uniform", "a": spec.dist.a, "b": spec.dist.b}
-            )
-        else:
-            variables.append(
-                {"name": spec.name, "dist": "normal", "mu": spec.dist.mu, "sigma": spec.dist.sigma}
-            )
-    models = []
-    for m in cfg.models:
-        entry: dict = {"id": m.id}
-        if m.builtin is not None:
-            entry["builtin"] = m.builtin
-        else:
-            entry.update({"command": m.command, "mode": m.mode, "fidelity": m.fidelity})
-        models.append(entry)
-    schemes = []
-    for s in cfg.schemes:
-        entry = {"name": s.name, "kind": s.kind, "hf": s.hf}
-        if s.lf is not None:
-            entry["lf"] = s.lf
-        if s.kind == "mf":
-            entry["q"] = s.q
-        if s.rt is not None:
-            entry["rt"] = s.rt
-        schemes.append(entry)
-    ref: dict = {"kind": cfg.reference.kind}
-    if cfg.reference.kind == "analytic":
-        ref.update({"a": cfg.reference.a, "b": cfg.reference.b})
-    elif cfg.reference.kind == "pce":
-        ref.update({"model": cfg.reference.model, "w": cfg.reference.w})
-    else:
-        ref.update(
-            {"model": cfg.reference.model, "n": cfg.reference.n, "seed": cfg.reference.seed}
-        )
-    out = {
-        "variables": variables,
-        "models": models,
-        "schemes": schemes,
-        "levels": {"min": cfg.level_min, "max": cfg.level_max},
-        "reference": ref,
-        "validation": {"count": cfg.validation_count, "seed": cfg.validation_seed},
-        "output": cfg.output,
-    }
-    if cfg.problem is not None:
-        out["problem"] = cfg.problem
-    if cfg.cache_path is not None:
-        out["cache"] = cfg.cache_path
-    return out
+    """``cfg`` as the mapping that :func:`parse_config` reads back into it."""
+    return CONFIG.dump(cfg)
 
 
 def save_config(cfg: StudyConfig, path: str | Path) -> None:
@@ -393,13 +386,16 @@ def save_config(cfg: StudyConfig, path: str | Path) -> None:
 
 
 def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
-    """Reference Sobol report named by the config: analytic, a high-level
-    PCE of one model, or a seeded Monte Carlo run."""
+    """Reference Sobol report named by the config: the analytic Ishigami
+    decomposition, a high-level PCE of one model, or a seeded Monte Carlo
+    run."""
     ref = cfg.reference
     if ref.kind == "analytic":
+        if len(cfg.variables) != 3:
+            raise ConfigError(f"the analytic reference needs 3 variables, got {len(cfg.variables)}")
         return ishigami_analytic(ref.a, ref.b)
     if ref.kind == "pce":
         scheme = SchemeSpec(name="__reference__", kind="hf", hf=ref.model)
         built = build_scheme(scheme, ref.w, cfg.variables, models)
         return all_indices(built.expansion)
-    return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed or 0)
+    return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed)

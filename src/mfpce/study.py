@@ -193,15 +193,15 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
 
     with cfg.open_models() as models:
         reference = build_reference(cfg, models)
-        rng = np.random.Generator(np.random.Philox(key=cfg.validation_seed))
-        X_val = np.column_stack([s.sample(rng, cfg.validation_count) for s in cfg.variables])
+        rng = np.random.Generator(np.random.Philox(key=cfg.validation.seed))
+        X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
         y_true: dict[str, np.ndarray] = {}
 
         cells = []
         for scheme in cfg.schemes:
             if scheme.hf not in y_true:
                 y_true[scheme.hf] = models[scheme.hf].batch(X_val)
-            for w in range(cfg.level_min, cfg.level_max + 1):
+            for w in range(cfg.levels.min, cfg.levels.max + 1):
                 if scheme.kind == "mf" and w < scheme.q:
                     continue
                 cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))

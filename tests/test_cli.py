@@ -322,7 +322,7 @@ class TestExitCodes:
             ),
             (
                 {"schemes": [{"name": "hf", "kind": "hf", "hf": [1]}]},
-                "scheme 'hf' references unknown model [1]",
+                "scheme 'hf' hf must be a string, got [1]",
             ),
             ({"problem": [1]}, "'problem' must be a string, got [1]"),
             (
@@ -335,7 +335,39 @@ class TestExitCodes:
             ),
             (
                 {"variables": [{"name": "x", "dist": "uniform", "a": False, "b": True}]},
-                "a boolean is not a number, got False",
+                "variable 'x' a must be a number, got False",
+            ),
+            (
+                {"models": [{"id": "hf", "command": "python3 'unbalanced"}]},
+                "model 'hf': command must be shell words (No closing quotation), "
+                "got \"python3 'unbalanced\"",
+            ),
+            ({"models": [{"id": "hf", "command": "  "}]}, "model 'hf': command must name a program, got '  '"),
+            (
+                {"schemes": [{"name": [1], "kind": "hf", "hf": "hf"}]},
+                "a scheme name must be a string, got [1]",
+            ),
+            ({"schemes": [{"name": "hf", "kind": "hf", "hf": None}]}, "scheme 'hf' hf is required"),
+            (
+                {"schemes": [{"name": "mf", "kind": "mf", "hf": "hf", "lf": "lf", "rt": True}]},
+                "scheme 'mf' rt must be a number, got True",
+            ),
+            ({"output": [1]}, "'output' must be a string, got [1]"),
+            (
+                {"reference": {"kind": "analytic", "a": float("nan")}},
+                "reference a must be finite, got nan",
+            ),
+            (
+                {"models": [{"id": "hf", "builtin": "ishigami/hf", "fidelity": 3}]},
+                "model 'hf': fidelity must be a string, got 3",
+            ),
+            (
+                {"reference": {"kind": [1]}},
+                "reference kind must be one of analytic, pce, mc, got [1]",
+            ),
+            (
+                {"schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}] * 2},
+                "scheme names must be unique, got ['hf', 'hf']",
             ),
         ],
         ids=[
@@ -362,14 +394,25 @@ class TestExitCodes:
             "variable_name_not_string",
             "reference_a_boolean",
             "variable_bound_boolean",
+            "model_command_unbalanced_quote",
+            "model_command_empty",
+            "scheme_name_not_string",
+            "scheme_hf_null",
+            "scheme_rt_boolean",
+            "output_not_string",
+            "reference_a_nan",
+            "model_fidelity_not_string",
+            "reference_kind_not_string",
+            "scheme_names_not_unique",
         ],
     )
     def test_malformed_section_is_config_error(
         self, tmp_path, monkeypatch, capsys, overrides, message
     ):
-        """A section that is not a mapping, an unknown key in a section, or a
-        value that is not an integer, a number, a string or a path exits 2
-        with one line naming it, before any model runs."""
+        """A section that is not a mapping, an unknown key in a section, a
+        missing or repeated key, or a value that is not an integer, a finite
+        number, a string, a path or shell words exits 2 with one line
+        naming it, before any model runs."""
         evaluated = []
         monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
         cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
@@ -391,6 +434,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         message = "model 'hf': builtin 'ishigami/hf' takes 3 inputs, but the config has 1 variables"
         assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert evaluated == []
+
+    def test_analytic_reference_of_wrong_dimension_is_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The analytic reference is the 3-variable Ishigami decomposition:
+        with borehole's 8 variables ``converge`` exits 2 before any model
+        runs, while ``sobol``, which reads no reference, still runs."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": "borehole",
+                "models": [{"id": "hf", "builtin": "borehole/hf"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+                "reference": {"kind": "analytic"},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
+        evaluated = []
+        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "converge"]) == 2
+        err = capsys.readouterr().err
+        assert "the analytic reference needs 3 variables, got 8" in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert evaluated == []
 

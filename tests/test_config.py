@@ -1,3 +1,5 @@
+import copy
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,50 @@ from mfpce.models import builtin_model
 from mfpce.orthopoly import Normal, Uniform
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+#: The values each section and leaf of a shipped config is replaced by.
+MUTATIONS = [True, [1], {"k": 1}, "s", None, float("nan"), float("inf"), -1, 1.5, 0]
+
+
+def paths(node, prefix=()):
+    """The path of every section, list entry and leaf below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def at(node, path):
+    """The node at ``path`` below ``node``."""
+    for key in path:
+        node = node[key]
+    return node
+
+
+def outcome(data):
+    """The config ``data`` makes, with its models resolved, or None if
+    either step raises :class:`ConfigError`."""
+    try:
+        cfg = parse_config(data)
+        with cfg.open_models():
+            pass
+    except ConfigError:
+        return None
+    return cfg
+
+
+def same_kind(value, original) -> bool:
+    """Whether ``value`` is of the shipped leaf ``original``'s kind: a string
+    for a string, an integer for an integer, a finite number for a float."""
+    if isinstance(original, str):
+        return isinstance(value, str)
+    kinds = (int, float) if type(original) is float else (int,)
+    return type(value) in kinds and math.isfinite(value)
 
 
 def minimal_config(**overrides):
@@ -40,8 +86,8 @@ class TestParsing:
     def test_minimal(self):
         cfg = parse_config(minimal_config())
         assert len(cfg.variables) == 3
-        assert cfg.level_min == 1 and cfg.level_max == 2
-        assert cfg.validation_count == 10000  # default
+        assert (cfg.levels.min, cfg.levels.max) == (1, 2)
+        assert cfg.validation.count == 10000  # default
         assert cfg.scheme("mf").rt == 0.125
 
     def test_explicit_variables_override_problem(self):
@@ -140,6 +186,32 @@ class TestRoundTrip:
         assert again == cfg
         # and the dict form is stable too
         assert config_to_dict(again) == config_to_dict(cfg)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_every_mutant_is_config_error_or_round_trips(self, tmp_path, path):
+        """Each section and leaf of a shipped config, replaced by each of
+        ``MUTATIONS``, either raises :class:`ConfigError` from parsing and
+        resolving, or parses to a config that saves and loads back equal.
+        A ``null`` parses as the key's absence would; any other value that
+        parses is of the shipped leaf's kind and stays in its place."""
+        data = yaml.safe_load(path.read_text())
+        saved = tmp_path / "saved.yaml"
+        for where in paths(data):
+            for value in MUTATIONS:
+                mutant = copy.deepcopy(data)
+                parent = at(mutant, where[:-1])
+                parent[where[-1]] = value
+                cfg = outcome(mutant)
+                if cfg is None:
+                    continue
+                save_config(cfg, saved)
+                assert load_config(saved) == cfg, (where, value)
+                if value is None:
+                    del parent[where[-1]]
+                    assert outcome(mutant) == cfg, where
+                else:
+                    assert same_kind(value, at(data, where)), (where, value)
+                    assert at(config_to_dict(cfg), where) == value, (where, value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

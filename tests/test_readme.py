@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mfpce.config import CONFIG, Section
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -16,3 +18,28 @@ def test_library_quick_start_runs():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def schema_keys(section):
+    """``(noun, keys)`` of a config section and of each section it nests;
+    the keys of a tag's variants join their section's."""
+    keys = set(section.fields)
+    for check, _ in section.fields.values():
+        if isinstance(check, dict):
+            keys |= {key for variant in check.values() for key in variant}
+        elif isinstance(check, Section):
+            yield from schema_keys(check)
+    yield section.noun, keys
+
+
+def test_config_tables_name_every_schema_key():
+    """Each section of the config schema has a table in the README's "Study
+    configuration" whose first column names every one of its keys."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Study configuration", 1)[1].split("\n## ", 1)[0]
+    tables = []  # the keys in the first column of each table
+    for block in re.split(r"\n\s*\n", section):
+        rows = [line.split("|")[1] for line in block.splitlines() if line.startswith("|")]
+        tables.append({key for row in rows[2:] for key in re.findall(r"`([^`]+)`", row)})
+    for noun, keys in schema_keys(CONFIG):
+        assert any(keys <= table for table in tables), f"no README table has every {noun} key"
