@@ -2,7 +2,7 @@
 multi-fidelity polynomial chaos expansions on Smolyak sparse grids."""
 
 from .mf import BuiltScheme, build_mf_parts
-from .models import EvalCache, Model, ModelError, builtin_model, external_model
+from .models import EvalCache, ExternalModel, Model, ModelError, builtin_model
 from .orthopoly import (
     GaussRule,
     Normal,
@@ -32,10 +32,10 @@ __all__ = [
     "BuiltScheme",
     "build_mf_parts",
     "EvalCache",
+    "ExternalModel",
     "Model",
     "ModelError",
     "builtin_model",
-    "external_model",
     "GaussRule",
     "Normal",
     "PolyFamily",

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    mfpce sobol    --config cfg.yaml --scheme hf --w 6 [--q 2]
+    mfpce sobol    --config cfg.yaml --scheme mf1 --w 6 [--q 2]
     mfpce converge --config cfg.yaml
     mfpce decay    --config cfg.yaml --scheme mf1 --w 5
     mfpce mc-check --config cfg.yaml --model hf [--n 65536]
@@ -11,10 +11,10 @@ Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
 the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
-tables of README "Study configuration", an out-of-range flag, or an
-unreadable evaluation-cache file), 3 model-evaluation error, 4 numerical
-degeneracy. Each command closes the models it resolved, so no
-stream-mode child outlives it.
+tables and rules of README "Study configuration", an out-of-range flag,
+``--q`` on a non-MF scheme, or an unreadable evaluation-cache file),
+3 model-evaluation error, 4 numerical degeneracy. Each command closes the
+models it resolved, so no stream-mode child outlives it.
 """
 
 from __future__ import annotations
@@ -111,15 +111,16 @@ def _report_payload(report: SobolReport, variables) -> dict:
 
 
 def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
-    """The scheme of ``--scheme``, with ``--q`` if given, checked to build
-    at level ``--w``: an MF scheme needs ``w >= q``."""
+    """The scheme of ``--scheme``, with ``--q`` if given (an MF scheme
+    only), checked to build at level ``--w``: an MF scheme needs ``w >= q``."""
     scheme = cfg.scheme(args.scheme)
     if getattr(args, "q", None) is not None:
-        scheme = dataclasses.replace(scheme, q=int_at_least(args.q, 0, "--q"))
-    if scheme.kind == "mf":
-        int_at_least(args.w, scheme.q, f"--w of scheme {scheme.name!r} with q={scheme.q}")
-    else:
-        int_at_least(args.w, 0, "--w")
+        q = int_at_least(args.q, 0, "--q")
+        if scheme.kind != "mf":
+            raise ConfigError(f"--q is for mf schemes, and scheme {scheme.name!r} is {scheme.kind}")
+        scheme = dataclasses.replace(scheme, q=q)
+    what = f"--w of scheme {scheme.name!r} with q={scheme.q}" if scheme.kind == "mf" else "--w"
+    int_at_least(args.w, scheme.q, what)
     return scheme
 
 
@@ -160,7 +161,7 @@ def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
         if built.lf_expansion is not None:
             expansions = [built.lf_expansion, built.correction, built.expansion]
             # the HF spectrum at the correction level, from the correction's HF values
-            hf_scheme = dataclasses.replace(scheme, kind="hf", q=0)
+            hf_scheme = SchemeSpec(scheme.name, "hf", scheme.hf)
             hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
             expansions.append(hf_built.expansion)
     rows = decay_report(expansions)

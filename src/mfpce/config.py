@@ -17,7 +17,7 @@ from typing import Callable
 
 import yaml
 
-from .models import BENCHMARK_SPECS, Model, builtin_model, external_model
+from .models import BENCHMARK_SPECS, ExternalModel, Model, builtin_model
 from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
 from .study import SchemeSpec, build_scheme, ishigami_analytic
@@ -190,8 +190,8 @@ class ModelBinding:
     id: str
     builtin: str | None
     command: str | None
-    mode: str
-    fidelity: str
+    mode: str | None
+    fidelity: str | None
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,8 @@ MODEL = Section("model", "model {name!r}: {key}", many=True, build=ModelBinding,
     "id": (string, REQUIRED),
     "builtin": (string, None),
     "command": (shell_words, None),
-    "mode": (one_of("oneshot", "stream"), "oneshot"),
-    "fidelity": (string, "hf"),
+    "mode": (one_of("oneshot", "stream"), None),
+    "fidelity": (string, None),  # a label that nothing reads
 })
 
 SCHEME = Section("scheme", "scheme {name!r} {key}", many=True, build=SchemeSpec, fields={
@@ -300,8 +300,8 @@ class StudyConfig:
     output: str
     cache: str | None
 
-    def resolved_models(self) -> dict[str, Model]:
-        out: dict[str, Model] = {}
+    def resolved_models(self) -> dict[str, Model | ExternalModel]:
+        out: dict[str, Model | ExternalModel] = {}
         for binding in self.models:
             if binding.builtin is not None:
                 problem, _, fidelity = binding.builtin.partition("/")
@@ -315,10 +315,10 @@ class StudyConfig:
                         f"model {binding.id!r}: builtin {binding.builtin!r} takes {inputs} "
                         f"inputs, but the config has {len(self.variables)} variables"
                     )
-                out[binding.id] = Model(id=binding.id, fidelity=base.fidelity, fn=base.fn)
+                out[binding.id] = Model(id=binding.id, fn=base.fn)
             else:
-                out[binding.id] = external_model(
-                    binding.command, binding.fidelity, binding.mode, binding.id
+                out[binding.id] = ExternalModel(
+                    binding.command, binding.mode or "oneshot", binding.id
                 )
         return out
 
@@ -356,6 +356,9 @@ def parse_config(data) -> StudyConfig:
     for binding in models:
         if (binding.builtin is None) == (binding.command is None):
             raise ConfigError(f"model {binding.id!r} needs exactly one of 'builtin' or 'command'")
+        unread = [key for key in ("mode", "fidelity") if getattr(binding, key) is not None]
+        if binding.builtin is not None and unread:
+            raise ConfigError(f"model {binding.id!r}: a builtin model takes no {', '.join(unread)}")
     uses = [(f"scheme {s.name!r}", ref) for s in schemes for ref in (s.hf, s.lf)]
     for user, ref in uses + [("reference", reference.model)]:
         if ref is not None and ref not in model_ids:

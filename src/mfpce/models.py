@@ -20,6 +20,7 @@ child of the batch left running.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import selectors
@@ -33,6 +34,8 @@ import numpy as np
 
 from .orthopoly import Normal, Uniform, VariableSpec
 
+log = logging.getLogger(__name__)
+
 
 class ModelError(RuntimeError):
     """Model evaluation failure, carrying the offending node coordinates."""
@@ -40,10 +43,10 @@ class ModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class Model:
-    """A deterministic scalar model."""
+    """A deterministic scalar model run in this process. :class:`ExternalModel`
+    has the same ``id``, ``batch`` and ``close``, and goes wherever it does."""
 
     id: str
-    fidelity: str  # "hf" or "lf<k>"
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, xi) -> float:
@@ -53,10 +56,7 @@ class Model:
         return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
 
     def close(self) -> None:
-        """End the child process of an external stream model, if one runs."""
-        owner = getattr(self.fn, "__self__", None)
-        if isinstance(owner, ExternalModel):
-            owner.close()
+        """Nothing to end: the model runs in this process."""
 
 
 # --- borehole ---------------------------------------------------------------
@@ -156,14 +156,14 @@ def builtin_model(problem: str, fidelity: str) -> Model:
     key = f"{problem}/{fidelity}"
     if problem == "borehole" and fidelity in ("hf", "lf"):
         fn = borehole_hf if fidelity == "hf" else borehole_lf
-        return Model(id=key, fidelity=fidelity, fn=fn)
+        return Model(id=key, fn=fn)
     if problem == "ishigami" and fidelity in _ISHIGAMI_VARIANTS:
         params = _ISHIGAMI_VARIANTS[fidelity]
-        return Model(id=key, fidelity=fidelity, fn=lambda X, p=params: ishigami_fn(X, **p))
+        return Model(id=key, fn=lambda X, p=params: ishigami_fn(X, **p))
     if problem == "short_column" and (
         fidelity == "hf" or fidelity in ("lf1", "lf2", "lf3", "lf4", "lf5")
     ):
-        return Model(id=key, fidelity=fidelity, fn=lambda X, v=fidelity: _short_column(X, v))
+        return Model(id=key, fn=lambda X, v=fidelity: _short_column(X, v))
     raise KeyError(f"unknown builtin model {key!r}")
 
 
@@ -293,9 +293,10 @@ class ExternalModel:
     for the lowest failing row with no child of the batch left running.
     """
 
-    def __init__(self, command: str, mode: str = "oneshot"):
+    def __init__(self, command: str, mode: str = "oneshot", id: str | None = None):
         if mode not in ("oneshot", "stream"):
             raise ValueError(f"unknown protocol mode {mode!r}")
+        self.id = command if id is None else id
         self.command = command
         self.mode = mode
         self._proc: subprocess.Popen | None = None
@@ -439,16 +440,6 @@ class ExternalModel:
         return self._batch_stream(X)
 
 
-def external_model(
-    command: str,
-    fidelity: str = "hf",
-    mode: str = "oneshot",
-    id: str | None = None,
-) -> Model:
-    proc = ExternalModel(command, mode=mode)
-    return Model(id=id or f"external/{fidelity}", fidelity=fidelity, fn=proc.batch)
-
-
 # --- evaluation cache -------------------------------------------------------
 
 _KEY_DECIMALS = 12
@@ -491,11 +482,19 @@ class EvalCache:
 
     def _load(self, path: Path) -> None:
         """Read every record; a malformed line raises :class:`CacheFileError`
-        naming the file and its 1-based line number."""
+        naming the file and its 1-based line number. A last line with no
+        newline is a record cut short by a crash, even if it parses: it is
+        dropped with a warning and cut from the file, so that the next
+        append starts a line of its own."""
         records: dict[tuple[str, int], tuple[list, list]] = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
+        complete = 0  # bytes up to the end of the last complete line
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.decode(errors="replace").rstrip("\n")
+                if not raw.endswith(b"\n"):
+                    log.warning("%s: dropped the unterminated last line %r", path, line)
+                    break
+                complete += len(raw)
                 if not line:
                     continue
                 try:
@@ -511,6 +510,8 @@ class EvalCache:
                 rows, values = records.setdefault((model_id, len(xi)), ([], []))
                 rows.append(xi)
                 values.append(y)
+        if complete < path.stat().st_size:
+            os.truncate(path, complete)
         for slot, (rows, values) in records.items():
             # Reversed, a key's first record is the last one written.
             keys = _cache_keys(np.array(rows[::-1], dtype=float))
@@ -523,7 +524,7 @@ class EvalCache:
         lines = "".join(
             f"{model_id}\t{_format_request(xi)}\t{value:.17g}\n" for xi, value in zip(X, values)
         )
-        with open(self.path, "a") as fh:
+        with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(lines)
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:

@@ -113,6 +113,11 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind in ("lf", "mf") and self.lf is None:
             raise ValueError(f"scheme {self.name!r} needs an lf model")
+        reads = {"hf": (), "lf": ("lf", "rt"), "mf": ("lf", "q", "rt")}[self.kind]
+        given = {"lf": self.lf is not None, "q": self.q != 0, "rt": self.rt is not None}
+        unread = [key for key, is_given in given.items() if is_given and key not in reads]
+        if unread:
+            raise ValueError(f"kind {self.kind} takes no {', '.join(unread)}")
         if self.q < 0:
             raise ValueError("q must be non-negative")
         if self.rt is not None and not 0.0 < self.rt <= 1.0:
@@ -185,7 +190,7 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
     built once. Every cell is built on a fresh in-memory cache, so each
     row's counts are that cell's own cost; the config's ``cache`` file is
-    read by ``sobol`` and ``decay`` only. MF rows are emitted only for levels with ``w >= q``. The
+    read by ``sobol`` and ``decay`` only. Rows are emitted only for levels with ``w >= q``. The
     cells are built first; cells with one index set (one level) are then
     validated together. The models are closed before it returns.
     """
@@ -202,7 +207,7 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
             if scheme.hf not in y_true:
                 y_true[scheme.hf] = models[scheme.hf].batch(X_val)
             for w in range(cfg.levels.min, cfg.levels.max + 1):
-                if scheme.kind == "mf" and w < scheme.q:
+                if w < scheme.q:
                     continue
                 cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
     scores = _prediction_scores(
@@ -223,7 +228,7 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
             ConvergenceRow(
                 scheme=scheme.name,
                 w=w,
-                q=scheme.q if scheme.kind == "mf" else 0,
+                q=scheme.q,
                 n_hf=built.n_hf,
                 n_lf=built.n_lf,
                 n_e=n_e,

@@ -13,7 +13,7 @@ import yaml
 
 from mfpce.cli import main as cli_main
 from mfpce.mf import build_mf_parts, physical_nodes
-from mfpce.models import BENCHMARK_SPECS, EvalCache, builtin_model, external_model
+from mfpce.models import BENCHMARK_SPECS, EvalCache, ExternalModel, builtin_model
 from mfpce.orthopoly import PolyFamily, gauss_rule
 from mfpce.pce import project, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
@@ -316,8 +316,11 @@ def test_criterion_09_external_process_workflow(tmp_path):
     grid = smolyak_grid(3, w, list(specs))
     nodes = physical_nodes(grid, specs)
 
-    ext = external_model(command, mode="stream")
-    external = project(ext.batch(nodes), w, specs)
+    ext = ExternalModel(command, mode="stream")
+    try:
+        external = project(ext.batch(nodes), w, specs)
+    finally:
+        ext.close()
     builtin = project(builtin_model("ishigami", "hf").batch(nodes), w, specs)
     assert np.array_equal(external.terms, builtin.terms)
     assert np.abs(external.coeffs - builtin.coeffs).max() <= 1e-9

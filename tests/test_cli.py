@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from mfpce.cli import main
-from mfpce.models import ISHIGAMI_SPECS, Model
+from mfpce.models import ISHIGAMI_SPECS, ExternalModel, Model
 from mfpce.sparse_grid import smolyak_grid
 
 
@@ -29,6 +29,15 @@ STREAM_FAULT = """for i, line in enumerate(sys.stdin):
         {fault}
     print(float(line), flush=True)
 """
+
+
+def record_batches(monkeypatch) -> list:
+    """Make every batch, of a builtin or a command model, record its model
+    id instead of running; a test that finds none proves no model ran."""
+    ids = []
+    for cls in (Model, ExternalModel):
+        monkeypatch.setattr(cls, "batch", lambda self, X: ids.append(self.id))
+    return ids
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -190,13 +199,48 @@ class TestExitCodes:
     def test_malformed_cache_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cache = tmp_path / "cache.tsv"
-        # A crash during an append leaves a truncated last record.
+        # A malformed line that ends in a newline is no crash-cut record.
         cache.write_text("hf\t0 0 0\t3.5\nhf\t1 2\n")
         cfg = ishigami_config(tmp_path, out, cache=str(cache))
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 2
         err = capsys.readouterr().err
         assert f"{cache}:2:" in err
         assert "Traceback" not in err
+
+    def test_crash_cut_cache_record_is_paid_again(self, tmp_path, caplog):
+        """A last cache record cut by a crash right after the first character
+        of its value parses, but is not served: the next run warns once,
+        naming the file, pays that one HF evaluation again and reports the
+        clean run's values, and the run after that pays nothing."""
+        cache = tmp_path / "cache.tsv"
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": "ishigami",
+                "models": [{"id": "hf", "builtin": "ishigami/hf"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+                "reference": {"kind": "analytic"},
+                "output": str(tmp_path / "out"),
+                "cache": str(cache),
+            },
+        )
+
+        def run() -> tuple[int, dict]:
+            assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]) == 0
+            report = json.loads((tmp_path / "out" / "sobol_hf_w3.json").read_text())
+            return report.pop("n_hf"), report
+
+        paid, clean = run()
+        assert paid == 159
+        records = cache.read_bytes()
+        head, _, value = records.rstrip(b"\n").rpartition(b"\t")
+        cache.write_bytes(head + b"\t" + value[:1])
+        caplog.clear()
+        assert run() == (1, clean)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and str(cache) in warnings[0].getMessage()
+        assert cache.read_bytes() == records
+        assert run() == (0, clean)
 
     def test_threads_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = ishigami_config(tmp_path, tmp_path / "out")
@@ -231,6 +275,11 @@ class TestExitCodes:
         [
             (["sobol", "--scheme", "hf", "--w", "-1"], {}, "--w must be >= 0, got -1"),
             (["sobol", "--scheme", "hf", "--w", "2", "--q", "-1"], {}, "--q must be >= 0, got -1"),
+            (
+                ["sobol", "--scheme", "hf", "--w", "2", "--q", "1"],
+                {},
+                "--q is for mf schemes, and scheme 'hf' is hf",
+            ),
             (["sobol", "--scheme", "mf1", "--w", "1"], {}, "q=2 must be >= 2, got 1"),
             (["decay", "--scheme", "mf1", "--w", "1"], {}, "q=2 must be >= 2, got 1"),
             (["mc-check", "--model", "hf", "--n", "1"], {}, "--n must be >= 2, got 1"),
@@ -256,6 +305,7 @@ class TestExitCodes:
         ids=[
             "sobol_w",
             "sobol_q",
+            "sobol_q_on_hf_scheme",
             "sobol_w_below_q",
             "decay_w_below_q",
             "mc_check_n",
@@ -271,8 +321,7 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, argv, overrides, message
     ):
         """Exit 2 with one line naming the value, before any model runs."""
-        evaluated = []
-        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        evaluated = record_batches(monkeypatch)
         schemes = [
             {"name": "hf", "kind": "hf", "hf": "hf"},
             {"name": "mf1", "kind": "mf", "hf": "hf", "lf": "lf", "q": 2},
@@ -369,6 +418,30 @@ class TestExitCodes:
                 {"schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}] * 2},
                 "scheme names must be unique, got ['hf', 'hf']",
             ),
+            (
+                {"models": [{"id": "hf", "builtin": "ishigami/hf", "mode": "stream"}]},
+                "model 'hf': a builtin model takes no mode",
+            ),
+            (
+                {"models": [{"id": "hf", "builtin": "ishigami/hf", "fidelity": "lf3"}]},
+                "model 'hf': a builtin model takes no fidelity",
+            ),
+            (
+                {"schemes": [{"name": "hf", "kind": "hf", "hf": "hf", "q": 3}]},
+                "kind hf takes no q",
+            ),
+            (
+                {"schemes": [{"name": "hf", "kind": "hf", "hf": "hf", "lf": "lf"}]},
+                "kind hf takes no lf",
+            ),
+            (
+                {"schemes": [{"name": "hf", "kind": "hf", "hf": "hf", "rt": 0.5}]},
+                "kind hf takes no rt",
+            ),
+            (
+                {"schemes": [{"name": "lf", "kind": "lf", "hf": "hf", "lf": "lf", "q": 1}]},
+                "kind lf takes no q",
+            ),
         ],
         ids=[
             "validation_not_mapping",
@@ -404,6 +477,12 @@ class TestExitCodes:
             "model_fidelity_not_string",
             "reference_kind_not_string",
             "scheme_names_not_unique",
+            "builtin_model_mode",
+            "builtin_model_fidelity",
+            "hf_scheme_q",
+            "hf_scheme_lf",
+            "hf_scheme_rt",
+            "lf_scheme_q",
         ],
     )
     def test_malformed_section_is_config_error(
@@ -413,8 +492,7 @@ class TestExitCodes:
         missing or repeated key, or a value that is not an integer, a finite
         number, a string, a path or shell words exits 2 with one line
         naming it, before any model runs."""
-        evaluated = []
-        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        evaluated = record_batches(monkeypatch)
         cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
         assert main(["--config", str(cfg), "converge"]) == 2
         err = capsys.readouterr().err
@@ -426,8 +504,7 @@ class TestExitCodes:
     def test_builtin_dimension_mismatch_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
         """A builtin model whose input count differs from the config's
         variables exits 2 when the models are loaded, before any runs."""
-        evaluated = []
-        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        evaluated = record_batches(monkeypatch)
         variables = [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}]
         cfg = ishigami_config(tmp_path, tmp_path / "out", variables=variables)
         assert main(["--config", str(cfg), *argv]) == 2
@@ -454,8 +531,7 @@ class TestExitCodes:
             },
         )
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
-        evaluated = []
-        monkeypatch.setattr(Model, "batch", lambda self, X: evaluated.append(self.id))
+        evaluated = record_batches(monkeypatch)
         capsys.readouterr()
         assert main(["--config", str(cfg), "converge"]) == 2
         err = capsys.readouterr().err

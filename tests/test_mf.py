@@ -10,7 +10,6 @@ from mfpce.sparse_grid import smolyak_grid
 def shifted(model, offset):
     return Model(
         id=f"{model.id}+{offset}",
-        fidelity="lf1",
         fn=lambda X, m=model: m.batch(X) - offset,
     )
 

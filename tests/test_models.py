@@ -22,7 +22,6 @@ from mfpce.models import (
     borehole_hf,
     borehole_lf,
     builtin_model,
-    external_model,
     ishigami_fn,
 )
 
@@ -132,7 +131,6 @@ class TestRegistry:
             for fidelity in fidelities:
                 m = builtin_model(problem, fidelity)
                 assert m.id == f"{problem}/{fidelity}"
-                assert m.fidelity == fidelity
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
@@ -153,7 +151,7 @@ class TestExternal:
     def test_matches_builtin(self, mode, rows):
         """An overlapped batch returns the builtin values in row order."""
         X = np.random.default_rng(11).uniform(-math.pi, math.pi, size=(rows, 3))
-        ext = external_model(f"{sys.executable} {SCRIPT}", mode=mode)
+        ext = ExternalModel(f"{sys.executable} {SCRIPT}", mode=mode)
         got = ext.batch(X)
         ext.close()
         assert got == pytest.approx(builtin_model("ishigami", "hf").batch(X), rel=1e-12, abs=1e-12)
@@ -167,22 +165,22 @@ class TestExternal:
         proc.close()
 
     def test_malformed_output(self):
-        ext = external_model(f"{sys.executable} -c \"print('bogus')\"")
+        ext = ExternalModel(f"{sys.executable} -c \"print('bogus')\"")
         with pytest.raises(ModelError, match="malformed"):
             ext.batch(np.zeros((1, 2)))
 
     def test_non_finite_output(self):
-        ext = external_model(f"{sys.executable} -c \"print('nan')\"")
+        ext = ExternalModel(f"{sys.executable} -c \"print('nan')\"")
         with pytest.raises(ModelError, match="non-finite"):
             ext.batch(np.zeros((1, 2)))
 
     def test_failing_command(self):
-        ext = external_model(f"{sys.executable} -c \"import sys; sys.exit(3)\"")
+        ext = ExternalModel(f"{sys.executable} -c \"import sys; sys.exit(3)\"")
         with pytest.raises(ModelError):
             ext.batch(np.zeros((1, 2)))
 
     def test_stream_closed_output(self):
-        ext = external_model(f"{sys.executable} -c pass", mode="stream")
+        ext = ExternalModel(f"{sys.executable} -c pass", mode="stream")
         with pytest.raises(ModelError, match="closed"):
             ext.batch(np.zeros((1, 2)))
 
@@ -191,7 +189,7 @@ class TestExternal:
             ExternalModel("true", mode="pipe")
 
     def test_failure_quotes_child_stderr(self):
-        ext = external_model(
+        ext = ExternalModel(
             f"{sys.executable} -c \"import sys; print('boom', file=sys.stderr); sys.exit(1)\""
         )
         with pytest.raises(ModelError, match=r"at node \(0\.5, 2\.0\).*exit status 1.*boom"):
@@ -215,7 +213,7 @@ class TestOverlappedFaults:
         script = tmp_path / "model.py"
         script.write_text("import time\ntime.sleep(0.15)\nprint(float(input()))\n")
         X = np.arange(3.0)[:, None]
-        assert external_model(f"{sys.executable} {script}").batch(X).tolist() == X[:, 0].tolist()
+        assert ExternalModel(f"{sys.executable} {script}").batch(X).tolist() == X[:, 0].tolist()
         assert in_flight == [min(row, cpus - 1) for row in range(3)]
 
     def test_oneshot_raises_the_first_failing_row(self, tmp_path, spawned):
@@ -225,7 +223,7 @@ class TestOverlappedFaults:
         k = int(np.argmax(X[:, 0] > 0.5))
         start = time.monotonic()
         with pytest.raises(ModelError) as info:
-            external_model(f"{sys.executable} {script}").batch(X)
+            ExternalModel(f"{sys.executable} {script}").batch(X)
         assert time.monotonic() - start < 5
         assert f"at node {(float(X[k, 0]),)}" in str(info.value)
         assert "x above 0.5" in str(info.value)
@@ -341,7 +339,7 @@ class TestEvalCache:
             calls.append(len(X))
             return X.sum(axis=1)
 
-        model = Model(id="m", fidelity="hf", fn=fn)
+        model = Model(id="m", fn=fn)
         cache = EvalCache()
         X = np.array([[0.0, 1.0], [2.0, 3.0]])
         first = cache.evaluate_many(model, X)
@@ -358,7 +356,7 @@ class TestEvalCache:
             calls.append(X.copy())
             return X.sum(axis=1)
 
-        model = Model(id="m", fidelity="hf", fn=fn)
+        model = Model(id="m", fn=fn)
         cache = EvalCache(path)
         values = cache.evaluate_many(model, [[1, 2], [1, 2], [1 + 1e-14, 2]])
         assert len(calls) == 1
@@ -368,15 +366,15 @@ class TestEvalCache:
         assert len(path.read_text().splitlines()) == 1
 
     def test_near_identical_nodes_merge(self):
-        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
         cache = EvalCache()
         cache.evaluate_many(model, np.array([[0.5, -0.0]]))
         cache.evaluate_many(model, np.array([[0.5 + 1e-15, 0.0]]))
         assert cache.count("m") == 1
 
     def test_models_are_isolated(self):
-        a = Model(id="a", fidelity="hf", fn=lambda X: X.sum(axis=1))
-        b = Model(id="b", fidelity="lf1", fn=lambda X: 2 * X.sum(axis=1))
+        a = Model(id="a", fn=lambda X: X.sum(axis=1))
+        b = Model(id="b", fn=lambda X: 2 * X.sum(axis=1))
         cache = EvalCache()
         x = np.array([[1.0, 2.0]])
         assert cache.evaluate(a, x[0]) == pytest.approx(3.0)
@@ -385,18 +383,14 @@ class TestEvalCache:
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
         cache = EvalCache(path)
         X = np.array([[0.125, -4.5], [1e-13, 3.0]])
         values = cache.evaluate_many(model, X)
 
         reloaded = EvalCache(path)
         calls = []
-        probe = Model(
-            id="m",
-            fidelity="hf",
-            fn=lambda Y: calls.append(len(Y)) or Y.sum(axis=1),
-        )
+        probe = Model(id="m", fn=lambda Y: calls.append(len(Y)) or Y.sum(axis=1))
         again = reloaded.evaluate_many(probe, X)
         assert np.allclose(again, values)
         assert calls == []
@@ -405,7 +399,7 @@ class TestEvalCache:
         # 2461.7621578959875 rounds to ...988 in numpy but to ...987 with
         # Python's round(); both paths must key it the same way.
         path = tmp_path / "cache.tsv"
-        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
         X = np.array([[2461.7621578959875, -0.0], [0.1, 1e-13], [-3.25, 7.0]])
         EvalCache(path).evaluate_many(model, X)
         lines = path.read_text().splitlines()
@@ -416,6 +410,27 @@ class TestEvalCache:
         assert reloaded.count("m") == 0
         assert np.array_equal(again, X.sum(axis=1))
         assert path.read_text().splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "cut", ["m\t1 2\t3", "m\t1 2", "m\t"], ids=["parses", "no_value", "no_coords"]
+    )
+    def test_unterminated_last_line_is_dropped_and_cut(self, tmp_path, caplog, cut):
+        """A last line with no newline, parsed or not, is not served: it is
+        dropped with one warning naming the file and cut from the file, so
+        that the next record starts a line of its own."""
+        path = tmp_path / "cache.tsv"
+        path.write_text("m\t0 0\t1.5\n" + cut)
+        cache = EvalCache(path)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and str(path) in warnings[0].getMessage()
+        assert path.read_text() == "m\t0 0\t1.5\n"
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
+        assert cache.evaluate_many(model, [[0.0, 0.0], [1.0, 2.0]]).tolist() == [1.5, 3.0]
+        assert cache.count("m") == 1
+        assert path.read_text() == "m\t0 0\t1.5\nm\t1 2\t3\n"
+        again = EvalCache(path)
+        assert again.evaluate_many(model, [[0.0, 0.0], [1.0, 2.0]]).tolist() == [1.5, 3.0]
+        assert again.count("m") == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -441,7 +456,7 @@ class TestEvalCache:
             def unpaid(Y):
                 raise AssertionError(f"re-evaluated {Y!r}")
 
-            got = reloaded.evaluate_many(Model(id="m", fidelity="hf", fn=unpaid), X)
+            got = reloaded.evaluate_many(Model(id="m", fn=unpaid), X)
         assert reloaded.count("m") == 0
         keys = [k.tobytes() for k in _cache_keys(X)]
         last = dict(zip(keys, values))
@@ -449,7 +464,7 @@ class TestEvalCache:
 
     def test_huge_coordinates_are_keyed_apart(self):
         calls = []
-        model = Model(id="m", fidelity="hf", fn=lambda X: calls.append(len(X)) or X[:, 0])
+        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X[:, 0])
         cache = EvalCache()
         values = cache.evaluate_many(model, [[1e300], [2e300], [-2.0**52 - 2]])
         assert calls == [3] and cache.count("m") == 3
@@ -497,7 +512,7 @@ class TestEvalCache:
                     calls.setdefault((impl, model_id), []).append(X.copy())
                     return np.cos(X).sum(axis=1) + X.shape[1] + offset
 
-                return Model(id=model_id, fidelity="hf", fn=fn)
+                return Model(id=model_id, fn=fn)
 
             for op, model_id, arg in ops:
                 if op == "eval":
@@ -522,7 +537,7 @@ class TestEvalCache:
 
     def test_one_append_per_batch(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
-        model = Model(id="m", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
         cache = EvalCache(path)
         opened = []
         real_open = open
@@ -548,7 +563,7 @@ class TestEvalCache:
 
     def test_persistence_format(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        model = Model(id="prob/hf", fidelity="hf", fn=lambda X: X.sum(axis=1))
+        model = Model(id="prob/hf", fn=lambda X: X.sum(axis=1))
         EvalCache(path).evaluate(model, np.array([0.5, 2.0]))
         record = path.read_text().strip().split("\t")
         assert record[0] == "prob/hf"

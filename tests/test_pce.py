@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mfpce.mf import build_mf_parts
 from mfpce.models import (
@@ -36,6 +37,7 @@ from mfpce.sparse_grid import (
     grid_plan,
     growth,
     level_terms,
+    physical_nodes,
     smolyak_grid,
     tensor_grid,
 )
@@ -72,6 +74,89 @@ class TestIndexSets:
         # union of the boxes [0..2]x[0] and [0]x[0..2], in lexicographic order
         index = grid_plan(1, (PolyFamily.LEGENDRE, PolyFamily.HERMITE)).index
         assert index.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0]]
+
+
+#: The highest level drawn per dimension n, so that a grid has at most
+#: 2,341 nodes (n=5, w=4); the Hermite limit of level 8 stays out of range.
+EXACT_MAX_LEVEL = {1: 7, 2: 6, 3: 5, 4: 4, 5: 4, 6: 3, 7: 3, 8: 3}
+
+
+@st.composite
+def exact_cases(draw):
+    """``(specs, w, seed)``: n <= 8 variables, each uniform or normal under
+    a random affine map, a level within :data:`EXACT_MAX_LEVEL` and a seed
+    for the coefficients."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(0, EXACT_MAX_LEVEL[n]))
+    centre = st.floats(-5.0, 5.0)
+    scale = st.floats(0.1, 5.0)
+    specs = []
+    for j in range(n):
+        if draw(st.booleans()):
+            a = draw(centre)
+            specs.append(VariableSpec(f"x{j}", Uniform(a, a + 2.0 * draw(scale))))
+        else:
+            specs.append(VariableSpec(f"x{j}", Normal(draw(centre), draw(scale))))
+    return tuple(specs), w, draw(st.integers(0, 2**32 - 1))
+
+
+def alternating_specs(n: int) -> tuple:
+    """n variables, uniform on [2, 6] and normal N(-1, 0.5^2) in turn."""
+    dists = (Uniform(2.0, 6.0), Normal(-1.0, 0.5))
+    return tuple(VariableSpec(f"x{j}", dists[j % 2]) for j in range(n))
+
+
+def random_expansion(specs, w, seed) -> Expansion:
+    """N(0, 1) coefficients on the whole index set of the level-``w`` plan."""
+    index = grid_plan(w, tuple(spec.family for spec in specs)).index
+    coeffs = np.random.default_rng(seed).normal(size=len(index))
+    return Expansion(specs=specs, terms=index, coeffs=coeffs)
+
+
+def assert_coefficients(got: Expansion, want: Expansion) -> None:
+    assert np.array_equal(got.terms, want.terms)
+    tolerance = 1e-11 * max(1.0, np.abs(want.coeffs).max())
+    assert np.abs(got.coeffs - want.coeffs).max() <= tolerance
+
+
+class TestExactness:
+    """With Gauss rules, the sparse pseudo-spectral projection at level w is
+    exact on the whole index set of ``grid_plan(w, families)``: the union of
+    its terms' half-exactness sets (Conrad & Marzouk, SIAM J. Sci. Comput.
+    35(6), 2013)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(exact_cases())
+    @example(case=(alternating_specs(1), 7, 1))
+    @example(case=(alternating_specs(2), 6, 2))
+    @example(case=(alternating_specs(3), 5, 3))
+    @example(case=(alternating_specs(4), 4, 4))
+    @example(case=(alternating_specs(5), 4, 5))
+    @example(case=(alternating_specs(6), 3, 6))
+    @example(case=(alternating_specs(8), 3, 8))
+    def test_projection_returns_the_coefficients(self, case):
+        """An expansion filling the index set, evaluated at the grid's
+        physical nodes, projects back to its own coefficients."""
+        specs, w, seed = case
+        f = random_expansion(specs, w, seed)
+        nodes = physical_nodes(smolyak_grid(len(specs), w, list(specs)), specs)
+        assert_coefficients(project(evaluate_batch(f, nodes), w, specs), f)
+
+    @settings(max_examples=20, deadline=None)
+    @given(exact_cases(), st.integers(0, 7))
+    def test_mf_with_correction_in_its_set_is_the_hf_projection(self, case, q):
+        """HF = LF + g with g in the level w - q set: the MF build equals the
+        HF projection at w, whatever the LF model."""
+        specs, w, seed = case
+        q = min(q, w)
+        g = random_expansion(specs, w - q, seed)
+        a = np.random.default_rng(seed + 1).normal(size=len(specs))
+        standard = lambda X: np.column_stack([s.to_standard(X[:, j]) for j, s in enumerate(specs)])
+        lf = Model(id="lf", fn=lambda X: np.sin(standard(X) @ a))
+        hf = Model(id="hf", fn=lambda X: lf.batch(X) + evaluate_batch(g, X))
+        built = build_mf_parts(lf, hf, specs, w, q)
+        nodes = physical_nodes(smolyak_grid(len(specs), w, list(specs)), specs)
+        assert_coefficients(built.expansion, project(hf.batch(nodes), w, specs))
 
 
 class TestExpansionInvariants:
@@ -259,9 +344,9 @@ def _smooth(X):
 def _expansion(case):
     if case == "n1":
         specs = (VariableSpec("g", Normal(0.5, 2.0)),)
-        return project_model(Model(id="f", fidelity="hf", fn=_smooth), specs, 5)
+        return project_model(Model(id="f", fn=_smooth), specs, 5)
     if case == "n3_mixed":
-        return project_model(Model(id="f", fidelity="hf", fn=_smooth), MIXED3, 4)
+        return project_model(Model(id="f", fn=_smooth), MIXED3, 4)
     if case == "borehole_w3":
         return project_model(builtin_model("borehole", "hf"), BENCHMARK_SPECS["borehole"], 3)
     if case == "constant":
@@ -280,12 +365,12 @@ def _stack_case(case):
     if case == "n1":
         specs = (VariableSpec("g", Normal(0.5, 2.0)),)
         return [
-            project_model(Model(id="f", fidelity="hf", fn=fn), specs, 5)
+            project_model(Model(id="f", fn=fn), specs, 5)
             for fn in (_smooth, lambda X: np.cos(X[:, 0]))
         ]
     if case == "n3_mixed":
         return [
-            project_model(Model(id="f", fidelity="hf", fn=fn), MIXED3, 4)
+            project_model(Model(id="f", fn=fn), MIXED3, 4)
             for fn in (
                 _smooth,
                 lambda X: X[:, 0] * X[:, 1] - X[:, 2] ** 3,

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mfpce.config import CONFIG, Section
+import yaml
+
+from mfpce.config import CONFIG, Section, parse_config
+from mfpce.models import ExternalModel, Model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +46,21 @@ def test_config_tables_name_every_schema_key():
         tables.append({key for row in rows[2:] for key in re.findall(r"`([^`]+)`", row)})
     for noun, keys in schema_keys(CONFIG):
         assert any(keys <= table for table in tables), f"no README table has every {noun} key"
+
+
+def test_example_config_loads_and_opens_its_models(monkeypatch):
+    """The YAML example of "Study configuration" parses, and its models,
+    builtin and command, open and close with no model run and no child
+    started."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Study configuration", 1)[1]
+    data = yaml.safe_load(re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1))
+    ran = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: ran.append(args))
+    for cls in (Model, ExternalModel):
+        monkeypatch.setattr(cls, "batch", lambda self, X: ran.append(self.id))
+    cfg = parse_config(data)
+    with cfg.open_models() as models:
+        assert list(models) == ["hf", "lf", "ext"]
+        assert (models["ext"].id, models["ext"].mode) == ("ext", "stream")
+    assert ran == []

@@ -95,9 +95,7 @@ class TestFromExpansion:
 
 class TestMonteCarlo:
     def _linear_model(self):
-        return Model(
-            id="linear", fidelity="hf", fn=lambda X: X.sum(axis=1)
-        )
+        return Model(id="linear", fn=lambda X: X.sum(axis=1))
 
     def test_additive_model_indices(self):
         specs = [VariableSpec(f"x{i}", Uniform(-1.0, 1.0)) for i in range(3)]
@@ -127,7 +125,7 @@ class TestMonteCarlo:
 
     def test_constant_model_raises(self):
         specs = [VariableSpec("x", Uniform(0.0, 1.0))]
-        const = Model(id="const", fidelity="hf", fn=lambda X: np.ones(len(X)))
+        const = Model(id="const", fn=lambda X: np.ones(len(X)))
         with pytest.raises(ZeroVarianceError):
             mc_sobol(const, specs, 1024, seed=1)
 

@@ -278,7 +278,7 @@ class TestDecay:
         term's share of the standard deviation, 1/sqrt(3) for x1 and
         (4/3)/sqrt(5) for the degree-2 term of 2 x2^2, not the classical
         Legendre coefficients 1 and 4/3."""
-        models = {"f": Model(id="f", fidelity="hf", fn=lambda X: X[:, 0] + 2 * X[:, 1] ** 2)}
+        models = {"f": Model(id="f", fn=lambda X: X[:, 0] + 2 * X[:, 1] ** 2)}
         built = build_scheme(SchemeSpec(name="f", kind="hf", hf="f"), 2, unit_uniform_specs, models)
         mags = [m for _, _, m in decay_report([built.expansion])]
         # The mean 2/3 leads, then 4/(3 sqrt(5)) = 0.596 and 1/sqrt(3) = 0.577.
