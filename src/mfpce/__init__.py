@@ -22,7 +22,6 @@ from .study import (
     ishigami_analytic,
     prediction_error,
     run_convergence,
-    similarity,
     sobol_errors,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "ishigami_analytic",
     "prediction_error",
     "run_convergence",
-    "similarity",
     "sobol_errors",
 ]

@@ -62,6 +62,14 @@ def string(value, what: str, noun: str = "a string") -> str:
     return value
 
 
+def record_field(value, what: str) -> str:
+    """A string that fits in a field of a cache record: no tab, no newline."""
+    text = string(value, what)
+    if "\t" in text or "\n" in text:
+        raise ConfigError(f"{what} must hold no tab or newline, got {value!r}")
+    return text
+
+
 def path(value, what: str) -> str:
     return string(value, what, "a path")
 
@@ -240,7 +248,7 @@ VARIABLE = Section("variable", "variable {name!r} {key}", many=True,
 })
 
 MODEL = Section("model", "model {name!r}: {key}", many=True, build=ModelBinding, fields={
-    "id": (string, REQUIRED),
+    "id": (record_field, REQUIRED),
     "builtin": (string, None),
     "command": (shell_words, None),
     "mode": (one_of("oneshot", "stream"), None),

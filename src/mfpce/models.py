@@ -13,13 +13,16 @@ holding a single decimal. ``oneshot`` mode spawns one process per request,
 running up to as many at once as this process may use CPUs (so they must
 not share scratch files); ``stream`` mode keeps a long-lived child answering
 line-for-line, and pipelines a batch's requests, so the child must answer
-each line in order and flush. Either way a batch returns its values in row
-order, and a failure raises :class:`ModelError` naming the node, with no
-child of the batch left running.
+each line in order and flush. Both modes run in one ``selectors`` loop and
+read replies by one rule: each output line answers the next row, and after
+the last reply only blank lines may follow. A batch returns its values in
+row order, and a failure raises :class:`ModelError` naming the node and
+quoting the child's stderr tail, with no child of the batch left running.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -169,12 +172,12 @@ def builtin_model(problem: str, fidelity: str) -> Model:
 
 # --- external processes -----------------------------------------------------
 
-#: Request lines encoded per write to a stream child, so a batch is never
-#: held as one string.
+#: Request lines encoded per write to a child, so a batch is never held as
+#: one string.
 _STREAM_CHUNK_ROWS = 64
-#: Bytes read from a child's pipe per ready event.
+#: Bytes read from a child's pipe per ready event, and kept of its stderr.
 _READ_BYTES = 8192
-#: Lines of a failed oneshot child's stderr quoted in its ModelError.
+#: Lines of a failed child's stderr quoted in its ModelError.
 _STDERR_LINES = 5
 
 
@@ -187,20 +190,6 @@ def _node(xi) -> tuple:
     return tuple(np.asarray(xi, dtype=float).tolist())
 
 
-def _parse_response(raw: str, xi) -> float:
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        raise ModelError(
-            f"malformed response {raw.strip()!r} from external model at node {_node(xi)}"
-        ) from None
-    if not math.isfinite(value):
-        raise ModelError(
-            f"non-finite output {raw.strip()!r} from external model at node {_node(xi)}"
-        )
-    return value
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: the most oneshot children kept in
     flight, so ``taskset -c 0`` runs them one at a time."""
@@ -210,87 +199,158 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stderr_tail(raw: bytes) -> str:
-    lines = raw.decode(errors="replace").strip().splitlines()
-    return " | ".join(line.strip() for line in lines[-_STDERR_LINES:])
+class _Child:
+    """One external process, answering a range of a batch's rows as the
+    selectors loop of :meth:`ExternalModel.batch` calls :meth:`on_ready`.
 
+    Its requests go out in chunks of :data:`_STREAM_CHUNK_ROWS` lines, and
+    each line of its stdout answers the next row; after the last reply,
+    blank lines are ignored and any other line is malformed. Its stderr is
+    read as it comes, keeping a bounded tail. A oneshot child's stdin is
+    closed after its request, and it is done once it has exited; the stream
+    child is done once its rows are answered, and stays for the next batch.
+    """
 
-class _Oneshot:
-    """One oneshot child. The selector loop calls :meth:`on_ready` with each
-    pipe it reports ready: the request goes to stdin, which is then closed,
-    and stdout and stderr are read to their ends."""
-
-    def __init__(self, argv: list[str], row: int, node, selector: selectors.BaseSelector):
-        self.row = row
-        self.node = node
-        self.selector = selector
-        self.proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0
-        )
-        self.request = memoryview((_format_request(node) + "\n").encode())
-        self.stdout = bytearray()
-        self.stderr = bytearray()
-        self.open = [self.proc.stdin, self.proc.stdout, self.proc.stderr]
-        for pipe in self.open:
+    def __init__(self, command: str, oneshot: bool):
+        self.command, self.oneshot = command, oneshot
+        argv, pipe = shlex.split(command), subprocess.PIPE
+        self.proc = subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe, bufsize=0)
+        self.pipes = (self.proc.stdin, self.proc.stdout, self.proc.stderr)
+        for pipe in self.pipes:
             os.set_blocking(pipe.fileno(), False)
+        self.stderr = b""
+        self.open: list = []  # the pipes registered with the batch's selector
+
+    def start(self, rows: range, X: np.ndarray, values: np.ndarray, selector) -> None:
+        """Take the rows ``rows`` of ``X``, whose replies go to ``values``."""
+        self.rows, self.X, self.values, self.selector = rows, X, values, selector
+        self.sent = self.answered = rows.start
+        self.pending, self.partial = memoryview(b""), b""
+        self.open = [pipe for pipe in self.pipes if not pipe.closed]
+        for pipe in self.open:
             event = selectors.EVENT_WRITE if pipe is self.proc.stdin else selectors.EVENT_READ
             selector.register(pipe, event, self)
 
-    def _close(self, pipe) -> None:
-        self.selector.unregister(pipe)
-        pipe.close()
-        self.open.remove(pipe)
+    @property
+    def row(self) -> int:
+        """The row a failure is at: the next to answer, or the last one."""
+        return min(self.answered, self.rows.stop - 1)
+
+    def _drop(self, *pipes) -> None:
+        for pipe in pipes:
+            self.selector.unregister(pipe)
+            self.open.remove(pipe)
 
     def on_ready(self, pipe) -> bool:
-        """Move the bytes ``pipe`` is ready for; True once all three are closed."""
+        """Move the bytes ``pipe`` is ready for; True once the child is done.
+        Raises :class:`ModelError` for a bad reply, a closed output or a
+        non-zero exit."""
         if pipe is self.proc.stdin:
+            if not self.pending:
+                chunk = self.X[self.sent : min(self.sent + _STREAM_CHUNK_ROWS, self.rows.stop)]
+                lines = "".join(_format_request(xi) + "\n" for xi in chunk.tolist())
+                self.pending = memoryview(lines.encode())
+                self.sent += len(chunk)
             try:
-                self.request = self.request[os.write(pipe.fileno(), self.request) :]
+                self.pending = self.pending[os.write(pipe.fileno(), self.pending) :]
             except BrokenPipeError:
-                self.request = self.request[:0]  # it stopped reading; its exit tells
-            if not self.request:
-                self._close(pipe)
+                self.pending, self.sent = self.pending[:0], self.rows.stop  # its output tells
+            if not self.pending and self.sent == self.rows.stop:
+                self._drop(pipe)
+                if self.oneshot:
+                    pipe.close()
+            return False
+        data = os.read(pipe.fileno(), _READ_BYTES)
+        if pipe is self.proc.stderr:
+            self.stderr = (self.stderr + data)[-_READ_BYTES:]
         else:
-            data = os.read(pipe.fileno(), _READ_BYTES)
-            if data:
-                (self.stdout if pipe is self.proc.stdout else self.stderr).extend(data)
-            else:
-                self._close(pipe)
-        return not self.open
+            *lines, self.partial = (self.partial + data).split(b"\n")
+            for line in lines:
+                self._reply(line)
+        if not data:
+            self._drop(pipe)
+            pipe.close()
+            if pipe is self.proc.stdout:
+                if self.partial:
+                    self._reply(self.partial)  # the end of output ends a last line
+                if not self.oneshot and self.answered < self.rows.stop:
+                    raise ModelError(
+                        f"external model {self.command!r} closed its output "
+                        f"at node {_node(self.X[self.answered])}"
+                    )
+        if not self.oneshot and self.answered == self.rows.stop:
+            self._drop(*self.open)  # it stays for the next batch
+        if self.open:
+            return False
+        if self.oneshot and self.proc.wait() != 0:
+            raise ModelError(
+                f"external model {self.command!r} failed at node {_node(self.X[self.row])}: "
+                f"exit status {self.proc.returncode}"
+            )
+        if self.answered < self.rows.stop:
+            self._reply(b"")  # no reply is a blank one
+        return True
 
-    def result(self, command: str) -> float:
-        """Reap the child and read its reply; raise :class:`ModelError`, with
-        the last lines of its stderr, for a non-zero exit or a bad reply."""
-        returncode = self.proc.wait()
+    def _reply(self, line: bytes) -> None:
+        raw = line.decode(errors="replace")
+        if self.answered == self.rows.stop:
+            if raw.strip():
+                raise self._bad_reply("malformed response", raw)
+            return
         try:
-            if returncode != 0:
-                raise ModelError(
-                    f"external model {command!r} failed at node {self.node}: "
-                    f"exit status {returncode}"
-                )
-            return _parse_response(self.stdout.decode(errors="replace"), self.node)
-        except ModelError as exc:
-            tail = _stderr_tail(self.stderr)
-            if tail:
-                raise ModelError(f"{exc}; stderr: {tail}") from None
-            raise
+            value = float(raw)
+        except ValueError:
+            raise self._bad_reply("malformed response", raw) from None
+        if not math.isfinite(value):
+            raise self._bad_reply("non-finite output", raw)
+        self.values[self.answered] = value
+        self.answered += 1
 
-    def kill(self) -> None:
-        self.proc.kill()
-        for pipe in list(self.open):
-            self._close(pipe)
-        self.proc.wait()
+    def _bad_reply(self, kind: str, raw: str) -> ModelError:
+        node = _node(self.X[self.row])
+        return ModelError(f"{kind} {raw.strip()!r} from external model at node {node}")
+
+    def failed(self, exc: ModelError) -> ModelError:
+        """Kill and reap the child; ``exc`` quoting the last lines of its stderr."""
+        self.reap()
+        lines = self.stderr.decode(errors="replace").strip().splitlines()
+        tail = " | ".join(line.strip() for line in lines[-_STDERR_LINES:])
+        return ModelError(f"{exc}; stderr: {tail}") if tail else exc
+
+    def reap(self, kill: bool = True) -> None:
+        """End the child, reap it and close its pipes. A kill is at once, and
+        keeps what it had written to stderr. Otherwise its input is closed and
+        its output drained while it has 10 s to exit, after which it is killed."""
+        self._drop(*self.open)
+        if not kill:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                self.proc.communicate(timeout=10)
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+            # Keep what it wrote to stderr: read to the end, or until the pipe
+            # is empty while a grandchild holds it open.
+            stderr = self.proc.stderr
+            with contextlib.suppress(BlockingIOError):
+                while not stderr.closed and (data := os.read(stderr.fileno(), _READ_BYTES)):
+                    self.stderr = (self.stderr + data)[-_READ_BYTES:]
+        for pipe in self.pipes:
+            pipe.close()
 
 
 class ExternalModel:
     """Subprocess-backed model honoring the line-oriented wire protocol.
 
-    One :meth:`batch` overlaps its evaluations in one single-threaded
-    ``selectors`` loop. In oneshot mode up to :func:`_usable_cpus` children
-    run at once; in stream mode the requests are written to the one child
-    in bounded chunks while its replies are read back. Either way the
-    values come back in row order, and a failure raises :class:`ModelError`
-    for the lowest failing row with no child of the batch left running.
+    One :meth:`batch` runs its evaluations in one single-threaded
+    ``selectors`` loop over :class:`_Child` processes. In oneshot mode each
+    row has its own child, up to :func:`_usable_cpus` at once; in stream
+    mode the one persistent child (``_proc``) gets every row, its requests
+    written in bounded chunks while its replies are read back. Either way
+    the values come back in row order. A failure raises :class:`ModelError`
+    for the lowest failing row, quoting the child's stderr tail, with no
+    child of the batch left running; a failed stream child is replaced in
+    the next batch. :meth:`close` ends the stream child, reading its output
+    while it exits.
     """
 
     def __init__(self, command: str, mode: str = "oneshot", id: str | None = None):
@@ -299,145 +359,69 @@ class ExternalModel:
         self.id = command if id is None else id
         self.command = command
         self.mode = mode
-        self._proc: subprocess.Popen | None = None
+        self._proc: _Child | None = None
 
-    def _batch_oneshot(self, X: np.ndarray) -> np.ndarray:
-        """Start a child per row, in row order, keeping up to
-        :func:`_usable_cpus` in flight. After a failure no child starts and
-        those of higher rows are killed; those of lower rows finish, since
-        one of them may fail too, and the lowest failing row is raised."""
-        argv = shlex.split(self.command)
-        width = min(len(X), _usable_cpus())
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of ``X``. Children start in row order. After a
+        failure no child starts and those of higher rows are killed; those
+        of lower rows finish, since one of them may fail too, and the lowest
+        failing row is raised."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        oneshot = self.mode == "oneshot"
+        if self._proc is not None and self._proc.proc.poll() is not None:
+            self._proc.reap()  # the stream child has exited; a fresh one starts
+            self._proc = None
+        width = _usable_cpus() if oneshot else 1
         values = np.empty(len(X))
         failures: dict[int, ModelError] = {}
-        running: dict[int, _Oneshot] = {}
+        running: dict[int, _Child] = {}  # by their first row
         started = 0
         with selectors.DefaultSelector() as selector:
             try:
-                while running or (started < len(X) and not failures):
+                while True:
                     while len(running) < width and started < len(X) and not failures:
-                        node = _node(X[started])
+                        rows = range(started, started + 1 if oneshot else len(X))
                         try:
-                            running[started] = _Oneshot(argv, started, node, selector)
+                            # The stream child leaves _proc, and is back once done.
+                            child, self._proc = self._proc or _Child(self.command, oneshot), None
                         except OSError as exc:
                             failures[started] = ModelError(
                                 f"cannot start external model {self.command!r} "
-                                f"at node {node}: {exc}"
+                                f"at node {_node(X[started])}: {exc}"
                             )
-                        started += 1
+                        else:
+                            child.start(rows, X, values, selector)
+                            running[started] = child
+                        started = rows.stop
                     if not running:
                         break
                     for key, _ in selector.select():
                         child = key.data
-                        # A child killed earlier in this round of events is skipped.
-                        if running.get(child.row) is not child or not child.on_ready(key.fileobj):
+                        # A child ended earlier in this round of events is skipped.
+                        if running.get(child.rows.start) is not child:
                             continue
-                        del running[child.row]
                         try:
-                            values[child.row] = child.result(self.command)
+                            if child.on_ready(key.fileobj):
+                                del running[child.rows.start]
+                                self._proc = None if oneshot else child
                         except ModelError as exc:
-                            failures[child.row] = exc
+                            del running[child.rows.start]
+                            failures[child.row] = child.failed(exc)
                             for later in [r for r in running if r > min(failures)]:
-                                running.pop(later).kill()
+                                running.pop(later).reap()
             finally:
                 for child in running.values():
-                    child.kill()
+                    child.reap()
         if failures:
             raise failures[min(failures)]
         return values
 
-    def _child(self) -> subprocess.Popen:
-        """The stream child, started afresh if none runs."""
-        if self._proc is not None and self._proc.poll() is not None:
-            self._kill()
-        if self._proc is None:
-            try:
-                self._proc = subprocess.Popen(
-                    shlex.split(self.command),
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    bufsize=0,
-                )
-            except OSError as exc:
-                raise ModelError(f"cannot start external model {self.command!r}: {exc}") from exc
-            os.set_blocking(self._proc.stdin.fileno(), False)
-            os.set_blocking(self._proc.stdout.fileno(), False)
-        return self._proc
-
-    def _batch_stream(self, X: np.ndarray) -> np.ndarray:
-        """Write the requests in chunks of :data:`_STREAM_CHUNK_ROWS` lines
-        while reading the replies, which answer the rows in order. On any
-        failure the child is killed and reaped before the error propagates,
-        so the next batch starts a fresh one."""
-        proc = self._child()
-        values = np.empty(len(X))
-        pending = memoryview(b"")
-        sent = answered = 0
-        partial = b""
-        with selectors.DefaultSelector() as selector:
-            selector.register(proc.stdin, selectors.EVENT_WRITE)
-            selector.register(proc.stdout, selectors.EVENT_READ)
-            try:
-                while answered < len(X):
-                    for key, _ in selector.select():
-                        if key.fileobj is proc.stdin:
-                            if not pending:
-                                chunk = X[sent : sent + _STREAM_CHUNK_ROWS].tolist()
-                                pending = memoryview(
-                                    "".join(_format_request(xi) + "\n" for xi in chunk).encode()
-                                )
-                                sent += len(chunk)
-                            try:
-                                pending = pending[os.write(proc.stdin.fileno(), pending) :]
-                            except BrokenPipeError:
-                                pending, sent = pending[:0], len(X)  # its output tells
-                            if not pending and sent == len(X):
-                                selector.unregister(proc.stdin)
-                            continue
-                        data = os.read(proc.stdout.fileno(), _READ_BYTES)
-                        if not data:
-                            raise ModelError(
-                                f"external model {self.command!r} closed its output "
-                                f"at node {_node(X[answered])}"
-                            )
-                        lines = (partial + data).split(b"\n")
-                        partial = lines.pop()
-                        for line in lines[: len(X) - answered]:
-                            reply = line.decode(errors="replace")
-                            values[answered] = _parse_response(reply, X[answered])
-                            answered += 1
-            except BaseException:
-                self._kill()
-                raise
-        return values
-
-    def _kill(self) -> None:
-        """Kill and reap the stream child and close its pipes."""
-        proc, self._proc = self._proc, None
-        proc.kill()
-        proc.wait()
-        proc.stdin.close()
-        proc.stdout.close()
-
     def close(self) -> None:
-        """End the stream child: close its input, wait for it to exit (and
-        kill it if it has not within 10 s), then close its output."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        proc.stdin.close()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.mode == "oneshot":
-            return self._batch_oneshot(X)
-        return self._batch_stream(X)
+        """End the stream child: close its input and drain its output while
+        it has 10 s to exit, then kill it if it has not."""
+        child, self._proc = self._proc, None
+        if child is not None:
+            child.reap(kill=False)
 
 
 # --- evaluation cache -------------------------------------------------------

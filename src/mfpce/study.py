@@ -1,4 +1,4 @@
-"""Evaluation apparatus: similarity/prediction metrics, Sobol error metrics,
+"""Evaluation apparatus: the prediction error metric, Sobol error metrics,
 analytic Ishigami references, convergence sweeps, cost accounting, and
 coefficient-decay reports.
 """
@@ -45,19 +45,16 @@ def _r2(y_ref, y_other) -> float:
     return float((dr @ do) / denom) ** 2
 
 
-def similarity(y_l, y_h) -> tuple[float, float]:
-    """Squared correlation and mean absolute relative error of LF vs HF."""
-    y_l = np.asarray(y_l, dtype=float)
-    y_h = np.asarray(y_h, dtype=float)
-    if y_l.shape != y_h.shape or y_l.size < 2:
-        raise ValueError("need two equal-length sample sets of size >= 2")
-    mare, _ = _mare(y_l, y_h)
-    return _r2(y_h, y_l), mare
-
-
 def prediction_error(y_true, y_pred) -> tuple[float, float]:
-    """Surrogate accuracy: squared correlation and MARE of the prediction."""
-    return similarity(y_pred, y_true)
+    """Squared correlation and mean absolute relative error of ``y_pred``
+    against ``y_true``: a surrogate against its model, or an LF model
+    against the HF one."""
+    y_true = np.asarray(y_true, dtype=float)
+    y_pred = np.asarray(y_pred, dtype=float)
+    if y_true.shape != y_pred.shape or y_true.size < 2:
+        raise ValueError("need two equal-length sample sets of size >= 2")
+    mare, _ = _mare(y_pred, y_true)
+    return _r2(y_true, y_pred), mare
 
 
 def sobol_errors(report: SobolReport, reference: SobolReport) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from mfpce.orthopoly import PolyFamily, gauss_rule
 from mfpce.pce import project, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.sparse_grid import compositions, growth, level_terms, smolyak_grid
-from mfpce.study import ishigami_analytic, similarity, sobol_errors
+from mfpce.study import ishigami_analytic, prediction_error, sobol_errors
 
 SIMILARITY_SEED = 19  # fixed validation stream for the similarity metrics
 SIMILARITY_COUNT = 100_000
@@ -155,18 +155,18 @@ def test_criterion_03_borehole_reference_table(borehole_reference_w5):
 def test_criterion_04_similarity_metrics():
     # borehole
     X = validation_samples("borehole")
-    r2, mare = similarity(
-        builtin_model("borehole", "lf").batch(X),
+    r2, mare = prediction_error(
         builtin_model("borehole", "hf").batch(X),
+        builtin_model("borehole", "lf").batch(X),
     )
     assert 0.998 <= r2 <= 1.0
     assert 0.194 <= mare <= 0.214
 
     # Ishigami LF1
     X = validation_samples("ishigami")
-    r2, mare = similarity(
-        builtin_model("ishigami", "lf1").batch(X),
+    r2, mare = prediction_error(
         builtin_model("ishigami", "hf").batch(X),
+        builtin_model("ishigami", "lf1").batch(X),
     )
     assert r2 == pytest.approx(0.9875, abs=0.005)
     assert mare == pytest.approx(0.450, abs=0.03)
@@ -174,10 +174,10 @@ def test_criterion_04_similarity_metrics():
     # short column LF1 (correlation only; MARE uses the near-zero skip rule)
     X = validation_samples("short_column")
     y_h = builtin_model("short_column", "hf").batch(X)
-    r2, _ = similarity(builtin_model("short_column", "lf1").batch(X), y_h)
+    r2, _ = prediction_error(y_h, builtin_model("short_column", "lf1").batch(X))
     assert r2 == pytest.approx(0.923, abs=0.01)
 
-    _, mare_lf5 = similarity(builtin_model("short_column", "lf5").batch(X), y_h)
+    _, mare_lf5 = prediction_error(y_h, builtin_model("short_column", "lf5").batch(X))
     published_lf5 = 1547.13
     print(
         f"short-column LF5 MARE_lh={mare_lf5:.4g} vs published {published_lf5} "

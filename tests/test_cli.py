@@ -370,6 +370,14 @@ class TestExitCodes:
                 "model id must be a string, got [1]",
             ),
             (
+                {"models": [{"id": "h\tf", "builtin": "ishigami/hf"}]},
+                "model id must hold no tab or newline, got 'h\\tf'",
+            ),
+            (
+                {"models": [{"id": "h\nf", "builtin": "ishigami/hf"}]},
+                "model id must hold no tab or newline, got 'h\\nf'",
+            ),
+            (
                 {"schemes": [{"name": "hf", "kind": "hf", "hf": [1]}]},
                 "scheme 'hf' hf must be a string, got [1]",
             ),
@@ -462,6 +470,8 @@ class TestExitCodes:
             "model_builtin_not_string",
             "model_command_not_string",
             "model_id_not_string",
+            "model_id_tab",
+            "model_id_newline",
             "scheme_model_not_string",
             "problem_not_string",
             "variable_name_not_string",

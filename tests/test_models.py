@@ -256,6 +256,96 @@ class TestOverlappedFaults:
         proc.close()
         assert spawned[1].poll() is not None
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("print('garbage', flush=True)", "malformed response 'garbage'"),
+            ("break", "closed its output"),
+        ],
+        ids=["garbage", "exit"],
+    )
+    def test_stream_failure_quotes_child_stderr(self, tmp_path, fault, message):
+        script = tmp_path / "model.py"
+        fault = f"print('bad line', i, file=sys.stderr); {fault}"
+        script.write_text(STREAM_FAULT_AT_K.format(k=2, fault=fault))
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
+        with pytest.raises(ModelError, match=f"{message}.*; stderr: bad line 2$"):
+            proc.batch(np.arange(5.0)[:, None])
+
+    def test_stream_batch_with_megabytes_of_stderr_completes(self, tmp_path, spawned):
+        """Stderr is drained as the replies are read, so a child that
+        writes 2 MiB of it while answering does not stall the batch."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n"
+            "    sys.stderr.write('e' * 4095 + '\\n')\n    print(float(line), flush=True)\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
+        X = np.arange(512.0)[:, None]
+        start = time.monotonic()
+        assert proc.batch(X).tolist() == X[:, 0].tolist()
+        assert time.monotonic() - start < 5
+        proc.close()
+        assert spawned[0].poll() is not None
+
+    def test_close_drains_a_child_writing_stderr_at_exit(self, tmp_path, spawned):
+        """A stream child that writes 1 MiB to stderr once its input closes
+        exits within the wait, as close() reads its output meanwhile."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n    print(float(line), flush=True)\n"
+            "sys.stderr.write('x' * 2**20)\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
+        proc.batch(np.zeros((3, 1)))
+        start = time.monotonic()
+        proc.close()
+        assert time.monotonic() - start < 2
+        assert proc._proc is None
+        assert len(spawned) == 1 and spawned[0].returncode == 0
+
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("\\n\\n", None),
+            ("extra\\n", "malformed response 'extra'"),
+            ("\\n7\\n", "malformed response '7'"),
+        ],
+        ids=["blank", "extra", "number"],
+    )
+    def test_lines_after_the_last_reply(self, tmp_path, spawned, mode, tail, message):
+        """After the last reply of a batch, blank lines are ignored and any
+        other line is malformed, in both modes."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n"
+            f"    sys.stdout.write(str(float(line)) + '\\n' + '{tail}')\n"
+            "    sys.stdout.flush()\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode=mode)
+        X = np.array([[0.5]])
+        if message is None:
+            assert proc.batch(X).tolist() == [0.5]
+        else:
+            with pytest.raises(ModelError, match=message + r" .*at node \(0\.5,\)"):
+                proc.batch(X)
+        proc.close()
+        assert all(child.poll() is not None for child in spawned)
+
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    def test_blank_line_before_a_reply_is_malformed(self, tmp_path, spawned, mode):
+        """A blank line answers its row, as a malformed response, and does
+        not shift the later replies."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n    print('\\n' + line.strip(), flush=True)\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode=mode)
+        with pytest.raises(ModelError, match=r"malformed response '' .*at node \(0\.5,\)"):
+            proc.batch(np.array([[0.5], [1.5]]))
+        assert all(child.poll() is not None for child in spawned)
+
 
 def tuple_keys(X):
     """Cache keys as tuples of floats, the representation the array keys

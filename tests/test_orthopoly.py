@@ -134,6 +134,19 @@ class TestGaussRules:
         gram = (table[:m] * r.weights) @ table.T
         assert np.abs(gram - np.eye(m, m + 1)).max() < 1e-12
 
+    @pytest.mark.parametrize("m, zeros, low, high", [(255, 0, 0.0, 1e-13), (511, 40, 0.4, 1.0)])
+    def test_documented_hermite_limit(self, m, zeros, low, high):
+        """The limit that the gauss_rule docstring and the README state: at
+        m = 511 the outermost weights underflow to 0 and the Gram matrix of
+        test_exactness_to_degree_2m_minus_1 is far off the identity; at
+        m = 255 neither. A fix of the limit must update both texts."""
+        r = gauss_rule(PolyFamily.HERMITE, m)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            table = eval_poly_table(PolyFamily.HERMITE, m, r.points)
+            gram = (table[:m] * r.weights) @ table.T
+        assert np.count_nonzero(r.weights == 0.0) == zeros
+        assert low <= np.abs(gram - np.eye(m, m + 1)).max() < high
+
     @pytest.mark.parametrize("family", list(PolyFamily))
     def test_orthogonality_at_m12(self, family):
         r = gauss_rule(family, 12)

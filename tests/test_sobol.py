@@ -14,7 +14,7 @@ from mfpce.sobol import (
     subset_index,
     total_indices,
 )
-from mfpce.sparse_grid import smolyak_grid
+from mfpce.sparse_grid import physical_nodes, smolyak_grid
 from mfpce.pce import project
 
 
@@ -109,6 +109,22 @@ class TestMonteCarlo:
             )
         assert report.mean == pytest.approx(0.0, abs=0.02)
         assert report.variance == pytest.approx(1.0, abs=0.02)
+
+    def test_agrees_with_the_exact_pce_within_four_standard_errors(self):
+        """An oracle cross-check: y = x1 + 2*x2**2 + x1*x3 on U(-1, 1)^3 has
+        the exact w=2 PCE indices S = (5/12, 4/9, 0), S_T = (5/9, 4/9, 5/36),
+        and the pick-freeze estimates lie within 4 of their standard errors
+        of every one of them."""
+        specs = [VariableSpec(f"x{i}", Uniform(-1.0, 1.0)) for i in (1, 2, 3)]
+        model = Model(id="poly", fn=lambda X: X[:, 0] + 2.0 * X[:, 1] ** 2 + X[:, 0] * X[:, 2])
+        nodes = physical_nodes(smolyak_grid(3, 2, specs), specs)
+        exact = all_indices(project(model.batch(nodes), 2, specs))
+        assert [exact.first_order(i) for i in range(3)] == pytest.approx([5 / 12, 4 / 9, 0.0])
+        assert exact.total_indices == pytest.approx([5 / 9, 4 / 9, 5 / 36])
+        report = mc_sobol(model, specs, 8192, seed=0)
+        for i in range(3):
+            assert abs(report.first_order(i) - exact.first_order(i)) <= 4 * report.first_order_se[i]
+            assert abs(report.total_indices[i] - exact.total_indices[i]) <= 4 * report.total_se[i]
 
     def test_deterministic_for_fixed_seed(self):
         specs = [VariableSpec(f"x{i}", Uniform(0.0, 1.0)) for i in range(2)]

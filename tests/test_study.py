@@ -16,7 +16,6 @@ from mfpce.study import (
     ishigami_analytic,
     prediction_error,
     run_convergence,
-    similarity,
     sobol_errors,
     write_convergence_csv,
     write_decay_csv,
@@ -26,35 +25,35 @@ from mfpce.study import (
 class TestSimilarity:
     def test_identical_samples(self):
         y = np.array([1.0, 2.0, -3.0, 4.0])
-        r2, mare = similarity(y, y)
+        r2, mare = prediction_error(y, y)
         assert r2 == pytest.approx(1.0)
         assert mare == pytest.approx(0.0)
 
     def test_affine_relation_has_unit_r2(self):
         y = np.linspace(1.0, 5.0, 20)
-        r2, mare = similarity(2.0 * y + 1.0, y)
+        r2, mare = prediction_error(y, 2.0 * y + 1.0)
         assert r2 == pytest.approx(1.0)
         assert mare > 0.0
 
     def test_hand_computed_mare(self):
-        r2, mare = similarity([1.1, 1.8], [1.0, 2.0])
+        r2, mare = prediction_error([1.0, 2.0], [1.1, 1.8])
         assert mare == pytest.approx(0.5 * (0.1 / 1.0 + 0.2 / 2.0))
 
     def test_near_zero_references_are_skipped(self):
         y_h = np.array([0.0, 2.0, 4.0])
         y_l = np.array([100.0, 2.2, 4.4])
-        _, mare = similarity(y_l, y_h)
+        _, mare = prediction_error(y_h, y_l)
         assert mare == pytest.approx(0.1)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
-            similarity([1.0, 2.0], [1.0])
+            prediction_error([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            similarity([1.0], [1.0])
+            prediction_error([1.0], [1.0])
 
     def test_constant_samples_raise(self):
         with pytest.raises(ZeroVarianceError):
-            similarity([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            prediction_error([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
     def test_prediction_error_orientation(self):
         y_true = np.array([1.0, 2.0, 4.0])
