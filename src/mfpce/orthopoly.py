@@ -106,17 +106,22 @@ def _recurrence(family: PolyFamily, m: int) -> np.ndarray:
     return np.sqrt(k)
 
 
-def eval_poly_table(family: PolyFamily, max_degree: int, x) -> np.ndarray:
+def eval_poly_table(family: PolyFamily, max_degree: int, x, out=None) -> np.ndarray:
     """Evaluate the orthonormal polynomials of degree 0..max_degree at ``x``.
 
     Returns an array of shape ``(max_degree + 1, len(x))`` built with the
     recurrence of :func:`_recurrence`, multiplied through by ``1 / b_{k+1}``.
     Each row is written in place, with one scratch vector, in the operation
     order of ``x * T[k] * a_k - c_k * T[k-1]`` with ``a_k = 1 / b_{k+1}``
-    and ``c_k = b_k * a_k``.
+    and ``c_k = b_k * a_k``. The table is written into ``out`` when given
+    (a float array of that shape, whose rows may be strided slices of a
+    larger buffer), and returned.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((max_degree + 1, x.size))
+    shape = (max_degree + 1, x.size)
+    table = np.empty(shape) if out is None else out
+    if table.shape != shape or table.dtype != np.float64:
+        raise ValueError(f"out must be a float array of shape {shape}, got {out.dtype} {out.shape}")
     table[0] = 1.0
     if max_degree == 0:
         return table

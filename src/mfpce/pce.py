@@ -83,6 +83,31 @@ def stack(expansions) -> Expansion:
     )
 
 
+def union(expansions) -> Expansion:
+    """One multi-output expansion over the union of the multi-indices of
+    the scalar ``expansions``: column ``i`` holds expansion ``i``'s
+    coefficients and 0 at the multi-indices it lacks. :func:`evaluate_batch`
+    evaluates each column over its own non-zero terms only."""
+    expansions = list(expansions)
+    if not expansions:
+        raise ValueError("need at least one expansion")
+    first = expansions[0]
+    if any(e.specs != first.specs for e in expansions[1:]):
+        raise ValueError("united expansions must share specs")
+    terms, slot = np.unique(
+        np.concatenate([e.terms for e in expansions]), axis=0, return_inverse=True
+    )
+    column = np.repeat(np.arange(len(expansions)), [len(e.terms) for e in expansions])
+    coeffs = np.zeros((len(terms), len(expansions)))
+    coeffs[slot.reshape(-1), column] = np.concatenate([e.coeffs for e in expansions])
+    return Expansion(
+        specs=first.specs,
+        terms=terms,
+        coeffs=coeffs,
+        provenance="+".join(e.provenance for e in expansions),
+    )
+
+
 def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
     """Spectral projection of model values sampled on ``smolyak_grid``.
 
@@ -121,55 +146,81 @@ OUTER_POINTS = 4096
 INNER_BYTES = 1 << 20
 
 
+def _segment(first: int, degree: np.ndarray):
+    """Plan rows ``first, first + 1, ...`` taken or multiplied by the table
+    rows ``degree``: ``(first, stop, degree, used)``, where the rows read
+    lie below ``used``."""
+    return first, first + len(degree), degree, int(degree.max(initial=0)) + 1
+
+
 def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     """How :func:`evaluate_batch` forms the sorted multi-indices ``phis``
     with their ``(K, E)`` coefficients.
 
-    The sorted multi-indices form a prefix tree. Each distinct prefix over
-    axes ``0..n-2`` needs the product of its 1D polynomials, and a trailing
-    degree 0 leaves a product unchanged (``T[0] = 1``), so a product row is
-    made once, at the last axis where its prefix has a non-zero degree, as
-    its parent's row times one table row. Returns the row of the empty
-    product, per axis ``j < n - 1`` the ``(rows, parents, degrees)`` made
-    there, and the row count.
+    The sorted multi-indices form a prefix tree. A prefix over axes
+    ``0..j`` is made as its parent's product (its prefix over axes
+    ``0..j-1``) times the axis-``j`` table row of its degree; row 0 is the
+    empty product. Each axis ``j < n - 1`` makes one range of rows, in axis
+    order, so that every parent precedes its children. Axes ``j < n - 2``
+    make only the prefixes whose axis-``j`` degree is non-zero: a trailing
+    degree 0 leaves a product unchanged (``T[0] = 1``), so such a prefix
+    reuses its parent's row. Axis ``n - 2`` makes every distinct prefix over
+    axes ``0..n-2``, the ones the terms contract. Returns per axis
+    ``(start, parents, segments)``: the rows from ``start`` on are copies of
+    the rows ``parents``, and each :func:`_segment` of them is multiplied by
+    its table rows. On axis 0 ``parents`` is None, as the parent is the
+    empty product: the segments are the table rows themselves. Then the row
+    count, and the runs.
 
-    The distinct prefixes take the first rows, ordered stably by last-axis
-    width (largest last degree + 1), and are cut into runs of equal width
-    ``d``. Per run the plan holds ``(first, stop, d, C)``: its rows and its
-    coefficient block. A run of at least ``d`` rows contracts its rows in
-    the matrix product: ``C`` is ``(d * E, rows)`` and its row ``k * E + c``
-    holds output ``c``'s coefficients of last degree ``k``. A shorter run
-    contracts its degrees: ``C`` is ``(rows * E, d)`` and its row
-    ``u * E + c`` holds output ``c``'s coefficients of the run's row ``u``.
+    The prefixes over axes ``0..n-2`` (the empty product when ``n = 1``)
+    are ordered by last-axis width (largest last degree + 1) and cut into
+    runs of equal width ``d``. Within a width, the prefixes whose axis-
+    ``n - 2`` degree is 0 come first: they are copies of their parents, so
+    the rest are one multiplied segment per width. Per run the plan holds
+    ``(first, stop, d, C)``: its rows and its coefficient block. A run of
+    at least ``d`` rows contracts its rows in the matrix product: ``C`` is
+    ``(d * E, rows)`` and its row ``k * E + c`` holds output ``c``'s
+    coefficients of last degree ``k``. A shorter run contracts its degrees:
+    ``C`` is ``(rows * E, d)`` and its row ``u * E + c`` holds output
+    ``c``'s coefficients of the run's row ``u``.
     """
     K, n = phis.shape
     new = np.zeros(K, dtype=bool)
     new[0] = True
-    ids = np.zeros(K, dtype=np.intp)
+    ids = np.zeros(K, dtype=np.intp)  # per term, its distinct prefix so far
     row = np.zeros(1, dtype=np.intp)  # product row per distinct prefix
     steps, made = [], 1
     for j in range(n - 1):
         new[1:] |= phis[1:, j] != phis[:-1, j]
         starts = np.flatnonzero(new)
         parent, degree = row[ids[starts]], phis[starts, j]
-        fresh = np.flatnonzero(degree)
-        row = parent.copy()
-        row[fresh] = np.arange(made, made + len(fresh))
-        steps.append((row[fresh], parent[fresh], degree[fresh]))
-        made += len(fresh)
         ids = np.cumsum(new) - 1
+        if j < n - 2:
+            fresh = np.flatnonzero(degree)
+            row = parent.copy()
+            row[fresh] = np.arange(made, made + len(fresh))
+            steps.append((made, parent[fresh] if j else None, [_segment(made, degree[fresh])]))
+            made += len(fresh)
 
     last = phis[:, -1]
-    widths = np.zeros(len(row), dtype=np.intp)
+    widths = np.zeros(ids[-1] + 1, dtype=np.intp)
     np.maximum.at(widths, ids, last + 1)
-    order = np.argsort(widths, kind="stable")
-    target = np.full(made, -1)
-    target[row[order]] = np.arange(len(row))
-    target[target < 0] = np.arange(len(row), made)  # products no term uses
-    steps = [(target[rows], target[parents], degree) for rows, parents, degree in steps]
+    if n == 1:
+        order, base = np.zeros(1, dtype=np.intp), 0
+    else:
+        order, base = np.lexsort((degree != 0, widths)), made
+        degree = degree[order]
+        if n == 2:
+            steps.append((made, None, [_segment(made, degree)]))
+        else:
+            cuts = np.flatnonzero(np.diff(np.r_[0, degree != 0, 0])).reshape(-1, 2)
+            steps.append((made, parent[order], [_segment(made + lo, degree[lo:hi]) for lo, hi in cuts]))
+        made += len(order)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
 
     E = coeffs.shape[1]
-    widths, slot = widths[order], target[row[ids]]
+    widths, slot = widths[order], rank[ids]
     cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
     runs = []
     for first, stop in zip(cuts[:-1], cuts[1:]):
@@ -179,20 +230,49 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
         block[last[mine], :, slot[mine] - first] = coeffs[mine]
         if stop - first < d:
             block = block.transpose(2, 1, 0).copy()
-        runs.append((first, stop, d, block.reshape(-1, block.shape[-1])))
-    return int(target[0]), steps, made, runs
+        runs.append((base + first, base + stop, d, block.reshape(-1, block.shape[-1])))
+    return steps, made, runs
+
+
+def _column_groups(terms: np.ndarray, coeffs: np.ndarray):
+    """``(columns, plan, width)`` per group of the columns of the ``(K, E)``
+    ``coeffs`` that have the same non-zero terms (the zero term counts in
+    every column): the group's own :func:`_evaluation_plan` over those
+    terms, and its inner block width, sized from its number of prefix
+    products so that they take about ``INNER_BYTES``."""
+    nonzero = coeffs != 0
+    nonzero[0] = True
+    members: dict[bytes, list[int]] = {}
+    for c in range(coeffs.shape[1]):
+        members.setdefault(nonzero[:, c].tobytes(), []).append(c)
+    groups = []
+    for columns in members.values():
+        rows = nonzero[:, columns[0]]
+        plan = _evaluation_plan(terms[rows], coeffs[np.ix_(rows, columns)])
+        width = min(OUTER_POINTS, max(1, INNER_BYTES // (8 * plan[1])))
+        groups.append((np.array(columns), plan, width))
+    return groups
+
+
+def _view(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """The first ``rows * columns`` entries of a flat scratch buffer as a
+    C-contiguous ``(rows, columns)`` array."""
+    return buffer[: rows * columns].reshape(rows, columns)
 
 
 def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
     """Evaluate the expansion at rows of physical-coordinate points.
 
     Returns shape ``(N,)`` for scalar coefficients and ``(N, E)`` for
-    length-``E`` coefficient vectors, one column per output; all outputs
-    share the tables and products below.
+    length-``E`` coefficient vectors, one column per output. Columns with
+    the same non-zero terms form a group that contracts only those terms,
+    so an expansion over the union of several index sets (see
+    :func:`union`) costs about what each set costs alone; all groups share
+    one pass over the points and its 1D tables.
 
-    The products of the 1D polynomials over axes ``0..n-2`` are formed
-    once per distinct prefix of the multi-indices, as a parent's product
-    times one table row, multiplied left to right (see
+    Per group, the products of the 1D polynomials over axes ``0..n-2`` are
+    formed once per distinct prefix of its multi-indices, as a parent's
+    product times one table row, multiplied left to right (see
     :func:`_evaluation_plan`). The last axis is ragged: the prefixes are
     grouped into runs of equal last-axis width ``d``, and each run is one
     matrix product ``Z`` of its coefficient block with its prefix products,
@@ -201,46 +281,76 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
     over its prefixes after. For a downward-closed set that is ``K * E``
     multiply-adds per point.
 
-    Two block levels bound memory: the 1D tables are built once per outer
-    block of ``OUTER_POINTS`` points, and the products run over inner column
-    blocks sized from the number of prefix products alone, so that they
-    take about ``INNER_BYTES``.
+    Two block levels bound memory. The 1D tables are built once per outer
+    block of ``OUTER_POINTS`` points, at the expansion's top degree per
+    axis, and each group's products run over inner column blocks of its own
+    width (see :func:`_column_groups`). The tables and every per-block
+    temporary (gathers, matrix products, sums) live in buffers allocated
+    once per call, so that a call holds its output, one block's tables and
+    a few ``INNER_BYTES``-sized buffers, whatever the number of points.
     """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
-    phis, coeffs = e.terms, e.coeffs
-    E = coeffs.shape[1] if coeffs.ndim == 2 else 1
-    one, steps, made, runs = _evaluation_plan(phis, coeffs.reshape(len(phis), E))
-    top = phis.max(axis=0)
-    width = min(OUTER_POINTS, max(1, INNER_BYTES // (8 * made)))
+    coeffs = e.coeffs.reshape(len(e.terms), -1)
+    groups = _column_groups(e.terms, coeffs)
+    outer = min(OUTER_POINTS, len(X))
+    tables = [np.empty((int(top) + 1, outer)) for top in e.terms.max(axis=0)]
+    # One flat buffer per temporary, for the largest of the groups' uses:
+    # prefix products, one segment's table rows, one run's matrix product
+    # and two for sums, each of its rows times the group's width.
+    sizes = np.zeros(4, dtype=np.intp)
+    for columns, (steps, made, runs), width in groups:
+        segment = max((hi - lo for *_, segments in steps for lo, hi, *_ in segments), default=0)
+        rows = [made, segment, max(len(C) for *_, C in runs), len(columns)]
+        sizes = np.maximum(sizes, width * np.array(rows))
+    products, factors, Z_flat, total, part = (np.empty(size) for size in sizes[[0, 1, 2, 3, 3]])
 
-    out = np.zeros((E, len(X)))
-    products = np.empty((made, min(width, len(X))))
+    out = np.zeros((coeffs.shape[1], len(X)))
     for start in range(0, len(X), OUTER_POINTS):
         block = X[start : start + OUTER_POINTS]
-        tables = [
-            eval_poly_table(spec.family, int(top[j]), spec.to_standard(block[:, j]))
-            for j, spec in enumerate(e.specs)
+        T = [
+            eval_poly_table(
+                spec.family, len(table) - 1, spec.to_standard(block[:, j]), out=table[:, : len(block)]
+            )
+            for j, (spec, table) in enumerate(zip(e.specs, tables))
         ]
-        for a in range(0, len(block), width):
-            b = min(a + width, len(block))
-            prod = products[:, : b - a]
-            prod[one] = 1.0
-            for (rows, parents, degree), table in zip(steps, tables):
-                made_here = prod[parents]
-                made_here *= table[degree, a:b]
-                prod[rows] = made_here
-            acc = out[:, start + a : start + b]
-            for first, stop, d, C in runs:
-                if stop - first < d:
-                    Z = (C @ tables[-1][:d, a:b]).reshape(stop - first, E, b - a)
-                    Z *= prod[first:stop, None, :]
-                else:
-                    Z = (C @ prod[first:stop]).reshape(d, E, b - a)
-                    Z *= tables[-1][:d, None, a:b]
-                acc += Z.sum(axis=0)
-    return out.T if coeffs.ndim == 2 else out[0]
+        for columns, (steps, made, runs), width in groups:
+            E = len(columns)
+            for a in range(0, len(block), width):
+                b = min(a + width, len(block))
+                prod = _view(products, made, b - a)
+                prod[0] = 1.0
+                # ``take`` with mode="clip" skips the index check, which
+                # would buffer ``out``; it copies a strided source whole, so
+                # the table is cut to the rows a segment reads.
+                for (first, parents, segments), table in zip(steps, T):
+                    if parents is not None:
+                        copies = prod[first : first + len(parents)]
+                        prod[:first].take(parents, axis=0, out=copies, mode="clip")
+                    for lo, hi, degree, used in segments:
+                        source = table[:used, a:b]
+                        if parents is None:
+                            source.take(degree, axis=0, out=prod[lo:hi], mode="clip")
+                            continue
+                        factor = _view(factors, hi - lo, b - a)
+                        source.take(degree, axis=0, out=factor, mode="clip")
+                        prod[lo:hi] *= factor
+                acc, Z_sum = _view(total, E, b - a), _view(part, E, b - a)
+                acc[...] = 0.0
+                for first, stop, d, C in runs:
+                    Z = _view(Z_flat, len(C), b - a)
+                    if stop - first < d:
+                        np.matmul(C, T[-1][:d, a:b], out=Z)
+                        Z = Z.reshape(stop - first, E, b - a)
+                        Z *= prod[first:stop, None, :]
+                    else:
+                        np.matmul(C, prod[first:stop], out=Z)
+                        Z = Z.reshape(d, E, b - a)
+                        Z *= T[-1][:d, None, a:b]
+                    acc += Z.sum(axis=0, out=Z_sum)
+                out[columns, start + a : start + b] = acc
+    return out.T if e.coeffs.ndim == 2 else out[0]
 
 
 def evaluate(e: Expansion, xi_physical) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .mf import BuiltScheme, build_mf_parts
 from .models import EvalCache, Model
-from .pce import evaluate_batch, mean, project, stack, variance
+from .pce import evaluate_batch, mean, project, union, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
 from .sparse_grid import physical_nodes, smolyak_grid
 
@@ -168,17 +168,14 @@ def build_scheme(
 
 def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     """``prediction_error`` of each expansion at the rows of ``X`` against
-    ``y_true[i]``. Expansions that share specs and multi-indices are
-    stacked and evaluated by one :func:`evaluate_batch` call per group."""
-    groups: dict[tuple, list[int]] = {}
-    for i, e in enumerate(expansions):
-        groups.setdefault((e.specs, e.terms.tobytes()), []).append(i)
-    scores: list = [None] * len(expansions)
-    for members in groups.values():
-        y_pred = evaluate_batch(stack(expansions[i] for i in members), X)
-        for column, i in enumerate(members):
-            scores[i] = prediction_error(y_true[i], y_pred[:, column])
-    return scores
+    ``y_true[i]``. The expansions are evaluated by one
+    :func:`evaluate_batch` call on their :func:`union`, one column each;
+    columns with the same terms (one level of a sweep) share their
+    products, and all share the 1D tables."""
+    if not expansions:
+        return []
+    y_pred = evaluate_batch(union(expansions), X)
+    return [prediction_error(y_true[i], y_pred[:, i]) for i in range(len(expansions))]
 
 
 def run_convergence(cfg) -> list[ConvergenceRow]:
@@ -187,9 +184,11 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
     built once. Every cell is built on a fresh in-memory cache, so each
     row's counts are that cell's own cost; the config's ``cache`` file is
-    read by ``sobol`` and ``decay`` only. Rows are emitted only for levels with ``w >= q``. The
-    cells are built first; cells with one index set (one level) are then
-    validated together. The models are closed before it returns.
+    read by ``sobol`` and ``decay`` only. Rows are emitted only for levels
+    with ``w >= q``. The cells are built first, then all of them are
+    validated by one :func:`evaluate_batch` call on their union (see
+    :func:`_prediction_scores`); a sweep with no cells writes no rows. The
+    models are closed before it returns.
     """
     from .config import build_reference  # local import to avoid a cycle
 

@@ -114,6 +114,16 @@ class TestConvergeCommand:
         main(["--config", str(cfg), "converge"])
         assert (out / "convergence.csv").read_text() == first
 
+    def test_no_cells_writes_the_header_only(self, tmp_path):
+        """With every scheme's ``q`` above ``levels.max`` there is no cell
+        to build or validate: the csv is its header alone, and exit 0."""
+        out = tmp_path / "out"
+        mf = {"name": "mf", "kind": "mf", "hf": "hf", "lf": "lf", "q": 3, "rt": 0.125}
+        cfg = ishigami_config(tmp_path, out, schemes=[mf])
+        assert main(["--config", str(cfg), "converge"]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines == ["scheme,w,q,n_hf,n_lf,n_e,n_tot,mare,r2,e,e_t,mean,std"]
+
 
 class TestDecayCommand:
     def test_mf_decay_includes_all_spectra(self, tmp_path, monkeypatch):

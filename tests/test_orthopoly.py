@@ -77,6 +77,23 @@ class TestEvaluation:
             want[k + 1] = x * want[k] * a - b[k] * a * want[k - 1]
         assert np.array_equal(eval_poly_table(family, max_degree, x), want)
 
+    @pytest.mark.parametrize("family", list(PolyFamily))
+    @pytest.mark.parametrize("max_degree", [0, 1, 62])
+    @pytest.mark.parametrize("size", [1, 4096])
+    def test_out_buffer_is_bit_identical(self, family, max_degree, size):
+        """``out=`` holds the allocating call's table bit for bit, also when
+        it is a column slice of a wider buffer, as ``evaluate_batch`` passes."""
+        x = np.random.default_rng(7).uniform(-1.5, 1.5, size)
+        want = eval_poly_table(family, max_degree, x)
+        wide = np.full((max_degree + 1, size + 3), np.nan)
+        for out in (np.full((max_degree + 1, size), np.nan), wide[:, :size]):
+            assert eval_poly_table(family, max_degree, x, out=out) is out
+            assert np.array_equal(out, want)
+
+    def test_out_buffer_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            eval_poly_table(PolyFamily.LEGENDRE, 3, np.zeros(5), out=np.empty((3, 5)))
+
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_legendre_matches_numpy(self, x, k):
         ours = eval_poly(PolyFamily.LEGENDRE, k, x)

@@ -24,12 +24,15 @@ from mfpce.orthopoly import (
     gauss_rule,
 )
 from mfpce.pce import (
+    INNER_BYTES,
+    OUTER_POINTS,
     Expansion,
     evaluate,
     evaluate_batch,
     mean,
     project,
     stack,
+    union,
     variance,
 )
 from mfpce.sparse_grid import (
@@ -354,6 +357,11 @@ def _expansion(case):
     if case == "not_downward_closed":
         specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
         return from_map(specs, {(0, 0): 0.5, (3, 0): -1.25, (0, 5): 0.75, (2, 4): 2.0})
+    if case == "borehole_mf_exact_zero":
+        # One coefficient is exactly 0, so its term drops out of the plan.
+        specs = tuple(BENCHMARK_SPECS["borehole"])
+        hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
+        return build_mf_parts(lf, hf, specs, w=2, q=1).expansion
     assert case == "mf_combined"
     specs = tuple(BENCHMARK_SPECS["ishigami"])
     hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
@@ -400,10 +408,47 @@ def _stack_case(case):
     return [_expansion("n3_mixed")]
 
 
+def _ishigami_cells():
+    """The 14 cells of ``configs/ishigami.yaml``'s sweep: HF and LF at
+    w = 1..5 and MF (q = 2) at w = 2..5, over nested index sets."""
+    specs = tuple(BENCHMARK_SPECS["ishigami"])
+    hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
+    cells = [project_model(model, specs, w) for model in (hf, lf) for w in range(1, 6)]
+    return cells + [build_mf_parts(lf, hf, specs, w=w, q=2).expansion for w in range(2, 6)]
+
+
+def _union_case(case):
+    """Scalar expansions over one set of specs and different index sets."""
+    if case == "ishigami_cells":
+        return _ishigami_cells()
+    if case == "only_zero_term_shared":
+        specs = (VariableSpec("u", Uniform(-1.0, 2.0)), VariableSpec("g", Normal(0.0, 1.5)))
+        return [
+            from_map(specs, {(0, 0): 0.5, (2, 0): -1.25, (1, 3): 0.75, (4, 1): 2.0}),
+            from_map(specs, {(0, 0): -3.0, (0, 5): 0.25, (3, 2): 1.5}),
+        ]
+    if case == "exact_zero_coefficient":
+        specs = tuple(BENCHMARK_SPECS["borehole"])
+        mf = _expansion("borehole_mf_exact_zero")
+        assert np.count_nonzero(mf.coeffs == 0) == 1
+        hf = builtin_model("borehole", "hf")
+        return [project_model(hf, specs, 1), project_model(hf, specs, 2), mf]
+    assert case == "constant_column"
+    return [_expansion("n3_mixed"), from_map(MIXED3, {(0, 0, 0): 2.5})]
+
+
 class TestEvaluation:
     @pytest.mark.parametrize(
         "case",
-        ["n1", "n3_mixed", "borehole_w3", "constant", "not_downward_closed", "mf_combined"],
+        [
+            "n1",
+            "n3_mixed",
+            "borehole_w3",
+            "constant",
+            "not_downward_closed",
+            "mf_combined",
+            "borehole_mf_exact_zero",
+        ],
     )
     @pytest.mark.parametrize("count", [1, ODD_COUNT])
     def test_equals_reference_blocks(self, case, count):
@@ -438,6 +483,54 @@ class TestEvaluation:
             tol = 1e-12 * np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(column - ref) <= tol)
             assert np.all(np.abs(column - evaluate_batch(e, X)) <= tol)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["ishigami_cells", "only_zero_term_shared", "exact_zero_coefficient", "constant_column"],
+    )
+    @pytest.mark.parametrize("count", [1, ODD_COUNT])
+    def test_union_columns_equal_each_expansion(self, case, count):
+        expansions = _union_case(case)
+        # The zero-filled union, built here from the {multi-index: coefficient} maps.
+        maps = [as_map(e) for e in expansions]
+        terms = sorted(set().union(*maps))
+        coeffs = [[m.get(phi, 0.0) for m in maps] for phi in terms]
+        united = Expansion(specs=expansions[0].specs, terms=terms, coeffs=coeffs)
+        assert np.array_equal(union(expansions).terms, united.terms)
+        assert np.array_equal(union(expansions).coeffs, united.coeffs)
+
+        X = _sample(united.specs, count)
+        got = evaluate_batch(united, X)
+        assert got.shape == (count, len(expansions))
+        for column, e in zip(got.T, expansions):
+            ref = evaluate_batch(e, X)
+            assert np.all(np.abs(column - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_union_needs_one_spec_tuple(self):
+        e = _expansion("n3_mixed")
+        with pytest.raises(ValueError):
+            union([e, from_map(MIXED3[:2], {(0, 0): 1.0})])
+        with pytest.raises(ValueError):
+            union([])
+
+    def test_union_memory_is_one_block_of_tables(self):
+        # The ishigami sweep's 14 cells at 100k points, in one call: the
+        # outputs, one outer block's 1D tables at the top degree (63 rows a
+        # axis) and the per-call scratch, each buffer about INNER_BYTES.
+        cells = _ishigami_cells()
+        united = union(cells)
+        X = _sample(united.specs, 100_000)
+        tables = 8 * OUTER_POINTS * int((united.terms.max(axis=0) + 1).sum())
+        outputs = 8 * len(X) * len(cells)
+        tracemalloc.start()
+        try:
+            out = evaluate_batch(united, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (100_000, 14)
+        assert peak >= outputs + tables
+        assert peak < outputs + tables + 3 * INNER_BYTES
 
     def test_unequal_coefficient_vectors_rejected(self):
         specs = (VariableSpec("u", Uniform(-1.0, 1.0)),)
