@@ -9,11 +9,10 @@ from .orthopoly import (
     PolyFamily,
     Uniform,
     VariableSpec,
-    eval_poly,
     gauss_rule,
 )
-from .pce import Expansion, evaluate, evaluate_batch, mean, project, variance
-from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol, subset_index, total_indices
+from .pce import Expansion, evaluate_batch, mean, project, variance
+from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from .sparse_grid import growth, level_terms, smolyak_grid, tensor_grid
 from .study import (
     ConvergenceRow,
@@ -40,10 +39,8 @@ __all__ = [
     "PolyFamily",
     "Uniform",
     "VariableSpec",
-    "eval_poly",
     "gauss_rule",
     "Expansion",
-    "evaluate",
     "evaluate_batch",
     "mean",
     "project",
@@ -52,8 +49,6 @@ __all__ = [
     "ZeroVarianceError",
     "all_indices",
     "mc_sobol",
-    "subset_index",
-    "total_indices",
     "growth",
     "level_terms",
     "smolyak_grid",

@@ -13,8 +13,10 @@ the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
 ``--q`` on a non-MF scheme, or an unreadable evaluation-cache file),
-3 model-evaluation error, 4 numerical degeneracy. Each command closes the
-models it resolved, so no stream-mode child outlives it.
+3 model-evaluation error, 4 numerical degeneracy, and 128 plus the signal
+number for a SIGINT (130) or a SIGTERM (143). Each command closes the
+models it resolved, so no stream-mode child outlives it, whether it ends
+by itself or by one of those signals.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -42,6 +45,23 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_DEGENERATE = 4
+
+#: Signals that end a command as an error does, unwinding to :func:`main`.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+class _Stopped(BaseException):
+    """A stop signal (its number in ``args[0]``), raised in the main thread
+    so that every ``with`` and ``finally`` on the way out runs and reaps
+    its children. Like ``KeyboardInterrupt``, no ``except Exception``
+    catches it."""
+
+
+def _stop(signum, frame):
+    # Later signals are ignored, so that they cannot cut the clean-up short.
+    for other in _STOP_SIGNALS:
+        signal.signal(other, signal.SIG_IGN)
+    raise _Stopped(signum)
 
 
 def _env_default(name: str, fallback=None):
@@ -188,7 +208,10 @@ def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code. SIGINT and SIGTERM are
+    handled while it runs, and the previous handlers are restored after."""
     args = build_parser().parse_args(argv)
+    previous = {signum: signal.signal(signum, _stop) for signum in _STOP_SIGNALS}
     try:
         cfg, out = _load(args)
         if args.command == "sobol":
@@ -210,6 +233,13 @@ def main(argv=None) -> int:
     except ZeroVarianceError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except _Stopped as exc:
+        signum = exc.args[0]
+        print(f"stopped by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

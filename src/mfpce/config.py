@@ -392,10 +392,6 @@ def config_to_dict(cfg: StudyConfig) -> dict:
     return CONFIG.dump(cfg)
 
 
-def save_config(cfg: StudyConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
-
-
 def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
     """Reference Sobol report named by the config: the analytic Ishigami
     decomposition, a high-level PCE of one model, or a seeded Monte Carlo

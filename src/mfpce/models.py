@@ -52,9 +52,6 @@ class Model:
     id: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def __call__(self, xi) -> float:
-        return float(self.batch(np.asarray(xi, dtype=float)[None, :])[0])
-
     def batch(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
 
@@ -306,6 +303,19 @@ class _Child:
         self.values[self.answered] = value
         self.answered += 1
 
+    def late_line(self) -> str | None:
+        """The first non-blank line the stream child wrote after the last
+        reply of its previous batch, read without blocking; None if none."""
+        data, stdout = self.partial, self.proc.stdout
+        with contextlib.suppress(BlockingIOError):
+            while not stdout.closed and not data.strip():
+                if not (chunk := os.read(stdout.fileno(), _READ_BYTES)):
+                    break
+                data += chunk
+        self.partial = b""
+        lines = data.decode(errors="replace").splitlines()
+        return next((line.strip() for line in lines if line.strip()), None)
+
     def _bad_reply(self, kind: str, raw: str) -> ModelError:
         node = _node(self.X[self.row])
         return ModelError(f"{kind} {raw.strip()!r} from external model at node {node}")
@@ -365,9 +375,24 @@ class ExternalModel:
         """Evaluate the rows of ``X``. Children start in row order. After a
         failure no child starts and those of higher rows are killed; those
         of lower rows finish, since one of them may fail too, and the lowest
-        failing row is raised."""
+        failing row is raised.
+
+        Before the first request of a stream batch, the child's stdout is
+        drained without blocking, and a non-blank line there is a malformed
+        response: a line written after the last reply of the previous batch.
+        A line that arrives after this drain is read as the reply to the
+        batch's first row; the protocol carries no request ids to tell them
+        apart."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         oneshot = self.mode == "oneshot"
+        if self._proc is not None and (late := self._proc.late_line()) is not None:
+            child, self._proc = self._proc, None
+            raise child.failed(
+                ModelError(
+                    f"malformed response {late!r} from external model {self.command!r} "
+                    "after the last reply of its previous batch"
+                )
+            )
         if self._proc is not None and self._proc.proc.poll() is not None:
             self._proc.reap()  # the stream child has exited; a fresh one starts
             self._proc = None
@@ -426,27 +451,23 @@ class ExternalModel:
 
 # --- evaluation cache -------------------------------------------------------
 
-_KEY_DECIMALS = 12
-
-
 class CacheFileError(ValueError):
     """A persisted cache file that cannot be read back."""
 
 
 def _cache_keys(X: np.ndarray) -> np.ndarray:
-    """Cache keys of the rows of ``X``: the bytes of the row with its
-    coordinates rounded to ``_KEY_DECIMALS`` decimals and -0.0 folded into
-    0.0, one fixed-width ``np.void`` per row. A coordinate of magnitude
-    ``2**52`` or more has no fractional digits and is its own key; rounding
-    it would overflow to ``inf`` above about 1.8e296."""
-    whole = np.abs(X) >= 2.0**52
-    rounded = np.round(np.where(whole, 0.0, X), _KEY_DECIMALS)
-    keys = np.ascontiguousarray(np.where(whole, X, rounded) + 0.0)
+    """Cache keys of the rows of ``X``: the float64 bytes of each row, with
+    -0.0 folded into 0.0, one fixed-width ``np.void`` per row. Two rows are
+    one node only when their coordinates are bit-identical, as the grid's
+    integer ids gather them; the ``%.17g`` records of a cache file read
+    back to the same bits."""
+    keys = np.ascontiguousarray(X + 0.0)
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
 class EvalCache:
-    """Memoizes (model, node) evaluations and counts distinct evaluations.
+    """Memoizes (model, node) evaluations and counts distinct evaluations,
+    a node being the exact bits of its coordinates (:func:`_cache_keys`).
 
     The store holds, per model id and dimension, the sorted
     :func:`_cache_keys` of the nodes seen and their values; a batch is
@@ -542,9 +563,6 @@ class EvalCache:
                 np.insert(known_values, at, values[missing]),
             )
         return values[inverse]
-
-    def evaluate(self, model: Model, xi) -> float:
-        return float(self.evaluate_many(model, np.asarray(xi, dtype=float)[None, :])[0])
 
     def count(self, model_id: str) -> int:
         return self.counters.get(model_id, 0)

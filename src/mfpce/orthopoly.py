@@ -117,6 +117,8 @@ def eval_poly_table(family: PolyFamily, max_degree: int, x, out=None) -> np.ndar
     (a float array of that shape, whose rows may be strided slices of a
     larger buffer), and returned.
     """
+    if max_degree < 0:
+        raise ValueError("degree must be non-negative")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     shape = (max_degree + 1, x.size)
     table = np.empty(shape) if out is None else out
@@ -137,14 +139,6 @@ def eval_poly_table(family: PolyFamily, max_degree: int, x, out=None) -> np.ndar
         np.multiply(table[k - 1], c[k - 1], out=scratch)
         np.subtract(row, scratch, out=row)
     return table
-
-
-def eval_poly(family: PolyFamily, degree: int, x: float) -> float:
-    """Evaluate a single orthonormal polynomial of the family at a scalar
-    point."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    return float(eval_poly_table(family, degree, x)[degree, 0])
 
 
 @lru_cache(maxsize=None)

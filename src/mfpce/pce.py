@@ -35,7 +35,7 @@ class Expansion:
     ``terms`` is an ``(K, n)`` integer array of distinct multi-indices in
     lexicographic order, so row 0 is the zero index. ``coeffs[k]`` is the
     coefficient of ``terms[k]``: ``coeffs`` is ``(K,)``, or ``(K, E)`` for
-    ``E`` outputs over the shared basis (see :func:`stack`). Vector
+    ``E`` outputs over the shared basis (see :func:`union`). Vector
     coefficients are for :func:`evaluate_batch` only; the Sobol
     post-processing takes scalar coefficients.
     """
@@ -62,25 +62,6 @@ class Expansion:
             raise ValueError("terms must start at the zero index and increase lexicographically")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coeffs", coeffs)
-
-
-def stack(expansions) -> Expansion:
-    """One multi-output expansion over the shared multi-indices of
-    ``expansions``: per multi-index, the vector of their coefficients in
-    order. :func:`evaluate_batch` returns one column per expansion."""
-    expansions = list(expansions)
-    if not expansions:
-        raise ValueError("need at least one expansion")
-    first = expansions[0]
-    for e in expansions[1:]:
-        if e.specs != first.specs or not np.array_equal(e.terms, first.terms):
-            raise ValueError("stacked expansions must share specs and multi-indices")
-    return Expansion(
-        specs=first.specs,
-        terms=first.terms,
-        coeffs=np.column_stack([e.coeffs for e in expansions]),
-        provenance="+".join(e.provenance for e in expansions),
-    )
 
 
 def union(expansions) -> Expansion:
@@ -351,11 +332,6 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
                     acc += Z.sum(axis=0, out=Z_sum)
                 out[columns, start + a : start + b] = acc
     return out.T if e.coeffs.ndim == 2 else out[0]
-
-
-def evaluate(e: Expansion, xi_physical) -> float:
-    """Evaluate the expansion at a single physical-coordinate point."""
-    return float(evaluate_batch(e, np.asarray(xi_physical, dtype=float)[None, :])[0])
 
 
 def mean(e: Expansion):

@@ -58,7 +58,7 @@ def _decomposition(e: Expansion) -> tuple[float, np.ndarray, np.ndarray]:
     if e.coeffs.ndim != 1:
         raise ValueError(
             f"Sobol indices need scalar coefficients, got shape {e.coeffs.shape}; "
-            "pass each expansion of a stack on its own"
+            "pass each expansion of a union on its own"
         )
     d = variance(e)
     if d <= _DEGENERATE_REL * max(1.0, mean(e) ** 2):
@@ -66,21 +66,6 @@ def _decomposition(e: Expansion) -> tuple[float, np.ndarray, np.ndarray]:
     supports, inverse = unique_rows(e.terms[1:] > 0)
     partials = np.bincount(inverse, weights=e.coeffs[1:] ** 2, minlength=len(supports))
     return float(d), supports, partials
-
-
-def subset_index(e: Expansion, subset) -> float:
-    """Fraction of variance from multi-indices non-zero exactly on ``subset``."""
-    if not len(subset):
-        raise ValueError("subset must be non-empty")
-    d, supports, partials = _decomposition(e)
-    mask = np.zeros(e.n, dtype=bool)
-    mask[list(subset)] = True
-    return float(partials[(supports == mask).all(axis=1)].sum()) / d
-
-
-def total_indices(e: Expansion) -> tuple[float, ...]:
-    """Per-variable totals: variance share of every term touching variable i."""
-    return all_indices(e).total_indices
 
 
 def all_indices(e: Expansion) -> SobolReport:

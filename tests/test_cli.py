@@ -1,6 +1,7 @@
 import collections
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -627,6 +628,72 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "at node (" in err and message in err and err.count("\n") == 1
         assert spawned and all(child.poll() is not None for child in spawned)
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+    def test_stop_signal_reaps_a_hung_stream_child(self, tmp_path, signum):
+        """SIGINT or SIGTERM, sent while a stream child hangs on its first
+        request, ends ``mfpce`` with one line and exit 128 + the signal
+        number, no traceback, and the child gone within 2 s."""
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import os, sys, time\n"
+            f"open({str(pid_file)!r} + '.tmp', 'w').write(str(os.getpid()))\n"
+            f"os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
+            "for line in sys.stdin:\n    time.sleep(3600)\n"
+        )
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": "stream"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "reference": {"kind": "pce", "model": "m", "w": 1},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "mfpce.cli", "--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]
+        pid = None
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                deadline = time.monotonic() + 30
+                while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                pid = int(pid_file.read_text())
+                proc.send_signal(signum)
+                sent = time.monotonic()
+                _, err = proc.communicate(timeout=10)
+                while time.monotonic() - sent < 2 and child_running(pid):
+                    time.sleep(0.02)
+                assert proc.returncode == 128 + signum
+                assert err == f"stopped by {signum.name}\n"
+                assert not child_running(pid)
+            finally:
+                proc.kill()
+                if pid is not None and child_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_signal_handlers_are_restored(self, tmp_path, monkeypatch):
+        """An in-process caller keeps its own handlers, after a success
+        and after an error."""
+        before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+        cfg = ishigami_config(tmp_path, tmp_path / "out")
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
+        assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
+        monkeypatch.delenv("MFPCE_CONFIG", raising=False)
+        assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 2
+        assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
+
+
+def child_running(pid: int) -> bool:
+    """Whether the process ``pid`` still exists."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestEnvironmentOverrides:

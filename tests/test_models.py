@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mfpce import models
 from mfpce.models import (
     BENCHMARK_SPECS,
+    SHORT_COLUMN_SPECS,
     CacheFileError,
     EvalCache,
     Model,
@@ -24,6 +25,7 @@ from mfpce.models import (
     builtin_model,
     ishigami_fn,
 )
+from mfpce.sparse_grid import physical_nodes, smolyak_grid
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
 
@@ -95,9 +97,9 @@ class TestIshigami:
         hf = builtin_model("ishigami", "hf")
         lf2 = builtin_model("ishigami", "lf2")
         lf3 = builtin_model("ishigami", "lf3")
-        assert hf(X[0]) == pytest.approx(1.0 + 7.0 + 0.1)
-        assert lf2(X[0]) == pytest.approx(1.0 + 7.3 + 0.04)
-        assert lf3(X[0]) == pytest.approx(1.0 + 7.3 + 0.04 + 0.02)
+        assert hf.batch(X)[0] == pytest.approx(1.0 + 7.0 + 0.1)
+        assert lf2.batch(X)[0] == pytest.approx(1.0 + 7.3 + 0.04)
+        assert lf3.batch(X)[0] == pytest.approx(1.0 + 7.3 + 0.04 + 0.02)
 
 
 class TestShortColumn:
@@ -105,19 +107,19 @@ class TestShortColumn:
         x = np.array([10.0, 20.0, 500.0, 2000.0, 5.0])
         hf = builtin_model("short_column", "hf")
         # 1 - 4*2000/(10*400*5) - (500/(10*20*5))^2 = 1 - 0.4 - 0.25
-        assert hf(x) == pytest.approx(0.35)
+        assert hf.batch(x)[0] == pytest.approx(0.35)
         lf1 = builtin_model("short_column", "lf1")
-        assert lf1(x) == pytest.approx(1.0 - 4 * 500 / (10 * 400 * 5) - 0.25)
+        assert lf1.batch(x)[0] == pytest.approx(1.0 - 4 * 500 / (10 * 400 * 5) - 0.25)
         lf2 = builtin_model("short_column", "lf2")
-        assert lf2(x) == pytest.approx(1.0 - 0.4 - (2000 / 1000) ** 2)
+        assert lf2.batch(x)[0] == pytest.approx(1.0 - 0.4 - (2000 / 1000) ** 2)
         for name, k in (("lf3", 4.0), ("lf4", 0.4), ("lf5", 40.0)):
             lf = builtin_model("short_column", name)
-            assert lf(x) == pytest.approx(0.35 - k * (500 - 2000) / 1000)
+            assert lf.batch(x)[0] == pytest.approx(0.35 - k * (500 - 2000) / 1000)
 
     def test_division_by_zero_guard(self):
         with pytest.raises(ModelError):
-            builtin_model("short_column", "hf")(
-                np.array([10.0, 20.0, 500.0, 2000.0, 0.0])
+            builtin_model("short_column", "hf").batch(
+                np.array([[10.0, 20.0, 500.0, 2000.0, 0.0]])
             )
 
 
@@ -137,11 +139,6 @@ class TestRegistry:
             builtin_model("ishigami", "lf9")
         with pytest.raises(KeyError):
             builtin_model("rosenbrock", "hf")
-
-    def test_scalar_call_matches_batch(self):
-        m = builtin_model("ishigami", "hf")
-        x = np.array([0.3, -1.2, 2.0])
-        assert m(x) == pytest.approx(float(m.batch(x[None, :])[0]))
 
 
 class TestExternal:
@@ -346,13 +343,34 @@ class TestOverlappedFaults:
             proc.batch(np.array([[0.5], [1.5]]))
         assert all(child.poll() is not None for child in spawned)
 
+    def test_late_line_before_the_next_batch_is_malformed(self, tmp_path, spawned):
+        """A stream child that answers ``x`` and, 50 ms later, ``x + 100``
+        has its late line found before the next batch's first request,
+        not read as that batch's first reply; the next batch starts a
+        fresh child."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys, time\nfor line in sys.stdin:\n    x = float(line)\n"
+            "    print(x, flush=True)\n    time.sleep(0.05)\n    print(x + 100, flush=True)\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
+        assert proc.batch(np.array([[1.0]])).tolist() == [1.0]
+        time.sleep(0.2)
+        message = rf"malformed response '101\.0' from external model '.*model\.py' after the last reply"
+        with pytest.raises(ModelError, match=message):
+            proc.batch(np.array([[2.0], [3.0]]))
+        assert proc._proc is None
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert proc.batch(np.array([[4.0]])).tolist() == [4.0]
+        proc.close()
+        assert len(spawned) == 2 and spawned[1].poll() is not None
+
 
 def tuple_keys(X):
-    """Cache keys as tuples of floats, the representation the array keys
-    replaced: rounded to 12 decimals below 2**52, -0.0 folded into 0.0."""
-    whole = np.abs(X) >= 2.0**52
-    rounded = np.round(np.where(whole, 0.0, X), 12)
-    return list(map(tuple, (np.where(whole, X, rounded) + 0.0).tolist()))
+    """Cache keys as tuples of Python floats, the representation the array
+    keys replaced. Two such tuples are equal exactly when their floats are
+    bit-identical, except that -0.0 equals 0.0."""
+    return list(map(tuple, X.tolist()))
 
 
 class TupleDictCache:
@@ -393,9 +411,9 @@ class TupleDictCache:
         return np.array([self.store[k] for k in keys])
 
 
-#: Coordinates that stress the keys: a signed zero, two values that round
-#: to one key, numpy-vs-Python rounding, and magnitudes of 2**52 and more.
-KEY_EDGES = [0.0, -0.0, 0.5, 0.5 + 1e-14, 1e-13, -3.25, 2461.7621578959875,
+#: Coordinates that stress the keys: a signed zero, values 1e-14 and 1e-13
+#: apart, a subnormal, and magnitudes of 2**52 and more.
+KEY_EDGES = [0.0, -0.0, 0.5, 0.5 + 1e-14, 1e-13, 2e-13, -3.25, 5e-324,
              2.0**52, -(2.0**52) - 2, 2.0**53 + 2, 1e300, -1e300]
 coordinates = st.sampled_from(KEY_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
 cache_ops = st.lists(
@@ -448,27 +466,74 @@ class TestEvalCache:
 
         model = Model(id="m", fn=fn)
         cache = EvalCache(path)
-        values = cache.evaluate_many(model, [[1, 2], [1, 2], [1 + 1e-14, 2]])
+        values = cache.evaluate_many(model, [[1, 2], [1, 2], [1 + 1e-14, 2], [1, 2]])
         assert len(calls) == 1
-        assert np.array_equal(calls[0], [[1.0, 2.0]])
-        assert cache.count("m") == 1
-        assert np.array_equal(values, [3.0, 3.0, 3.0])
-        assert len(path.read_text().splitlines()) == 1
+        assert np.array_equal(calls[0], [[1.0, 2.0], [1 + 1e-14, 2.0]])
+        assert cache.count("m") == 2
+        assert np.array_equal(values, [3.0, 3.0, (1 + 1e-14) + 2, 3.0])
+        assert len(path.read_text().splitlines()) == 2
 
     def test_near_identical_nodes_merge(self):
+        """Nodes that differ only in the sign of a zero merge; a coordinate
+        1e-15 away is a node of its own."""
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
         cache = EvalCache()
         cache.evaluate_many(model, np.array([[0.5, -0.0]]))
-        cache.evaluate_many(model, np.array([[0.5 + 1e-15, 0.0]]))
+        cache.evaluate_many(model, np.array([[0.5, 0.0]]))
         assert cache.count("m") == 1
+        cache.evaluate_many(model, np.array([[0.5 + 1e-15, 0.0]]))
+        assert cache.count("m") == 2
+
+    def test_nodes_1e_13_apart_are_paid_apart(self):
+        calls = []
+        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X[:, 0] * 1e13)
+        cache = EvalCache()
+        values = cache.evaluate_many(model, [[1e-13], [2e-13], [3e-13]])
+        assert calls == [3] and cache.count("m") == 3
+        assert values.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "a, b, keys",
+        [
+            (-0.0, 0.0, 1),
+            (0.5, 0.5 + 1e-14, 2),
+            (5e-324, 0.0, 2),
+            (2.0**53 + 2, -(2.0**53 + 2), 2),
+            (1e300, -1e300, 2),
+        ],
+        ids=["signed_zero", "1e-14_apart", "subnormal", "two_to_the_53_plus_2", "1e300"],
+    )
+    def test_exact_key_edges(self, a, b, keys):
+        """Two coordinates are one node only when their bits are equal, or
+        they are the two zeros."""
+        model = Model(id="m", fn=lambda X: X[:, 0])
+        cache = EvalCache()
+        values = cache.evaluate_many(model, [[a], [b], [a]])
+        assert cache.count("m") == keys
+        assert values.tolist() == ([a, b, a] if keys == 2 else [a, a, a])
+        assert len(np.unique(_cache_keys(np.array([[a], [b]])))) == keys
+
+    def test_persisted_grid_nodes_are_found_by_a_fresh_cache(self, tmp_path):
+        """The ``%.17g`` records reproduce the bits of a grid's physical
+        nodes: a fresh cache on the file pays nothing for them."""
+        specs = SHORT_COLUMN_SPECS
+        nodes = lambda: physical_nodes(smolyak_grid(len(specs), 3, specs), specs)
+        path = tmp_path / "cache.tsv"
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
+        written = EvalCache(path)
+        values = written.evaluate_many(model, nodes())
+        assert written.count("m") == len(nodes())
+        fresh = EvalCache(path)
+        assert fresh.evaluate_many(model, nodes()).tolist() == values.tolist()
+        assert fresh.count("m") == 0
 
     def test_models_are_isolated(self):
         a = Model(id="a", fn=lambda X: X.sum(axis=1))
         b = Model(id="b", fn=lambda X: 2 * X.sum(axis=1))
         cache = EvalCache()
         x = np.array([[1.0, 2.0]])
-        assert cache.evaluate(a, x[0]) == pytest.approx(3.0)
-        assert cache.evaluate(b, x[0]) == pytest.approx(6.0)
+        assert cache.evaluate_many(a, x).tolist() == pytest.approx([3.0])
+        assert cache.evaluate_many(b, x).tolist() == pytest.approx([6.0])
         assert cache.count("a") == 1 and cache.count("b") == 1
 
     def test_persistence_round_trip(self, tmp_path):
@@ -486,8 +551,6 @@ class TestEvalCache:
         assert calls == []
 
     def test_reopened_cache_pays_nothing(self, tmp_path):
-        # 2461.7621578959875 rounds to ...988 in numpy but to ...987 with
-        # Python's round(); both paths must key it the same way.
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
         X = np.array([[2461.7621578959875, -0.0], [0.1, 1e-13], [-3.25, 7.0]])
@@ -560,18 +623,14 @@ class TestEvalCache:
         assert calls == [3] and cache.count("m") == 3
         assert values.tolist() == [1e300, 2e300, -2.0**52 - 2]
 
-    @given(
-        st.lists(
-            st.floats(min_value=-(2.0**52), max_value=2.0**52, exclude_max=True, exclude_min=True),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_keys_below_two_to_the_52_are_rounded(self, coords):
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_keys_are_the_bits_of_each_row(self, coords):
+        """A key is the float64 bytes of its row, with -0.0 as 0.0."""
         X = np.array([coords, [-0.0] * len(coords)])
         keys = _cache_keys(X)
         assert keys.shape == (2,) and keys.dtype.itemsize == 8 * len(coords)
-        assert [k.tobytes() for k in keys] == [row.tobytes() for row in np.round(X, 12) + 0.0]
+        assert keys[0].tobytes() == np.array([c + 0.0 for c in coords]).tobytes()
+        assert keys[1].tobytes() == bytes(8 * len(coords))
 
     @settings(max_examples=100, deadline=None)
     @example(
@@ -588,8 +647,9 @@ class TestEvalCache:
     def test_array_store_equals_tuple_dict_cache(self, ops):
         """Values, counts, the rows each model is asked for, in order, and
         the appended bytes all equal those of :class:`TupleDictCache`, over
-        duplicate rows, signed zeros, huge coordinates, two model ids, two
-        dimensions, records appended from outside and reloads."""
+        duplicate rows, signed zeros, rows 1e-14 apart, subnormal and huge
+        coordinates, two model ids, two dimensions, records appended from
+        outside and reloads."""
         with tempfile.TemporaryDirectory() as tmp:
             paths = Path(tmp) / "array.tsv", Path(tmp) / "tuple.tsv"
             caches = EvalCache(paths[0]), TupleDictCache(paths[1])
@@ -654,7 +714,7 @@ class TestEvalCache:
     def test_persistence_format(self, tmp_path):
         path = tmp_path / "cache.tsv"
         model = Model(id="prob/hf", fn=lambda X: X.sum(axis=1))
-        EvalCache(path).evaluate(model, np.array([0.5, 2.0]))
+        EvalCache(path).evaluate_many(model, np.array([[0.5, 2.0]]))
         record = path.read_text().strip().split("\t")
         assert record[0] == "prob/hf"
         assert [float(c) for c in record[1].split()] == [0.5, 2.0]

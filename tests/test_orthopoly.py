@@ -10,7 +10,6 @@ from mfpce.orthopoly import (
     PolyFamily,
     Uniform,
     VariableSpec,
-    eval_poly,
     eval_poly_table,
     gauss_rule,
 )
@@ -26,28 +25,28 @@ def classical_scale(family: PolyFamily, k: int) -> float:
 class TestEvaluation:
     def test_legendre_low_degrees(self):
         # psi_k = sqrt(2k+1) P_k; P2 = (3x^2 - 1)/2, P3 = (5x^3 - 3x)/2
-        assert eval_poly(PolyFamily.LEGENDRE, 0, 0.7) == 1.0
-        assert eval_poly(PolyFamily.LEGENDRE, 1, 0.7) == pytest.approx(0.7 * math.sqrt(3))
-        assert eval_poly(PolyFamily.LEGENDRE, 2, 0.5) == pytest.approx(-0.125 * math.sqrt(5))
-        assert eval_poly(PolyFamily.LEGENDRE, 3, 0.5) == pytest.approx(-0.4375 * math.sqrt(7))
+        assert eval_poly_table(PolyFamily.LEGENDRE, 0, 0.7)[0] == 1.0
+        assert eval_poly_table(PolyFamily.LEGENDRE, 1, 0.7)[1] == pytest.approx(0.7 * math.sqrt(3))
+        assert eval_poly_table(PolyFamily.LEGENDRE, 2, 0.5)[2] == pytest.approx(-0.125 * math.sqrt(5))
+        assert eval_poly_table(PolyFamily.LEGENDRE, 3, 0.5)[3] == pytest.approx(-0.4375 * math.sqrt(7))
 
     def test_legendre_is_one_at_one(self):
         for k in range(12):
-            assert eval_poly(PolyFamily.LEGENDRE, k, 1.0) == pytest.approx(
+            assert eval_poly_table(PolyFamily.LEGENDRE, k, 1.0)[k] == pytest.approx(
                 classical_scale(PolyFamily.LEGENDRE, k)
             )
 
     def test_hermite_low_degrees(self):
         # psi_k = He_k / sqrt(k!); He2 = x^2 - 1, He3 = x^3 - 3x, He4 = x^4 - 6x^2 + 3
-        assert eval_poly(PolyFamily.HERMITE, 2, 2.0) == pytest.approx(3.0 / math.sqrt(2))
-        assert eval_poly(PolyFamily.HERMITE, 3, 2.0) == pytest.approx(2.0 / math.sqrt(6))
-        assert eval_poly(PolyFamily.HERMITE, 4, 0.0) == pytest.approx(3.0 / math.sqrt(24))
+        assert eval_poly_table(PolyFamily.HERMITE, 2, 2.0)[2] == pytest.approx(3.0 / math.sqrt(2))
+        assert eval_poly_table(PolyFamily.HERMITE, 3, 2.0)[3] == pytest.approx(2.0 / math.sqrt(6))
+        assert eval_poly_table(PolyFamily.HERMITE, 4, 0.0)[4] == pytest.approx(3.0 / math.sqrt(24))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            eval_poly(PolyFamily.LEGENDRE, -1, 0.0)
+            eval_poly_table(PolyFamily.LEGENDRE, -1, 0.0)
         with pytest.raises(ValueError):
-            eval_poly(PolyFamily.HERMITE, -2, 0.0)
+            eval_poly_table(PolyFamily.HERMITE, -2, 0.0)
 
     def test_table_shape_and_consistency(self):
         x = np.linspace(-1, 1, 7)
@@ -55,7 +54,7 @@ class TestEvaluation:
         assert table.shape == (6, 7)
         for k in range(6):
             for xi, val in zip(x, table[k]):
-                assert eval_poly(PolyFamily.LEGENDRE, k, xi) == pytest.approx(val)
+                assert eval_poly_table(PolyFamily.LEGENDRE, k, xi)[k] == pytest.approx(val)
 
     @pytest.mark.parametrize("family", list(PolyFamily))
     @pytest.mark.parametrize("max_degree", [0, 1, 2, 62])
@@ -96,13 +95,13 @@ class TestEvaluation:
 
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_legendre_matches_numpy(self, x, k):
-        ours = eval_poly(PolyFamily.LEGENDRE, k, x)
+        ours = eval_poly_table(PolyFamily.LEGENDRE, k, x)[k]
         ref = np.polynomial.legendre.Legendre.basis(k)(x) * classical_scale(PolyFamily.LEGENDRE, k)
         assert ours == pytest.approx(float(ref), rel=1e-10, abs=1e-10)
 
     @given(st.floats(-3.0, 3.0), st.integers(0, 15))
     def test_hermite_matches_numpy(self, x, k):
-        ours = eval_poly(PolyFamily.HERMITE, k, x)
+        ours = eval_poly_table(PolyFamily.HERMITE, k, x)[k]
         ref = np.polynomial.hermite_e.HermiteE.basis(k)(x) * classical_scale(PolyFamily.HERMITE, k)
         assert ours == pytest.approx(float(ref), rel=1e-10, abs=1e-8)
 

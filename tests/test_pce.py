@@ -19,7 +19,6 @@ from mfpce.orthopoly import (
     PolyFamily,
     Uniform,
     VariableSpec,
-    eval_poly,
     eval_poly_table,
     gauss_rule,
 )
@@ -27,11 +26,9 @@ from mfpce.pce import (
     INNER_BYTES,
     OUTER_POINTS,
     Expansion,
-    evaluate,
     evaluate_batch,
     mean,
     project,
-    stack,
     union,
     variance,
 )
@@ -220,12 +217,10 @@ class TestProjection:
         def poly(std):
             out = np.zeros(len(std))
             for (d1, d2), c in coef.items():
-                out += c * np.array(
-                    [
-                        eval_poly(PolyFamily.LEGENDRE, d1, a)
-                        * eval_poly(PolyFamily.HERMITE, d2, b)
-                        for a, b in std
-                    ]
+                out += (
+                    c
+                    * eval_poly_table(PolyFamily.LEGENDRE, d1, std[:, 0])[d1]
+                    * eval_poly_table(PolyFamily.HERMITE, d2, std[:, 1])[d2]
                 )
             return out
 
@@ -369,7 +364,7 @@ def _expansion(case):
 
 
 def _stack_case(case):
-    """Expansions over one index set, as ``converge`` stacks them."""
+    """Expansions over one index set, whose union is their column stack."""
     if case == "n1":
         specs = (VariableSpec("g", Normal(0.5, 2.0)),)
         return [
@@ -476,7 +471,7 @@ class TestEvaluation:
     def test_stacked_equals_each_expansion(self, case, count):
         expansions = _stack_case(case)
         X = _sample(expansions[0].specs, count)
-        got = evaluate_batch(stack(expansions), X)
+        got = evaluate_batch(union(expansions), X)
         assert got.shape == (count, len(expansions))
         for column, e in zip(got.T, expansions):
             ref = _evaluate_batch_reference(e, X)
@@ -537,14 +532,6 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             Expansion(specs=specs, terms=[(0,), (1,)], coeffs=[np.array([1.0, 2.0]), np.array([0.5])])
 
-    def test_stack_needs_one_index_set(self):
-        specs = tuple(BENCHMARK_SPECS["ishigami"])
-        model = builtin_model("ishigami", "hf")
-        with pytest.raises(ValueError):
-            stack([project_model(model, specs, 2), project_model(model, specs, 3)])
-        with pytest.raises(ValueError):
-            stack([])
-
     def test_peak_memory_is_blocked(self):
         # K = 1023 terms at 100k points; one unblocked (K, N) array is 818 MB.
         specs = tuple(BENCHMARK_SPECS["ishigami"])
@@ -553,7 +540,7 @@ class TestEvaluation:
         assert len(e.terms) == 1023
         # Three outputs are one level of the ishigami study: HF, LF and MF.
         mf = build_mf_parts(lf, hf, specs, w=5, q=2).expansion
-        stacked = stack([e, project_model(lf, specs, 5), mf])
+        stacked = union([e, project_model(lf, specs, 5), mf])
         X = _sample(specs, 100_000)
         for expansion, shape in ((e, (100_000,)), (stacked, (100_000, 3))):
             tracemalloc.start()
@@ -565,12 +552,6 @@ class TestEvaluation:
             assert out.shape == shape
             assert peak >= out.nbytes  # numpy reports its buffers to tracemalloc
             assert peak < 64e6
-
-    def test_scalar_matches_batch(self, unit_uniform_specs):
-        grid = smolyak_grid(2, 2, list(unit_uniform_specs))
-        e = project(np.sin(grid.nodes).sum(axis=1), 2, unit_uniform_specs)
-        x = np.array([0.3, -0.4])
-        assert evaluate(e, x) == pytest.approx(float(evaluate_batch(e, x[None, :])[0]))
 
     def test_dimension_check(self, unit_uniform_specs):
         grid = smolyak_grid(2, 1, list(unit_uniform_specs))

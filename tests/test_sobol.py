@@ -5,14 +5,12 @@ import pytest
 
 from mfpce.models import Model, builtin_model
 from mfpce.orthopoly import Uniform, VariableSpec
-from mfpce.pce import Expansion, stack
+from mfpce.pce import Expansion, union
 from mfpce.sobol import (
     SobolReport,
     ZeroVarianceError,
     all_indices,
     mc_sobol,
-    subset_index,
-    total_indices,
 )
 from mfpce.sparse_grid import physical_nodes, smolyak_grid
 from mfpce.pce import project
@@ -35,37 +33,37 @@ class TestFromExpansion:
         e = hand_expansion(unit_uniform_specs)
         # partial variances: 9/3, 16/3, 36/9
         d = 9 / 3 + 16 / 3 + 36 / 9
-        assert subset_index(e, (0,)) == pytest.approx(3.0 / d)
-        assert subset_index(e, (1,)) == pytest.approx((16 / 3) / d)
-        assert subset_index(e, (0, 1)) == pytest.approx(4.0 / d)
-        totals = total_indices(e)
+        report = all_indices(e)
+        subsets = report.subset_indices
+        assert subsets[(0,)] == pytest.approx(3.0 / d)
+        assert subsets[(1,)] == pytest.approx((16 / 3) / d)
+        assert subsets[(0, 1)] == pytest.approx(4.0 / d)
+        totals = report.total_indices
         assert totals[0] == pytest.approx((3.0 + 4.0) / d)
         assert totals[1] == pytest.approx((16 / 3 + 4.0) / d)
 
-    def test_subset_order_is_irrelevant(self, unit_uniform_specs):
-        e = hand_expansion(unit_uniform_specs)
-        assert subset_index(e, (1, 0)) == subset_index(e, (0, 1))
-
-    def test_empty_subset_rejected(self, unit_uniform_specs):
-        with pytest.raises(ValueError):
-            subset_index(hand_expansion(unit_uniform_specs), ())
-
     @pytest.mark.parametrize(
         "indices",
-        [all_indices, total_indices, lambda e: subset_index(e, (0,))],
+        [
+            all_indices,
+            lambda e: all_indices(e).total_indices,
+            lambda e: all_indices(e).subset_indices,
+        ],
         ids=["all_indices", "total_indices", "subset_index"],
     )
     def test_stacked_coefficients_rejected(self, unit_uniform_specs, indices):
         e = hand_expansion(unit_uniform_specs)
         with pytest.raises(ValueError, match="Sobol indices need scalar coefficients"):
-            indices(stack([e, e]))
+            indices(union([e, e]))
 
     def test_report_fields(self, unit_uniform_specs):
         report = all_indices(hand_expansion(unit_uniform_specs))
         assert report.n == 2
         assert report.mean == pytest.approx(2.0)
         assert report.variance == pytest.approx(9 / 3 + 16 / 3 + 4.0)
-        assert report.first_order(0) == pytest.approx(subset_index(hand_expansion(unit_uniform_specs), (0,)))
+        assert report.first_order(0) == pytest.approx(
+            all_indices(hand_expansion(unit_uniform_specs)).subset_indices[(0,)]
+        )
         assert report.first_order(5) == 0.0
 
     def test_subset_indices_sum_to_one(self, ishigami_range_specs):
@@ -88,7 +86,11 @@ class TestFromExpansion:
 
     def test_constant_expansion_raises(self, unit_uniform_specs):
         e = Expansion(specs=unit_uniform_specs, terms=[(0, 0)], coeffs=[1.0])
-        for fn in (lambda: subset_index(e, (0,)), lambda: total_indices(e), lambda: all_indices(e)):
+        for fn in (
+            lambda: all_indices(e).subset_indices,
+            lambda: all_indices(e).total_indices,
+            lambda: all_indices(e),
+        ):
             with pytest.raises(ZeroVarianceError):
                 fn()
 
