@@ -465,13 +465,31 @@ def _cache_keys(X: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in sorted order, the position in ``keys`` of
+    each one's first occurrence, and each key's position among them: what
+    ``np.unique(keys, return_index=True, return_inverse=True)`` returns,
+    from one stable argsort and one sorted copy. When the keys are
+    distinct, the sorted copy and the argsort are the first two results."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    if new.all():
+        return keys, order, inverse
+    return keys[new], order[new], inverse
+
+
 class EvalCache:
     """Memoizes (model, node) evaluations and counts distinct evaluations,
     a node being the exact bits of its coordinates (:func:`_cache_keys`).
 
     The store holds, per model id and dimension, the sorted
-    :func:`_cache_keys` of the nodes seen and their values; a batch is
-    looked up with ``np.unique`` and ``np.searchsorted``. With a
+    :func:`_cache_keys` of the nodes seen and their values. A batch is
+    deduplicated by :func:`_first_occurrences`, the one rule for which of
+    a key's rows counts, and looked up with ``np.searchsorted``. With a
     persistence path, existing records are loaded on construction (the
     last record of a key wins) and the fresh evaluations of each batch are
     appended after the model returns, one ``model_id<TAB>coords<TAB>value``
@@ -519,8 +537,7 @@ class EvalCache:
             os.truncate(path, complete)
         for slot, (rows, values) in records.items():
             # Reversed, a key's first record is the last one written.
-            keys = _cache_keys(np.array(rows[::-1], dtype=float))
-            keys, last = np.unique(keys, return_index=True)
+            keys, last, _ = _first_occurrences(_cache_keys(np.array(rows[::-1], dtype=float)))
             self.store[slot] = keys, np.array(values[::-1], dtype=float)[last]
 
     def _append_records(self, model_id: str, X: np.ndarray, values) -> None:
@@ -535,10 +552,17 @@ class EvalCache:
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),
         paying only for nodes not seen before. Rows sharing a key are paid
-        once, at their first occurrence, and in the order of those."""
+        once, at their first occurrence, and in the order of those.
+
+        Besides ``X`` and the result, a batch holds its keys and their
+        sorted copy until it is deduplicated, then one sorted copy and a
+        few integers per row. The model is handed ``X`` itself when every
+        row is a fresh distinct node, else a gather of the rows to pay. An
+        empty store takes the batch's sorted keys and values as they are;
+        a non-empty one gets them inserted."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         slot = (model.id, X.shape[1])
-        keys, first, inverse = np.unique(_cache_keys(X), return_index=True, return_inverse=True)
+        keys, first, inverse = _first_occurrences(_cache_keys(X))
         known, known_values = self.store.get(slot, (keys[:0], np.empty(0)))
         at = np.searchsorted(known, keys)
         hit = at < len(known)
@@ -548,7 +572,7 @@ class EvalCache:
         missing = np.flatnonzero(~hit)
         if len(missing):
             rows = np.sort(first[missing])
-            new = X[rows]
+            new = X if len(rows) == len(X) else X[rows]
             fresh = np.asarray(model.batch(new), dtype=float)
             if fresh.shape != (len(rows),):
                 raise ModelError(
@@ -557,11 +581,14 @@ class EvalCache:
             values[inverse[rows]] = fresh
             self._append_records(model.id, new, fresh.tolist())
             self.counters[model.id] = self.counters.get(model.id, 0) + len(rows)
-            at = at[missing]
-            self.store[slot] = (
-                np.insert(known, at, keys[missing]),
-                np.insert(known_values, at, values[missing]),
-            )
+            if len(known):
+                at = at[missing]
+                self.store[slot] = (
+                    np.insert(known, at, keys[missing]),
+                    np.insert(known_values, at, values[missing]),
+                )
+            else:  # every key is a miss; ``values`` is not the returned array
+                self.store[slot] = keys, values
         return values[inverse]
 
     def count(self, model_id: str) -> int:

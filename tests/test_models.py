@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,25 @@ class TestEvalCache:
         assert np.array_equal(first, second)
         assert calls == [2]
         assert cache.count("m") == 2
+
+    def test_reference_batch_memory(self):
+        """A fresh cache on the borehole w=5 reference: 54,673 distinct nodes,
+        3.5 MB of coordinates, all paid. ``np.unique``'s copies, a gathered
+        copy of ``X`` and an ``np.insert`` into the empty store would peak
+        near 18 MB."""
+        specs = BENCHMARK_SPECS["borehole"]
+        X = physical_nodes(smolyak_grid(8, 5, specs), specs)
+        model = builtin_model("borehole", "hf")
+        tracemalloc.start()
+        try:
+            cache = EvalCache()
+            values = cache.evaluate_many(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.count(model.id) == len(X) == 54_673
+        assert np.array_equal(values, model.batch(X))
+        assert peak < 11e6
 
     def test_duplicate_rows_in_one_batch_are_paid_once(self, tmp_path):
         path = tmp_path / "cache.tsv"

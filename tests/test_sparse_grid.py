@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -285,6 +286,20 @@ class TestSmolyakGrid:
         for term, (rows, slots) in zip(plan.terms, per_term):
             assert term.rows.dtype == rows.dtype and np.array_equal(term.rows, rows)
             assert term.slots.dtype == slots.dtype and np.array_equal(term.slots, slots)
+
+    def test_cold_plan_memory_is_one_column_array(self):
+        """The 8-D w=5 plan (1,287 terms, 149,031 term rows, 54,673 nodes)
+        streams its terms into one array; a list of per-term grids and
+        their concatenated copy would peak near 24 MB."""
+        grid_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = grid_plan(5, (L,) * 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.grid) == 54_673 and len(plan.terms) == 1_287
+        assert peak < 19e6
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
