@@ -241,13 +241,21 @@ def _view(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
     return buffer[: rows * columns].reshape(rows, columns)
 
 
-def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
+def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray | None:
     """Evaluate the expansion at rows of physical-coordinate points.
 
     Returns shape ``(N,)`` for scalar coefficients and ``(N, E)`` for
-    length-``E`` coefficient vectors, one column per output. Columns with
-    the same non-zero terms form a group that contracts only those terms,
-    so an expansion over the union of several index sets (see
+    length-``E`` coefficient vectors, one column per output. Given
+    ``each_block``, it returns None and holds no such array: it calls
+    ``each_block(start, block)`` once per outer block of points, in order,
+    where ``block`` is the ``(E, b)`` outputs at points ``start..start+b``
+    (``E = 1`` for scalar coefficients). ``block`` is a buffer that the
+    next block overwrites, so it is valid only during that call. Without
+    ``each_block``, the same loop copies each block into the result, so
+    both give the same values, bit for bit.
+
+    Columns with the same non-zero terms form a group that contracts only
+    those terms, so an expansion over the union of several index sets (see
     :func:`union`) costs about what each set costs alone; all groups share
     one pass over the points and its 1D tables.
 
@@ -267,8 +275,10 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
     axis, and each group's products run over inner column blocks of its own
     width (see :func:`_column_groups`). The tables and every per-block
     temporary (gathers, matrix products, sums) live in buffers allocated
-    once per call, so that a call holds its output, one block's tables and
-    a few ``INNER_BYTES``-sized buffers, whatever the number of points.
+    once per call, as does the ``(E, OUTER_POINTS)`` block of outputs, so
+    that a call holds its result (none with ``each_block``), one block's
+    tables and a few ``INNER_BYTES``-sized buffers, whatever the number of
+    points.
     """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
@@ -287,19 +297,26 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
         sizes = np.maximum(sizes, width * np.array(rows))
     products, factors, Z_flat, total, part = (np.empty(size) for size in sizes[[0, 1, 2, 3, 3]])
 
-    out = np.zeros((coeffs.shape[1], len(X)))
+    values = np.empty((coeffs.shape[1], outer))
+    out = None
+    if each_block is None:
+        out = np.empty((coeffs.shape[1], len(X)))
+
+        def each_block(start, block):
+            out[:, start : start + block.shape[1]] = block
+
     for start in range(0, len(X), OUTER_POINTS):
-        block = X[start : start + OUTER_POINTS]
+        points = X[start : start + OUTER_POINTS]
         T = [
             eval_poly_table(
-                spec.family, len(table) - 1, spec.to_standard(block[:, j]), out=table[:, : len(block)]
+                spec.family, len(table) - 1, spec.to_standard(points[:, j]), out=table[:, : len(points)]
             )
             for j, (spec, table) in enumerate(zip(e.specs, tables))
         ]
         for columns, (steps, made, runs), width in groups:
             E = len(columns)
-            for a in range(0, len(block), width):
-                b = min(a + width, len(block))
+            for a in range(0, len(points), width):
+                b = min(a + width, len(points))
                 prod = _view(products, made, b - a)
                 prod[0] = 1.0
                 # ``take`` with mode="clip" skips the index check, which
@@ -330,7 +347,10 @@ def evaluate_batch(e: Expansion, xi_physical) -> np.ndarray:
                         Z = Z.reshape(d, E, b - a)
                         Z *= T[-1][:d, None, a:b]
                     acc += Z.sum(axis=0, out=Z_sum)
-                out[columns, start + a : start + b] = acc
+                values[columns, a:b] = acc
+        each_block(start, values[:, : len(points)])
+    if out is None:
+        return None
     return out.T if e.coeffs.ndim == 2 else out[0]
 
 

@@ -25,36 +25,86 @@ log = logging.getLogger(__name__)
 _MARE_FLOOR = 1e-300
 
 
-def _mare(y_num, y_den) -> tuple[float, int]:
-    keep = np.abs(y_den) >= _MARE_FLOOR
-    skipped = int((~keep).sum())
-    if skipped:
-        log.info("MARE: skipped %d observations with near-zero reference", skipped)
-    value = float(np.mean(np.abs((y_num[keep] - y_den[keep]) / y_den[keep])))
-    return value, skipped
+class _Scores:
+    """Running r² and MARE of ``c`` predicted columns against one truth,
+    fed one block of points at a time through :meth:`add`.
 
+    MARE sums ``|(y_pred - y_true) / y_true|`` over the rows it keeps and
+    counts them. r² is the squared correlation, formed from the sums of
+    ``y_true - truth_mean``, of ``y_pred - shift`` (``shift`` is one value
+    per column), of their squares and of their product: a one-pass
+    covariance that stays accurate as long as each shift lies near its
+    column's mean. ``y_true`` is held whole by its callers, so its own mean
+    is known before the first block. The ``(c, b)`` temporaries of a block
+    share one scratch array, kept for the next block of at most ``b``
+    points.
+    """
 
-def _r2(y_ref, y_other) -> float:
-    y_ref = np.asarray(y_ref, dtype=float)
-    y_other = np.asarray(y_other, dtype=float)
-    dr = y_ref - y_ref.mean()
-    do = y_other - y_other.mean()
-    denom = math.sqrt(float(dr @ dr)) * math.sqrt(float(do @ do))
-    if denom == 0.0:
-        raise ZeroVarianceError("correlation undefined: a sample set is constant")
-    return float((dr @ do) / denom) ** 2
+    def __init__(self, truth_mean: float, shift) -> None:
+        self.truth_mean = truth_mean
+        self.shift = np.asarray(shift, dtype=float)[:, None]
+        self.count = self.kept = 0
+        self.true_sum = self.true_squares = 0.0
+        c = len(self.shift)
+        self.pred_sum, self.pred_squares, self.products, self.mare_sum = np.zeros((4, c))
+        self.scratch = np.empty((c, 0))
+
+    def add(self, y_true: np.ndarray, y_pred: np.ndarray) -> None:
+        """One block of points: ``y_true`` is ``(b,)`` and ``y_pred`` is
+        ``(c, b)``. ``y_pred`` is read, never written."""
+        if self.scratch.shape[1] < len(y_true):
+            self.scratch = np.empty((len(self.shift), len(y_true)))
+        true_dev = y_true - self.truth_mean
+        pred_dev = np.subtract(y_pred, self.shift, out=self.scratch[:, : len(y_true)])
+        self.count += len(y_true)
+        self.true_sum += true_dev.sum()
+        self.true_squares += true_dev @ true_dev
+        self.pred_sum += pred_dev.sum(axis=1)
+        self.pred_squares += np.einsum("ij,ij->i", pred_dev, pred_dev)
+        self.products += pred_dev @ true_dev
+
+        keep = np.abs(y_true) >= _MARE_FLOOR
+        if not keep.all():
+            y_true, y_pred = y_true[keep], y_pred[:, keep]
+        self.kept += len(y_true)
+        relative = np.subtract(y_pred, y_true, out=self.scratch[:, : len(y_true)])
+        relative /= y_true
+        self.mare_sum += np.abs(relative, out=relative).sum(axis=1)
+
+    def result(self) -> list[tuple[float, float]]:
+        """``(r2, mare)`` per column. Raises :class:`ZeroVarianceError` if a
+        sample set is constant."""
+        skipped = self.count - self.kept
+        true_var = self.true_squares - self.true_sum**2 / self.count
+        scores = []
+        for pred_sum, squares, products, mare_sum in zip(
+            self.pred_sum, self.pred_squares, self.products, self.mare_sum
+        ):
+            if skipped:
+                log.info("MARE: skipped %d observations with near-zero reference", skipped)
+            pred_mean = pred_sum / self.count
+            pred_var = squares - pred_mean * pred_sum
+            denom = math.sqrt(max(true_var, 0.0)) * math.sqrt(max(pred_var, 0.0))
+            if denom == 0.0:
+                raise ZeroVarianceError("correlation undefined: a sample set is constant")
+            r2 = float((products - pred_mean * self.true_sum) / denom) ** 2
+            scores.append((r2, float(mare_sum / self.kept) if self.kept else math.nan))
+        return scores
 
 
 def prediction_error(y_true, y_pred) -> tuple[float, float]:
     """Squared correlation and mean absolute relative error of ``y_pred``
     against ``y_true``: a surrogate against its model, or an LF model
-    against the HF one."""
+    against the HF one. Rows whose ``|y_true|`` is below ``_MARE_FLOOR``
+    are left out of the MARE, with one INFO log line. This is
+    :class:`_Scores` fed one block, with the sample mean as the shift."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.shape != y_pred.shape or y_true.size < 2:
+    if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size < 2:
         raise ValueError("need two equal-length sample sets of size >= 2")
-    mare, _ = _mare(y_pred, y_true)
-    return _r2(y_true, y_pred), mare
+    scores = _Scores(y_true.mean(), [y_pred.mean()])
+    scores.add(y_true, y_pred[None])
+    return scores.result()[0]
 
 
 def sobol_errors(report: SobolReport, reference: SobolReport) -> tuple[float, float]:
@@ -171,11 +221,34 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     ``y_true[i]``. The expansions are evaluated by one
     :func:`evaluate_batch` call on their :func:`union`, one column each;
     columns with the same terms (one level of a sweep) share their
-    products, and all share the 1D tables."""
+    products, and all share the 1D tables. The predictions are never held
+    whole: each block of outputs goes into one :class:`_Scores` per
+    distinct truth array, with each column's PCE mean as its shift, so the
+    memory does not grow with the number of points times the number of
+    expansions."""
     if not expansions:
         return []
-    y_pred = evaluate_batch(union(expansions), X)
-    return [prediction_error(y_true[i], y_pred[:, i]) for i in range(len(expansions))]
+    united = union(expansions)
+    by_truth: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for i, y in enumerate(y_true):
+        by_truth.setdefault(id(y), (np.asarray(y, dtype=float), []))[1].append(i)
+    parts = []
+    for y, columns in by_truth.values():
+        if y.shape != (len(X),) or len(X) < 2:
+            raise ValueError("need two equal-length sample sets of size >= 2")
+        parts.append((y, np.array(columns), _Scores(y.mean(), united.coeffs[0, columns])))
+
+    def each_block(start, block):
+        stop = start + block.shape[1]
+        for y, columns, scores in parts:
+            scores.add(y[start:stop], block[columns])
+
+    evaluate_batch(united, X, each_block=each_block)
+    results = [None] * len(expansions)
+    for _, columns, scores in parts:
+        for i, score in zip(columns, scores.result()):
+            results[i] = score
+    return results
 
 
 def run_convergence(cfg) -> list[ConvergenceRow]:
@@ -186,9 +259,11 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     row's counts are that cell's own cost; the config's ``cache`` file is
     read by ``sobol`` and ``decay`` only. Rows are emitted only for levels
     with ``w >= q``. The cells are built first, then all of them are
-    validated by one :func:`evaluate_batch` call on their union (see
-    :func:`_prediction_scores`); a sweep with no cells writes no rows. The
-    models are closed before it returns.
+    validated by one :func:`evaluate_batch` call on their union, whose r²
+    and MARE are summed block by block as the outputs are made (see
+    :func:`_prediction_scores`): only the HF truths are held whole, one
+    array per HF model. A sweep with no cells writes no rows. The models
+    are closed before it returns.
     """
     from .config import build_reference  # local import to avoid a cycle
 

@@ -115,6 +115,19 @@ class TestConvergeCommand:
         main(["--config", str(cfg), "converge"])
         assert (out / "convergence.csv").read_text() == first
 
+    @pytest.mark.parametrize("name", ["ishigami", "borehole"])
+    def test_shipped_config_reproduces_its_pinned_csv(self, tmp_path, name):
+        """``converge --seed 7`` on a shipped config writes, byte for byte,
+        the ``convergence.csv`` kept in ``tests/data`` (written with numpy
+        2.4 and OpenBLAS on x86-64). A printed digit that moves is a change
+        in the numbers, to be explained or mended."""
+        root = Path(__file__).resolve().parent
+        config = root.parent / "configs" / f"{name}.yaml"
+        argv = ["--config", str(config), "--out", str(tmp_path), "--seed", "7", "converge"]
+        assert main(argv) == 0
+        got = (tmp_path / "convergence.csv").read_text()
+        assert got == (root / "data" / f"convergence_{name}_seed7.csv").read_text()
+
     def test_no_cells_writes_the_header_only(self, tmp_path):
         """With every scheme's ``q`` above ``levels.max`` there is no cell
         to build or validate: the csv is its header alone, and exit 0."""

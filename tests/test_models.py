@@ -209,7 +209,10 @@ class TestOverlappedFaults:
 
         monkeypatch.setattr(subprocess, "Popen", start)
         script = tmp_path / "model.py"
-        script.write_text("import time\ntime.sleep(0.15)\nprint(float(input()))\n")
+        # Each child reads its row first. Row 1 answers after about 1 s and
+        # the others at once, so that child 1 is still running when row 2
+        # is spawned, however loaded the host.
+        script.write_text("import time\nx = float(input())\nif x == 1.0:\n    time.sleep(1.0)\nprint(x)\n")
         X = np.arange(3.0)[:, None]
         assert ExternalModel(f"{sys.executable} {script}").batch(X).tolist() == X[:, 0].tolist()
         assert in_flight == [min(row, cpus - 1) for row in range(3)]

@@ -501,6 +501,23 @@ class TestEvaluation:
             ref = evaluate_batch(e, X)
             assert np.all(np.abs(column - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    @pytest.mark.parametrize("case", ["scalar", "ishigami_cells"])
+    def test_each_block_streams_the_result(self, case):
+        e = _expansion("n3_mixed") if case == "scalar" else union(_ishigami_cells())
+        X = _sample(e.specs, ODD_COUNT)
+        starts, blocks = [], []
+
+        def each_block(start, block):
+            starts.append(start)
+            blocks.append(block.copy())
+
+        assert evaluate_batch(e, X, each_block=each_block) is None
+        assert starts == list(range(0, ODD_COUNT, OUTER_POINTS))
+        want = evaluate_batch(e, X)
+        streamed = np.concatenate(blocks, axis=1)
+        assert streamed.shape == (want.reshape(ODD_COUNT, -1).shape[1], ODD_COUNT)
+        assert np.array_equal(streamed.T.reshape(want.shape), want)
+
     def test_union_needs_one_spec_tuple(self):
         e = _expansion("n3_mixed")
         with pytest.raises(ValueError):

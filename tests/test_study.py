@@ -1,15 +1,18 @@
 import dataclasses
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mfpce.config import parse_config
-from mfpce.models import EvalCache, Model, builtin_model
-from mfpce.pce import evaluate_batch, mean, variance
+from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
+from mfpce.pce import INNER_BYTES, OUTER_POINTS, evaluate_batch, mean, union, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.study import (
     ConvergenceRow,
+    _prediction_scores,
     SchemeSpec,
     build_scheme,
     decay_report,
@@ -61,6 +64,102 @@ class TestSimilarity:
         _, mare = prediction_error(y_true, y_pred)
         # relative to the true response, not the prediction
         assert mare == pytest.approx((0.1 / 1.0) / 3.0)
+
+
+def _sweep(problem, lf, q, levels):
+    """The expansions of a converge sweep: HF, LF and MF cells over
+    ``levels``, with the problem's HF as the truth."""
+    specs = tuple(BENCHMARK_SPECS[problem])
+    models = {"hf": builtin_model(problem, "hf"), "lf": builtin_model(problem, lf)}
+    schemes = [
+        SchemeSpec("hf", "hf", "hf"),
+        SchemeSpec("lf", "lf", "hf", lf="lf"),
+        SchemeSpec("mf", "mf", "hf", lf="lf", q=q),
+    ]
+    cells = [build_scheme(s, w, specs, models).expansion for s in schemes for w in levels if w >= s.q]
+    return specs, cells
+
+
+def _points(specs, count, seed=3):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return np.column_stack([spec.sample(rng, count) for spec in specs])
+
+
+def _materialised_scores(expansions, X, truths):
+    """``prediction_error`` per column of the whole ``(N, E)`` union output."""
+    y_pred = evaluate_batch(union(expansions), X)
+    return [prediction_error(y, y_pred[:, i]) for i, y in enumerate(truths)]
+
+
+def _assert_scores_equal(got, want):
+    assert len(got) == len(want)
+    for (r2, mare), expected in zip(got, want):
+        assert (r2, mare) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def ishigami_sweep():
+    """The 14 cells of ``configs/ishigami.yaml``: w = 1..5, MF with q = 2."""
+    return _sweep("ishigami", "lf1", 2, range(1, 6))
+
+
+class TestPredictionScores:
+    """Validation scores summed block by block out of ``evaluate_batch``
+    against ``prediction_error`` on the materialised predictions."""
+
+    # 2 points, fewer than one outer block, and a prime above two blocks.
+    @pytest.mark.parametrize("count", [2, 1000, 10_007])
+    def test_equals_prediction_error_of_the_union(self, ishigami_sweep, count):
+        assert count < OUTER_POINTS or count % OUTER_POINTS
+        specs, cells = ishigami_sweep
+        X = _points(specs, count)
+        truths = [builtin_model("ishigami", "hf").batch(X)] * len(cells)
+        _assert_scores_equal(
+            _prediction_scores(cells, X, truths), _materialised_scores(cells, X, truths)
+        )
+
+    def test_two_truths_in_one_sweep(self, ishigami_sweep):
+        specs, cells = ishigami_sweep
+        X = _points(specs, 10_007)
+        first = builtin_model("ishigami", "hf").batch(X)
+        second = builtin_model("ishigami", "lf2").batch(X)
+        # Interleaved, so neither truth's columns are one range.
+        truths = [first if i % 3 else second for i in range(len(cells))]
+        _assert_scores_equal(
+            _prediction_scores(cells, X, truths), _materialised_scores(cells, X, truths)
+        )
+
+    def test_mare_skips_zero_references_per_column(self, caplog):
+        specs, cells = _sweep("short_column", "lf1", 1, range(1, 4))
+        X = _points(specs, 10_007)
+        # b h^2 Y = 16000 and P / (b h Y) = 1/2: the HF response is 1 - 3/4 - 1/4 = 0.
+        zero_rows = [3, 5000, 10_006]
+        X[zero_rows] = (8.0, 20.0, 400.0, 3000.0, 5.0)
+        truth = builtin_model("short_column", "hf").batch(X)
+        assert np.flatnonzero(truth == 0.0).tolist() == zero_rows
+        with caplog.at_level(logging.INFO, logger="mfpce.study"):
+            got = _prediction_scores(cells, X, [truth] * len(cells))
+        skipped = [r for r in caplog.records if "skipped 3 observations" in r.getMessage()]
+        assert len(skipped) == len(cells) == len(caplog.records)
+        _assert_scores_equal(got, _materialised_scores(cells, X, [truth] * len(cells)))
+
+    def test_memory_holds_no_predictions(self, ishigami_sweep):
+        # All 14 columns at 100k points would be 11.2 MB on their own: the
+        # bound is one outer block's 1D tables plus a few INNER_BYTES.
+        specs, cells = ishigami_sweep
+        X = _points(specs, 100_000)
+        truths = [builtin_model("ishigami", "hf").batch(X)] * len(cells)
+        united = union(cells)
+        tables = 8 * OUTER_POINTS * int((united.terms.max(axis=0) + 1).sum())
+        del united
+        tracemalloc.start()
+        try:
+            scores = _prediction_scores(cells, X, truths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == 14
+        assert tables <= peak < tables + 4 * INNER_BYTES < 8 * len(X) * len(cells)
 
 
 class TestSobolErrors:
