@@ -47,7 +47,8 @@ _STANDARD_SPECS = {
 }
 
 #: Distinct (n, w, families) plans kept per process. A converge study uses
-#: a handful; the bound keeps a long-lived process from holding every grid.
+#: a handful, and clears the cache once its reference is built; the bound
+#: keeps a long-lived process from holding every grid.
 PLAN_CACHE_SIZE = 8
 
 

@@ -15,7 +15,7 @@ from .mf import BuiltScheme, build_mf_parts
 from .models import EvalCache, Model
 from .pce import evaluate_batch, mean, project, union, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
-from .sparse_grid import physical_nodes, smolyak_grid
+from .sparse_grid import grid_plan, physical_nodes, smolyak_grid
 
 log = logging.getLogger(__name__)
 
@@ -255,7 +255,9 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
     """One row per (scheme, level), in config order, deterministically.
 
     ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
-    built once. Every cell is built on a fresh in-memory cache, so each
+    built once, and its Smolyak plan, the largest grid of the run, is
+    released from :func:`~mfpce.sparse_grid.grid_plan`'s cache before the
+    sweep. Every cell is built on a fresh in-memory cache, so each
     row's counts are that cell's own cost; the config's ``cache`` file is
     read by ``sobol`` and ``decay`` only. Rows are emitted only for levels
     with ``w >= q``. The cells are built first, then all of them are
@@ -269,6 +271,8 @@ def run_convergence(cfg) -> list[ConvergenceRow]:
 
     with cfg.open_models() as models:
         reference = build_reference(cfg, models)
+        # No cell reads the reference's plan, the largest grid of the run.
+        grid_plan.cache_clear()
         rng = np.random.Generator(np.random.Philox(key=cfg.validation.seed))
         X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
         y_true: dict[str, np.ndarray] = {}

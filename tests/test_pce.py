@@ -304,13 +304,13 @@ class TestProjection:
 
 def _evaluate_batch_reference(e: Expansion, xi_physical) -> np.ndarray:
     """The block algorithm ``evaluate_batch`` replaced: one (K, chunk)
-    product block per chunk of about 2e7 entries, then a GEMV."""
+    product block per chunk of about 2e6 entries, then a GEMV."""
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     phis, coeffs = e.terms, e.coeffs
     std = np.column_stack([spec.to_standard(X[:, j]) for j, spec in enumerate(e.specs)])
 
     out = np.empty(len(X))
-    chunk = max(1, int(2e7) // max(1, len(phis)))
+    chunk = max(1, int(2e6) // max(1, len(phis)))
     for start in range(0, len(X), chunk):
         stop = min(start + chunk, len(X))
         block = np.ones((len(phis), stop - start))

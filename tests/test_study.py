@@ -8,8 +8,10 @@ import pytest
 
 from mfpce.config import parse_config
 from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
+from mfpce.orthopoly import PolyFamily
 from mfpce.pce import INNER_BYTES, OUTER_POINTS, evaluate_batch, mean, union, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
+from mfpce.sparse_grid import grid_plan
 from mfpce.study import (
     ConvergenceRow,
     _prediction_scores,
@@ -359,6 +361,24 @@ class TestRunConvergence:
             assert abs(row.mare - want.mare) <= 1e-12
             assert abs(row.r2 - want.r2) <= 1e-12
             assert dataclasses.replace(row, mare=want.mare, r2=want.r2) == want
+
+    def test_reference_plan_is_released_before_the_sweep(self):
+        """No cell reads the w=3 reference's plan, so the sweep does not
+        keep it: asking for it again afterwards assembles it anew."""
+        cfg = parse_config(
+            {
+                "problem": "borehole",
+                "models": [{"id": "hf", "builtin": "borehole/hf"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+                "levels": {"min": 1, "max": 2},
+                "reference": {"kind": "pce", "model": "hf", "w": 3},
+                "validation": {"count": 100},
+            }
+        )
+        run_convergence(cfg)
+        misses = grid_plan.cache_info().misses
+        grid_plan(3, (PolyFamily.LEGENDRE,) * 8)
+        assert grid_plan.cache_info().misses == misses + 1
 
 
 class TestDecay:
