@@ -12,11 +12,11 @@ the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
-``--q`` on a non-MF scheme, or an unreadable evaluation-cache file),
-3 model-evaluation error, 4 numerical degeneracy, and 128 plus the signal
-number for a SIGINT (130) or a SIGTERM (143). Each command closes the
-models it resolved, so no stream-mode child outlives it, whether it ends
-by itself or by one of those signals.
+``--q`` on a non-MF scheme, a malformed cache file, or an OS error on a
+path the run reads or writes, each in one line), 3 model-evaluation
+error, 4 numerical degeneracy, and 128 plus the signal number for a
+SIGINT (130) or a SIGTERM (143). Each command closes the models it
+opened, so no stream-mode child outlives it, even when a signal ends it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ import signal
 import sys
 from pathlib import Path
 
-from .config import ConfigError, StudyConfig, int_at_least, load_config, seed_value
+from .config import (
+    ConfigError, StudyConfig, build_reference, int_at_least, load_config, seed_value
+)
 from .models import CacheFileError, EvalCache, ModelError
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from .study import (
@@ -165,7 +167,8 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
-    rows = run_convergence(cfg)
+    with cfg.open_models() as models:
+        rows = run_convergence(cfg, models, build_reference(cfg, models))
     path = out / "convergence.csv"
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -224,8 +227,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CacheFileError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
+    except (CacheFileError, OSError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"model evaluation error: {exc}", file=sys.stderr)

@@ -308,33 +308,19 @@ class StudyConfig:
     output: str
     cache: str | None
 
-    def resolved_models(self) -> dict[str, Model | ExternalModel]:
-        out: dict[str, Model | ExternalModel] = {}
+    @contextmanager
+    def open_models(self):
+        """The models by id, closed when the block ends, on success or on
+        error, so that no stream child outlives it. :func:`parse_config`
+        has checked every builtin, so opening them cannot fail."""
+        models: dict[str, Model | ExternalModel] = {}
         for binding in self.models:
             if binding.builtin is not None:
                 problem, _, fidelity = binding.builtin.partition("/")
-                try:
-                    base = builtin_model(problem, fidelity)
-                except KeyError as exc:
-                    raise ConfigError(str(exc)) from exc
-                inputs = len(BENCHMARK_SPECS[problem])
-                if inputs != len(self.variables):
-                    raise ConfigError(
-                        f"model {binding.id!r}: builtin {binding.builtin!r} takes {inputs} "
-                        f"inputs, but the config has {len(self.variables)} variables"
-                    )
-                out[binding.id] = Model(id=binding.id, fn=base.fn)
+                models[binding.id] = Model(binding.id, builtin_model(problem, fidelity).fn)
             else:
-                out[binding.id] = ExternalModel(
-                    binding.command, binding.mode or "oneshot", binding.id
-                )
-        return out
-
-    @contextmanager
-    def open_models(self):
-        """:meth:`resolved_models`, closed when the block ends, on success
-        or on error, so that no stream child outlives it."""
-        models = self.resolved_models()
+                mode = binding.mode or "oneshot"
+                models[binding.id] = ExternalModel(binding.command, mode, binding.id)
         try:
             yield models
         finally:
@@ -364,9 +350,22 @@ def parse_config(data) -> StudyConfig:
     for binding in models:
         if (binding.builtin is None) == (binding.command is None):
             raise ConfigError(f"model {binding.id!r} needs exactly one of 'builtin' or 'command'")
+        if binding.command is not None:
+            continue
         unread = [key for key in ("mode", "fidelity") if getattr(binding, key) is not None]
-        if binding.builtin is not None and unread:
+        if unread:
             raise ConfigError(f"model {binding.id!r}: a builtin model takes no {', '.join(unread)}")
+        problem, _, fidelity = binding.builtin.partition("/")
+        try:
+            builtin_model(problem, fidelity)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+        inputs, variables = len(BENCHMARK_SPECS[problem]), len(fields["variables"])
+        if inputs != variables:
+            raise ConfigError(
+                f"model {binding.id!r}: builtin {binding.builtin!r} takes {inputs} "
+                f"inputs, but the config has {variables} variables"
+            )
     uses = [(f"scheme {s.name!r}", ref) for s in schemes for ref in (s.hf, s.lf)]
     for user, ref in uses + [("reference", reference.model)]:
         if ref is not None and ref not in model_ids:

@@ -504,11 +504,11 @@ class EvalCache:
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
-        """Read every record; a malformed line raises :class:`CacheFileError`
-        naming the file and its 1-based line number. A last line with no
-        newline is a record cut short by a crash, even if it parses: it is
-        dropped with a warning and cut from the file, so that the next
-        append starts a line of its own."""
+        """Read every record; a malformed or non-finite line raises
+        :class:`CacheFileError` naming the file and its 1-based line number.
+        A last line with no newline is a record cut short by a crash, even if
+        it parses: it is dropped with a warning and cut from the file, so
+        that the next append starts a line of its own."""
         records: dict[tuple[str, int], tuple[list, list]] = {}
         complete = 0  # bytes up to the end of the last complete line
         with open(path, "rb") as fh:
@@ -524,8 +524,8 @@ class EvalCache:
                     model_id, coords, value = line.split("\t")
                     xi = [float(c) for c in coords.split()]
                     y = float(value)
-                    if not xi:
-                        raise ValueError("no coordinates")
+                    if not xi or not all(map(math.isfinite, [*xi, y])):
+                        raise ValueError("no coordinates, or a nan or an inf")
                 except ValueError:
                     raise CacheFileError(
                         f"{path}:{lineno}: malformed cache record {line!r}"
@@ -546,8 +546,11 @@ class EvalCache:
         lines = "".join(
             f"{model_id}\t{_format_request(xi)}\t{value:.17g}\n" for xi, value in zip(X, values)
         )
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(lines)
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(lines)
+        except OSError as exc:  # a failed write names no file
+            raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),

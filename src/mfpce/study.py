@@ -251,40 +251,34 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     return results
 
 
-def run_convergence(cfg) -> list[ConvergenceRow]:
-    """One row per (scheme, level), in config order, deterministically.
+def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]:
+    """One row per (scheme, level) with ``w >= q``, in config order,
+    deterministically, with Sobol errors against ``reference``.
 
-    ``cfg`` is a :class:`mfpce.config.StudyConfig`. The reference report is
-    built once, and its Smolyak plan, the largest grid of the run, is
-    released from :func:`~mfpce.sparse_grid.grid_plan`'s cache before the
-    sweep. Every cell is built on a fresh in-memory cache, so each
-    row's counts are that cell's own cost; the config's ``cache`` file is
-    read by ``sobol`` and ``decay`` only. Rows are emitted only for levels
-    with ``w >= q``. The cells are built first, then all of them are
-    validated by one :func:`evaluate_batch` call on their union, whose r²
-    and MARE are summed block by block as the outputs are made (see
+    ``cfg`` is a :class:`mfpce.config.StudyConfig` and ``models`` its open
+    models. The plan of a PCE reference, the run's largest grid, is first
+    released from :func:`~mfpce.sparse_grid.grid_plan`'s cache. Each cell
+    is built on a fresh in-memory cache, so each row's counts are that
+    cell's own cost; the config's ``cache`` file is read by ``sobol`` and
+    ``decay`` only. All cells are validated by one :func:`evaluate_batch`
+    call on their union, whose r² and MARE are summed block by block (see
     :func:`_prediction_scores`): only the HF truths are held whole, one
-    array per HF model. A sweep with no cells writes no rows. The models
-    are closed before it returns.
+    array per HF model. A sweep with no cells writes no rows.
     """
-    from .config import build_reference  # local import to avoid a cycle
+    # No cell reads the reference's plan, the largest grid of the run.
+    grid_plan.cache_clear()
+    rng = np.random.Generator(np.random.Philox(key=cfg.validation.seed))
+    X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
+    y_true: dict[str, np.ndarray] = {}
 
-    with cfg.open_models() as models:
-        reference = build_reference(cfg, models)
-        # No cell reads the reference's plan, the largest grid of the run.
-        grid_plan.cache_clear()
-        rng = np.random.Generator(np.random.Philox(key=cfg.validation.seed))
-        X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
-        y_true: dict[str, np.ndarray] = {}
-
-        cells = []
-        for scheme in cfg.schemes:
-            if scheme.hf not in y_true:
-                y_true[scheme.hf] = models[scheme.hf].batch(X_val)
-            for w in range(cfg.levels.min, cfg.levels.max + 1):
-                if w < scheme.q:
-                    continue
-                cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
+    cells = []
+    for scheme in cfg.schemes:
+        if scheme.hf not in y_true:
+            y_true[scheme.hf] = models[scheme.hf].batch(X_val)
+        for w in range(cfg.levels.min, cfg.levels.max + 1):
+            if w < scheme.q:
+                continue
+            cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
         X_val,

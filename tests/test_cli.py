@@ -47,6 +47,23 @@ def write_config(tmp_path, data, name="cfg.yaml"):
     return path
 
 
+def child_env() -> dict:
+    """This process's environment, with the package's source first on
+    ``PYTHONPATH``, for a child interpreter that imports ``mfpce``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+#: One run of each command on :func:`ishigami_config`; ``--w 3`` pays 159
+#: HF evaluations, whose cache records take about 10 kB.
+COMMANDS = {
+    "sobol": ["sobol", "--scheme", "hf", "--w", "3"],
+    "converge": ["converge"],
+    "decay": ["decay", "--scheme", "hf", "--w", "3"],
+    "mc-check": ["mc-check", "--model", "hf", "--n", "4"],
+}
+
+
 def ishigami_config(tmp_path, out, **overrides):
     data = {
         "problem": "ishigami",
@@ -230,6 +247,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{cache}:2:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "record", ["hf\t0 0 0\tnan\n", "hf\t0 0 0\tinf\n", "hf\tnan 0 0\t1.0\n"],
+        ids=["nan_value", "inf_value", "nan_coordinate"],
+    )
+    def test_non_finite_cache_record_is_malformed(self, tmp_path, capsys, record):
+        """A cache record holding a nan or an inf is never served: it exits
+        2 with one line naming its file and line, and writes no report."""
+        out = tmp_path / "out"
+        cache = tmp_path / "c.tsv"
+        cache.write_text(record)
+        cfg = ishigami_config(tmp_path, out, cache=str(cache))
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{cache}:1: malformed cache record" in err and err.count("\n") == 1
+        assert not (out / "sobol_hf_w1.json").exists()
+
+    @pytest.mark.parametrize(
+        "fault, command",
+        [("config_is_a_directory", command) for command in COMMANDS]
+        + [("cache_is_a_directory", command) for command in ("sobol", "decay")]
+        + [("out_under_a_file", command) for command in COMMANDS],
+    )
+    def test_os_error_is_one_line_naming_the_path(self, tmp_path, capsys, fault, command):
+        """An OS error on a path the run reads or writes (the config, the
+        cache file, the output directory) exits 2 with one line naming the
+        path, and no traceback."""
+        path = tmp_path / "x"
+        overrides = {"cache": str(path)} if fault == "cache_is_a_directory" else {}
+        argv = ["--config", str(ishigami_config(tmp_path, tmp_path / "out", **overrides))]
+        if fault == "out_under_a_file":
+            path.write_text("")
+            path = path / "out"
+            argv += ["--out", str(path)]
+        else:
+            path.mkdir()
+            if fault == "config_is_a_directory":
+                argv[1] = str(path)
+        assert main([*argv, *COMMANDS[command]]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sobol", "decay"])
+    def test_cache_append_past_the_file_size_limit(self, tmp_path, command):
+        """A cache append that the OS refuses, here past a 1,000-byte file
+        size limit set in the child, exits 2 with one line naming the cache
+        file, and no traceback."""
+        cache = tmp_path / "c.tsv"
+        cfg = ishigami_config(tmp_path, tmp_path / "out", cache=str(cache))
+        limited = (
+            "import resource, runpy; resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000)); "
+            "runpy.run_module('mfpce.cli', run_name='__main__')"
+        )
+        argv = [sys.executable, "-c", limited, "--config", str(cfg), *COMMANDS[command]]
+        done = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert str(cache) in done.stderr and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
     def test_crash_cut_cache_record_is_paid_again(self, tmp_path, caplog):
         """A last cache record cut by a crash right after the first character
@@ -537,7 +613,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["converge"], ["sobol", "--scheme", "hf", "--w", "1"]])
     def test_builtin_dimension_mismatch_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
         """A builtin model whose input count differs from the config's
-        variables exits 2 when the models are loaded, before any runs."""
+        variables exits 2 when the config is read, before any model runs."""
         evaluated = record_batches(monkeypatch)
         variables = [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}]
         cfg = ishigami_config(tmp_path, tmp_path / "out", variables=variables)
@@ -547,6 +623,39 @@ class TestExitCodes:
         assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert evaluated == []
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {
+                    "models": [
+                        {"id": "hf", "builtin": "ishigami/lf7"},
+                        {"id": "lf", "builtin": "ishigami/lf1"},
+                    ]
+                },
+                "config error: unknown builtin model 'ishigami/lf7'\n",
+            ),
+            (
+                {"variables": [{"name": n, "dist": "uniform", "a": 0.0, "b": 1.0} for n in "uv"]},
+                "config error: model 'hf': builtin 'ishigami/hf' takes 3 inputs, "
+                "but the config has 2 variables\n",
+            ),
+        ],
+        ids=["unknown", "input_count"],
+    )
+    @pytest.mark.parametrize("argv", [["converge"], ["sobol", "--scheme", "hf", "--w", "1"]])
+    def test_bad_builtin_exits_before_the_output_directory(
+        self, tmp_path, capsys, argv, overrides, message
+    ):
+        """An unknown builtin, or one whose input count differs from the
+        config's variables, is refused when the config is read: exit 2
+        with one line, and ``--out`` is never created."""
+        out = tmp_path / "fresh"
+        cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
+        assert main(["--config", str(cfg), "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_analytic_reference_of_wrong_dimension_is_config_error(
         self, tmp_path, monkeypatch, capsys
@@ -665,8 +774,7 @@ class TestExitCodes:
                 "output": str(tmp_path / "out"),
             },
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env()
         argv = [sys.executable, "-m", "mfpce.cli", "--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]
         pid = None
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
@@ -730,8 +838,7 @@ class TestEnvironmentOverrides:
 def test_import_does_not_load_scipy():
     """The CLI runs on numpy alone: importing it in a fresh interpreter
     loads no SciPy module."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     probe = "import sys, mfpce.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -43,15 +43,12 @@ def at(node, path):
 
 
 def outcome(data):
-    """The config ``data`` makes, with its models resolved, or None if
-    either step raises :class:`ConfigError`."""
+    """The config ``data`` makes, or None if parsing it raises
+    :class:`ConfigError`."""
     try:
-        cfg = parse_config(data)
-        with cfg.open_models():
-            pass
+        return parse_config(data)
     except ConfigError:
         return None
-    return cfg
 
 
 def same_kind(value, original) -> bool:
@@ -90,11 +87,13 @@ class TestParsing:
         assert cfg.scheme("mf").rt == 0.125
 
     def test_explicit_variables_override_problem(self):
+        # Command models, as the Ishigami builtins take 3 inputs.
         data = minimal_config(
             variables=[
                 {"name": "u", "dist": "uniform", "a": 0.0, "b": 1.0},
                 {"name": "g", "dist": "normal", "mu": 5.0, "sigma": 0.5},
-            ]
+            ],
+            models=[{"id": "hf", "command": "hf-model"}, {"id": "lf", "command": "lf-model"}],
         )
         cfg = parse_config(data)
         assert [v.name for v in cfg.variables] == ["u", "g"]
@@ -155,6 +154,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(data)
 
+    def test_builtin_input_count_must_match_variables(self):
+        variables = [
+            {"name": "u", "dist": "uniform", "a": 0.0, "b": 1.0},
+            {"name": "v", "dist": "uniform", "a": 0.0, "b": 1.0},
+        ]
+        message = "model 'hf': builtin 'ishigami/hf' takes 3 inputs, but the config has 2 variables"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(minimal_config(variables=variables))
+
     def test_bad_level_range(self):
         with pytest.raises(ConfigError):
             parse_config(minimal_config(levels={"min": 3, "max": 1}))
@@ -191,8 +199,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_every_mutant_is_config_error_or_round_trips(self, tmp_path, path):
         """Each section and leaf of a shipped config, replaced by each of
-        ``MUTATIONS``, either raises :class:`ConfigError` from parsing and
-        resolving, or parses to a config that saves and loads back equal.
+        ``MUTATIONS``, either raises :class:`ConfigError` from parsing, or
+        parses to a config that saves and loads back equal.
         A ``null`` parses as the key's absence would; any other value that
         parses is of the shipped leaf's kind and stays in its place."""
         data = yaml.safe_load(path.read_text())
@@ -228,12 +236,12 @@ class TestRoundTrip:
 class TestResolution:
     def test_builtin_models_resolve(self):
         cfg = parse_config(minimal_config())
-        models = cfg.resolved_models()
-        assert set(models) == {"hf", "lf"}
-        assert models["hf"].id == "hf"
-        assert models["lf"].id == "lf"
-        x = np.array([[0.3, -1.2, 2.0]])
-        assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
+        with cfg.open_models() as models:
+            assert set(models) == {"hf", "lf"}
+            assert models["hf"].id == "hf"
+            assert models["lf"].id == "lf"
+            x = np.array([[0.3, -1.2, 2.0]])
+            assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_shipped_config_loads_and_resolves(self, path):
@@ -250,9 +258,8 @@ class TestResolution:
                 {"id": "lf", "builtin": "ishigami/lf1"},
             ]
         )
-        cfg = parse_config(data)
-        with pytest.raises(ConfigError):
-            cfg.resolved_models()
+        with pytest.raises(ConfigError, match="^unknown builtin model 'ishigami/lf7'$"):
+            parse_config(data)
 
     def test_unknown_scheme_name(self):
         cfg = parse_config(minimal_config())
@@ -263,7 +270,8 @@ class TestResolution:
 class TestReference:
     def test_analytic(self):
         cfg = parse_config(minimal_config())
-        report = build_reference(cfg, cfg.resolved_models())
+        with cfg.open_models() as models:
+            report = build_reference(cfg, models)
         assert report.n == 3
         assert sum(report.subset_indices.values()) == pytest.approx(1.0)
 
@@ -271,7 +279,8 @@ class TestReference:
         cfg = parse_config(
             minimal_config(reference={"kind": "pce", "model": "hf", "w": 3})
         )
-        report = build_reference(cfg, cfg.resolved_models())
+        with cfg.open_models() as models:
+            report = build_reference(cfg, models)
         assert report.n == 3
 
     def test_mc(self):
@@ -280,5 +289,6 @@ class TestReference:
                 reference={"kind": "mc", "model": "hf", "n": 2048, "seed": 5}
             )
         )
-        report = build_reference(cfg, cfg.resolved_models())
+        with cfg.open_models() as models:
+            report = build_reference(cfg, models)
         assert report.first_order_se is not None

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfpce.config import parse_config
+from mfpce.config import build_reference, parse_config
 from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
 from mfpce.orthopoly import PolyFamily
 from mfpce.pce import INNER_BYTES, OUTER_POINTS, evaluate_batch, mean, union, variance
@@ -321,9 +321,9 @@ class TestRunConvergence:
                 "validation": {"count": 5000, "seed": 11},
             }
         )
-        rows = run_convergence(cfg)
+        with cfg.open_models() as models:
+            rows = run_convergence(cfg, models, build_reference(cfg, models))
 
-        models = cfg.resolved_models()
         reference = ishigami_analytic(7.0, 0.1)
         rng = np.random.Generator(np.random.Philox(key=11))
         X = np.column_stack([s.sample(rng, 5000) for s in cfg.variables])
@@ -375,7 +375,8 @@ class TestRunConvergence:
                 "validation": {"count": 100},
             }
         )
-        run_convergence(cfg)
+        with cfg.open_models() as models:
+            run_convergence(cfg, models, build_reference(cfg, models))
         misses = grid_plan.cache_info().misses
         grid_plan(3, (PolyFamily.LEGENDRE,) * 8)
         assert grid_plan.cache_info().misses == misses + 1
