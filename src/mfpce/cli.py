@@ -38,6 +38,7 @@ from .study import (
     SchemeSpec,
     build_scheme,
     decay_report,
+    report_file,
     run_convergence,
     write_convergence_csv,
     write_decay_csv,
@@ -101,15 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[StudyConfig, Path]:
+    """The config with ``--seed`` applied, and the output directory, which
+    each command creates once it has checked its own arguments."""
     if not args.config:
         raise ConfigError("no config given (use --config or MFPCE_CONFIG)")
     cfg = load_config(args.config)
     if args.seed is not None:
         seed = seed_value(args.seed, "--seed")
         cfg = dataclasses.replace(cfg, validation=dataclasses.replace(cfg.validation, seed=seed))
-    out = Path(args.out) if args.out else Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    return cfg, Path(args.out or cfg.output)
 
 
 def _report_payload(report: SobolReport, variables) -> dict:
@@ -148,6 +149,7 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     cache = EvalCache(cfg.cache)
     with cfg.open_models() as models:
         built = build_scheme(scheme, args.w, cfg.variables, models, cache)
@@ -157,8 +159,9 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     payload["scheme"] = scheme.label(args.w)
     payload["n_hf"] = built.n_hf
     payload["n_lf"] = built.n_lf
-    (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    with open(out / f"{stem}_totals.csv", "w") as fh:
+    with report_file(out / f"{stem}.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+    with report_file(out / f"{stem}_totals.csv") as fh:
         fh.write("variable,total_index\n")
         for v, t in zip(cfg.variables, report.total_indices):
             fh.write(f"{v.name},{t:.12g}\n")
@@ -167,6 +170,7 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     with cfg.open_models() as models:
         rows = run_convergence(cfg, models, build_reference(cfg, models))
     path = out / "convergence.csv"
@@ -177,6 +181,7 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
     cache = EvalCache(cfg.cache)
     with cfg.open_models() as models:
         built = build_scheme(scheme, args.w, cfg.variables, models, cache)
@@ -196,16 +201,18 @@ def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
 
 def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
     int_at_least(args.n, 2, "--n")
+    if args.model not in [binding.id for binding in cfg.models]:
+        raise ConfigError(f"unknown model {args.model!r}")
+    out.mkdir(parents=True, exist_ok=True)
     with cfg.open_models() as models:
-        if args.model not in models:
-            raise ConfigError(f"unknown model {args.model!r}")
         report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation.seed)
     payload = _report_payload(report, cfg.variables)
     payload["model"] = args.model
     payload["n"] = args.n
     payload["seed"] = cfg.validation.seed
     path = out / f"mc_{args.model}_n{args.n}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    with report_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

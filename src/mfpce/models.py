@@ -29,6 +29,7 @@ import os
 import selectors
 import shlex
 import subprocess
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -233,6 +234,13 @@ class _Child:
         """The row a failure is at: the next to answer, or the last one."""
         return min(self.answered, self.rows.stop - 1)
 
+    @property
+    def settled(self) -> int:
+        """The end of its rows answered for good: a stream child's next
+        reply, and a oneshot child's own row until it has exited with
+        status 0, when it leaves the batch's running children."""
+        return self.rows.start if self.oneshot else self.answered
+
     def _drop(self, *pipes) -> None:
         for pipe in pipes:
             self.selector.unregister(pipe)
@@ -359,8 +367,9 @@ class ExternalModel:
     the values come back in row order. A failure raises :class:`ModelError`
     for the lowest failing row, quoting the child's stderr tail, with no
     child of the batch left running; a failed stream child is replaced in
-    the next batch. :meth:`close` ends the stream child, reading its output
-    while it exits.
+    the next batch. A batch can report the rows answered so far as it goes,
+    which is how :class:`EvalCache` keeps them on file as they are read.
+    :meth:`close` ends the stream child, reading its output while it exits.
     """
 
     def __init__(self, command: str, mode: str = "oneshot", id: str | None = None):
@@ -371,11 +380,22 @@ class ExternalModel:
         self.mode = mode
         self._proc: _Child | None = None
 
-    def batch(self, X: np.ndarray) -> np.ndarray:
+    def batch(
+        self, X: np.ndarray, on_answered: Callable[[np.ndarray, int], None] | None = None
+    ) -> np.ndarray:
         """Evaluate the rows of ``X``. Children start in row order. After a
         failure no child starts and those of higher rows are killed; those
         of lower rows finish, since one of them may fail too, and the lowest
         failing row is raised.
+
+        ``on_answered(values, stop)``, if given, is called after each round of
+        ready events with the batch's values and the end of the rows
+        answered for good: every row below ``stop`` has its value, and no
+        row below it is running, has failed or waits to start. A oneshot row
+        answered out of order waits until the rows below it are. It is
+        called once more as the batch ends, on success, on a failure and on
+        a stop signal, after the batch's children are reaped, so the rows
+        below a failure are reported however the batch ends.
 
         Before the first request of a stream batch, the child's stdout is
         drained without blocking, and a non-blank line there is a malformed
@@ -401,6 +421,11 @@ class ExternalModel:
         failures: dict[int, ModelError] = {}
         running: dict[int, _Child] = {}  # by their first row
         started = 0
+
+        def report() -> None:
+            if on_answered is not None:
+                on_answered(values, min([started, *failures, *(c.settled for c in running.values())]))
+
         with selectors.DefaultSelector() as selector:
             try:
                 while True:
@@ -434,9 +459,11 @@ class ExternalModel:
                             failures[child.row] = child.failed(exc)
                             for later in [r for r in running if r > min(failures)]:
                                 running.pop(later).reap()
+                    report()
             finally:
                 for child in running.values():
                     child.reap()
+                report()
         if failures:
             raise failures[min(failures)]
         return values
@@ -453,6 +480,48 @@ class ExternalModel:
 
 class CacheFileError(ValueError):
     """A persisted cache file that cannot be read back."""
+
+
+#: Cache records formatted and written per ``write()``, so that a batch is
+#: never held as one string and a stopped run keeps whole lines.
+_RECORD_CHUNK_ROWS = 256
+
+
+class _Records:
+    """The records of one batch of ``X``, appended to the cache file
+    ``path``, if there is one, in row order as their values become final. The file is opened once, at the first record, unbuffered in
+    binary append mode, and each chunk of up to :data:`_RECORD_CHUNK_ROWS`
+    ``model_id<TAB>coords<TAB>value`` lines is one ``write()``, so that
+    appenders sharing the file interleave whole chunks. An OS error is
+    raised naming the file, and nothing more is written after it."""
+
+    def __init__(self, path: Path | None, model_id: str, X: np.ndarray):
+        self.path, self.model_id, self.X = path, model_id, X
+        self.written, self.file = 0, None
+
+    def write(self, values: np.ndarray, stop: int) -> None:
+        """Append the records of the rows below ``stop`` not yet written."""
+        if self.path is None:
+            return
+        try:
+            while self.written < stop:
+                end = min(self.written + _RECORD_CHUNK_ROWS, stop)
+                rows = zip(self.X[self.written : end].tolist(), values[self.written : end].tolist())
+                data = "".join(
+                    f"{self.model_id}\t{_format_request(xi)}\t{y:.17g}\n" for xi, y in rows
+                ).encode()
+                if self.file is None:
+                    self.file = open(self.path, "ab", buffering=0)
+                while data:  # short only at a size limit, where the next write raises
+                    data = data[self.file.write(data) :]
+                self.written = end
+        except OSError as exc:  # a failed write names no file
+            self.written = len(self.X)
+            raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
 
 
 def _cache_keys(X: np.ndarray) -> np.ndarray:
@@ -490,10 +559,13 @@ class EvalCache:
     :func:`_cache_keys` of the nodes seen and their values. A batch is
     deduplicated by :func:`_first_occurrences`, the one rule for which of
     a key's rows counts, and looked up with ``np.searchsorted``. With a
-    persistence path, existing records are loaded on construction (the
-    last record of a key wins) and the fresh evaluations of each batch are
-    appended after the model returns, one ``model_id<TAB>coords<TAB>value``
-    record per line.
+    persistence path, existing records are loaded on construction into
+    flat arrays (the last record of a key wins), and the fresh evaluations
+    of each batch are appended by :class:`_Records`, one
+    ``model_id<TAB>coords<TAB>value`` record per line, in row order and in
+    chunks: an :class:`ExternalModel`'s as its replies are read, so that a
+    batch that fails or is stopped keeps every row answered below the
+    failure, and a builtin model's after it returns.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -508,8 +580,10 @@ class EvalCache:
         :class:`CacheFileError` naming the file and its 1-based line number.
         A last line with no newline is a record cut short by a crash, even if
         it parses: it is dropped with a warning and cut from the file, so
-        that the next append starts a line of its own."""
-        records: dict[tuple[str, int], tuple[list, list]] = {}
+        that the next append starts a line of its own. The records of each
+        model id and dimension are gathered in two flat ``array('d')``
+        buffers, coordinates and values."""
+        records: dict[tuple[str, int], tuple[array, array]] = {}
         complete = 0  # bytes up to the end of the last complete line
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -530,27 +604,16 @@ class EvalCache:
                     raise CacheFileError(
                         f"{path}:{lineno}: malformed cache record {line!r}"
                     ) from None
-                rows, values = records.setdefault((model_id, len(xi)), ([], []))
-                rows.append(xi)
+                coords, values = records.setdefault((model_id, len(xi)), (array("d"), array("d")))
+                coords.extend(xi)
                 values.append(y)
         if complete < path.stat().st_size:
             os.truncate(path, complete)
-        for slot, (rows, values) in records.items():
+        for (model_id, dim), (coords, values) in records.items():
             # Reversed, a key's first record is the last one written.
-            keys, last, _ = _first_occurrences(_cache_keys(np.array(rows[::-1], dtype=float)))
-            self.store[slot] = keys, np.array(values[::-1], dtype=float)[last]
-
-    def _append_records(self, model_id: str, X: np.ndarray, values) -> None:
-        if self.path is None:
-            return
-        lines = "".join(
-            f"{model_id}\t{_format_request(xi)}\t{value:.17g}\n" for xi, value in zip(X, values)
-        )
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(lines)
-        except OSError as exc:  # a failed write names no file
-            raise OSError(exc.errno, exc.strerror, str(self.path)) from exc
+            rows = np.frombuffer(coords).reshape(-1, dim)[::-1]
+            keys, last, _ = _first_occurrences(_cache_keys(rows))
+            self.store[model_id, dim] = keys, np.frombuffer(values)[::-1][last]
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
         """Evaluate ``model`` at rows of ``X`` (physical coordinates),
@@ -576,13 +639,17 @@ class EvalCache:
         if len(missing):
             rows = np.sort(first[missing])
             new = X if len(rows) == len(X) else X[rows]
-            fresh = np.asarray(model.batch(new), dtype=float)
-            if fresh.shape != (len(rows),):
-                raise ModelError(
-                    f"model {model.id!r} returned shape {fresh.shape} for {len(rows)} nodes"
-                )
+            with contextlib.closing(_Records(self.path, model.id, new)) as records:
+                if isinstance(model, ExternalModel):
+                    fresh = model.batch(new, on_answered=records.write)
+                else:
+                    fresh = np.asarray(model.batch(new), dtype=float)
+                if fresh.shape != (len(rows),):
+                    raise ModelError(
+                        f"model {model.id!r} returned shape {fresh.shape} for {len(rows)} nodes"
+                    )
+                records.write(fresh, len(rows))
             values[inverse[rows]] = fresh
-            self._append_records(model.id, new, fresh.tolist())
             self.counters[model.id] = self.counters.get(model.id, 0) + len(rows)
             if len(known):
                 at = at[missing]

@@ -5,9 +5,11 @@ coefficient-decay reports.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -327,8 +329,22 @@ def decay_report(expansions) -> list[tuple[str, int, float]]:
     return rows
 
 
+@contextlib.contextmanager
+def report_file(path):
+    """``path`` opened to write a report. An OS error while it is written,
+    such as a file size limit, removes the partial file and is raised
+    naming ``path``, which a failed write does not."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        Path(path).unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def write_convergence_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with report_file(path) as fh:
         fh.write("scheme,w,q,n_hf,n_lf,n_e,n_tot,mare,r2,e,e_t,mean,std\n")
         for r in rows:
             fh.write(
@@ -339,7 +355,7 @@ def write_convergence_csv(rows, path) -> None:
 
 
 def write_decay_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with report_file(path) as fh:
         fh.write("provenance,rank,abs_coeff\n")
         for provenance, rank, mag in rows:
             fh.write(f"{provenance},{rank},{mag:.12g}\n")

@@ -12,7 +12,9 @@ import yaml
 
 from mfpce.cli import main
 from mfpce.models import ISHIGAMI_SPECS, ExternalModel, Model
-from mfpce.sparse_grid import smolyak_grid
+from mfpce.sparse_grid import physical_nodes, smolyak_grid
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
 
 
 #: A 1-D stream-mode model answering each request line with ``output``.
@@ -30,6 +32,55 @@ STREAM_FAULT = """for i, line in enumerate(sys.stdin):
         {fault}
     print(float(line), flush=True)
 """
+
+
+#: A 3-D stream or oneshot model computing ``scripts/ishigami_model.py``'s
+#: Ishigami formula, which ``{fault}``s at the request line ``{target}``.
+ISHIGAMI_FAULT_AT = """import math, os, sys, time
+for line in sys.stdin:
+    if line.strip() == {target!r}:
+        {fault}
+    x1, x2, x3 = map(float, line.split())
+    print(repr(math.sin(x1) + 7.0 * math.sin(x2) ** 2 + 0.1 * x3**4 * math.sin(x1)), flush=True)
+"""
+
+
+def ishigami_w3_requests() -> list[str]:
+    """The request lines of ``sobol --scheme hf --w 3`` on Ishigami: its
+    159 grid nodes, in the row order of its one batch."""
+    X = physical_nodes(smolyak_grid(3, 3, ISHIGAMI_SPECS), ISHIGAMI_SPECS)
+    return [" ".join(f"{c:.17g}" for c in x) for x in X.tolist()]
+
+
+def cached_ishigami_config(tmp_path, command: str, mode: str):
+    """Ishigami with the command model ``hf`` and the cache ``cache.tsv``."""
+    return write_config(
+        tmp_path,
+        {
+            "problem": "ishigami",
+            "models": [{"id": "hf", "command": command, "mode": mode}],
+            "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+            "reference": {"kind": "analytic"},
+            "output": str(tmp_path / "out"),
+            "cache": str(tmp_path / "cache.tsv"),
+        },
+    )
+
+
+def record_coords(path) -> list[str]:
+    """The coordinates field of each record of the cache file ``path``."""
+    return [line.split("\t")[1] for line in path.read_text().splitlines()]
+
+
+def run_with_file_size_limit(limit: int, argv: list[str]) -> subprocess.CompletedProcess:
+    """``mfpce argv`` in a child interpreter whose files may not grow past
+    ``limit`` bytes."""
+    limited = (
+        f"import resource, runpy; resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+        "runpy.run_module('mfpce.cli', run_name='__main__')"
+    )
+    argv = [sys.executable, "-c", limited, *argv]
+    return subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
 
 
 def record_batches(monkeypatch) -> list:
@@ -297,15 +348,52 @@ class TestExitCodes:
         file, and no traceback."""
         cache = tmp_path / "c.tsv"
         cfg = ishigami_config(tmp_path, tmp_path / "out", cache=str(cache))
-        limited = (
-            "import resource, runpy; resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000)); "
-            "runpy.run_module('mfpce.cli', run_name='__main__')"
-        )
-        argv = [sys.executable, "-c", limited, "--config", str(cfg), *COMMANDS[command]]
-        done = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
+        done = run_with_file_size_limit(1000, ["--config", str(cfg), *COMMANDS[command]])
         assert done.returncode == 2
         assert str(cache) in done.stderr and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            ("sobol", "sobol_hf_w3.json"),
+            ("converge", "convergence.csv"),
+            ("decay", "decay_hf_w3.csv"),
+            ("mc-check", "mc_hf_n4.json"),
+        ],
+    )
+    def test_report_write_past_the_file_size_limit(self, tmp_path, command, report):
+        """A report write that the OS refuses, here past a 200-byte file
+        size limit set in the child, exits 2 with one line naming the
+        report, no traceback, and no partial report left behind."""
+        out = tmp_path / "out"
+        cfg = ishigami_config(tmp_path, out)
+        done = run_with_file_size_limit(200, ["--config", str(cfg), *COMMANDS[command]])
+        assert done.returncode == 2
+        assert str(out / report) in done.stderr and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not (out / report).exists()
+
+    @pytest.mark.parametrize("mode, k", [("stream", 150), ("oneshot", 5)])
+    def test_failed_batch_keeps_the_rows_answered_below_it(self, tmp_path, spawned, mode, k):
+        """A model that fails at row ``k`` of the 159 of ``sobol --scheme
+        hf --w 3`` (for the stream model, at its request 151) exits 3 and
+        leaves the cache records of rows 0 to k - 1, in row order. A rerun
+        with a sound model pays the other 159 - k rows."""
+        requests = ishigami_w3_requests()
+        script = tmp_path / "model.py"
+        script.write_text(ISHIGAMI_FAULT_AT.format(target=requests[k], fault="sys.exit('fault')"))
+        cfg = cached_ishigami_config(tmp_path, f"{sys.executable} {script}", mode)
+        argv = ["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]
+        assert main(argv) == 3
+        assert all(child.poll() is not None for child in spawned)
+        cache = tmp_path / "cache.tsv"
+        assert record_coords(cache) == requests[:k]
+        cached_ishigami_config(tmp_path, f"{sys.executable} {SCRIPT}", "stream")
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "sobol_hf_w3.json").read_text())
+        assert report["n_hf"] == 159 - k
+        assert record_coords(cache) == requests
 
     def test_crash_cut_cache_record_is_paid_again(self, tmp_path, caplog):
         """A last cache record cut by a crash right after the first character
@@ -657,6 +745,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sobol", "--scheme", "nope", "--w", "1"],
+            ["sobol", "--scheme", "hf", "--w", "-1"],
+            ["sobol", "--scheme", "hf", "--w", "2", "--q", "1"],
+            ["decay", "--scheme", "nope", "--w", "1"],
+            ["mc-check", "--model", "nope"],
+        ],
+        ids=["unknown_scheme", "negative_w", "q_on_hf_scheme", "decay_unknown_scheme", "unknown_model"],
+    )
+    def test_bad_argument_exits_before_the_output_directory(self, tmp_path, capsys, argv):
+        """A command argument that its config refuses exits 2 with one
+        line, and ``--out`` is never created."""
+        out = tmp_path / "fresh"
+        cfg = ishigami_config(tmp_path, tmp_path / "out")
+        assert main(["--config", str(cfg), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_analytic_reference_of_wrong_dimension_is_config_error(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -753,34 +862,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
     def test_stop_signal_reaps_a_hung_stream_child(self, tmp_path, signum):
-        """SIGINT or SIGTERM, sent while a stream child hangs on its first
-        request, ends ``mfpce`` with one line and exit 128 + the signal
-        number, no traceback, and the child gone within 2 s."""
+        """SIGINT or SIGTERM, sent while a stream child hangs on request 101
+        of the 159 of ``sobol --scheme hf --w 3``, once its first 100
+        answers are in the cache file, ends ``mfpce`` with one line and
+        exit 128 + the signal number, no traceback, and the child gone
+        within 2 s. The file holds those 100 records and no partial line."""
+        requests = ishigami_w3_requests()
         pid_file = tmp_path / "child.pid"
         script = tmp_path / "model.py"
         script.write_text(
-            "import os, sys, time\n"
+            "import os\n"
             f"open({str(pid_file)!r} + '.tmp', 'w').write(str(os.getpid()))\n"
             f"os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
-            "for line in sys.stdin:\n    time.sleep(3600)\n"
+            + ISHIGAMI_FAULT_AT.format(target=requests[100], fault="time.sleep(3600)")
         )
-        cfg = write_config(
-            tmp_path,
-            {
-                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
-                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": "stream"}],
-                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
-                "reference": {"kind": "pce", "model": "m", "w": 1},
-                "output": str(tmp_path / "out"),
-            },
-        )
+        cfg = cached_ishigami_config(tmp_path, f"{sys.executable} {script}", "stream")
+        cache = tmp_path / "cache.tsv"
         env = child_env()
-        argv = [sys.executable, "-m", "mfpce.cli", "--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]
+        argv = [sys.executable, "-m", "mfpce.cli", "--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]
         pid = None
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
             try:
                 deadline = time.monotonic() + 30
-                while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+                while (
+                    not (pid_file.exists() and cache.exists() and cache.read_bytes().count(b"\n") == 100)
+                    and proc.poll() is None
+                    and time.monotonic() < deadline
+                ):
                     time.sleep(0.02)
                 pid = int(pid_file.read_text())
                 proc.send_signal(signum)
@@ -791,6 +899,8 @@ class TestExitCodes:
                 assert proc.returncode == 128 + signum
                 assert err == f"stopped by {signum.name}\n"
                 assert not child_running(pid)
+                assert cache.read_text().endswith("\n")
+                assert record_coords(cache) == requests[:100]
             finally:
                 proc.kill()
                 if pid is not None and child_running(pid):

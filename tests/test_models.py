@@ -1,3 +1,4 @@
+import contextlib
 import math
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from mfpce.models import (
     Model,
     ModelError,
     ExternalModel,
+    _Records,
     _cache_keys,
     _usable_cpus,
     borehole_hf,
@@ -49,6 +51,22 @@ for i, line in enumerate(sys.stdin):
     if i == {k}:
         {fault}
     print(float(line), flush=True)
+"""
+
+
+#: A 1-D model answering ``x * x``. In oneshot mode, row 0's child waits
+#: until the children of the other ``{rows} - 1`` rows have answered.
+ANSWER_SQUARE_AFTER_THE_OTHERS = """import os, sys, time
+for line in sys.stdin:
+    x = float(line)
+    deadline = time.monotonic() + 10
+    while {oneshot} and x == 0.0 and len(os.listdir({done!r})) < {rows} - 1:
+        if time.monotonic() > deadline:
+            sys.exit("the other rows did not answer")
+        time.sleep(0.01)
+    print(repr(x * x), flush=True)
+    if {oneshot}:
+        open(os.path.join({done!r}, line.strip()), "w").close()
 """
 
 
@@ -377,6 +395,13 @@ def tuple_keys(X):
     return list(map(tuple, X.tolist()))
 
 
+def whole_batch_text(model_id: str, X, values) -> str:
+    """The records of a batch as one string, in row order."""
+    return "".join(
+        f"{model_id}\t{' '.join(f'{c:.17g}' for c in xi)}\t{v:.17g}\n" for xi, v in zip(X, values)
+    )
+
+
 class TupleDictCache:
     """The tuple-dict cache algorithm, written out as the reference for
     :class:`EvalCache`: one dict from ``(model id, key tuple)`` to value,
@@ -478,6 +503,42 @@ class TestEvalCache:
         assert cache.count(model.id) == len(X) == 54_673
         assert np.array_equal(values, model.batch(X))
         assert peak < 11e6
+
+    def test_append_memory(self, tmp_path):
+        """Appending a fresh 10,000-row 5-D batch holds one chunk of records
+        at a time; the batch's records as one string, built from lists of
+        its rows, would peak near 3.2 MiB."""
+        X = np.random.default_rng(0).normal(size=(10_000, 5))
+        values = X.sum(axis=1)
+        path = tmp_path / "cache.tsv"
+        tracemalloc.start()
+        try:
+            with contextlib.closing(_Records(path, "m", X)) as records:
+                records.write(values, len(X))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == whole_batch_text("m", X, values)
+        assert peak < 0.5 * 2**20
+
+    def test_load_memory(self, tmp_path):
+        """Loading 10,000 5-D records holds them in flat arrays; lists of
+        Python floats would peak near 3.5 MiB."""
+        X = np.random.default_rng(0).normal(size=(10_000, 5))
+        path = tmp_path / "cache.tsv"
+        path.write_text(whole_batch_text("m", X, X.sum(axis=1)))
+        tracemalloc.start()
+        try:
+            cache = EvalCache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        def unpaid(Y):
+            raise AssertionError(f"re-evaluated {len(Y)} rows")
+
+        assert cache.evaluate_many(Model(id="m", fn=unpaid), X).tolist() == X.sum(axis=1).tolist()
+        assert peak < 2 * 2**20
 
     def test_duplicate_rows_in_one_batch_are_paid_once(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -619,14 +680,15 @@ class TestEvalCache:
         )
     )
     def test_written_rows_are_found_on_reload(self, rows):
-        """Any finite row written by ``_append_records`` and read back by
+        """Any finite row written by ``_Records`` and read back by
         ``_load`` has the key ``evaluate_many`` computes for it fresh, so a
         reopened cache pays for none of them."""
         X = np.array(rows, dtype=float)
         values = np.arange(len(X), dtype=float)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cache.tsv"
-            EvalCache(path)._append_records("m", X, values)
+            with contextlib.closing(_Records(path, "m", X)) as records:
+                records.write(values, len(X))
             reloaded = EvalCache(path)
 
             def unpaid(Y):
@@ -721,6 +783,35 @@ class TestEvalCache:
         cache.evaluate_many(model, np.arange(10.0).reshape(5, 2))
         assert len(opened) == 1
         assert len(path.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("mode, rows", [("stream", 300), ("oneshot", 5)])
+    def test_one_append_per_external_batch(self, tmp_path, monkeypatch, mode, rows):
+        """An external batch opens the cache file once and writes its
+        records in row order, as the whole batch's text at once would, even
+        when its rows are answered out of order: every oneshot child is in
+        flight, and row 0's answers only once the others have."""
+        monkeypatch.setattr(models, "_usable_cpus", lambda: rows)
+        done = tmp_path / "done"
+        done.mkdir()
+        script = tmp_path / "model.py"
+        script.write_text(
+            ANSWER_SQUARE_AFTER_THE_OTHERS.format(oneshot=mode == "oneshot", done=str(done), rows=rows)
+        )
+        path = tmp_path / "cache.tsv"
+        opened = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k)
+        )
+        X = np.arange(float(rows))[:, None]
+        model = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
+        try:
+            values = EvalCache(path).evaluate_many(model, X)
+        finally:
+            model.close()
+        assert values.tolist() == (X[:, 0] ** 2).tolist()
+        assert opened.count(path) == 1
+        assert path.read_text() == whole_batch_text("m", X, values)
 
     def test_malformed_record_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
