@@ -170,9 +170,10 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     with cfg.open_models() as models:
-        rows = run_convergence(cfg, models, build_reference(cfg, models))
+        reference = build_reference(cfg, models)
+        out.mkdir(parents=True, exist_ok=True)
+        rows = run_convergence(cfg, models, reference)
     path = out / "convergence.csv"
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .orthopoly import Normal, Uniform, VariableSpec
+from .sparse_grid import first_occurrences
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +54,18 @@ class Model:
     id: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
+    def batch(
+        self, X: np.ndarray, on_answered: Callable[[np.ndarray, int], None] | None = None
+    ) -> np.ndarray:
+        """One value per row of ``X``, else a :class:`ModelError`; then,
+        as in :meth:`ExternalModel.batch`, ``on_answered(values, len(X))``."""
+        X = np.atleast_2d(X)
+        values = np.asarray(self.fn(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ModelError(f"model {self.id!r} returned shape {values.shape} for {len(X)} nodes")
+        if on_answered is not None:
+            on_answered(values, len(X))
+        return values
 
     def close(self) -> None:
         """Nothing to end: the model runs in this process."""
@@ -534,38 +545,22 @@ def _cache_keys(X: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``keys`` in sorted order, the position in ``keys`` of
-    each one's first occurrence, and each key's position among them: what
-    ``np.unique(keys, return_index=True, return_inverse=True)`` returns,
-    from one stable argsort and one sorted copy. When the keys are
-    distinct, the sorted copy and the argsort are the first two results."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    if new.all():
-        return keys, order, inverse
-    return keys[new], order[new], inverse
-
-
 class EvalCache:
     """Memoizes (model, node) evaluations and counts distinct evaluations,
     a node being the exact bits of its coordinates (:func:`_cache_keys`).
 
     The store holds, per model id and dimension, the sorted
     :func:`_cache_keys` of the nodes seen and their values. A batch is
-    deduplicated by :func:`_first_occurrences`, the one rule for which of
-    a key's rows counts, and looked up with ``np.searchsorted``. With a
-    persistence path, existing records are loaded on construction into
-    flat arrays (the last record of a key wins), and the fresh evaluations
-    of each batch are appended by :class:`_Records`, one
-    ``model_id<TAB>coords<TAB>value`` record per line, in row order and in
-    chunks: an :class:`ExternalModel`'s as its replies are read, so that a
+    deduplicated by :func:`~mfpce.sparse_grid.first_occurrences`, the one
+    rule for which of a key's rows counts, and looked up with
+    ``np.searchsorted``. With a persistence path, existing records are
+    loaded on construction into flat arrays (the last record of a key
+    wins), and the fresh evaluations of each batch are appended by
+    :class:`_Records`, one ``model_id<TAB>coords<TAB>value`` record per
+    line, in row order and in chunks, as the model's ``batch`` reports its
+    rows answered: a command model's as its replies are read, so that a
     batch that fails or is stopped keeps every row answered below the
-    failure, and a builtin model's after it returns.
+    failure, and a builtin model's once its values are known.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -612,7 +607,7 @@ class EvalCache:
         for (model_id, dim), (coords, values) in records.items():
             # Reversed, a key's first record is the last one written.
             rows = np.frombuffer(coords).reshape(-1, dim)[::-1]
-            keys, last, _ = _first_occurrences(_cache_keys(rows))
+            keys, last, _ = first_occurrences(_cache_keys(rows))
             self.store[model_id, dim] = keys, np.frombuffer(values)[::-1][last]
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
@@ -623,12 +618,14 @@ class EvalCache:
         Besides ``X`` and the result, a batch holds its keys and their
         sorted copy until it is deduplicated, then one sorted copy and a
         few integers per row. The model is handed ``X`` itself when every
-        row is a fresh distinct node, else a gather of the rows to pay. An
+        row is a fresh distinct node, else a gather of the rows to pay, and
+        pays them through one call, ``model.batch(new, on_answered=...)``,
+        which checks their shape and reports the rows to keep on file. An
         empty store takes the batch's sorted keys and values as they are;
         a non-empty one gets them inserted."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         slot = (model.id, X.shape[1])
-        keys, first, inverse = _first_occurrences(_cache_keys(X))
+        keys, first, inverse = first_occurrences(_cache_keys(X))
         known, known_values = self.store.get(slot, (keys[:0], np.empty(0)))
         at = np.searchsorted(known, keys)
         hit = at < len(known)
@@ -640,15 +637,7 @@ class EvalCache:
             rows = np.sort(first[missing])
             new = X if len(rows) == len(X) else X[rows]
             with contextlib.closing(_Records(self.path, model.id, new)) as records:
-                if isinstance(model, ExternalModel):
-                    fresh = model.batch(new, on_answered=records.write)
-                else:
-                    fresh = np.asarray(model.batch(new), dtype=float)
-                if fresh.shape != (len(rows),):
-                    raise ModelError(
-                        f"model {model.id!r} returned shape {fresh.shape} for {len(rows)} nodes"
-                    )
-                records.write(fresh, len(rows))
+                fresh = model.batch(new, on_answered=records.write)
             values[inverse[rows]] = fresh
             self.counters[model.id] = self.counters.get(model.id, 0) + len(rows)
             if len(known):

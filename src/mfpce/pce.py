@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import VariableSpec, eval_poly_table
-from .sparse_grid import grid_plan
+from .sparse_grid import first_occurrences, grid_plan, row_keys
 
 # ``project`` takes values in ``smolyak_grid`` node order; the name stays in
 # this namespace, where bench/tracer.py and bench/selftest.py expect it.
@@ -75,12 +75,12 @@ def union(expansions) -> Expansion:
     first = expansions[0]
     if any(e.specs != first.specs for e in expansions[1:]):
         raise ValueError("united expansions must share specs")
-    terms, slot = np.unique(
-        np.concatenate([e.terms for e in expansions]), axis=0, return_inverse=True
-    )
+    stacked = np.concatenate([e.terms for e in expansions])
+    _, kept, slot = first_occurrences(row_keys(stacked))
+    terms = stacked[kept]
     column = np.repeat(np.arange(len(expansions)), [len(e.terms) for e in expansions])
     coeffs = np.zeros((len(terms), len(expansions)))
-    coeffs[slot.reshape(-1), column] = np.concatenate([e.coeffs for e in expansions])
+    coeffs[slot, column] = np.concatenate([e.coeffs for e in expansions])
     return Expansion(
         specs=first.specs,
         terms=terms,
@@ -149,9 +149,9 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     axes ``0..n-2``, the ones the terms contract. Returns per axis
     ``(start, parents, segments)``: the rows from ``start`` on are copies of
     the rows ``parents``, and each :func:`_segment` of them is multiplied by
-    its table rows. On axis 0 ``parents`` is None, as the parent is the
-    empty product: the segments are the table rows themselves. Then the row
-    count, and the runs.
+    its table rows. On axis 0 every parent is row 0, the empty product,
+    which is exactly 1.0, so a product there is its table row, bit for bit.
+    Then the row count, and the runs.
 
     The prefixes over axes ``0..n-2`` (the empty product when ``n = 1``)
     are ordered by last-axis width (largest last degree + 1) and cut into
@@ -180,7 +180,7 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
             fresh = np.flatnonzero(degree)
             row = parent.copy()
             row[fresh] = np.arange(made, made + len(fresh))
-            steps.append((made, parent[fresh] if j else None, [_segment(made, degree[fresh])]))
+            steps.append((made, parent[fresh], [_segment(made, degree[fresh])]))
             made += len(fresh)
 
     last = phis[:, -1]
@@ -191,11 +191,8 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     else:
         order, base = np.lexsort((degree != 0, widths)), made
         degree = degree[order]
-        if n == 2:
-            steps.append((made, None, [_segment(made, degree)]))
-        else:
-            cuts = np.flatnonzero(np.diff(np.r_[0, degree != 0, 0])).reshape(-1, 2)
-            steps.append((made, parent[order], [_segment(made + lo, degree[lo:hi]) for lo, hi in cuts]))
+        cuts = np.flatnonzero(np.diff(np.r_[0, degree != 0, 0])).reshape(-1, 2)
+        steps.append((made, parent[order], [_segment(made + lo, degree[lo:hi]) for lo, hi in cuts]))
         made += len(order)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -223,15 +220,13 @@ def _column_groups(terms: np.ndarray, coeffs: np.ndarray):
     products so that they take about ``INNER_BYTES``."""
     nonzero = coeffs != 0
     nonzero[0] = True
-    members: dict[bytes, list[int]] = {}
-    for c in range(coeffs.shape[1]):
-        members.setdefault(nonzero[:, c].tobytes(), []).append(c)
+    _, first, group = first_occurrences(row_keys(nonzero.T))
     groups = []
-    for columns in members.values():
-        rows = nonzero[:, columns[0]]
+    for g, c in enumerate(first):
+        rows, columns = nonzero[:, c], np.flatnonzero(group == g)
         plan = _evaluation_plan(terms[rows], coeffs[np.ix_(rows, columns)])
         width = min(OUTER_POINTS, max(1, INNER_BYTES // (8 * plan[1])))
-        groups.append((np.array(columns), plan, width))
+        groups.append((columns, plan, width))
     return groups
 
 
@@ -323,16 +318,11 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
                 # would buffer ``out``; it copies a strided source whole, so
                 # the table is cut to the rows a segment reads.
                 for (first, parents, segments), table in zip(steps, T):
-                    if parents is not None:
-                        copies = prod[first : first + len(parents)]
-                        prod[:first].take(parents, axis=0, out=copies, mode="clip")
+                    copies = prod[first : first + len(parents)]
+                    prod[:first].take(parents, axis=0, out=copies, mode="clip")
                     for lo, hi, degree, used in segments:
-                        source = table[:used, a:b]
-                        if parents is None:
-                            source.take(degree, axis=0, out=prod[lo:hi], mode="clip")
-                            continue
                         factor = _view(factors, hi - lo, b - a)
-                        source.take(degree, axis=0, out=factor, mode="clip")
+                        table[:used, a:b].take(degree, axis=0, out=factor, mode="clip")
                         prod[lo:hi] *= factor
                 acc, Z_sum = _view(total, E, b - a), _view(part, E, b - a)
                 acc[...] = 0.0

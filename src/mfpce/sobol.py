@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import Model
-from .orthopoly import VariableSpec
 from .pce import Expansion, mean, variance
-from .sparse_grid import unique_rows
+from .sparse_grid import first_occurrences, row_keys
 
 #: Subsets contributing less than this fraction of the variance are dropped
 #: from report maps; absent entries read as zero.
@@ -63,7 +62,9 @@ def _decomposition(e: Expansion) -> tuple[float, np.ndarray, np.ndarray]:
     d = variance(e)
     if d <= _DEGENERATE_REL * max(1.0, mean(e) ** 2):
         raise ZeroVarianceError("expansion has zero variance; Sobol indices are undefined")
-    supports, inverse = unique_rows(e.terms[1:] > 0)
+    nonconstant = e.terms[1:] > 0
+    _, first, inverse = first_occurrences(row_keys(nonconstant))
+    supports = nonconstant[first]
     partials = np.bincount(inverse, weights=e.coeffs[1:] ** 2, minlength=len(supports))
     return float(d), supports, partials
 

@@ -16,6 +16,10 @@ the projection's degrees form sets with a closed form, so a row's position
 in its set is counted from its entries, not found by sorting all rows
 (:func:`grid_plan`).
 
+Any other set of rows is deduplicated by :func:`first_occurrences` over
+one fixed-width byte key per row: :func:`row_keys` of integer rows
+(multi-indices, supports, non-zero patterns) or the cache's node keys.
+
 The same signed combination is the sparse projection, where each term
 projects its own nodes (:func:`mfpce.pce.project`). One cached
 :func:`grid_plan` per ``(w, families)`` holds the grid and, per term,
@@ -163,16 +167,26 @@ def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid
 def row_keys(rows) -> np.ndarray:
     """One opaque key per row of a non-negative integer array, ordered as
     the rows are lexicographically: the bytes of the row's big-endian ids.
-    ``np.unique`` and ``np.searchsorted`` work on them."""
+    :func:`first_occurrences` and ``np.searchsorted`` work on them."""
     rows = np.ascontiguousarray(rows, dtype=_ID_DTYPE)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def unique_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-negative integer array in lexicographic
-    order, and the position among them of each input row."""
-    keys, inverse = np.unique(row_keys(rows), return_inverse=True)
-    return keys.view(_ID_DTYPE).reshape(len(keys), -1).astype(np.intp), inverse
+def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in sorted order, the position in ``keys`` of
+    each one's first occurrence, and each key's position among them: what
+    ``np.unique`` returns with ``return_index`` and ``return_inverse``,
+    from one stable argsort and one sorted copy. When the keys are
+    distinct, the sorted copy and the argsort are the first two results."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    if new.all():
+        return keys, order, inverse
+    return keys[new], order[new], inverse
 
 
 def _axis_ids(rules: list[GaussRule]):

@@ -88,7 +88,7 @@ def record_batches(monkeypatch) -> list:
     id instead of running; a test that finds none proves no model ran."""
     ids = []
     for cls in (Model, ExternalModel):
-        monkeypatch.setattr(cls, "batch", lambda self, X: ids.append(self.id))
+        monkeypatch.setattr(cls, "batch", lambda self, X, on_answered=None: ids.append(self.id))
     return ids
 
 
@@ -212,7 +212,10 @@ class TestDecayCommand:
         rows = collections.Counter()
         batch = Model.batch
         monkeypatch.setattr(
-            Model, "batch", lambda self, X: rows.update({self.id: len(X)}) or batch(self, X)
+            Model,
+            "batch",
+            lambda self, X, on_answered=None: rows.update({self.id: len(X)})
+            or batch(self, X, on_answered),
         )
         out = tmp_path / "out"
         cfg = ishigami_config(tmp_path, out)
@@ -771,7 +774,8 @@ class TestExitCodes:
     ):
         """The analytic reference is the 3-variable Ishigami decomposition:
         with borehole's 8 variables ``converge`` exits 2 before any model
-        runs, while ``sobol``, which reads no reference, still runs."""
+        runs and before ``--out`` is created, while ``sobol``, which reads
+        no reference, still runs."""
         cfg = write_config(
             tmp_path,
             {
@@ -785,11 +789,35 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
         evaluated = record_batches(monkeypatch)
         capsys.readouterr()
-        assert main(["--config", str(cfg), "converge"]) == 2
+        out = tmp_path / "fresh"
+        assert main(["--config", str(cfg), "--out", str(out), "converge"]) == 2
         err = capsys.readouterr().err
         assert "the analytic reference needs 3 variables, got 8" in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert evaluated == []
+        assert not out.exists()
+
+    def test_failed_reference_model_leaves_no_output_directory(self, tmp_path, capsys, spawned):
+        """A PCE reference whose command model fails exits 3 with one line,
+        and ``converge`` never creates ``--out``."""
+        script = tmp_path / "model.py"
+        script.write_text(STREAM_MODEL.format(output="'nan'"))
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": "stream"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "reference": {"kind": "pce", "model": "m", "w": 1},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        out = tmp_path / "fresh"
+        assert main(["--config", str(cfg), "--out", str(out), "converge"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model evaluation error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert spawned and all(child.poll() is not None for child in spawned)
 
     @pytest.mark.parametrize("output, code", [("x", 0), ("'nan'", 3)], ids=["ok", "model_error"])
     @pytest.mark.parametrize(

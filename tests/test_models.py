@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -158,6 +159,38 @@ class TestRegistry:
             builtin_model("ishigami", "lf9")
         with pytest.raises(KeyError):
             builtin_model("rosenbrock", "hf")
+
+
+class TestBatchContract:
+    def test_builtin_batch_reports_every_row_once(self):
+        """``Model.batch`` takes ``on_answered`` as ``ExternalModel.batch``
+        does, and reports all of its rows at once."""
+        X = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5]])
+        reports = []
+        model = builtin_model("ishigami", "hf")
+        values = model.batch(X, on_answered=lambda v, stop: reports.append((v.copy(), stop)))
+        assert np.array_equal(values, ishigami_fn(X))
+        assert len(reports) == 1 and np.array_equal(reports[0][0], values)
+        assert reports[0][1] == len(X)
+
+    @pytest.mark.parametrize(
+        "fn, shape",
+        [(lambda X: X, "(3, 2)"), (lambda X: X[1:, 0], "(2,)"), (lambda X: 1.0, "()")],
+        ids=["rows", "short", "scalar"],
+    )
+    def test_wrong_shape_is_refused_before_any_record(self, tmp_path, fn, shape):
+        """A model returning anything but one value per row raises
+        :class:`ModelError`, reports nothing and leaves no cache record."""
+        X = np.arange(6.0).reshape(3, 2)
+        model, reports = Model(id="m", fn=fn), []
+        message = f"model 'm' returned shape {shape} for 3 nodes"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            model.batch(X, on_answered=lambda v, stop: reports.append(stop))
+        assert reports == []
+        cache = EvalCache(tmp_path / "cache.tsv")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            cache.evaluate_many(model, X)
+        assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
 
 
 class TestExternal:

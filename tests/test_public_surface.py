@@ -37,3 +37,42 @@ def test_every_public_name_resolves_and_is_used():
         assert hasattr(mfpce, name), f"mfpce.{name} does not resolve"
     unused = [name for name in mfpce.__all__ if name not in used]
     assert unused == [], f"exported but used only by the tests: {unused}"
+
+
+#: Imports kept for other modules to read, as ``(module, name)``.
+#: ``pce.smolyak_grid`` is rebound there by bench/tracer.py.
+KEPT_IMPORTS = {("pce", "smolyak_grid")}
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names an import statement of ``tree`` binds, but ``__future__``'s."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The strings of a module-level ``__all__`` list."""
+    return {
+        item.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for item in node.value.elts
+    }
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "mfpce").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = python_names(path) | exported_names(tree)
+        unused += [
+            f"{path.stem}.{name}"
+            for name in sorted(imported_names(tree) - used)
+            if (path.stem, name) not in KEPT_IMPORTS
+        ]
+    assert unused == [], f"imported but never used: {unused}"

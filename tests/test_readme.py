@@ -58,7 +58,7 @@ def test_example_config_loads_and_opens_its_models(monkeypatch):
     ran = []
     monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: ran.append(args))
     for cls in (Model, ExternalModel):
-        monkeypatch.setattr(cls, "batch", lambda self, X: ran.append(self.id))
+        monkeypatch.setattr(cls, "batch", lambda self, X, on_answered=None: ran.append(self.id))
     cfg = parse_config(data)
     with cfg.open_models() as models:
         assert list(models) == ["hf", "lf", "ext"]

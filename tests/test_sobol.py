@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfpce.models import Model, builtin_model
+from mfpce.models import ISHIGAMI_SPECS, Model, ModelError, builtin_model
 from mfpce.orthopoly import Uniform, VariableSpec
 from mfpce.pce import Expansion, union
 from mfpce.sobol import (
@@ -146,6 +146,13 @@ class TestMonteCarlo:
         const = Model(id="const", fn=lambda X: np.ones(len(X)))
         with pytest.raises(ZeroVarianceError):
             mc_sobol(const, specs, 1024, seed=1)
+
+    def test_wrong_shaped_model_is_refused(self):
+        """Two columns for 64 rows are no sample of the model; pick-freeze
+        estimates from them would be numbers with no meaning."""
+        model = Model("m", lambda X: X[:, :2])
+        with pytest.raises(ModelError, match=r"returned shape \(64, 2\) for 64 nodes"):
+            mc_sobol(model, ISHIGAMI_SPECS, 64, 0)
 
     def test_small_sample_rejected(self):
         specs = [VariableSpec("x", Uniform(0.0, 1.0))]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfpce.config import build_reference, parse_config
-from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
+from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, ModelError, builtin_model
 from mfpce.orthopoly import PolyFamily
 from mfpce.pce import INNER_BYTES, OUTER_POINTS, evaluate_batch, mean, union, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
@@ -361,6 +361,24 @@ class TestRunConvergence:
             assert abs(row.mare - want.mare) <= 1e-12
             assert abs(row.r2 - want.r2) <= 1e-12
             assert dataclasses.replace(row, mare=want.mare, r2=want.r2) == want
+
+    def test_wrong_shaped_truths_are_refused(self):
+        """An HF model that drops a row of the validation sample raises
+        :class:`ModelError` before any cell is scored."""
+        cfg = parse_config(
+            {
+                "problem": "ishigami",
+                "models": [{"id": "hf", "builtin": "ishigami/hf"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+                "levels": {"min": 1, "max": 1},
+                "reference": {"kind": "analytic", "a": 7.0, "b": 0.1},
+                "validation": {"count": 100},
+            }
+        )
+        hf = builtin_model("ishigami", "hf")
+        models = {"hf": Model("hf", lambda X: hf.fn(X)[: len(X) - (len(X) == 100)])}
+        with pytest.raises(ModelError, match=r"returned shape \(99,\) for 100 nodes"):
+            run_convergence(cfg, models, ishigami_analytic(7.0, 0.1))
 
     def test_reference_plan_is_released_before_the_sweep(self):
         """No cell reads the w=3 reference's plan, so the sweep does not
