@@ -1,22 +1,25 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, after the global flags::
 
-    mfpce sobol    --config cfg.yaml --scheme mf1 --w 6 [--q 2]
-    mfpce converge --config cfg.yaml
-    mfpce decay    --config cfg.yaml --scheme mf1 --w 5
-    mfpce mc-check --config cfg.yaml --model hf [--n 65536]
+    mfpce --config cfg.yaml sobol    --scheme mf1 --w 6 [--q 2]
+    mfpce --config cfg.yaml converge
+    mfpce --config cfg.yaml decay    --scheme mf1 --w 5
+    mfpce --config cfg.yaml mc-check --model hf [--n 65536]
 
-Global flags: ``--config``, ``--out``, ``--seed``; each can also come from
-the environment (``MFPCE_CONFIG``, ``MFPCE_OUT``, ``MFPCE_SEED``).
+Global flags: ``--config`` (required), ``--out`` (default: the config's
+``output``) and ``--seed`` (default: the config's validation seed, which
+``converge`` and ``mc-check`` draw from). Nothing is read from the
+environment.
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
-``--q`` on a non-MF scheme, a malformed cache file, or an OS error on a
-path the run reads or writes, each in one line), 3 model-evaluation
-error, 4 numerical degeneracy, and 128 plus the signal number for a
-SIGINT (130) or a SIGTERM (143). Each command closes the models it
-opened, so no stream-mode child outlives it, even when a signal ends it.
+``--q`` on a non-MF scheme, a malformed cache file, an OS error on a path
+the run reads or writes, or a sample count that memory cannot hold, each
+in one line), 3 model-evaluation error, 4 numerical degeneracy, and 128
+plus the signal number for a SIGINT (130) or a SIGTERM (143). Each command
+closes the models it opened, so no stream-mode child outlives it, even
+when a signal ends it.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import signal
 import sys
 from pathlib import Path
 
 from .config import (
-    ConfigError, StudyConfig, build_reference, int_at_least, load_config, seed_value
+    ConfigError, StudyConfig, build_reference, int_at_least, load_config, sample_count, seed_value
 )
 from .models import CacheFileError, EvalCache, ModelError
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
@@ -67,21 +69,15 @@ def _stop(signum, frame):
     raise _Stopped(signum)
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(f"MFPCE_{name}", fallback)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfpce",
         description="Sobol sensitivity analysis via (multi-fidelity) polynomial "
         "chaos expansions on sparse grids",
     )
-    parser.add_argument("--config", default=_env_default("CONFIG"), help="study config (YAML)")
-    parser.add_argument("--out", default=_env_default("OUT"), help="output directory override")
-    parser.add_argument(
-        "--seed", type=int, default=_env_default("SEED"), help="override the validation/MC seed"
-    )
+    parser.add_argument("--config", help="study config (YAML)")
+    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--seed", type=int, help="override the validation/MC seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sobol = sub.add_parser("sobol", help="Sobol report for one scheme at one level")
@@ -105,7 +101,7 @@ def _load(args) -> tuple[StudyConfig, Path]:
     """The config with ``--seed`` applied, and the output directory, which
     each command creates once it has checked its own arguments."""
     if not args.config:
-        raise ConfigError("no config given (use --config or MFPCE_CONFIG)")
+        raise ConfigError("no config given (use --config)")
     cfg = load_config(args.config)
     if args.seed is not None:
         seed = seed_value(args.seed, "--seed")
@@ -201,7 +197,7 @@ def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
-    int_at_least(args.n, 2, "--n")
+    sample_count(args.n, "--n")
     if args.model not in [binding.id for binding in cfg.models]:
         raise ConfigError(f"unknown model {args.model!r}")
     out.mkdir(parents=True, exist_ok=True)
@@ -237,6 +233,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (CacheFileError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"model evaluation error: {exc}", file=sys.stderr)

@@ -51,6 +51,17 @@ def seed_value(value, what: str) -> int:
     return seed
 
 
+def sample_count(value, what: str) -> int:
+    """``value`` as a number of samples, ``2 <= count <= 2**56``. A float64
+    column of ``2**56`` rows is 512 PiB, more than any address space, so a
+    count up to it that memory cannot hold ends in an out-of-memory error,
+    and a larger one is refused here."""
+    count = int_at_least(value, 2, what)
+    if count > 2**56:
+        raise ConfigError(f"{what} must be <= 2**56, got {count}")
+    return count
+
+
 def at_least(low: int) -> Callable:
     """The check of an integer no less than ``low``."""
     return lambda value, what: int_at_least(value, low, what)
@@ -175,18 +186,12 @@ class Section:
             raise ConfigError(f"bad {self.noun} {data!r}: {exc}") from None
 
     def dump(self, obj) -> dict:
-        """The mapping of ``obj`` by this table: each field that is not None."""
-        values, fields, out = self.view(obj), dict(self.fields), {}
-        keys = list(fields)
-        for key in keys:  # a tag extends ``keys`` by its variant's
-            check, value = fields[key][0], values[key]
-            if isinstance(check, dict):
-                fields.update(check[value])
-                keys += check[value]
-            elif isinstance(check, Section) and value is not None:
-                value = [check.dump(v) for v in value] if check.many else check.dump(value)
-            if value is not None:
-                out[key] = value
+        """The mapping of ``obj``: each field of ``view(obj)`` that is not
+        None, a nested section's by that section."""
+        out = {key: value for key, value in self.view(obj).items() if value is not None}
+        for key, (check, _) in self.fields.items():
+            if isinstance(check, Section) and key in out:
+                out[key] = [check.dump(v) for v in out[key]] if check.many else check.dump(out[key])
         return out
 
 
@@ -268,7 +273,7 @@ REFERENCE = Section("reference", "reference {key}", build=ReferenceSpec, fields=
     "kind": ({
         "analytic": {"a": (number, 7.0), "b": (number, 0.1)},
         "pce": {"model": (string, REQUIRED), "w": (at_least(0), REQUIRED)},
-        "mc": {"model": (string, REQUIRED), "n": (at_least(2), REQUIRED), "seed": (seed_value, 0)},
+        "mc": {"model": (string, REQUIRED), "n": (sample_count, REQUIRED), "seed": (seed_value, 0)},
     }, REQUIRED),
 })
 
@@ -278,13 +283,13 @@ LEVELS = Section("levels", "levels {key}", fields={  # parse_config makes the Le
 })
 
 VALIDATION = Section("validation", "validation {key}", build=Validation, fields={
-    "count": (at_least(2), 10000),
+    "count": (sample_count, 10000),
     "seed": (seed_value, 42),
 })
 
 #: The whole config, whose fields make a :class:`StudyConfig`.
 CONFIG = Section("config", "'{key}'", fields={
-    "problem": (string, None),
+    "problem": (lambda value, what: one_of(*BENCHMARK_SPECS)(string(value, what), what), None),
     "variables": (VARIABLE, None),
     "models": (MODEL, REQUIRED),
     "schemes": (SCHEME, REQUIRED),
@@ -339,7 +344,7 @@ def parse_config(data) -> StudyConfig:
     rules that span fields."""
     fields = CONFIG(data, "config")
     if fields["variables"] is None:
-        if fields["problem"] not in BENCHMARK_SPECS:
+        if fields["problem"] is None:
             raise ConfigError("config needs 'variables' or a builtin 'problem'")
         fields["variables"] = tuple(BENCHMARK_SPECS[fields["problem"]])
     models, schemes, reference = fields["models"], fields["schemes"], fields["reference"]

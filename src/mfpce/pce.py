@@ -146,30 +146,32 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     make only the prefixes whose axis-``j`` degree is non-zero: a trailing
     degree 0 leaves a product unchanged (``T[0] = 1``), so such a prefix
     reuses its parent's row. Axis ``n - 2`` makes every distinct prefix over
-    axes ``0..n-2``, the ones the terms contract. Returns per axis
+    axes ``0..n-2``, the ones the terms contract; when ``n = 1`` that is
+    the empty prefix alone, a copy of row 0 with degree 0. Returns per axis
     ``(start, parents, segments)``: the rows from ``start`` on are copies of
     the rows ``parents``, and each :func:`_segment` of them is multiplied by
     its table rows. On axis 0 every parent is row 0, the empty product,
     which is exactly 1.0, so a product there is its table row, bit for bit.
     Then the row count, and the runs.
 
-    The prefixes over axes ``0..n-2`` (the empty product when ``n = 1``)
-    are ordered by last-axis width (largest last degree + 1) and cut into
-    runs of equal width ``d``. Within a width, the prefixes whose axis-
-    ``n - 2`` degree is 0 come first: they are copies of their parents, so
-    the rest are one multiplied segment per width. Per run the plan holds
-    ``(first, stop, d, C)``: its rows and its coefficient block. A run of
-    at least ``d`` rows contracts its rows in the matrix product: ``C`` is
-    ``(d * E, rows)`` and its row ``k * E + c`` holds output ``c``'s
-    coefficients of last degree ``k``. A shorter run contracts its degrees:
-    ``C`` is ``(rows * E, d)`` and its row ``u * E + c`` holds output
-    ``c``'s coefficients of the run's row ``u``.
+    The prefixes over axes ``0..n-2`` are ordered by last-axis width
+    (largest last degree + 1) and cut into runs of equal width ``d``.
+    Within a width, the prefixes whose axis-``n - 2`` degree is 0 come
+    first: they are copies of their parents, so the rest are one multiplied
+    segment per width. Per run the plan holds ``(first, stop, d, C)``: its
+    rows and its coefficient block. A run of at least ``d`` rows contracts
+    its rows in the matrix product: ``C`` is ``(d * E, rows)`` and its row
+    ``k * E + c`` holds output ``c``'s coefficients of last degree ``k``. A
+    shorter run contracts its degrees: ``C`` is ``(rows * E, d)`` and its
+    row ``u * E + c`` holds output ``c``'s coefficients of the run's row
+    ``u``.
     """
     K, n = phis.shape
     new = np.zeros(K, dtype=bool)
     new[0] = True
     ids = np.zeros(K, dtype=np.intp)  # per term, its distinct prefix so far
     row = np.zeros(1, dtype=np.intp)  # product row per distinct prefix
+    parent, degree = row, np.zeros(1, dtype=np.intp)  # the empty prefix, if n = 1
     steps, made = [], 1
     for j in range(n - 1):
         new[1:] |= phis[1:, j] != phis[:-1, j]
@@ -186,14 +188,11 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     last = phis[:, -1]
     widths = np.zeros(ids[-1] + 1, dtype=np.intp)
     np.maximum.at(widths, ids, last + 1)
-    if n == 1:
-        order, base = np.zeros(1, dtype=np.intp), 0
-    else:
-        order, base = np.lexsort((degree != 0, widths)), made
-        degree = degree[order]
-        cuts = np.flatnonzero(np.diff(np.r_[0, degree != 0, 0])).reshape(-1, 2)
-        steps.append((made, parent[order], [_segment(made + lo, degree[lo:hi]) for lo, hi in cuts]))
-        made += len(order)
+    order, base = np.lexsort((degree != 0, widths)), made
+    degree = degree[order]
+    cuts = np.flatnonzero(np.diff(np.r_[0, degree != 0, 0])).reshape(-1, 2)
+    steps.append((made, parent[order], [_segment(made + lo, degree[lo:hi]) for lo, hi in cuts]))
+    made += len(order)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
 

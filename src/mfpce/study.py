@@ -8,7 +8,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,21 +77,17 @@ class _Scores:
         """``(r2, mare)`` per column. Raises :class:`ZeroVarianceError` if a
         sample set is constant."""
         skipped = self.count - self.kept
+        if skipped:
+            log.info("MARE: skipped %d observations with near-zero reference", skipped)
         true_var = self.true_squares - self.true_sum**2 / self.count
-        scores = []
-        for pred_sum, squares, products, mare_sum in zip(
-            self.pred_sum, self.pred_squares, self.products, self.mare_sum
-        ):
-            if skipped:
-                log.info("MARE: skipped %d observations with near-zero reference", skipped)
-            pred_mean = pred_sum / self.count
-            pred_var = squares - pred_mean * pred_sum
-            denom = math.sqrt(max(true_var, 0.0)) * math.sqrt(max(pred_var, 0.0))
-            if denom == 0.0:
-                raise ZeroVarianceError("correlation undefined: a sample set is constant")
-            r2 = float((products - pred_mean * self.true_sum) / denom) ** 2
-            scores.append((r2, float(mare_sum / self.kept) if self.kept else math.nan))
-        return scores
+        pred_mean = self.pred_sum / self.count
+        pred_var = self.pred_squares - pred_mean * self.pred_sum
+        denom = math.sqrt(max(true_var, 0.0)) * np.sqrt(np.maximum(pred_var, 0.0))
+        if (denom == 0.0).any():
+            raise ZeroVarianceError("correlation undefined: a sample set is constant")
+        r = (self.products - pred_mean * self.true_sum) / denom
+        mare = self.mare_sum / self.kept if self.kept else np.full(len(r), math.nan)
+        return [(v**2, m) for v, m in zip(r.tolist(), mare.tolist())]
 
 
 def prediction_error(y_true, y_pred) -> tuple[float, float]:
@@ -344,14 +340,13 @@ def report_file(path):
 
 
 def write_convergence_csv(rows, path) -> None:
+    """One line per :class:`ConvergenceRow`, its fields in order; a float
+    is written to 12 significant digits."""
     with report_file(path) as fh:
-        fh.write("scheme,w,q,n_hf,n_lf,n_e,n_tot,mare,r2,e,e_t,mean,std\n")
+        fh.write(",".join(f.name for f in fields(ConvergenceRow)) + "\n")
         for r in rows:
-            fh.write(
-                f"{r.scheme},{r.w},{r.q},{r.n_hf},{r.n_lf},{r.n_e},"
-                f"{r.n_tot:.12g},{r.mare:.12g},{r.r2:.12g},{r.e:.12g},"
-                f"{r.e_t:.12g},{r.mean:.12g},{r.std:.12g}\n"
-            )
+            cells = (f"{v:.12g}" if isinstance(v, float) else str(v) for v in astuple(r))
+            fh.write(",".join(cells) + "\n")
 
 
 def write_decay_csv(rows, path) -> None:

@@ -246,8 +246,7 @@ class TestMcCheckCommand:
 
 
 class TestExitCodes:
-    def test_missing_config_is_config_error(self, monkeypatch):
-        monkeypatch.delenv("MFPCE_CONFIG", raising=False)
+    def test_missing_config_is_config_error(self):
         assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 2
 
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
@@ -574,6 +573,27 @@ class TestExitCodes:
             ),
             ({"problem": [1]}, "'problem' must be a string, got [1]"),
             (
+                {"problem": "nonsense"},
+                "'problem' must be one of borehole, ishigami, short_column, got 'nonsense'",
+            ),
+            (
+                {
+                    "problem": "nonsense",
+                    "variables": [
+                        {"name": n, "dist": "uniform", "a": 0.0, "b": 1.0} for n in "uvw"
+                    ],
+                },
+                "'problem' must be one of borehole, ishigami, short_column, got 'nonsense'",
+            ),
+            (
+                {"validation": {"count": 2**56 + 1}},
+                f"validation count must be <= 2**56, got {2**56 + 1}",
+            ),
+            (
+                {"reference": {"kind": "mc", "model": "hf", "n": 2**56 + 1}},
+                f"reference n must be <= 2**56, got {2**56 + 1}",
+            ),
+            (
                 {"variables": [{"name": [1], "dist": "uniform", "a": -1.0, "b": 1.0}]},
                 "a variable name must be a string, got [1]",
             ),
@@ -665,6 +685,10 @@ class TestExitCodes:
             "model_id_newline",
             "scheme_model_not_string",
             "problem_not_string",
+            "problem_unknown",
+            "problem_unknown_with_variables",
+            "validation_count_too_large",
+            "reference_n_too_large",
             "variable_name_not_string",
             "reference_a_boolean",
             "variable_bound_boolean",
@@ -756,8 +780,16 @@ class TestExitCodes:
             ["sobol", "--scheme", "hf", "--w", "2", "--q", "1"],
             ["decay", "--scheme", "nope", "--w", "1"],
             ["mc-check", "--model", "nope"],
+            ["mc-check", "--model", "hf", "--n", str(2**56 + 1)],
         ],
-        ids=["unknown_scheme", "negative_w", "q_on_hf_scheme", "decay_unknown_scheme", "unknown_model"],
+        ids=[
+            "unknown_scheme",
+            "negative_w",
+            "q_on_hf_scheme",
+            "decay_unknown_scheme",
+            "unknown_model",
+            "n_too_large",
+        ],
     )
     def test_bad_argument_exits_before_the_output_directory(self, tmp_path, capsys, argv):
         """A command argument that its config refuses exits 2 with one
@@ -768,6 +800,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, argv",
+        [
+            ({}, ["mc-check", "--model", "hf", "--n", str(2**56)]),
+            ({"validation": {"count": 2**56}}, ["converge"]),
+            ({"reference": {"kind": "mc", "model": "hf", "n": 2**56}}, ["converge"]),
+        ],
+        ids=["mc_check_n", "validation_count", "reference_n"],
+    )
+    def test_sample_count_past_memory_is_one_line(self, tmp_path, capsys, overrides, argv):
+        """The largest sample count taken, 2**56, asks for a float64 column
+        of 512 PiB, more than any address space holds: exit 2 with one
+        line, no traceback."""
+        cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
+        assert main(["--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
 
     def test_analytic_reference_of_wrong_dimension_is_config_error(
         self, tmp_path, monkeypatch, capsys
@@ -934,14 +984,13 @@ class TestExitCodes:
                 if pid is not None and child_running(pid):
                     os.kill(pid, signal.SIGKILL)
 
-    def test_signal_handlers_are_restored(self, tmp_path, monkeypatch):
+    def test_signal_handlers_are_restored(self, tmp_path):
         """An in-process caller keeps its own handlers, after a success
         and after an error."""
         before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
         cfg = ishigami_config(tmp_path, tmp_path / "out")
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 0
         assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
-        monkeypatch.delenv("MFPCE_CONFIG", raising=False)
         assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 2
         assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
 
@@ -955,22 +1004,20 @@ def child_running(pid: int) -> bool:
     return True
 
 
-class TestEnvironmentOverrides:
-    def test_config_and_out_from_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "env_out"
-        cfg = ishigami_config(tmp_path, tmp_path / "ignored")
-        monkeypatch.setenv("MFPCE_CONFIG", str(cfg))
-        monkeypatch.setenv("MFPCE_OUT", str(out))
-        assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 0
-        assert (out / "sobol_hf_w1.json").exists()
-
-    def test_seed_override(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        cfg = ishigami_config(tmp_path, out)
-        monkeypatch.setenv("MFPCE_SEED", "99")
-        assert main(["--config", str(cfg), "mc-check", "--model", "hf", "--n", "512"]) == 0
-        payload = json.loads((out / "mc_hf_n512.json").read_text())
-        assert payload["seed"] == 99
+def test_mfpce_environment_changes_nothing(tmp_path, monkeypatch, capsys):
+    """``MFPCE_CONFIG``, ``MFPCE_OUT`` and ``MFPCE_SEED`` are not read:
+    with no ``--config`` the exit is 2, and ``mc-check`` draws from the
+    config's seed into the config's output directory."""
+    out, env_out = tmp_path / "out", tmp_path / "env_out"
+    cfg = ishigami_config(tmp_path, out)
+    monkeypatch.setenv("MFPCE_CONFIG", str(cfg))
+    monkeypatch.setenv("MFPCE_OUT", str(env_out))
+    monkeypatch.setenv("MFPCE_SEED", "99")
+    assert main(["sobol", "--scheme", "hf", "--w", "1"]) == 2
+    assert capsys.readouterr().err == "config error: no config given (use --config)\n"
+    assert main(["--config", str(cfg), "mc-check", "--model", "hf", "--n", "512"]) == 0
+    assert json.loads((out / "mc_hf_n512.json").read_text())["seed"] == 3
+    assert not env_out.exists()
 
 
 def test_import_does_not_load_scipy():
