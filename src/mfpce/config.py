@@ -1,7 +1,9 @@
 """Study configuration: a YAML file with nested key/value sections.
 
 Each section is described once, as a :class:`Section`: a table of fields,
-each with a check and a default. :data:`CONFIG` and the sections it nests
+each with a check and a default. A section with no ``build`` of its own
+reads into a frozen record of its keys, made from its table, so a key is
+added or removed in one place. :data:`CONFIG` and the sections it nests
 are read by one walker and written back by :func:`config_to_dict`. The
 README's "Study configuration" has the same tables and a full example.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import shlex
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -137,15 +139,24 @@ class Section:
     of :data:`REQUIRED` makes the key required. A field's label is
     ``label`` formatted with its ``key`` and the ``name`` in the entry's
     first field. ``build`` makes the section's object from its fields and
-    ``view`` gives them back.
+    ``view`` gives them back. With no ``build``, the object is a frozen
+    record of the table's keys and its tags' keys, those of a variant not
+    chosen being None.
     """
 
     noun: str
     label: str
     fields: dict
     many: bool = False
-    build: Callable = dict
+    build: Callable | None = None
     view: Callable = vars
+
+    def __post_init__(self):
+        if self.build is None:
+            tagged = [key for check, _ in self.fields.values() if isinstance(check, dict)
+                      for table in check.values() for key in table]
+            keys = [*self.fields, *((key, object, None) for key in dict.fromkeys(tagged))]
+            object.__setattr__(self, "build", make_dataclass(self.noun.title(), keys, frozen=True))
 
     def __call__(self, value, what: str):
         if not self.many:
@@ -198,38 +209,6 @@ class Section:
 # --- the config's objects and tables -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelBinding:
-    id: str
-    builtin: str | None
-    command: str | None
-    mode: str | None
-    fidelity: str | None
-
-
-@dataclass(frozen=True)
-class ReferenceSpec:
-    kind: str  # "analytic" | "pce" | "mc"
-    model: str | None = None
-    w: int | None = None
-    n: int | None = None
-    seed: int | None = None
-    a: float | None = None
-    b: float | None = None
-
-
-@dataclass(frozen=True)
-class Levels:
-    min: int
-    max: int
-
-
-@dataclass(frozen=True)
-class Validation:
-    count: int
-    seed: int
-
-
 #: The input distributions, by the ``dist`` tag of a variable.
 DISTS = {"uniform": Uniform, "normal": Normal}
 
@@ -252,7 +231,7 @@ VARIABLE = Section("variable", "variable {name!r} {key}", many=True,
     }, REQUIRED),
 })
 
-MODEL = Section("model", "model {name!r}: {key}", many=True, build=ModelBinding, fields={
+MODEL = Section("model", "model {name!r}: {key}", many=True, fields={
     "id": (record_field, REQUIRED),
     "builtin": (string, None),
     "command": (shell_words, None),
@@ -269,7 +248,7 @@ SCHEME = Section("scheme", "scheme {name!r} {key}", many=True, build=SchemeSpec,
     "rt": (number, None),
 })
 
-REFERENCE = Section("reference", "reference {key}", build=ReferenceSpec, fields={
+REFERENCE = Section("reference", "reference {key}", fields={
     "kind": ({
         "analytic": {"a": (number, 7.0), "b": (number, 0.1)},
         "pce": {"model": (string, REQUIRED), "w": (at_least(0), REQUIRED)},
@@ -277,18 +256,18 @@ REFERENCE = Section("reference", "reference {key}", build=ReferenceSpec, fields=
     }, REQUIRED),
 })
 
-LEVELS = Section("levels", "levels {key}", fields={  # parse_config makes the Levels
-    "min": (at_least(0), 1),
+LEVELS = Section("levels", "levels {key}", fields={  # parse_config resolves max
+    "min": (at_least(1), 1),
     "max": (at_least(0), None),
 })
 
-VALIDATION = Section("validation", "validation {key}", build=Validation, fields={
+VALIDATION = Section("validation", "validation {key}", fields={
     "count": (sample_count, 10000),
     "seed": (seed_value, 42),
 })
 
 #: The whole config, whose fields make a :class:`StudyConfig`.
-CONFIG = Section("config", "'{key}'", fields={
+CONFIG = Section("config", "'{key}'", build=dict, fields={
     "problem": (lambda value, what: one_of(*BENCHMARK_SPECS)(string(value, what), what), None),
     "variables": (VARIABLE, None),
     "models": (MODEL, REQUIRED),
@@ -305,11 +284,11 @@ CONFIG = Section("config", "'{key}'", fields={
 class StudyConfig:
     problem: str | None
     variables: tuple[VariableSpec, ...]
-    models: tuple[ModelBinding, ...]
+    models: tuple[MODEL.build, ...]
     schemes: tuple[SchemeSpec, ...]
-    levels: Levels
-    reference: ReferenceSpec
-    validation: Validation
+    levels: LEVELS.build
+    reference: REFERENCE.build
+    validation: VALIDATION.build
     output: str
     cache: str | None
 
@@ -375,8 +354,9 @@ def parse_config(data) -> StudyConfig:
     for user, ref in uses + [("reference", reference.model)]:
         if ref is not None and ref not in model_ids:
             raise ConfigError(f"{user} references unknown model {ref!r}")
-    low, high = fields["levels"]["min"], fields["levels"]["max"]
-    fields["levels"] = Levels(low, int_at_least(low if high is None else high, low, "levels max"))
+    levels = fields["levels"]
+    high = levels.min if levels.max is None else levels.max
+    fields["levels"] = replace(levels, max=int_at_least(high, levels.min, "levels max"))
     return StudyConfig(**fields)
 
 

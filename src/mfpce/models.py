@@ -500,11 +500,13 @@ _RECORD_CHUNK_ROWS = 256
 
 class _Records:
     """The records of one batch of ``X``, appended to the cache file
-    ``path``, if there is one, in row order as their values become final. The file is opened once, at the first record, unbuffered in
-    binary append mode, and each chunk of up to :data:`_RECORD_CHUNK_ROWS`
-    ``model_id<TAB>coords<TAB>value`` lines is one ``write()``, so that
-    appenders sharing the file interleave whole chunks. An OS error is
-    raised naming the file, and nothing more is written after it."""
+    ``path``, if there is one, in row order as their values become final.
+    The file is opened once, at the first record, unbuffered in binary
+    append mode, its directory created first if missing. Each chunk of up
+    to :data:`_RECORD_CHUNK_ROWS` ``model_id<TAB>coords<TAB>value`` lines
+    is one ``write()``, so that appenders sharing the file interleave
+    whole chunks. An OS error is raised naming the file, and nothing more
+    is written after it."""
 
     def __init__(self, path: Path | None, model_id: str, X: np.ndarray):
         self.path, self.model_id, self.X = path, model_id, X
@@ -522,6 +524,7 @@ class _Records:
                     f"{self.model_id}\t{_format_request(xi)}\t{y:.17g}\n" for xi, y in rows
                 ).encode()
                 if self.file is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
                     self.file = open(self.path, "ab", buffering=0)
                 while data:  # short only at a size limit, where the next write raises
                     data = data[self.file.write(data) :]

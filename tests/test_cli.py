@@ -164,6 +164,17 @@ class TestSobolCommand:
         payload = json.loads((out / "sobol_mf_w2.json").read_text())
         assert payload["scheme"] == "mf:SG-0-2"
 
+    def test_cache_in_a_missing_directory(self, tmp_path):
+        """A cache file whose directory does not exist is created with it at
+        the first record, and a second run pays no evaluation."""
+        out = tmp_path / "out"
+        cfg = ishigami_config(tmp_path, out, cache=str(tmp_path / "a" / "b" / "c.tsv"))
+        argv = ["--config", str(cfg), "sobol", "--scheme", "mf", "--w", "3"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        payload = json.loads((out / "sobol_mf_w3.json").read_text())
+        assert (payload["n_hf"], payload["n_lf"]) == (0, 0)
+
 
 class TestConvergeCommand:
     def test_writes_csv(self, tmp_path):
@@ -320,7 +331,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "fault, command",
         [("config_is_a_directory", command) for command in COMMANDS]
-        + [("cache_is_a_directory", command) for command in ("sobol", "decay")]
+        + [(fault, command) for fault in ("cache_is_a_directory", "cache_under_a_file")
+           for command in ("sobol", "decay")]
         + [("out_under_a_file", command) for command in COMMANDS],
     )
     def test_os_error_is_one_line_naming_the_path(self, tmp_path, capsys, fault, command):
@@ -328,16 +340,17 @@ class TestExitCodes:
         cache file, the output directory) exits 2 with one line naming the
         path, and no traceback."""
         path = tmp_path / "x"
-        overrides = {"cache": str(path)} if fault == "cache_is_a_directory" else {}
-        argv = ["--config", str(ishigami_config(tmp_path, tmp_path / "out", **overrides))]
-        if fault == "out_under_a_file":
+        if fault.endswith("under_a_file"):
             path.write_text("")
-            path = path / "out"
-            argv += ["--out", str(path)]
+            path = path / "y"
         else:
             path.mkdir()
-            if fault == "config_is_a_directory":
-                argv[1] = str(path)
+        overrides = {"cache": str(path)} if fault.startswith("cache") else {}
+        argv = ["--config", str(ishigami_config(tmp_path, tmp_path / "out", **overrides))]
+        if fault == "out_under_a_file":
+            argv += ["--out", str(path)]
+        if fault == "config_is_a_directory":
+            argv[1] = str(path)
         assert main([*argv, *COMMANDS[command]]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and err.count("\n") == 1
@@ -474,6 +487,7 @@ class TestExitCodes:
             (["decay", "--scheme", "mf1", "--w", "1"], {}, "q=2 must be >= 2, got 1"),
             (["mc-check", "--model", "hf", "--n", "1"], {}, "--n must be >= 2, got 1"),
             (["--seed", "-3", "mc-check", "--model", "hf"], {}, "--seed must be >= 0, got -3"),
+            (["converge"], {"levels": {"min": 0, "max": 2}}, "levels min must be >= 1, got 0"),
             (["converge"], {"validation": {"count": 1}}, "validation count must be >= 2, got 1"),
             (["converge"], {"validation": {"seed": -3}}, "validation seed must be >= 0, got -3"),
             (
@@ -500,6 +514,7 @@ class TestExitCodes:
             "decay_w_below_q",
             "mc_check_n",
             "seed",
+            "levels_min",
             "validation_count",
             "validation_seed",
             "reference_pce_w",
@@ -522,6 +537,7 @@ class TestExitCodes:
         assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert evaluated == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "overrides, message",
