@@ -186,12 +186,25 @@ def builtin_model(problem: str, fidelity: str) -> Model:
 _STREAM_CHUNK_ROWS = 64
 #: Bytes read from a child's pipe per ready event, and kept of its stderr.
 _READ_BYTES = 8192
+#: The longest reply line read. A ``.17g`` float takes about 25 bytes, so a
+#: line that grows past this is malformed before its end arrives.
+_LINE_BYTES = 4096
+#: Characters of a reply quoted in an error message.
+_QUOTE_CHARS = 64
 #: Lines of a failed child's stderr quoted in its ModelError.
 _STDERR_LINES = 5
 
 
 def _format_request(xi) -> str:
     return " ".join(f"{c:.17g}" for c in xi)
+
+
+def _quote(line: str) -> str:
+    """A reply line, stripped, as an error message quotes it: at most
+    :data:`_QUOTE_CHARS` of it, and ``...`` after a cut."""
+    line = line.strip()
+    text = repr(line[:_QUOTE_CHARS])
+    return text + "..." if len(line) > _QUOTE_CHARS else text
 
 
 def _node(xi) -> tuple:
@@ -280,9 +293,14 @@ class _Child:
         if pipe is self.proc.stderr:
             self.stderr = (self.stderr + data)[-_READ_BYTES:]
         else:
-            *lines, self.partial = (self.partial + data).split(b"\n")
+            # Only the new bytes are split; the partial line stays short.
+            lines = data.split(b"\n")
+            lines[0] = self.partial + lines[0]
+            self.partial = lines.pop()
             for line in lines:
                 self._reply(line)
+            if len(self.partial) > _LINE_BYTES:
+                self._reply(self.partial)  # over-long: raises before the line ends
         if not data:
             self._drop(pipe)
             pipe.close()
@@ -309,6 +327,8 @@ class _Child:
 
     def _reply(self, line: bytes) -> None:
         raw = line.decode(errors="replace")
+        if len(line) > _LINE_BYTES:
+            raise self._bad_reply(f"malformed response of over {_LINE_BYTES} bytes", raw)
         if self.answered == self.rows.stop:
             if raw.strip():
                 raise self._bad_reply("malformed response", raw)
@@ -324,20 +344,21 @@ class _Child:
 
     def late_line(self) -> str | None:
         """The first non-blank line the stream child wrote after the last
-        reply of its previous batch, read without blocking; None if none."""
+        reply of its previous batch, read without blocking and quoted as
+        :func:`_quote` does; None if none. A blank read is dropped, so at
+        most one read is held."""
         data, stdout = self.partial, self.proc.stdout
         with contextlib.suppress(BlockingIOError):
             while not stdout.closed and not data.strip():
-                if not (chunk := os.read(stdout.fileno(), _READ_BYTES)):
+                if not (data := os.read(stdout.fileno(), _READ_BYTES)):
                     break
-                data += chunk
         self.partial = b""
         lines = data.decode(errors="replace").splitlines()
-        return next((line.strip() for line in lines if line.strip()), None)
+        return next((_quote(line) for line in lines if line.strip()), None)
 
     def _bad_reply(self, kind: str, raw: str) -> ModelError:
         node = _node(self.X[self.row])
-        return ModelError(f"{kind} {raw.strip()!r} from external model at node {node}")
+        return ModelError(f"{kind} {_quote(raw)} from external model at node {node}")
 
     def failed(self, exc: ModelError) -> ModelError:
         """Kill and reap the child; ``exc`` quoting the last lines of its stderr."""
@@ -420,7 +441,7 @@ class ExternalModel:
             child, self._proc = self._proc, None
             raise child.failed(
                 ModelError(
-                    f"malformed response {late!r} from external model {self.command!r} "
+                    f"malformed response {late} from external model {self.command!r} "
                     "after the last reply of its previous batch"
                 )
             )

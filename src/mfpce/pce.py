@@ -211,14 +211,12 @@ def _evaluation_plan(phis: np.ndarray, coeffs: np.ndarray):
     return steps, made, runs
 
 
-def _column_groups(terms: np.ndarray, coeffs: np.ndarray):
+def _column_groups(terms: np.ndarray, coeffs: np.ndarray, nonzero: np.ndarray):
     """``(columns, plan, width)`` per group of the columns of the ``(K, E)``
-    ``coeffs`` that have the same non-zero terms (the zero term counts in
-    every column): the group's own :func:`_evaluation_plan` over those
-    terms, and its inner block width, sized from its number of prefix
-    products so that they take about ``INNER_BYTES``."""
-    nonzero = coeffs != 0
-    nonzero[0] = True
+    ``coeffs`` that have the same ``nonzero`` terms: the group's own
+    :func:`_evaluation_plan` over those terms, and its inner block width,
+    sized from its number of prefix products so that they take about
+    ``INNER_BYTES``."""
     _, first, group = first_occurrences(row_keys(nonzero.T))
     groups = []
     for g, c in enumerate(first):
@@ -265,22 +263,26 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
     multiply-adds per point.
 
     Two block levels bound memory. The 1D tables are built once per outer
-    block of ``OUTER_POINTS`` points, at the expansion's top degree per
-    axis, and each group's products run over inner column blocks of its own
-    width (see :func:`_column_groups`). The tables and every per-block
-    temporary (gathers, matrix products, sums) live in buffers allocated
-    once per call, as does the ``(E, OUTER_POINTS)`` block of outputs, so
-    that a call holds its result (none with ``each_block``), one block's
-    tables and a few ``INNER_BYTES``-sized buffers, whatever the number of
-    points.
+    block of ``OUTER_POINTS`` points, per axis at the top degree of the
+    terms with a non-zero coefficient, and each group's products run over
+    inner column blocks of its own width (see :func:`_column_groups`). The
+    tables and every per-block temporary (gathers, matrix products, sums)
+    live in buffers allocated once per call, as does the ``(E,
+    OUTER_POINTS)`` block of outputs, so that a call holds its result (none
+    with ``each_block``), one block's tables and a few
+    ``INNER_BYTES``-sized buffers, whatever the number of points.
     """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
     coeffs = e.coeffs.reshape(len(e.terms), -1)
-    groups = _column_groups(e.terms, coeffs)
+    nonzero = coeffs != 0
+    nonzero[0] = True  # the zero term counts in every column
+    groups = _column_groups(e.terms, coeffs, nonzero)
     outer = min(OUTER_POINTS, len(X))
-    tables = [np.empty((int(top) + 1, outer)) for top in e.terms.max(axis=0)]
+    # Each axis's table goes up to the top degree that a group reads.
+    top = e.terms[nonzero.any(axis=1)].max(axis=0)
+    tables = [np.empty((int(d) + 1, outer)) for d in top]
     # One flat buffer per temporary, for the largest of the groups' uses:
     # prefix products, one segment's table rows, one run's matrix product
     # and two for sums, each of its rows times the group's width.

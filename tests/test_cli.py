@@ -954,6 +954,34 @@ class TestExitCodes:
         assert "at node (" in err and message in err and err.count("\n") == 1
         assert spawned and all(child.poll() is not None for child in spawned)
 
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    def test_over_long_reply_line_is_malformed_at_once(self, tmp_path, capsys, spawned, mode):
+        """A child answering with one 16 MB line exits 3 in under 1 s, with
+        one stderr line under 1 KB, no traceback and no child left: the line
+        is malformed once it passes 4 KiB, and only its start is quoted."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n"
+            "    sys.stdout.write('1' * (16 << 20) + '\\n')\n    sys.stdout.flush()\n"
+        )
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}", "mode": mode}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "reference": {"kind": "pce", "model": "m", "w": 1},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        start = time.monotonic()
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 3
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert "malformed response of over 4096 bytes '111" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert spawned and all(child.poll() is not None for child in spawned)
+
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
     def test_stop_signal_reaps_a_hung_stream_child(self, tmp_path, signum):
         """SIGINT or SIGTERM, sent while a stream child hangs on request 101

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,38 @@ from mfpce.orthopoly import (
     eval_poly_table,
     gauss_rule,
 )
+
+
+#: The kernels ``OPENBLAS_CORETYPE`` selects on an AVX-512 x86-64 host.
+CORETYPES = ["SkylakeX", "Haswell", "Zen", "Sandybridge", "Nehalem", "Prescott", "SapphireRapids"]
+
+#: Prints one hash of the points and weights of both families' rules at
+#: sparse levels 0..8 (m = 1 .. 511).
+HASH_RULES = """import hashlib
+from mfpce.orthopoly import PolyFamily, gauss_rule
+digest = hashlib.sha256()
+for family in PolyFamily:
+    for level in range(9):
+        rule = gauss_rule(family, 2 ** (level + 1) - 1)
+        digest.update(rule.points.tobytes() + rule.weights.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def rule_hash(**env) -> str:
+    """:data:`HASH_RULES` run by a child interpreter under ``env``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = {**os.environ, "PYTHONPATH": path, **env}
+    done = subprocess.run(
+        [sys.executable, "-c", HASH_RULES], env=child, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def default_rule_hash() -> str:
+    return rule_hash()
 
 
 def classical_scale(family: PolyFamily, k: int) -> float:
@@ -180,6 +216,27 @@ class TestGaussRules:
         assert np.all(np.diff(r.points) > 0)
         if m % 2 == 1:
             assert r.points[m // 2] == 0.0
+
+    def test_levels_0_to_8_need_no_eigensolver(self, monkeypatch):
+        """The rules come from the recurrence alone, mirrored exactly about
+        an exact 0.0 centre."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gauss_rule called an eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for family in PolyFamily:
+            for level in range(9):
+                m = 2 ** (level + 1) - 1
+                r = gauss_rule.__wrapped__(family, m)
+                assert len(r) == m and r.points[m // 2] == 0.0
+                assert np.array_equal(r.points, -r.points[::-1])
+                assert np.array_equal(r.weights, r.weights[::-1])
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_same_bits_under_every_openblas_kernel(self, coretype, default_rule_hash):
+        assert rule_hash(OPENBLAS_CORETYPE=coretype) == default_rule_hash
 
     def test_rules_are_cached_and_frozen(self):
         a = gauss_rule(PolyFamily.LEGENDRE, 7)
