@@ -17,9 +17,9 @@ tables and rules of README "Study configuration", an out-of-range flag,
 ``--q`` on a non-MF scheme, a malformed cache file, an OS error on a path
 the run reads or writes, or a sample count that memory cannot hold, each
 in one line), 3 model-evaluation error, 4 numerical degeneracy, and 128
-plus the signal number for a SIGINT (130) or a SIGTERM (143). Each command
-closes the models it opened, so no stream-mode child outlives it, even
-when a signal ends it.
+plus the signal number for a SIGINT (130) or a SIGTERM (143). Each batch
+of an external model reaps the children it started before it returns, so
+no child outlives a command, even when a signal ends it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import sys
 from pathlib import Path
 
 from .config import (
-    ConfigError, StudyConfig, build_reference, int_at_least, load_config, sample_count, seed_value
+    ConfigError, StudyConfig, build_reference, int_at_least, load_config, sample_count, seed_value,
+    sparse_level,
 )
 from .models import CacheFileError, EvalCache, ModelError
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
@@ -131,7 +132,8 @@ def _report_payload(report: SobolReport, variables) -> dict:
 
 def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
     """The scheme of ``--scheme``, with ``--q`` if given (an MF scheme
-    only), checked to build at level ``--w``: an MF scheme needs ``w >= q``."""
+    only), checked to build at level ``--w``: an MF scheme needs ``w >= q``,
+    and a normal variable ``w <= 8``."""
     scheme = cfg.scheme(args.scheme)
     if getattr(args, "q", None) is not None:
         q = int_at_least(args.q, 0, "--q")
@@ -139,7 +141,7 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
             raise ConfigError(f"--q is for mf schemes, and scheme {scheme.name!r} is {scheme.kind}")
         scheme = dataclasses.replace(scheme, q=q)
     what = f"--w of scheme {scheme.name!r} with q={scheme.q}" if scheme.kind == "mf" else "--w"
-    int_at_least(args.w, scheme.q, what)
+    sparse_level(int_at_least(args.w, scheme.q, what), cfg.variables, "--w")
     return scheme
 
 

@@ -64,6 +64,22 @@ def sample_count(value, what: str) -> int:
     return count
 
 
+#: The highest sparse level on a normal variable: the Gauss-Hermite rule of
+#: level 9 (1,023 points) has NaN weights, as ``orthopoly.gauss_rule`` says.
+HERMITE_MAX_LEVEL = 8
+
+
+def sparse_level(w: int, variables, what: str) -> int:
+    """``w``, a level already checked to be an integer, unless it passes
+    :data:`HERMITE_MAX_LEVEL` while one of ``variables`` is normal."""
+    normal = next((v.name for v in variables if isinstance(v.dist, Normal)), None)
+    if normal is not None and w > HERMITE_MAX_LEVEL:
+        raise ConfigError(
+            f"{what} must be <= {HERMITE_MAX_LEVEL} with the normal variable {normal!r}, got {w}"
+        )
+    return w
+
+
 def at_least(low: int) -> Callable:
     """The check of an integer no less than ``low``."""
     return lambda value, what: int_at_least(value, low, what)
@@ -295,7 +311,8 @@ class StudyConfig:
     @contextmanager
     def open_models(self):
         """The models by id, closed when the block ends, on success or on
-        error, so that no stream child outlives it. :func:`parse_config`
+        error. Closing ends nothing: each batch of an :class:`ExternalModel`
+        reaps the children it started before it returns. :func:`parse_config`
         has checked every builtin, so opening them cannot fail."""
         models: dict[str, Model | ExternalModel] = {}
         for binding in self.models:
@@ -354,9 +371,11 @@ def parse_config(data) -> StudyConfig:
     for user, ref in uses + [("reference", reference.model)]:
         if ref is not None and ref not in model_ids:
             raise ConfigError(f"{user} references unknown model {ref!r}")
-    levels = fields["levels"]
-    high = levels.min if levels.max is None else levels.max
-    fields["levels"] = replace(levels, max=int_at_least(high, levels.min, "levels max"))
+    levels, variables = fields["levels"], fields["variables"]
+    high = int_at_least(levels.min if levels.max is None else levels.max, levels.min, "levels max")
+    fields["levels"] = replace(levels, max=sparse_level(high, variables, "levels max"))
+    if reference.kind == "pce":
+        sparse_level(reference.w, variables, "reference w")
     return StudyConfig(**fields)
 
 

@@ -9,15 +9,17 @@ Three builtin families ship with their study input distributions:
 
 External executables are wrapped through a line-oriented wire protocol:
 one request line of space-separated physical coordinates, one response line
-holding a single decimal. ``oneshot`` mode spawns one process per request,
-running up to as many at once as this process may use CPUs (so they must
-not share scratch files); ``stream`` mode keeps a long-lived child answering
-line-for-line, and pipelines a batch's requests, so the child must answer
-each line in order and flush. Both modes run in one ``selectors`` loop and
-read replies by one rule: each output line answers the next row, and after
-the last reply only blank lines may follow. A batch returns its values in
-row order, and a failure raises :class:`ModelError` naming the node and
-quoting the child's stderr tail, with no child of the batch left running.
+holding a single decimal. Each batch starts its own children and reaps them
+before it returns. ``oneshot`` mode spawns one process per request, running
+up to as many at once as this process may use CPUs (so they must not share
+scratch files); ``stream`` mode starts one child for the whole batch and
+pipelines its requests, so the child must answer each line in order and
+flush. Both modes run in one ``selectors`` loop and read replies by one
+rule: each output line answers the next row, and after the last reply only
+blank lines may follow. A child's replies are final once its output has
+ended and it has exited with status 0. A batch returns its values in row
+order, and a failure raises :class:`ModelError` naming the node and quoting
+the child's stderr tail, with no child of the batch left running.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import os
 import selectors
 import shlex
 import subprocess
+import time
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,21 +192,24 @@ _READ_BYTES = 8192
 #: The longest reply line read. A ``.17g`` float takes about 25 bytes, so a
 #: line that grows past this is malformed before its end arrives.
 _LINE_BYTES = 4096
-#: Characters of a reply quoted in an error message.
+#: Characters of a reply, or of a stderr line, quoted in an error message.
 _QUOTE_CHARS = 64
 #: Lines of a failed child's stderr quoted in its ModelError.
 _STDERR_LINES = 5
+#: Seconds a child that has answered every row has to end its output and
+#: exit; it is killed after them, and its replies stand.
+_LINGER_S = 10.0
 
 
 def _format_request(xi) -> str:
     return " ".join(f"{c:.17g}" for c in xi)
 
 
-def _quote(line: str) -> str:
-    """A reply line, stripped, as an error message quotes it: at most
-    :data:`_QUOTE_CHARS` of it, and ``...`` after a cut."""
+def _quote(line: str, form: Callable[[str], str] = repr) -> str:
+    """A line of a child's output, stripped, as an error message quotes it:
+    ``form`` of at most :data:`_QUOTE_CHARS` of it, and ``...`` after a cut."""
     line = line.strip()
-    text = repr(line[:_QUOTE_CHARS])
+    text = form(line[:_QUOTE_CHARS])
     return text + "..." if len(line) > _QUOTE_CHARS else text
 
 
@@ -222,34 +228,31 @@ def _usable_cpus() -> int:
 
 
 class _Child:
-    """One external process, answering a range of a batch's rows as the
-    selectors loop of :meth:`ExternalModel.batch` calls :meth:`on_ready`.
+    """One external process, started for the range ``rows`` of a batch's
+    rows and answering them as the selectors loop of
+    :meth:`ExternalModel.batch` calls :meth:`on_ready`: one row in oneshot
+    mode, every row in stream mode.
 
     Its requests go out in chunks of :data:`_STREAM_CHUNK_ROWS` lines, and
-    each line of its stdout answers the next row; after the last reply,
-    blank lines are ignored and any other line is malformed. Its stderr is
-    read as it comes, keeping a bounded tail. A oneshot child's stdin is
-    closed after its request, and it is done once it has exited; the stream
-    child is done once its rows are answered, and stays for the next batch.
+    its input is closed after the last one. Each line of its stdout answers
+    the next row; after the last reply, blank lines are ignored and any
+    other line is malformed. Its stderr is read as it comes, keeping a
+    bounded tail. It is done, and its replies final, once its output has
+    ended with a reply for each row and it has exited with status 0; once
+    it has answered every row, it has until ``deadline`` to get there.
     """
 
-    def __init__(self, command: str, oneshot: bool):
-        self.command, self.oneshot = command, oneshot
+    def __init__(self, command: str, rows: range, X: np.ndarray, values: np.ndarray, selector):
+        """Start ``command`` for the rows ``rows`` of ``X``, whose replies go to ``values``."""
         argv, pipe = shlex.split(command), subprocess.PIPE
         self.proc = subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe, bufsize=0)
-        self.pipes = (self.proc.stdin, self.proc.stdout, self.proc.stderr)
-        for pipe in self.pipes:
-            os.set_blocking(pipe.fileno(), False)
-        self.stderr = b""
-        self.open: list = []  # the pipes registered with the batch's selector
-
-    def start(self, rows: range, X: np.ndarray, values: np.ndarray, selector) -> None:
-        """Take the rows ``rows`` of ``X``, whose replies go to ``values``."""
-        self.rows, self.X, self.values, self.selector = rows, X, values, selector
+        self.command, self.rows, self.X, self.values, self.selector = command, rows, X, values, selector
         self.sent = self.answered = rows.start
-        self.pending, self.partial = memoryview(b""), b""
-        self.open = [pipe for pipe in self.pipes if not pipe.closed]
+        self.pending, self.partial, self.stderr = memoryview(b""), b"", b""
+        self.deadline = math.inf
+        self.open = [self.proc.stdin, self.proc.stdout, self.proc.stderr]  # the registered pipes
         for pipe in self.open:
+            os.set_blocking(pipe.fileno(), False)
             event = selectors.EVENT_WRITE if pipe is self.proc.stdin else selectors.EVENT_READ
             selector.register(pipe, event, self)
 
@@ -258,22 +261,16 @@ class _Child:
         """The row a failure is at: the next to answer, or the last one."""
         return min(self.answered, self.rows.stop - 1)
 
-    @property
-    def settled(self) -> int:
-        """The end of its rows answered for good: a stream child's next
-        reply, and a oneshot child's own row until it has exited with
-        status 0, when it leaves the batch's running children."""
-        return self.rows.start if self.oneshot else self.answered
-
     def _drop(self, *pipes) -> None:
         for pipe in pipes:
             self.selector.unregister(pipe)
             self.open.remove(pipe)
+            pipe.close()
 
     def on_ready(self, pipe) -> bool:
         """Move the bytes ``pipe`` is ready for; True once the child is done.
-        Raises :class:`ModelError` for a bad reply, a closed output or a
-        non-zero exit."""
+        Raises :class:`ModelError` for a bad reply, a non-zero exit or an
+        output that ends before the last reply."""
         if pipe is self.proc.stdin:
             if not self.pending:
                 chunk = self.X[self.sent : min(self.sent + _STREAM_CHUNK_ROWS, self.rows.stop)]
@@ -286,8 +283,6 @@ class _Child:
                 self.pending, self.sent = self.pending[:0], self.rows.stop  # its output tells
             if not self.pending and self.sent == self.rows.stop:
                 self._drop(pipe)
-                if self.oneshot:
-                    pipe.close()
             return False
         data = os.read(pipe.fileno(), _READ_BYTES)
         if pipe is self.proc.stderr:
@@ -302,27 +297,27 @@ class _Child:
             if len(self.partial) > _LINE_BYTES:
                 self._reply(self.partial)  # over-long: raises before the line ends
         if not data:
+            if pipe is self.proc.stdout and self.partial:
+                self._reply(self.partial)  # the end of output ends a last line
             self._drop(pipe)
-            pipe.close()
-            if pipe is self.proc.stdout:
-                if self.partial:
-                    self._reply(self.partial)  # the end of output ends a last line
-                if not self.oneshot and self.answered < self.rows.stop:
-                    raise ModelError(
-                        f"external model {self.command!r} closed its output "
-                        f"at node {_node(self.X[self.answered])}"
-                    )
-        if not self.oneshot and self.answered == self.rows.stop:
-            self._drop(*self.open)  # it stays for the next batch
         if self.open:
             return False
-        if self.oneshot and self.proc.wait() != 0:
+        linger = max(self.deadline - time.monotonic(), 0.0)
+        try:
+            status = self.proc.wait(None if linger == math.inf else linger)
+        except subprocess.TimeoutExpired:  # it answered every row, and lingers
+            self.reap()
+            return True
+        if status != 0:
             raise ModelError(
                 f"external model {self.command!r} failed at node {_node(self.X[self.row])}: "
-                f"exit status {self.proc.returncode}"
+                f"exit status {status}"
             )
         if self.answered < self.rows.stop:
-            self._reply(b"")  # no reply is a blank one
+            raise ModelError(
+                f"external model {self.command!r} closed its output "
+                f"at node {_node(self.X[self.answered])}"
+            )
         return True
 
     def _reply(self, line: bytes) -> None:
@@ -341,67 +336,51 @@ class _Child:
             raise self._bad_reply("non-finite output", raw)
         self.values[self.answered] = value
         self.answered += 1
-
-    def late_line(self) -> str | None:
-        """The first non-blank line the stream child wrote after the last
-        reply of its previous batch, read without blocking and quoted as
-        :func:`_quote` does; None if none. A blank read is dropped, so at
-        most one read is held."""
-        data, stdout = self.partial, self.proc.stdout
-        with contextlib.suppress(BlockingIOError):
-            while not stdout.closed and not data.strip():
-                if not (data := os.read(stdout.fileno(), _READ_BYTES)):
-                    break
-        self.partial = b""
-        lines = data.decode(errors="replace").splitlines()
-        return next((_quote(line) for line in lines if line.strip()), None)
+        if self.answered == self.rows.stop:
+            self.deadline = time.monotonic() + _LINGER_S
 
     def _bad_reply(self, kind: str, raw: str) -> ModelError:
         node = _node(self.X[self.row])
         return ModelError(f"{kind} {_quote(raw)} from external model at node {node}")
 
     def failed(self, exc: ModelError) -> ModelError:
-        """Kill and reap the child; ``exc`` quoting the last lines of its stderr."""
+        """Reap the child; ``exc`` quoting the last lines of its stderr, each
+        cut as :func:`_quote` cuts a reply."""
         self.reap()
         lines = self.stderr.decode(errors="replace").strip().splitlines()
-        tail = " | ".join(line.strip() for line in lines[-_STDERR_LINES:])
+        tail = " | ".join(_quote(line, str) for line in lines[-_STDERR_LINES:])
         return ModelError(f"{exc}; stderr: {tail}") if tail else exc
 
-    def reap(self, kill: bool = True) -> None:
-        """End the child, reap it and close its pipes. A kill is at once, and
-        keeps what it had written to stderr. Otherwise its input is closed and
-        its output drained while it has 10 s to exit, after which it is killed."""
-        self._drop(*self.open)
-        if not kill:
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                self.proc.communicate(timeout=10)
+    def reap(self) -> None:
+        """Kill the child if it has not been reaped, reap it, keeping what it
+        had written to stderr, and close its pipes."""
         if self.proc.returncode is None:
             self.proc.kill()
             self.proc.wait()
-            # Keep what it wrote to stderr: read to the end, or until the pipe
-            # is empty while a grandchild holds it open.
+            # Read stderr to the end, or until the pipe is empty while a
+            # grandchild holds it open.
             stderr = self.proc.stderr
             with contextlib.suppress(BlockingIOError):
                 while not stderr.closed and (data := os.read(stderr.fileno(), _READ_BYTES)):
                     self.stderr = (self.stderr + data)[-_READ_BYTES:]
-        for pipe in self.pipes:
-            pipe.close()
+        self._drop(*self.open)
 
 
 class ExternalModel:
     """Subprocess-backed model honoring the line-oriented wire protocol.
 
     One :meth:`batch` runs its evaluations in one single-threaded
-    ``selectors`` loop over :class:`_Child` processes. In oneshot mode each
-    row has its own child, up to :func:`_usable_cpus` at once; in stream
-    mode the one persistent child (``_proc``) gets every row, its requests
-    written in bounded chunks while its replies are read back. Either way
-    the values come back in row order. A failure raises :class:`ModelError`
-    for the lowest failing row, quoting the child's stderr tail, with no
-    child of the batch left running; a failed stream child is replaced in
-    the next batch. A batch can report the rows answered so far as it goes,
-    which is how :class:`EvalCache` keeps them on file as they are read.
-    :meth:`close` ends the stream child, reading its output while it exits.
+    ``selectors`` loop over :class:`_Child` processes, each started for
+    the batch and reaped before it returns. In oneshot mode each row has
+    its own child, up to :func:`_usable_cpus` at once; in stream mode one
+    child gets every row, its requests written in bounded chunks while its
+    replies are read back. Either way the values come back in row order,
+    and a child's replies are final only once its output has ended with one
+    reply per row and it has exited with status 0, so a stray line fails
+    the batch. A failure raises :class:`ModelError` for the lowest failing
+    child, quoting its stderr tail, with no child of the batch left
+    running. A batch reports the rows answered for good as it goes, which
+    is how :class:`EvalCache` keeps them on file.
     """
 
     def __init__(self, command: str, mode: str = "oneshot", id: str | None = None):
@@ -410,7 +389,6 @@ class ExternalModel:
         self.id = command if id is None else id
         self.command = command
         self.mode = mode
-        self._proc: _Child | None = None
 
     def batch(
         self, X: np.ndarray, on_answered: Callable[[np.ndarray, int], None] | None = None
@@ -418,45 +396,31 @@ class ExternalModel:
         """Evaluate the rows of ``X``. Children start in row order. After a
         failure no child starts and those of higher rows are killed; those
         of lower rows finish, since one of them may fail too, and the lowest
-        failing row is raised.
+        failing child's error is raised. A child that has answered every
+        row and has not ended its output and exited :data:`_LINGER_S`
+        seconds later is killed, and its replies stand.
 
         ``on_answered(values, stop)``, if given, is called after each round of
         ready events with the batch's values and the end of the rows
         answered for good: every row below ``stop`` has its value, and no
-        row below it is running, has failed or waits to start. A oneshot row
-        answered out of order waits until the rows below it are. It is
-        called once more as the batch ends, on success, on a failure and on
-        a stop signal, after the batch's children are reaped, so the rows
-        below a failure are reported however the batch ends.
-
-        Before the first request of a stream batch, the child's stdout is
-        drained without blocking, and a non-blank line there is a malformed
-        response: a line written after the last reply of the previous batch.
-        A line that arrives after this drain is read as the reply to the
-        batch's first row; the protocol carries no request ids to tell them
-        apart."""
+        child of a row below it is running, has failed or waits to start.
+        So a stream batch reports its rows only once its child is done, and
+        a oneshot row answered out of order waits until the rows below it
+        are. It is called once more as the batch ends, on success, on a
+        failure and on a stop signal, after the batch's children are reaped."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         oneshot = self.mode == "oneshot"
-        if self._proc is not None and (late := self._proc.late_line()) is not None:
-            child, self._proc = self._proc, None
-            raise child.failed(
-                ModelError(
-                    f"malformed response {late} from external model {self.command!r} "
-                    "after the last reply of its previous batch"
-                )
-            )
-        if self._proc is not None and self._proc.proc.poll() is not None:
-            self._proc.reap()  # the stream child has exited; a fresh one starts
-            self._proc = None
         width = _usable_cpus() if oneshot else 1
         values = np.empty(len(X))
+        # Both by the first row of their child, so that a failure holds back
+        # every row its child answered.
         failures: dict[int, ModelError] = {}
-        running: dict[int, _Child] = {}  # by their first row
+        running: dict[int, _Child] = {}
         started = 0
 
         def report() -> None:
             if on_answered is not None:
-                on_answered(values, min([started, *failures, *(c.settled for c in running.values())]))
+                on_answered(values, min([started, *failures, *running]))
 
         with selectors.DefaultSelector() as selector:
             try:
@@ -464,20 +428,17 @@ class ExternalModel:
                     while len(running) < width and started < len(X) and not failures:
                         rows = range(started, started + 1 if oneshot else len(X))
                         try:
-                            # The stream child leaves _proc, and is back once done.
-                            child, self._proc = self._proc or _Child(self.command, oneshot), None
+                            running[started] = _Child(self.command, rows, X, values, selector)
                         except OSError as exc:
                             failures[started] = ModelError(
                                 f"cannot start external model {self.command!r} "
                                 f"at node {_node(X[started])}: {exc}"
                             )
-                        else:
-                            child.start(rows, X, values, selector)
-                            running[started] = child
                         started = rows.stop
                     if not running:
                         break
-                    for key, _ in selector.select():
+                    wait = min(child.deadline for child in running.values()) - time.monotonic()
+                    for key, _ in selector.select(None if wait == math.inf else max(wait, 0.0)):
                         child = key.data
                         # A child ended earlier in this round of events is skipped.
                         if running.get(child.rows.start) is not child:
@@ -485,12 +446,14 @@ class ExternalModel:
                         try:
                             if child.on_ready(key.fileobj):
                                 del running[child.rows.start]
-                                self._proc = None if oneshot else child
                         except ModelError as exc:
                             del running[child.rows.start]
-                            failures[child.row] = child.failed(exc)
+                            failures[child.rows.start] = child.failed(exc)
                             for later in [r for r in running if r > min(failures)]:
                                 running.pop(later).reap()
+                    now = time.monotonic()
+                    for first in [r for r, c in running.items() if c.deadline <= now]:
+                        running.pop(first).reap()  # it answered every row, and lingers
                     report()
             finally:
                 for child in running.values():
@@ -501,11 +464,7 @@ class ExternalModel:
         return values
 
     def close(self) -> None:
-        """End the stream child: close its input and drain its output while
-        it has 10 s to exit, then kill it if it has not."""
-        child, self._proc = self._proc, None
-        if child is not None:
-            child.reap(kill=False)
+        """Nothing to end: each batch reaps the children it started."""
 
 
 # --- evaluation cache -------------------------------------------------------
@@ -582,9 +541,10 @@ class EvalCache:
     wins), and the fresh evaluations of each batch are appended by
     :class:`_Records`, one ``model_id<TAB>coords<TAB>value`` record per
     line, in row order and in chunks, as the model's ``batch`` reports its
-    rows answered: a command model's as its replies are read, so that a
-    batch that fails or is stopped keeps every row answered below the
-    failure, and a builtin model's once its values are known.
+    rows answered for good: a command model's as its children are done,
+    so that a oneshot batch that fails or is stopped keeps every row
+    answered below the failure and a stream batch keeps none, and a builtin
+    model's once its values are known.
     """
 
     def __init__(self, path: str | Path | None = None):

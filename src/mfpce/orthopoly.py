@@ -262,7 +262,8 @@ def gauss_rule(family: PolyFamily, m: int) -> GaussRule:
     2.9e-15 at ``m = 255``. Smooth integrands, which are negligible that
     far out, are unaffected; high-degree polynomial exactness is lost. From
     ``m = 727`` on, the recurrence overflows at the outermost Hermite
-    points and the weights are NaN.
+    points and the weights are NaN, so a study refuses a level above 8 on
+    a normal variable (``config.HERMITE_MAX_LEVEL``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")

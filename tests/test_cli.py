@@ -45,6 +45,14 @@ for line in sys.stdin:
 """
 
 
+#: Three variables, the last of them normal, for the Ishigami builtins.
+ONE_NORMAL = [
+    {"name": "x1", "dist": "uniform", "a": -3.0, "b": 3.0},
+    {"name": "x2", "dist": "uniform", "a": -3.0, "b": 3.0},
+    {"name": "g", "dist": "normal", "mu": 0.0, "sigma": 1.0},
+]
+
+
 def ishigami_w3_requests() -> list[str]:
     """The request lines of ``sobol --scheme hf --w 3`` on Ishigami: its
     159 grid nodes, in the row order of its one batch."""
@@ -392,9 +400,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode, k", [("stream", 150), ("oneshot", 5)])
     def test_failed_batch_keeps_the_rows_answered_below_it(self, tmp_path, spawned, mode, k):
         """A model that fails at row ``k`` of the 159 of ``sobol --scheme
-        hf --w 3`` (for the stream model, at its request 151) exits 3 and
-        leaves the cache records of rows 0 to k - 1, in row order. A rerun
-        with a sound model pays the other 159 - k rows."""
+        hf --w 3`` (for the stream model, at its request 151) exits 3. The
+        oneshot batch leaves the cache records of rows 0 to k - 1, in row
+        order; the stream batch leaves none, as its one child answered
+        every row and none of them is final. A rerun with a sound model
+        pays the rows not kept."""
         requests = ishigami_w3_requests()
         script = tmp_path / "model.py"
         script.write_text(ISHIGAMI_FAULT_AT.format(target=requests[k], fault="sys.exit('fault')"))
@@ -403,12 +413,45 @@ class TestExitCodes:
         assert main(argv) == 3
         assert all(child.poll() is not None for child in spawned)
         cache = tmp_path / "cache.tsv"
-        assert record_coords(cache) == requests[:k]
+        kept = k if mode == "oneshot" else 0
+        assert (record_coords(cache) if cache.exists() else []) == requests[:kept]
         cached_ishigami_config(tmp_path, f"{sys.executable} {SCRIPT}", "stream")
         assert main(argv) == 0
         report = json.loads((tmp_path / "out" / "sobol_hf_w3.json").read_text())
-        assert report["n_hf"] == 159 - k
+        assert report["n_hf"] == 159 - kept
         assert record_coords(cache) == requests
+
+    @pytest.mark.parametrize("delay", [0.0, 0.3], ids=["same_batch", "late_last_reply"])
+    def test_stray_stream_line_fails_the_batch_and_keeps_no_record(
+        self, tmp_path, capsys, spawned, delay
+    ):
+        """An Ishigami stream model that prints ``1.0`` before its 5th reply
+        shifts every later reply by one row. With its last reply sent at
+        once or 0.3 s late, ``sobol --scheme hf --w 3`` with a cache exits
+        3 and writes no record: the child's output is read to its end,
+        where the 160th line is one past the last row. A rerun with a sound
+        model pays all 159 rows and reports the true variance, and the run
+        after it pays none."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import math, sys, time\nfor i, line in enumerate(sys.stdin):\n"
+            "    if i == 4:\n        print(1.0, flush=True)\n"
+            f"    if i == 158:\n        time.sleep({delay})\n"
+            "    x1, x2, x3 = map(float, line.split())\n"
+            "    print(repr(math.sin(x1) + 7.0 * math.sin(x2) ** 2 + 0.1 * x3**4 * math.sin(x1)), flush=True)\n"
+        )
+        cfg = cached_ishigami_config(tmp_path, f"{sys.executable} {script}", "stream")
+        argv = ["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "malformed response '" in err and err.count("\n") == 1
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+        assert not (tmp_path / "cache.tsv").exists()
+        cached_ishigami_config(tmp_path, f"{sys.executable} {SCRIPT}", "stream")
+        for paid in (159, 0):
+            assert main(argv) == 0
+            report = json.loads((tmp_path / "out" / "sobol_hf_w3.json").read_text())
+            assert report["n_hf"] == paid and round(report["variance"], 6) == 12.944771
 
     def test_crash_cut_cache_record_is_paid_again(self, tmp_path, caplog):
         """A last cache record cut by a crash right after the first character
@@ -505,6 +548,26 @@ class TestExitCodes:
                 {"reference": {"kind": "mc", "model": "hf", "n": 64, "seed": -1}},
                 "reference seed must be >= 0, got -1",
             ),
+            (
+                ["sobol", "--scheme", "hf", "--w", "9"],
+                {"variables": ONE_NORMAL},
+                "--w must be <= 8 with the normal variable 'g', got 9",
+            ),
+            (
+                ["decay", "--scheme", "mf1", "--w", "9"],
+                {"variables": ONE_NORMAL},
+                "--w must be <= 8 with the normal variable 'g', got 9",
+            ),
+            (
+                ["converge"],
+                {"variables": ONE_NORMAL, "levels": {"min": 1, "max": 9}},
+                "levels max must be <= 8 with the normal variable 'g', got 9",
+            ),
+            (
+                ["converge"],
+                {"variables": ONE_NORMAL, "reference": {"kind": "pce", "model": "hf", "w": 9}},
+                "reference w must be <= 8 with the normal variable 'g', got 9",
+            ),
         ],
         ids=[
             "sobol_w",
@@ -520,12 +583,18 @@ class TestExitCodes:
             "reference_pce_w",
             "reference_mc_n",
             "reference_mc_seed",
+            "sobol_w_hermite",
+            "decay_w_hermite",
+            "levels_max_hermite",
+            "reference_pce_w_hermite",
         ],
     )
     def test_out_of_range_number_is_config_error(
         self, tmp_path, monkeypatch, capsys, argv, overrides, message
     ):
-        """Exit 2 with one line naming the value, before any model runs."""
+        """Exit 2 with one line naming the value, before any model runs. A
+        level past 8 is refused only with a normal variable, whose level-9
+        Gauss-Hermite rule has NaN weights."""
         evaluated = record_batches(monkeypatch)
         schemes = [
             {"name": "hf", "kind": "hf", "hf": "hf"},
@@ -982,21 +1051,46 @@ class TestExitCodes:
         assert err.count("\n") == 1 and len(err.encode()) < 1024
         assert spawned and all(child.poll() is not None for child in spawned)
 
+    def test_long_stderr_line_is_quoted_cut(self, tmp_path, capsys, spawned):
+        """A oneshot child that writes one 100 KB stderr line and exits 1
+        exits 3 with one stderr line under 1 KB and no traceback: a quoted
+        stderr line is cut as a quoted reply is."""
+        script = tmp_path / "model.py"
+        script.write_text("import sys\nsys.stderr.write('e' * 100_000 + '\\n')\nsys.exit(1)\n")
+        cfg = write_config(
+            tmp_path,
+            {
+                "variables": [{"name": "x", "dist": "uniform", "a": -1.0, "b": 1.0}],
+                "models": [{"id": "m", "command": f"{sys.executable} {script}"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "m"}],
+                "reference": {"kind": "analytic"},
+                "output": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"exit status 1; stderr: {'e' * 64}...\n" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert spawned and all(child.poll() is not None for child in spawned)
+
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
     def test_stop_signal_reaps_a_hung_stream_child(self, tmp_path, signum):
         """SIGINT or SIGTERM, sent while a stream child hangs on request 101
-        of the 159 of ``sobol --scheme hf --w 3``, once its first 100
-        answers are in the cache file, ends ``mfpce`` with one line and
-        exit 128 + the signal number, no traceback, and the child gone
-        within 2 s. The file holds those 100 records and no partial line."""
+        of the 159 of ``sobol --scheme hf --w 3``, once it has answered the
+        first 100, ends ``mfpce`` with one line and exit 128 + the signal
+        number, no traceback, and the child gone within 2 s. A stopped
+        stream batch keeps none of its rows, so no cache file is written."""
         requests = ishigami_w3_requests()
         pid_file = tmp_path / "child.pid"
+        hung = tmp_path / "hung"
         script = tmp_path / "model.py"
         script.write_text(
             "import os\n"
             f"open({str(pid_file)!r} + '.tmp', 'w').write(str(os.getpid()))\n"
             f"os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
-            + ISHIGAMI_FAULT_AT.format(target=requests[100], fault="time.sleep(3600)")
+            + ISHIGAMI_FAULT_AT.format(
+                target=requests[100], fault=f"open({str(hung)!r}, 'w').close(); time.sleep(3600)"
+            )
         )
         cfg = cached_ishigami_config(tmp_path, f"{sys.executable} {script}", "stream")
         cache = tmp_path / "cache.tsv"
@@ -1006,11 +1100,7 @@ class TestExitCodes:
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
             try:
                 deadline = time.monotonic() + 30
-                while (
-                    not (pid_file.exists() and cache.exists() and cache.read_bytes().count(b"\n") == 100)
-                    and proc.poll() is None
-                    and time.monotonic() < deadline
-                ):
+                while not hung.exists() and proc.poll() is None and time.monotonic() < deadline:
                     time.sleep(0.02)
                 pid = int(pid_file.read_text())
                 proc.send_signal(signum)
@@ -1021,8 +1111,7 @@ class TestExitCodes:
                 assert proc.returncode == 128 + signum
                 assert err == f"stopped by {signum.name}\n"
                 assert not child_running(pid)
-                assert cache.read_text().endswith("\n")
-                assert record_coords(cache) == requests[:100]
+                assert not cache.exists()
             finally:
                 proc.kill()
                 if pid is not None and child_running(pid):

@@ -167,6 +167,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(minimal_config(levels={"min": 3, "max": 1}))
 
+    def test_uniform_inputs_take_any_level(self):
+        """The Hermite level bound leaves uniform-only problems as they are."""
+        reference = {"kind": "pce", "model": "hf", "w": 12}
+        cfg = parse_config(minimal_config(levels={"min": 1, "max": 12}, reference=reference))
+        assert (cfg.levels.max, cfg.reference.w) == (12, 12)
+
     @pytest.mark.parametrize("key", ["rt_values", "levles"])
     def test_unknown_top_level_key(self, key):
         data = minimal_config(**{key: [0.25, 0.125]})

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -205,13 +206,13 @@ class TestExternal:
         ext.close()
         assert got == pytest.approx(builtin_model("ishigami", "hf").batch(X), rel=1e-12, abs=1e-12)
 
-    def test_stream_reuses_one_process(self):
+    def test_each_stream_batch_reaps_its_own_child(self, spawned):
+        """Each stream batch starts one child, and the child has exited with
+        status 0 when the batch returns, with no close() called."""
         proc = ExternalModel(f"{sys.executable} {SCRIPT}", mode="stream")
-        proc.batch(np.zeros((1, 3)))
-        child = proc._proc
-        proc.batch(np.ones((2, 3)))
-        assert proc._proc is child
-        proc.close()
+        for batch, X in enumerate([np.zeros((1, 3)), np.ones((2, 3))], start=1):
+            assert proc.batch(X) == pytest.approx(builtin_model("ishigami", "hf").batch(X))
+            assert len(spawned) == batch and spawned[-1].returncode == 0
 
     def test_malformed_output(self):
         ext = ExternalModel(f"{sys.executable} -c \"print('bogus')\"")
@@ -301,12 +302,9 @@ class TestOverlappedFaults:
             proc.batch(X)
         assert time.monotonic() - start < 5
         assert f"at node {(float(X[k, 0]),)}" in str(info.value)
-        assert proc._proc is None
         assert len(spawned) == 1 and spawned[0].poll() is not None
         assert proc.batch(X[:3]) == pytest.approx(X[:3, 0])  # a fresh child
-        assert len(spawned) == 2
-        proc.close()
-        assert spawned[1].poll() is not None
+        assert len(spawned) == 2 and spawned[1].returncode == 0
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -340,20 +338,19 @@ class TestOverlappedFaults:
         proc.close()
         assert spawned[0].poll() is not None
 
-    def test_close_drains_a_child_writing_stderr_at_exit(self, tmp_path, spawned):
+    def test_batch_drains_a_child_writing_stderr_at_exit(self, tmp_path, spawned):
         """A stream child that writes 1 MiB to stderr once its input closes
-        exits within the wait, as close() reads its output meanwhile."""
+        exits at once, as the batch reads its stderr while it ends: the
+        batch returns within 2 s, with the child reaped."""
         script = tmp_path / "model.py"
         script.write_text(
             "import sys\nfor line in sys.stdin:\n    print(float(line), flush=True)\n"
             "sys.stderr.write('x' * 2**20)\n"
         )
         proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
-        proc.batch(np.zeros((3, 1)))
         start = time.monotonic()
-        proc.close()
+        assert proc.batch(np.zeros((3, 1))).tolist() == [0.0] * 3
         assert time.monotonic() - start < 2
-        assert proc._proc is None
         assert len(spawned) == 1 and spawned[0].returncode == 0
 
     @pytest.mark.parametrize("mode", ["oneshot", "stream"])
@@ -398,27 +395,69 @@ class TestOverlappedFaults:
             proc.batch(np.array([[0.5], [1.5]]))
         assert all(child.poll() is not None for child in spawned)
 
-    def test_late_line_before_the_next_batch_is_malformed(self, tmp_path, spawned):
+    def test_late_line_fails_its_own_batch(self, tmp_path, spawned):
         """A stream child that answers ``x`` and, 50 ms later, ``x + 100``
-        has its late line found before the next batch's first request,
-        not read as that batch's first reply; the next batch starts a
-        fresh child."""
+        fails the batch: its output is read to its end, where the late
+        line is malformed, and no record is kept. In the next batch, of two
+        rows and with a fresh child, the first late line takes the place of
+        row 1's reply, and the batch fails at the line past its last row."""
         script = tmp_path / "model.py"
         script.write_text(
             "import sys, time\nfor line in sys.stdin:\n    x = float(line)\n"
             "    print(x, flush=True)\n    time.sleep(0.05)\n    print(x + 100, flush=True)\n"
         )
-        proc = ExternalModel(f"{sys.executable} {script}", mode="stream")
-        assert proc.batch(np.array([[1.0]])).tolist() == [1.0]
-        time.sleep(0.2)
-        message = rf"malformed response '101\.0' from external model '.*model\.py' after the last reply"
-        with pytest.raises(ModelError, match=message):
-            proc.batch(np.array([[2.0], [3.0]]))
-        assert proc._proc is None
+        proc = ExternalModel(f"{sys.executable} {script}", mode="stream", id="m")
+        cache = EvalCache(tmp_path / "cache.tsv")
+        with pytest.raises(ModelError, match=r"malformed response '101\.0' .*at node \(1\.0,\)"):
+            cache.evaluate_many(proc, np.array([[1.0]]))
         assert len(spawned) == 1 and spawned[0].poll() is not None
-        assert proc.batch(np.array([[4.0]])).tolist() == [4.0]
-        proc.close()
+        with pytest.raises(ModelError, match=r"malformed response '3\.0' .*at node \(3\.0,\)"):
+            proc.batch(np.array([[2.0], [3.0]]))
         assert len(spawned) == 2 and spawned[1].poll() is not None
+        assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
+
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    def test_exit_status_1_after_the_last_reply_fails_the_batch(self, tmp_path, spawned, mode):
+        """A child that answers every row and then exits 1 fails its batch,
+        quoting its stderr, and leaves no cache record."""
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n    print(float(line), flush=True)\n"
+            "sys.exit('exit after the replies')\n"
+        )
+        proc = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
+        message = r"at node \(1\.0,\): exit status 1; stderr: exit after the replies$"
+        with pytest.raises(ModelError, match=message):
+            EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, np.array([[1.0]]))
+        assert not (tmp_path / "cache.tsv").exists()
+        assert spawned and all(child.poll() is not None for child in spawned)
+
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    @pytest.mark.parametrize(
+        "linger", ["time.sleep(60)", "os.close(1); os.close(2); time.sleep(60)"],
+        ids=["output_open", "output_closed"],
+    )
+    def test_lingering_child_is_killed_and_its_replies_stand(
+        self, tmp_path, monkeypatch, spawned, mode, linger
+    ):
+        """A child that answers every row and then does not exit, its output
+        open or closed, is killed once the linger bound has passed (0.2 s
+        here, 10 s as shipped), and its values are returned and kept on
+        file."""
+        monkeypatch.setattr(models, "_LINGER_S", 0.2)
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import os, sys, time\nfor line in sys.stdin:\n    print(float(line), flush=True)\n"
+            f"{linger}\n"
+        )
+        X = np.arange(3.0)[:, None]
+        proc = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
+        start = time.monotonic()
+        assert EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, X).tolist() == [0.0, 1.0, 2.0]
+        assert time.monotonic() - start < 5
+        assert spawned and all(child.returncode == -signal.SIGKILL for child in spawned)
+        assert EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, X).tolist() == [0.0, 1.0, 2.0]
+        assert len(spawned) == (3 if mode == "oneshot" else 1)
 
 
 def tuple_keys(X):
