@@ -44,7 +44,7 @@ from .study import (
     report_file,
     run_convergence,
     write_convergence_csv,
-    write_decay_csv,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -110,7 +110,9 @@ def _load(args) -> tuple[StudyConfig, Path]:
     return cfg, Path(args.out or cfg.output)
 
 
-def _report_payload(report: SobolReport, variables) -> dict:
+def _write_report(path: Path, report: SobolReport, variables, **extra) -> None:
+    """``report`` as an indented JSON object, its indices named by
+    ``variables``, with the fields ``extra`` last."""
     names = [v.name for v in variables]
     payload = {
         "mean": report.mean,
@@ -127,7 +129,8 @@ def _report_payload(report: SobolReport, variables) -> dict:
         payload["first_order_se"] = list(report.first_order_se)
     if report.total_se is not None:
         payload["total_se"] = list(report.total_se)
-    return payload
+    with report_file(path) as fh:
+        fh.write(json.dumps({**payload, **extra}, indent=2) + "\n")
 
 
 def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
@@ -148,30 +151,22 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    cache = EvalCache(cfg.cache)
-    with cfg.open_models() as models:
-        built = build_scheme(scheme, args.w, cfg.variables, models, cache)
+    built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
     report = all_indices(built.expansion)
     stem = f"sobol_{scheme.name}_w{args.w}"
-    payload = _report_payload(report, cfg.variables)
-    payload["scheme"] = scheme.label(args.w)
-    payload["n_hf"] = built.n_hf
-    payload["n_lf"] = built.n_lf
-    with report_file(out / f"{stem}.json") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-    with report_file(out / f"{stem}_totals.csv") as fh:
-        fh.write("variable,total_index\n")
-        for v, t in zip(cfg.variables, report.total_indices):
-            fh.write(f"{v.name},{t:.12g}\n")
+    paid = {"scheme": scheme.label(args.w), "n_hf": built.n_hf, "n_lf": built.n_lf}
+    _write_report(out / f"{stem}.json", report, cfg.variables, **paid)
+    totals = zip([v.name for v in cfg.variables], report.total_indices)
+    write_csv(out / f"{stem}_totals.csv", ["variable", "total_index"], totals)
     print(f"wrote {out / stem}.json and {stem}_totals.csv")
     return EXIT_OK
 
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
-    with cfg.open_models() as models:
-        reference = build_reference(cfg, models)
-        out.mkdir(parents=True, exist_ok=True)
-        rows = run_convergence(cfg, models, reference)
+    models = cfg.open_models()
+    reference = build_reference(cfg, models)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = run_convergence(cfg, models, reference)
     path = out / "convergence.csv"
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -181,19 +176,17 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    cache = EvalCache(cfg.cache)
-    with cfg.open_models() as models:
-        built = build_scheme(scheme, args.w, cfg.variables, models, cache)
-        expansions = [built.expansion]
-        if built.lf_expansion is not None:
-            expansions = [built.lf_expansion, built.correction, built.expansion]
-            # the HF spectrum at the correction level, from the correction's HF values
-            hf_scheme = SchemeSpec(scheme.name, "hf", scheme.hf)
-            hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
-            expansions.append(hf_built.expansion)
-    rows = decay_report(expansions)
+    cache, models = EvalCache(cfg.cache), cfg.open_models()
+    built = build_scheme(scheme, args.w, cfg.variables, models, cache)
+    expansions = [built.expansion]
+    if built.lf_expansion is not None:
+        expansions = [built.lf_expansion, built.correction, built.expansion]
+        # the HF spectrum at the correction level, from the correction's HF values
+        hf_scheme = SchemeSpec(scheme.name, "hf", scheme.hf)
+        hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
+        expansions.append(hf_built.expansion)
     path = out / f"decay_{scheme.name}_w{args.w}.csv"
-    write_decay_csv(rows, path)
+    write_csv(path, ["provenance", "rank", "abs_coeff"], decay_report(expansions))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -203,15 +196,10 @@ def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
     if args.model not in [binding.id for binding in cfg.models]:
         raise ConfigError(f"unknown model {args.model!r}")
     out.mkdir(parents=True, exist_ok=True)
-    with cfg.open_models() as models:
-        report = mc_sobol(models[args.model], cfg.variables, args.n, cfg.validation.seed)
-    payload = _report_payload(report, cfg.variables)
-    payload["model"] = args.model
-    payload["n"] = args.n
-    payload["seed"] = cfg.validation.seed
+    seed = cfg.validation.seed
+    report = mc_sobol(cfg.open_models()[args.model], cfg.variables, args.n, seed)
     path = out / f"mc_{args.model}_n{args.n}.json"
-    with report_file(path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    _write_report(path, report, cfg.variables, model=args.model, n=args.n, seed=seed)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import shlex
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, make_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import yaml
 
-from .models import BENCHMARK_SPECS, ExternalModel, Model, builtin_model
+from .models import BENCHMARK_SPECS, BUILTINS, ExternalModel, Model
 from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
 from .study import SchemeSpec, build_scheme, ishigami_analytic
@@ -308,25 +307,18 @@ class StudyConfig:
     output: str
     cache: str | None
 
-    @contextmanager
-    def open_models(self):
-        """The models by id, closed when the block ends, on success or on
-        error. Closing ends nothing: each batch of an :class:`ExternalModel`
-        reaps the children it started before it returns. :func:`parse_config`
-        has checked every builtin, so opening them cannot fail."""
-        models: dict[str, Model | ExternalModel] = {}
-        for binding in self.models:
-            if binding.builtin is not None:
-                problem, _, fidelity = binding.builtin.partition("/")
-                models[binding.id] = Model(binding.id, builtin_model(problem, fidelity).fn)
-            else:
-                mode = binding.mode or "oneshot"
-                models[binding.id] = ExternalModel(binding.command, mode, binding.id)
-        try:
-            yield models
-        finally:
-            for model in models.values():
-                model.close()
+    def open_models(self) -> dict[str, Model | ExternalModel]:
+        """The models by id: a builtin is a :class:`Model` of its
+        :data:`~mfpce.models.BUILTINS` function, which :func:`parse_config`
+        has checked, and a command an :class:`ExternalModel`. Opening one
+        starts nothing and there is nothing to close: each external batch
+        reaps the children it started before it returns."""
+        return {
+            binding.id: Model(binding.id, BUILTINS[binding.builtin])
+            if binding.builtin is not None
+            else ExternalModel(binding.command, binding.mode or "oneshot", binding.id)
+            for binding in self.models
+        }
 
     def scheme(self, name: str) -> SchemeSpec:
         for s in self.schemes:
@@ -356,11 +348,9 @@ def parse_config(data) -> StudyConfig:
         unread = [key for key in ("mode", "fidelity") if getattr(binding, key) is not None]
         if unread:
             raise ConfigError(f"model {binding.id!r}: a builtin model takes no {', '.join(unread)}")
-        problem, _, fidelity = binding.builtin.partition("/")
-        try:
-            builtin_model(problem, fidelity)
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from None
+        if binding.builtin not in BUILTINS:
+            raise ConfigError(f"unknown builtin model {binding.builtin!r}")
+        problem = binding.builtin.partition("/")[0]
         inputs, variables = len(BENCHMARK_SPECS[problem]), len(fields["variables"])
         if inputs != variables:
             raise ConfigError(

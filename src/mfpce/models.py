@@ -1,11 +1,15 @@
 """Benchmark model families, an external black-box adapter, and the shared
 evaluation cache used for cost accounting.
 
-Three builtin families ship with their study input distributions:
+Three builtin families ship with their study input distributions, and
+:data:`BUILTINS` names each of their variants once, by ``problem/variant``:
 
 * ``borehole`` -- 8 uniform inputs, one LF variant.
 * ``ishigami`` -- 3 uniform inputs on ``[-pi, pi]``, three LF variants.
 * ``short_column`` -- 2 uniform + 3 normal inputs, five LF variants.
+
+A model has an ``id`` and a ``batch``, and nothing to start or end: a
+builtin runs in this process, and an external batch reaps its own children.
 
 External executables are wrapped through a line-oriented wire protocol:
 one request line of space-separated physical coordinates, one response line
@@ -34,6 +38,7 @@ import subprocess
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -52,7 +57,7 @@ class ModelError(RuntimeError):
 @dataclass(frozen=True)
 class Model:
     """A deterministic scalar model run in this process. :class:`ExternalModel`
-    has the same ``id``, ``batch`` and ``close``, and goes wherever it does."""
+    has the same ``id`` and ``batch``, and goes wherever it does."""
 
     id: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -69,9 +74,6 @@ class Model:
         if on_answered is not None:
             on_answered(values, len(X))
         return values
-
-    def close(self) -> None:
-        """Nothing to end: the model runs in this process."""
 
 
 # --- borehole ---------------------------------------------------------------
@@ -122,14 +124,6 @@ def ishigami_fn(X: np.ndarray, a: float = 7.0, b: float = 0.1, offset: float = 0
     return np.sin(x1) + a * np.sin(x2) ** 2 + b * x3**4 * np.sin(x1) + offset
 
 
-_ISHIGAMI_VARIANTS = {
-    "hf": dict(a=7.0, b=0.1),
-    "lf1": dict(a=7.3, b=0.08),
-    "lf2": dict(a=7.3, b=0.04),
-    "lf3": dict(a=7.3, b=0.04, offset=0.02),
-}
-
-
 # --- short column -----------------------------------------------------------
 
 SHORT_COLUMN_SPECS = [
@@ -141,20 +135,24 @@ SHORT_COLUMN_SPECS = [
 ]
 
 
-def _short_column(X: np.ndarray, variant: str) -> np.ndarray:
+#: The columns of the load ``P`` and the moment ``M`` in a short-column node.
+_P, _M = 2, 3
+
+
+def _short_column(X: np.ndarray, moment: int = _M, load: int = _P, k: float = 0.0) -> np.ndarray:
+    """The limit state ``1 - 4 M / (b h^2 Y) - (P / (b h Y))^2``, with ``M``
+    read from column ``moment`` and ``P`` from column ``load``, minus
+    ``k (P - M) / (b h Y)`` for a non-zero ``k``."""
     b, h, P, M, Y = X.T
     if np.any(b * h * Y == 0):
         bad = X[b * h * Y == 0][0]
         raise ModelError(f"short_column division by zero at node {tuple(bad)}")
-    base = 1.0 - 4.0 * M / (b * h**2 * Y) - (P / (b * h * Y)) ** 2
-    if variant == "hf":
-        return base
-    if variant == "lf1":
-        return 1.0 - 4.0 * P / (b * h**2 * Y) - (P / (b * h * Y)) ** 2
-    if variant == "lf2":
-        return 1.0 - 4.0 * M / (b * h**2 * Y) - (M / (b * h * Y)) ** 2
-    k = {"lf3": 4.0, "lf4": 0.4, "lf5": 40.0}[variant]
-    return base - k * (P - M) / (b * h * Y)
+    value = 1.0 - 4.0 * X[:, moment] / (b * h**2 * Y) - (X[:, load] / (b * h * Y)) ** 2
+    return value - k * (P - M) / (b * h * Y) if k else value
+
+
+#: The ``k`` of the short-column variants that shift the HF limit state.
+_SHORT_COLUMN_K = {"lf3": 4.0, "lf4": 0.4, "lf5": 40.0}
 
 
 # --- registry ---------------------------------------------------------------
@@ -165,21 +163,28 @@ BENCHMARK_SPECS = {
     "short_column": SHORT_COLUMN_SPECS,
 }
 
+#: Every builtin model's function, by its ``problem/variant`` name. Its
+#: inputs are those of ``BENCHMARK_SPECS[problem]``.
+BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "borehole/hf": borehole_hf,
+    "borehole/lf": borehole_lf,
+    "ishigami/hf": ishigami_fn,
+    "ishigami/lf1": partial(ishigami_fn, a=7.3, b=0.08),
+    "ishigami/lf2": partial(ishigami_fn, a=7.3, b=0.04),
+    "ishigami/lf3": partial(ishigami_fn, a=7.3, b=0.04, offset=0.02),
+    "short_column/hf": _short_column,
+    "short_column/lf1": partial(_short_column, moment=_P),
+    "short_column/lf2": partial(_short_column, load=_M),
+    **{f"short_column/{v}": partial(_short_column, k=k) for v, k in _SHORT_COLUMN_K.items()},
+}
+
 
 def builtin_model(problem: str, fidelity: str) -> Model:
     """Look up a builtin model, e.g. ``builtin_model("ishigami", "lf1")``."""
     key = f"{problem}/{fidelity}"
-    if problem == "borehole" and fidelity in ("hf", "lf"):
-        fn = borehole_hf if fidelity == "hf" else borehole_lf
-        return Model(id=key, fn=fn)
-    if problem == "ishigami" and fidelity in _ISHIGAMI_VARIANTS:
-        params = _ISHIGAMI_VARIANTS[fidelity]
-        return Model(id=key, fn=lambda X, p=params: ishigami_fn(X, **p))
-    if problem == "short_column" and (
-        fidelity == "hf" or fidelity in ("lf1", "lf2", "lf3", "lf4", "lf5")
-    ):
-        return Model(id=key, fn=lambda X, v=fidelity: _short_column(X, v))
-    raise KeyError(f"unknown builtin model {key!r}")
+    if key not in BUILTINS:
+        raise KeyError(f"unknown builtin model {key!r}")
+    return Model(id=key, fn=BUILTINS[key])
 
 
 # --- external processes -----------------------------------------------------
@@ -464,7 +469,9 @@ class ExternalModel:
         return values
 
     def close(self) -> None:
-        """Nothing to end: each batch reaps the children it started."""
+        """Nothing to end: each batch reaps the children it started. It is
+        kept only because ``bench/worker.py`` and ``bench/selftest.py`` call
+        it; :class:`Model` has no ``close``."""
 
 
 # --- evaluation cache -------------------------------------------------------

@@ -339,18 +339,16 @@ def report_file(path):
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+def write_csv(path, header, rows) -> None:
+    """The report file ``path``: the column names ``header``, then one line
+    per row of ``rows``, each float to 12 significant digits and anything
+    else by ``str``, written through :func:`report_file`."""
+    with report_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def write_convergence_csv(rows, path) -> None:
-    """One line per :class:`ConvergenceRow`, its fields in order; a float
-    is written to 12 significant digits."""
-    with report_file(path) as fh:
-        fh.write(",".join(f.name for f in fields(ConvergenceRow)) + "\n")
-        for r in rows:
-            cells = (f"{v:.12g}" if isinstance(v, float) else str(v) for v in astuple(r))
-            fh.write(",".join(cells) + "\n")
-
-
-def write_decay_csv(rows, path) -> None:
-    with report_file(path) as fh:
-        fh.write("provenance,rank,abs_coeff\n")
-        for provenance, rank, mag in rows:
-            fh.write(f"{provenance},{rank},{mag:.12g}\n")
+    """One line per :class:`ConvergenceRow`, its fields in order, by :func:`write_csv`."""
+    write_csv(path, [f.name for f in fields(ConvergenceRow)], map(astuple, rows))

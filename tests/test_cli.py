@@ -205,9 +205,18 @@ class TestConvergeCommand:
     @pytest.mark.parametrize("name", ["ishigami", "borehole"])
     def test_shipped_config_reproduces_its_pinned_csv(self, tmp_path, name):
         """``converge --seed 7`` on a shipped config writes, byte for byte,
-        the ``convergence.csv`` kept in ``tests/data`` (written with numpy
-        2.4 and OpenBLAS on x86-64). A printed digit that moves is a change
-        in the numbers, to be explained or mended."""
+        the ``convergence.csv`` kept in ``tests/data``.
+
+        The pin's contract: the files hold byte for byte on x86-64 under
+        OpenBLAS's ``SkylakeX`` and ``SapphireRapids`` kernels with numpy
+        2.4.6's AVX-512 dispatch, where they were written. Under the
+        ``Haswell``, ``Zen``, ``Sandybridge``, ``Nehalem`` and ``Prescott``
+        kernels both cases fail: the fields formed as differences of
+        nearly equal numbers move in their last printed digits or below
+        1e-14 (ishigami ``hf,4`` ``e`` and ``e_t`` and ``hf,5`` ``mare``,
+        ``e`` and ``e_t``; borehole ``hf,3`` ``e`` and ``e_t`` and ``mf1,3``
+        ``e_t``). On a host of the pinned kind, a printed digit that moves
+        is a change in the numbers, to be explained or mended."""
         root = Path(__file__).resolve().parent
         config = root.parent / "configs" / f"{name}.yaml"
         argv = ["--config", str(config), "--out", str(tmp_path), "--seed", "7", "converge"]

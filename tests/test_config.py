@@ -13,7 +13,7 @@ from mfpce.config import (
     load_config,
     parse_config,
 )
-from mfpce.models import builtin_model
+from mfpce.models import BUILTINS, ExternalModel, Model, builtin_model
 from mfpce.orthopoly import Normal, Uniform
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
@@ -241,19 +241,31 @@ class TestRoundTrip:
 
 class TestResolution:
     def test_builtin_models_resolve(self):
+        """``open_models`` returns a plain dict of models under their
+        config ids, each builtin running its :data:`BUILTINS` function;
+        a name with no ``/`` is refused as written."""
         cfg = parse_config(minimal_config())
-        with cfg.open_models() as models:
-            assert set(models) == {"hf", "lf"}
-            assert models["hf"].id == "hf"
-            assert models["lf"].id == "lf"
-            x = np.array([[0.3, -1.2, 2.0]])
-            assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
+        models = cfg.open_models()
+        assert type(models) is dict and set(models) == {"hf", "lf"}
+        assert (models["hf"].id, models["lf"].id) == ("hf", "lf")
+        assert models["lf"].fn is BUILTINS["ishigami/lf1"]
+        x = np.array([[0.3, -1.2, 2.0]])
+        assert models["lf"].batch(x) == builtin_model("ishigami", "lf1").batch(x)
+        assert not hasattr(models["hf"], "close")
+        data = minimal_config(models=[{"id": "hf", "builtin": "ishigami"}])
+        with pytest.raises(ConfigError, match="^unknown builtin model 'ishigami'$"):
+            parse_config(data)
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_shipped_config_loads_and_resolves(self, path):
+        """Every model of a shipped config opens as its kind, in config
+        order, and every scheme's models are among them."""
         cfg = load_config(path)
-        with cfg.open_models() as models:
-            assert list(models) == [binding.id for binding in cfg.models]
+        models = cfg.open_models()
+        assert list(models) == [binding.id for binding in cfg.models]
+        for binding in cfg.models:
+            kind = Model if binding.builtin is not None else ExternalModel
+            assert type(models[binding.id]) is kind
         for scheme in cfg.schemes:
             assert {scheme.hf, scheme.lf} - {None} <= models.keys()
 
@@ -276,8 +288,7 @@ class TestResolution:
 class TestReference:
     def test_analytic(self):
         cfg = parse_config(minimal_config())
-        with cfg.open_models() as models:
-            report = build_reference(cfg, models)
+        report = build_reference(cfg, cfg.open_models())
         assert report.n == 3
         assert sum(report.subset_indices.values()) == pytest.approx(1.0)
 
@@ -285,8 +296,7 @@ class TestReference:
         cfg = parse_config(
             minimal_config(reference={"kind": "pce", "model": "hf", "w": 3})
         )
-        with cfg.open_models() as models:
-            report = build_reference(cfg, models)
+        report = build_reference(cfg, cfg.open_models())
         assert report.n == 3
 
     def test_mc(self):
@@ -295,6 +305,5 @@ class TestReference:
                 reference={"kind": "mc", "model": "hf", "n": 2048, "seed": 5}
             )
         )
-        with cfg.open_models() as models:
-            report = build_reference(cfg, models)
+        report = build_reference(cfg, cfg.open_models())
         assert report.first_order_se is not None

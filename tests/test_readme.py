@@ -50,8 +50,8 @@ def test_config_tables_name_every_schema_key():
 
 def test_example_config_loads_and_opens_its_models(monkeypatch):
     """The YAML example of "Study configuration" parses, and its models,
-    builtin and command, open and close with no model run and no child
-    started."""
+    builtin and command, open as a plain dict with no model run and no
+    child started; neither kind has anything to close."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Study configuration", 1)[1]
     data = yaml.safe_load(re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1))
@@ -59,8 +59,8 @@ def test_example_config_loads_and_opens_its_models(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: ran.append(args))
     for cls in (Model, ExternalModel):
         monkeypatch.setattr(cls, "batch", lambda self, X, on_answered=None: ran.append(self.id))
-    cfg = parse_config(data)
-    with cfg.open_models() as models:
-        assert list(models) == ["hf", "lf", "ext"]
-        assert (models["ext"].id, models["ext"].mode) == ("ext", "stream")
+    models = parse_config(data).open_models()
+    assert type(models) is dict and list(models) == ["hf", "lf", "ext"]
+    assert (models["ext"].id, models["ext"].mode) == ("ext", "stream")
+    assert not hasattr(models["hf"], "close")
     assert ran == []

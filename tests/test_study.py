@@ -23,7 +23,7 @@ from mfpce.study import (
     run_convergence,
     sobol_errors,
     write_convergence_csv,
-    write_decay_csv,
+    write_csv,
 )
 
 
@@ -325,8 +325,8 @@ class TestRunConvergence:
                 "validation": {"count": 5000, "seed": 11},
             }
         )
-        with cfg.open_models() as models:
-            rows = run_convergence(cfg, models, build_reference(cfg, models))
+        models = cfg.open_models()
+        rows = run_convergence(cfg, models, build_reference(cfg, models))
 
         reference = ishigami_analytic(7.0, 0.1)
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -397,8 +397,8 @@ class TestRunConvergence:
                 "validation": {"count": 100},
             }
         )
-        with cfg.open_models() as models:
-            run_convergence(cfg, models, build_reference(cfg, models))
+        models = cfg.open_models()
+        run_convergence(cfg, models, build_reference(cfg, models))
         misses = grid_plan.cache_info().misses
         grid_plan(3, (PolyFamily.LEGENDRE,) * 8)
         assert grid_plan.cache_info().misses == misses + 1
@@ -432,12 +432,25 @@ class TestDecay:
 
 
 class TestCsvWriters:
-    def test_decay_csv(self, tmp_path):
-        path = tmp_path / "decay.csv"
-        write_decay_csv([("HF", 1, 2.5), ("HF", 2, 0.25)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "provenance,rank,abs_coeff"
-        assert lines[1] == "HF,1,2.5"
+    def test_write_csv(self, tmp_path):
+        """The one writer of the convergence, decay and totals csv files:
+        the header, then each float to 12 significant digits (a numpy
+        float too) and anything else by ``str``."""
+        row = ConvergenceRow("mf", 3, 2, 7, 31, 7, 10.875, 1 / 3, 0.5, 2e-16, 0.0, 3.5, 2 / 3)
+        cases = [
+            ("decay", ["provenance", "rank", "abs_coeff"], [("HF", 1, 2.5), ("HF", 2, 0.25)],
+             ["provenance,rank,abs_coeff", "HF,1,2.5", "HF,2,0.25"]),
+            ("totals", ["variable", "total_index"], zip(["x1", "x2"], np.array([1 / 3, 1e-20])),
+             ["variable,total_index", "x1,0.333333333333", "x2,1e-20"]),
+            ("convergence", [f.name for f in dataclasses.fields(row)], [dataclasses.astuple(row)],
+             ["scheme,w,q,n_hf,n_lf,n_e,n_tot,mare,r2,e,e_t,mean,std",
+              "mf,3,2,7,31,7,10.875,0.333333333333,0.5,2e-16,0,3.5,0.666666666667"]),
+        ]
+        for name, header, rows, lines in cases:
+            write_csv(tmp_path / f"{name}.csv", header, rows)
+            assert (tmp_path / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
+        write_convergence_csv([row], tmp_path / "conv.csv")
+        assert (tmp_path / "conv.csv").read_bytes() == (tmp_path / "convergence.csv").read_bytes()
 
     def test_convergence_csv_header(self, tmp_path):
         path = tmp_path / "conv.csv"
