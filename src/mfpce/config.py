@@ -337,7 +337,11 @@ def parse_config(data) -> StudyConfig:
         fields["variables"] = tuple(BENCHMARK_SPECS[fields["problem"]])
     models, schemes, reference = fields["models"], fields["schemes"], fields["reference"]
     model_ids = [m.id for m in models]
-    for what, names in (("model ids", model_ids), ("scheme names", [s.name for s in schemes])):
+    for what, names in (
+        ("variable names", [v.name for v in fields["variables"]]),
+        ("model ids", model_ids),
+        ("scheme names", [s.name for s in schemes]),
+    ):
         if len(set(names)) != len(names):
             raise ConfigError(f"{what} must be unique, got {names}")
     for binding in models:

@@ -10,6 +10,8 @@ Three builtin families ship with their study input distributions, and
 
 A model has an ``id`` and a ``batch``, and nothing to start or end: a
 builtin runs in this process, and an external batch reaps its own children.
+Either returns finite values or raises :class:`ModelError`: a builtin's
+nan or inf names its first such node, before any of the batch is kept.
 
 External executables are wrapped through a line-oriented wire protocol:
 one request line of space-separated physical coordinates, one response line
@@ -23,7 +25,9 @@ rule: each output line answers the next row, and after the last reply only
 blank lines may follow. A child's replies are final once its output has
 ended and it has exited with status 0. A batch returns its values in row
 order, and a failure raises :class:`ModelError` naming the node and quoting
-the child's stderr tail, with no child of the batch left running.
+the child's stderr tail, with no child of the batch left running. Only an
+external batch imports ``subprocess`` and ``selectors``, so a run of builtin
+models never loads them.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ import contextlib
 import logging
 import math
 import os
-import selectors
 import shlex
-import subprocess
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -54,6 +56,11 @@ class ModelError(RuntimeError):
     """Model evaluation failure, carrying the offending node coordinates."""
 
 
+def _node(xi) -> tuple:
+    """A node as a tuple of floats, as error messages name it."""
+    return tuple(np.asarray(xi, dtype=float).tolist())
+
+
 @dataclass(frozen=True)
 class Model:
     """A deterministic scalar model run in this process. :class:`ExternalModel`
@@ -65,12 +72,23 @@ class Model:
     def batch(
         self, X: np.ndarray, on_answered: Callable[[np.ndarray, int], None] | None = None
     ) -> np.ndarray:
-        """One value per row of ``X``, else a :class:`ModelError`; then,
-        as in :meth:`ExternalModel.batch`, ``on_answered(values, len(X))``."""
+        """One finite value per row of ``X``, else a :class:`ModelError`
+        naming the shape or the first non-finite node; then, as in
+        :meth:`ExternalModel.batch`, ``on_answered(values, len(X))``. The
+        function runs with numpy's floating-point warnings off: a nan or an
+        inf it makes is this error, not a warning."""
         X = np.atleast_2d(X)
-        values = np.asarray(self.fn(X), dtype=float)
+        with np.errstate(all="ignore"):
+            values = np.asarray(self.fn(X), dtype=float)
         if values.shape != (len(X),):
             raise ModelError(f"model {self.id!r} returned shape {values.shape} for {len(X)} nodes")
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ModelError(
+                f"non-finite output {float(values[row])!r} from model {self.id!r} "
+                f"at node {_node(X[row])}"
+            )
         if on_answered is not None:
             on_answered(values, len(X))
         return values
@@ -97,7 +115,7 @@ def _borehole(X: np.ndarray, numerator: float, offset: float) -> np.ndarray:
     log_ratio = np.log(r_a / r_w)
     if np.any(log_ratio <= 0):
         bad = X[log_ratio <= 0][0]
-        raise ModelError(f"borehole requires r_a > r_w, got node {tuple(bad)}")
+        raise ModelError(f"borehole requires r_a > r_w, got node {_node(bad)}")
     denom = log_ratio * (
         offset + 2.0 * L * T_u / (log_ratio * r_w**2 * K_w) + T_u / T_l
     )
@@ -146,7 +164,7 @@ def _short_column(X: np.ndarray, moment: int = _M, load: int = _P, k: float = 0.
     b, h, P, M, Y = X.T
     if np.any(b * h * Y == 0):
         bad = X[b * h * Y == 0][0]
-        raise ModelError(f"short_column division by zero at node {tuple(bad)}")
+        raise ModelError(f"short_column division by zero at node {_node(bad)}")
     value = 1.0 - 4.0 * X[:, moment] / (b * h**2 * Y) - (X[:, load] / (b * h * Y)) ** 2
     return value - k * (P - M) / (b * h * Y) if k else value
 
@@ -218,11 +236,6 @@ def _quote(line: str, form: Callable[[str], str] = repr) -> str:
     return text + "..." if len(line) > _QUOTE_CHARS else text
 
 
-def _node(xi) -> tuple:
-    """A node as a tuple of floats, as error messages name it."""
-    return tuple(np.asarray(xi, dtype=float).tolist())
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: the most oneshot children kept in
     flight, so ``taskset -c 0`` runs them one at a time."""
@@ -249,6 +262,9 @@ class _Child:
 
     def __init__(self, command: str, rows: range, X: np.ndarray, values: np.ndarray, selector):
         """Start ``command`` for the rows ``rows`` of ``X``, whose replies go to ``values``."""
+        import selectors
+        import subprocess
+
         argv, pipe = shlex.split(command), subprocess.PIPE
         self.proc = subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe, bufsize=0)
         self.command, self.rows, self.X, self.values, self.selector = command, rows, X, values, selector
@@ -307,6 +323,8 @@ class _Child:
             self._drop(pipe)
         if self.open:
             return False
+        import subprocess
+
         linger = max(self.deadline - time.monotonic(), 0.0)
         try:
             status = self.proc.wait(None if linger == math.inf else linger)
@@ -413,6 +431,8 @@ class ExternalModel:
         a oneshot row answered out of order waits until the rows below it
         are. It is called once more as the batch ends, on success, on a
         failure and on a stop signal, after the batch's children are reaped."""
+        import selectors
+
         X = np.atleast_2d(np.asarray(X, dtype=float))
         oneshot = self.mode == "oneshot"
         width = _usable_cpus() if oneshot else 1

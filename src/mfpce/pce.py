@@ -266,11 +266,13 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
     block of ``OUTER_POINTS`` points, per axis at the top degree of the
     terms with a non-zero coefficient, and each group's products run over
     inner column blocks of its own width (see :func:`_column_groups`). The
-    tables and every per-block temporary (gathers, matrix products, sums)
-    live in buffers allocated once per call, as does the ``(E,
-    OUTER_POINTS)`` block of outputs, so that a call holds its result (none
-    with ``each_block``), one block's tables and a few
-    ``INNER_BYTES``-sized buffers, whatever the number of points.
+    tables and every per-block temporary live in buffers allocated once
+    per call, as does the ``(E, OUTER_POINTS)`` block of outputs: the prefix
+    products, the sum over the runs, and one scratch that a segment's
+    gathered table rows and then a run's matrix product and its sum take in
+    turn. So a call holds its result (none with ``each_block``), one block's
+    tables and a few ``INNER_BYTES``-sized buffers, whatever the number of
+    points.
     """
     X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
@@ -283,15 +285,16 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
     # Each axis's table goes up to the top degree that a group reads.
     top = e.terms[nonzero.any(axis=1)].max(axis=0)
     tables = [np.empty((int(d) + 1, outer)) for d in top]
-    # One flat buffer per temporary, for the largest of the groups' uses:
-    # prefix products, one segment's table rows, one run's matrix product
-    # and two for sums, each of its rows times the group's width.
-    sizes = np.zeros(4, dtype=np.intp)
+    # One flat buffer per temporary, for the largest of the groups' uses,
+    # each of its rows times the group's width: the prefix products, the
+    # sum over the runs, and one scratch shared by a segment's gathered table
+    # rows and a run's matrix product with its sum, never alive together.
+    sizes = np.zeros(3, dtype=np.intp)
     for columns, (steps, made, runs), width in groups:
         segment = max((hi - lo for *_, segments in steps for lo, hi, *_ in segments), default=0)
-        rows = [made, segment, max(len(C) for *_, C in runs), len(columns)]
-        sizes = np.maximum(sizes, width * np.array(rows))
-    products, factors, Z_flat, total, part = (np.empty(size) for size in sizes[[0, 1, 2, 3, 3]])
+        run = max(len(C) for *_, C in runs) + len(columns)
+        sizes = np.maximum(sizes, width * np.array([made, len(columns), max(segment, run)]))
+    products, total, scratch = (np.empty(size) for size in sizes)
 
     values = np.empty((coeffs.shape[1], outer))
     out = None
@@ -322,13 +325,14 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
                     copies = prod[first : first + len(parents)]
                     prod[:first].take(parents, axis=0, out=copies, mode="clip")
                     for lo, hi, degree, used in segments:
-                        factor = _view(factors, hi - lo, b - a)
+                        factor = _view(scratch, hi - lo, b - a)
                         table[:used, a:b].take(degree, axis=0, out=factor, mode="clip")
                         prod[lo:hi] *= factor
-                acc, Z_sum = _view(total, E, b - a), _view(part, E, b - a)
+                acc = _view(total, E, b - a)
                 acc[...] = 0.0
                 for first, stop, d, C in runs:
-                    Z = _view(Z_flat, len(C), b - a)
+                    Z = _view(scratch, len(C), b - a)
+                    Z_sum = _view(scratch[Z.size :], E, b - a)
                     if stop - first < d:
                         np.matmul(C, T[-1][:d, a:b], out=Z)
                         Z = Z.reshape(stop - first, E, b - a)

@@ -223,7 +223,8 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     whole: each block of outputs goes into one :class:`_Scores` per
     distinct truth array, with each column's PCE mean as its shift, so the
     memory does not grow with the number of points times the number of
-    expansions."""
+    expansions. When one truth covers every column, its scores read the
+    block in place; otherwise each truth's columns are gathered from it."""
     if not expansions:
         return []
     united = union(expansions)
@@ -239,7 +240,7 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     def each_block(start, block):
         stop = start + block.shape[1]
         for y, columns, scores in parts:
-            scores.add(y[start:stop], block[columns])
+            scores.add(y[start:stop], block if len(parts) == 1 else block[columns])
 
     evaluate_batch(united, X, each_block=each_block)
     results = [None] * len(expansions)
@@ -261,7 +262,9 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     ``decay`` only. All cells are validated by one :func:`evaluate_batch`
     call on their union, whose r² and MARE are summed block by block (see
     :func:`_prediction_scores`): only the HF truths are held whole, one
-    array per HF model. A sweep with no cells writes no rows.
+    array per HF model. The cells' plans are released from the
+    :func:`~mfpce.sparse_grid.grid_plan` cache before validation, which
+    reads none of them. A sweep with no cells writes no rows.
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
@@ -277,6 +280,8 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
             if w < scheme.q:
                 continue
             cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
+    # Validation reads no grid plan either.
+    grid_plan.cache_clear()
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
         X_val,

@@ -5,13 +5,14 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
 
 from mfpce.cli import main
-from mfpce.models import ISHIGAMI_SPECS, ExternalModel, Model
+from mfpce.models import BENCHMARK_SPECS, ISHIGAMI_SPECS, ExternalModel, Model
 from mfpce.sparse_grid import physical_nodes, smolyak_grid
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
@@ -317,6 +318,37 @@ class TestExitCodes:
             },
         )
         assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 3
+
+    def test_non_finite_builtin_value_is_model_error(self, tmp_path, capsys):
+        """Borehole with ``r_w`` on [-0.15, 0.15] divides by zero and takes
+        logs of negative ratios: exit 3 with one line naming the first
+        non-finite node as floats, no numpy warning, and no cache record."""
+        variables = [
+            {"name": s.name, "dist": "uniform", "a": s.dist.a, "b": s.dist.b}
+            for s in BENCHMARK_SPECS["borehole"]
+        ]
+        variables[0].update(a=-0.15, b=0.15)
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": "borehole",
+                "variables": variables,
+                "models": [{"id": "hf", "builtin": "borehole/hf"}],
+                "schemes": [{"name": "hf", "kind": "hf", "hf": "hf"}],
+                "reference": {"kind": "pce", "model": "hf", "w": 1},
+                "output": str(tmp_path / "out"),
+                "cache": str(tmp_path / "c.tsv"),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model evaluation error: non-finite output nan from model 'hf' at node (")
+        assert err.count("\n") == 1
+        assert "np.float64" not in err and "Traceback" not in err
+        assert not (tmp_path / "c.tsv").exists()
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_malformed_cache_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -732,6 +764,14 @@ class TestExitCodes:
                 "scheme names must be unique, got ['hf', 'hf']",
             ),
             (
+                {
+                    "variables": [
+                        {"name": n, "dist": "uniform", "a": -3.0, "b": 3.0} for n in ("x", "y", "x")
+                    ]
+                },
+                "variable names must be unique, got ['x', 'y', 'x']",
+            ),
+            (
                 {"models": [{"id": "hf", "builtin": "ishigami/hf", "mode": "stream"}]},
                 "model 'hf': a builtin model takes no mode",
             ),
@@ -796,6 +836,7 @@ class TestExitCodes:
             "model_fidelity_not_string",
             "reference_kind_not_string",
             "scheme_names_not_unique",
+            "variable_names_not_unique",
             "builtin_model_mode",
             "builtin_model_fidelity",
             "hf_scheme_q",
@@ -808,9 +849,10 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, overrides, message
     ):
         """A section that is not a mapping, an unknown key in a section, a
-        missing or repeated key, or a value that is not an integer, a finite
-        number, a string, a path or shell words exits 2 with one line
-        naming it, before any model runs."""
+        missing or repeated key or name, or a value that is not an integer,
+        a finite number, a string, a path or shell words exits 2 with one
+        line naming it, before any model runs and before the output
+        directory is created."""
         evaluated = record_batches(monkeypatch)
         cfg = ishigami_config(tmp_path, tmp_path / "out", **overrides)
         assert main(["--config", str(cfg), "converge"]) == 2
@@ -818,6 +860,7 @@ class TestExitCodes:
         assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert evaluated == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["converge"], ["sobol", "--scheme", "hf", "--w", "1"]])
     def test_builtin_dimension_mismatch_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
@@ -1162,11 +1205,28 @@ def test_mfpce_environment_changes_nothing(tmp_path, monkeypatch, capsys):
     assert not env_out.exists()
 
 
+def modules_after(code: str, *args: str) -> set[str]:
+    """The top-level packages in ``sys.modules`` of a fresh interpreter
+    that imports ``mfpce`` from this tree, once it has run ``code`` with
+    ``args`` as ``sys.argv[1:]``."""
+    probe = f"{code}\nimport sys; print(*sorted({{m.split('.')[0] for m in sys.modules}}))"
+    argv = [sys.executable, "-c", probe, *args]
+    done = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
 def test_import_does_not_load_scipy():
     """The CLI runs on numpy alone: importing it in a fresh interpreter
     loads no SciPy module."""
-    env = child_env()
-    probe = "import sys, mfpce.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert "scipy" not in modules_after("import mfpce.cli")
+
+
+def test_builtin_converge_loads_no_process_machinery(tmp_path):
+    """Only an external batch imports ``subprocess`` and ``selectors``: a
+    fresh interpreter that runs a ``converge`` of builtin models has loaded
+    neither."""
+    cfg = ishigami_config(tmp_path, tmp_path / "out")
+    run = "import sys; from mfpce.cli import main; assert main(['--config', sys.argv[1], 'converge']) == 0"
+    assert not {"subprocess", "selectors"} & modules_after(run, str(cfg))
+    assert (tmp_path / "out" / "convergence.csv").exists()

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,8 @@ class TestBorehole:
 
     def test_invalid_radius_ordering(self):
         x = np.array([[10.0, 5.0, 89650.0, 1050.0, 89.55, 760.0, 1400.0, 10950.0]])
-        with pytest.raises(ModelError):
+        node = "(10.0, 5.0, 89650.0, 1050.0, 89.55, 760.0, 1400.0, 10950.0)"
+        with pytest.raises(ModelError, match=re.escape(f"r_a > r_w, got node {node}")):
             borehole_hf(x)
 
 
@@ -138,7 +140,8 @@ class TestShortColumn:
             assert lf.batch(x)[0] == pytest.approx(0.35 - k * (500 - 2000) / 1000)
 
     def test_division_by_zero_guard(self):
-        with pytest.raises(ModelError):
+        node = "(10.0, 20.0, 500.0, 2000.0, 0.0)"
+        with pytest.raises(ModelError, match=re.escape(f"division by zero at node {node}")):
             builtin_model("short_column", "hf").batch(
                 np.array([[10.0, 20.0, 500.0, 2000.0, 0.0]])
             )
@@ -191,6 +194,25 @@ class TestBatchContract:
         cache = EvalCache(tmp_path / "cache.tsv")
         with pytest.raises(ModelError, match=re.escape(message)):
             cache.evaluate_many(model, X)
+        assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_before_any_record(self, tmp_path, bad):
+        """A builtin that makes a nan or an inf raises :class:`ModelError`
+        naming its first such node, with no numpy warning, reports nothing
+        and leaves no cache record."""
+        X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        model, reports = Model(id="m", fn=lambda X: X[:, 0] / X[:, 1] * bad), []
+        message = f"non-finite output {bad!r} from model 'm' at node (1.0, 0.0)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=re.escape(message)):
+                model.batch(X, on_answered=lambda v, stop: reports.append(stop))
+            assert reports == []
+            cache = EvalCache(tmp_path / "cache.tsv")
+            with pytest.raises(ModelError, match=re.escape(message)):
+                cache.evaluate_many(model, X)
         assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
 
 

@@ -528,7 +528,8 @@ class TestEvaluation:
     def test_union_memory_is_one_block_of_tables(self):
         # The ishigami sweep's 14 cells at 100k points, in one call: the
         # outputs, one outer block's 1D tables at the top degree (63 rows a
-        # axis) and the per-call scratch, each buffer about INNER_BYTES.
+        # axis) and the per-call scratch, 1.25 INNER_BYTES measured: the
+        # gathered table rows and the matrix products share one buffer.
         cells = _ishigami_cells()
         united = union(cells)
         X = _sample(united.specs, 100_000)
@@ -542,7 +543,7 @@ class TestEvaluation:
             tracemalloc.stop()
         assert out.shape == (100_000, 14)
         assert peak >= outputs + tables
-        assert peak < outputs + tables + 3 * INNER_BYTES
+        assert peak < outputs + tables + 1.5 * INNER_BYTES
 
     def test_unequal_coefficient_vectors_rejected(self):
         specs = (VariableSpec("u", Uniform(-1.0, 1.0)),)
