@@ -1,7 +1,7 @@
 """Variance-based global sensitivity analysis with single- and
 multi-fidelity polynomial chaos expansions on Smolyak sparse grids."""
 
-from .mf import BuiltScheme, build_mf_parts
+from .mf import BuiltScheme, build_mf_parts, fit
 from .models import EvalCache, ExternalModel, Model, ModelError, builtin_model
 from .orthopoly import (
     GaussRule,
@@ -29,6 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BuiltScheme",
     "build_mf_parts",
+    "fit",
     "EvalCache",
     "ExternalModel",
     "Model",

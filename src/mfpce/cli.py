@@ -10,7 +10,8 @@ Subcommands, after the global flags::
 Global flags: ``--config`` (required), ``--out`` (default: the config's
 ``output``) and ``--seed`` (default: the config's validation seed, which
 ``converge`` and ``mc-check`` draw from). Nothing is read from the
-environment.
+environment. Each command creates ``--out`` just before its first report,
+so a command that fails before it leaves no ``--out`` it did not find.
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple[StudyConfig, Path]:
     """The config with ``--seed`` applied, and the output directory, which
-    each command creates once it has checked its own arguments."""
+    each command creates just before its first report write."""
     if not args.config:
         raise ConfigError("no config given (use --config)")
     cfg = load_config(args.config)
@@ -150,11 +151,11 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
     report = all_indices(built.expansion)
     stem = f"sobol_{scheme.name}_w{args.w}"
     paid = {"scheme": scheme.label(args.w), "n_hf": built.n_hf, "n_lf": built.n_lf}
+    out.mkdir(parents=True, exist_ok=True)
     _write_report(out / f"{stem}.json", report, cfg.variables, **paid)
     totals = zip([v.name for v in cfg.variables], report.total_indices)
     write_csv(out / f"{stem}_totals.csv", ["variable", "total_index"], totals)
@@ -165,9 +166,9 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
     models = cfg.open_models()
     reference = build_reference(cfg, models)
-    out.mkdir(parents=True, exist_ok=True)
     rows = run_convergence(cfg, models, reference)
     path = out / "convergence.csv"
+    out.mkdir(parents=True, exist_ok=True)
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -175,18 +176,11 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     scheme = _scheme(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
-    cache, models = EvalCache(cfg.cache), cfg.open_models()
-    built = build_scheme(scheme, args.w, cfg.variables, models, cache)
-    expansions = [built.expansion]
-    if built.lf_expansion is not None:
-        expansions = [built.lf_expansion, built.correction, built.expansion]
-        # the HF spectrum at the correction level, from the correction's HF values
-        hf_scheme = SchemeSpec(scheme.name, "hf", scheme.hf)
-        hf_built = build_scheme(hf_scheme, args.w - scheme.q, cfg.variables, models, cache)
-        expansions.append(hf_built.expansion)
+    built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
+    parts = [built.lf_expansion, built.correction, built.expansion, built.hf_expansion]
     path = out / f"decay_{scheme.name}_w{args.w}.csv"
-    write_csv(path, ["provenance", "rank", "abs_coeff"], decay_report(expansions))
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(path, ["provenance", "rank", "abs_coeff"], decay_report(p for p in parts if p is not None))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -195,10 +189,10 @@ def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
     sample_count(args.n, "--n")
     if args.model not in [binding.id for binding in cfg.models]:
         raise ConfigError(f"unknown model {args.model!r}")
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg.validation.seed
     report = mc_sobol(cfg.open_models()[args.model], cfg.variables, args.n, seed)
     path = out / f"mc_{args.model}_n{args.n}.json"
+    out.mkdir(parents=True, exist_ok=True)
     _write_report(path, report, cfg.variables, model=args.model, n=args.n, seed=seed)
     print(f"wrote {path}")
     return EXIT_OK

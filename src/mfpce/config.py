@@ -18,10 +18,11 @@ from typing import Callable
 
 import yaml
 
-from .models import BENCHMARK_SPECS, BUILTINS, ExternalModel, Model
+from .mf import fit
+from .models import BENCHMARK_SPECS, BUILTINS, EvalCache, ExternalModel, Model
 from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
-from .study import SchemeSpec, build_scheme, ishigami_analytic
+from .study import SchemeSpec, ishigami_analytic
 
 
 class ConfigError(ValueError):
@@ -391,15 +392,13 @@ def config_to_dict(cfg: StudyConfig) -> dict:
 
 def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
     """Reference Sobol report named by the config: the analytic Ishigami
-    decomposition, a high-level PCE of one model, or a seeded Monte Carlo
-    run."""
+    decomposition, a high-level PCE of one model (one :func:`~mfpce.mf.fit`
+    on a fresh in-memory cache), or a seeded Monte Carlo run."""
     ref = cfg.reference
     if ref.kind == "analytic":
         if len(cfg.variables) != 3:
             raise ConfigError(f"the analytic reference needs 3 variables, got {len(cfg.variables)}")
         return ishigami_analytic(ref.a, ref.b)
     if ref.kind == "pce":
-        scheme = SchemeSpec(name="__reference__", kind="hf", hf=ref.model)
-        built = build_scheme(scheme, ref.w, cfg.variables, models)
-        return all_indices(built.expansion)
+        return all_indices(fit(models[ref.model], ref.w, cfg.variables, EvalCache(), "HF"))
     return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed)

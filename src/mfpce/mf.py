@@ -1,10 +1,11 @@
 """Additive multi-fidelity expansion construction.
 
-The multi-fidelity PCE is the LF expansion at sparse level ``w`` plus a
-correction expansion at level ``w - q``, projected from the HF minus LF
-values at the correction grid's nodes. On the bases shared by both index
-sets the coefficients add; outside the correction set the LF coefficients
-pass through unchanged. :func:`build_mf_parts` is that one construction, and
+:func:`fit` projects one model's values on one sparse grid. The
+multi-fidelity PCE is the LF fit at level ``w`` plus a correction at level
+``w - q``. Projection is linear in the node values, so the correction is
+the HF fit minus the LF fit at ``w - q``, and :func:`build_mf_parts` is
+three fits: ``LF(w) + HF(w - q) - LF(w - q)``, where the LF coefficients
+outside the correction's index set pass through unchanged.
 :class:`BuiltScheme` is the result of every build, single- or multi-fidelity.
 """
 
@@ -21,49 +22,47 @@ from .sparse_grid import physical_nodes, row_keys, smolyak_grid
 
 @dataclass(frozen=True)
 class BuiltScheme:
-    """Expansions and evaluation counts of one build. ``n_hf`` and ``n_lf``
-    are what the build paid: nodes already in its cache cost nothing."""
+    """Expansions and evaluation counts of one build. An MF build's parts
+    are the LF fit at ``w`` and the correction and HF fit at ``w - q``.
+    ``n_hf`` and ``n_lf`` are what the build paid: nodes already in its
+    cache cost nothing."""
 
     expansion: Expansion
     lf_expansion: Expansion | None
     correction: Expansion | None
+    hf_expansion: Expansion | None
     n_hf: int
     n_lf: int
 
 
+def fit(model: Model, w: int, specs, cache: EvalCache, provenance: str) -> Expansion:
+    """``model``'s expansion labelled ``provenance``: its values at the
+    level-``w`` sparse grid's nodes, paid through ``cache``, projected."""
+    grid = smolyak_grid(len(specs), w, specs)
+    return project(cache.evaluate_many(model, physical_nodes(grid, specs)), w, specs, provenance)
+
+
 def build_mf_parts(
-    lf_model: Model,
-    hf_model: Model,
-    specs,
-    w: int,
-    q: int,
-    cache: EvalCache | None = None,
+    lf_model: Model, hf_model: Model, specs, w: int, q: int, cache: EvalCache | None = None
 ) -> BuiltScheme:
-    """The LF expansion at level ``w``, the correction at level ``w - q`` and
-    their sum, the combined ``expansion``; needs ``0 <= q <= w``."""
+    """The LF fit at level ``w``, then the HF fit and the correction at
+    level ``w - q``, paid in that order, and their sum, the combined
+    ``expansion``; needs ``0 <= q <= w``."""
     if not 0 <= q <= w:
         raise ValueError(f"need 0 <= q <= w, got w={w}, q={q}")
     specs = tuple(specs)
-    n = len(specs)
     cache = cache if cache is not None else EvalCache()
     hf_before, lf_before = cache.count(hf_model.id), cache.count(lf_model.id)
 
-    lf_grid = smolyak_grid(n, w, specs)
-    lf_values = cache.evaluate_many(lf_model, physical_nodes(lf_grid, specs))
-    lf_exp = project(lf_values, w, specs, provenance="LF")
-
-    cr_nodes = physical_nodes(smolyak_grid(n, w - q, specs), specs)
-    hf_at_cr = cache.evaluate_many(hf_model, cr_nodes)
-    lf_at_cr = cache.evaluate_many(lf_model, cr_nodes)
-    cr_exp = project(hf_at_cr - lf_at_cr, w - q, specs, provenance="Correction")
+    lf_exp = fit(lf_model, w, specs, cache, "LF")
+    hf_exp = fit(hf_model, w - q, specs, cache, "HF")
+    # Both level w - q fits have the one term set of that level's plan.
+    cr_coeffs = hf_exp.coeffs - fit(lf_model, w - q, specs, cache, "LF").coeffs
+    cr_exp = Expansion(specs=specs, terms=hf_exp.terms, coeffs=cr_coeffs, provenance="Correction")
 
     # The level w - q multi-indices are a subset of the level w ones.
     coeffs = lf_exp.coeffs.copy()
-    coeffs[np.searchsorted(row_keys(lf_exp.terms), row_keys(cr_exp.terms))] += cr_exp.coeffs
-    return BuiltScheme(
-        expansion=Expansion(specs=specs, terms=lf_exp.terms, coeffs=coeffs, provenance="Combined"),
-        lf_expansion=lf_exp,
-        correction=cr_exp,
-        n_hf=cache.count(hf_model.id) - hf_before,
-        n_lf=cache.count(lf_model.id) - lf_before,
-    )
+    coeffs[np.searchsorted(row_keys(lf_exp.terms), row_keys(cr_exp.terms))] += cr_coeffs
+    combined = Expansion(specs=specs, terms=lf_exp.terms, coeffs=coeffs, provenance="Combined")
+    n_hf, n_lf = cache.count(hf_model.id) - hf_before, cache.count(lf_model.id) - lf_before
+    return BuiltScheme(combined, lf_exp, cr_exp, hf_exp, n_hf=n_hf, n_lf=n_lf)

@@ -304,23 +304,24 @@ class _Child:
                 self.pending, self.sent = self.pending[:0], self.rows.stop  # its output tells
             if not self.pending and self.sent == self.rows.stop:
                 self._drop(pipe)
-            return False
-        data = os.read(pipe.fileno(), _READ_BYTES)
-        if pipe is self.proc.stderr:
-            self.stderr = (self.stderr + data)[-_READ_BYTES:]
         else:
-            # Only the new bytes are split; the partial line stays short.
-            lines = data.split(b"\n")
-            lines[0] = self.partial + lines[0]
-            self.partial = lines.pop()
-            for line in lines:
-                self._reply(line)
-            if len(self.partial) > _LINE_BYTES:
-                self._reply(self.partial)  # over-long: raises before the line ends
-        if not data:
-            if pipe is self.proc.stdout and self.partial:
-                self._reply(self.partial)  # the end of output ends a last line
-            self._drop(pipe)
+            data = os.read(pipe.fileno(), _READ_BYTES)
+            if pipe is self.proc.stderr:
+                self.stderr = (self.stderr + data)[-_READ_BYTES:]
+            else:
+                # Only the new bytes are split; the partial line stays short.
+                lines = data.split(b"\n")
+                lines[0] = self.partial + lines[0]
+                self.partial = lines.pop()
+                for line in lines:
+                    self._reply(line)
+                if len(self.partial) > _LINE_BYTES:
+                    self._reply(self.partial)  # over-long: raises before the line ends
+            if not data:
+                if pipe is self.proc.stdout and self.partial:
+                    self._reply(self.partial)  # the end of output ends a last line
+                self._drop(pipe)
+        # Any pipe can close last: the input does when the child ended its output unread.
         if self.open:
             return False
         import subprocess

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+import mfpce.mf
 from mfpce.cli import main
-from mfpce.models import BENCHMARK_SPECS, ISHIGAMI_SPECS, ExternalModel, Model
+from mfpce.models import BENCHMARK_SPECS, ISHIGAMI_SPECS, ExternalModel, Model, builtin_model
 from mfpce.sparse_grid import physical_nodes, smolyak_grid
+from mfpce.study import SchemeSpec, build_scheme, decay_report
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
 
@@ -246,14 +248,22 @@ class TestDecayCommand:
             lambda self, X, on_answered=None: rows.update({self.id: len(X)})
             or batch(self, X, on_answered),
         )
+        levels, project = [], mfpce.mf.project
+        monkeypatch.setattr(mfpce.mf, "project", lambda *a: levels.append(a[1]) or project(*a))
         out = tmp_path / "out"
         cfg = ishigami_config(tmp_path, out)
         assert main(["--config", str(cfg), "decay", "--scheme", "mf", "--w", "2"]) == 0
         lines = (out / "decay_mf_w2.csv").read_text().splitlines()
         provenances = {line.split(",")[0] for line in lines[1:]}
         assert provenances == {"LF", "Correction", "Combined", "HF"}
-        # The HF spectrum at w - q = 1 reuses the correction's HF values.
+        # The HF spectrum is the MF build's own HF fit at w - q = 1: three
+        # projections (LF at w, HF and LF at w - q) and the HF values paid once.
+        assert levels == [2, 1, 1]
         assert rows["hf"] == len(smolyak_grid(3, 1, ISHIGAMI_SPECS))
+        models = {"hf": builtin_model("ishigami", "hf")}
+        hf = build_scheme(SchemeSpec("hf", "hf", "hf"), 1, ISHIGAMI_SPECS, models).expansion
+        hf_rows = [f"HF,{rank},{mag:.12g}" for _, rank, mag in decay_report([hf])]
+        assert [line for line in lines if line.startswith("HF,")] == hf_rows
 
 
 class TestMcCheckCommand:
@@ -1006,6 +1016,19 @@ class TestExitCodes:
         assert not out.exists()
         assert spawned and all(child.poll() is not None for child in spawned)
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_model_leaves_no_output_directory(self, tmp_path, capsys, spawned, command):
+        """A command whose HF model exits 1 with no reply ends in exit 3
+        with one line, before its first report, and creates no ``--out``."""
+        models = [{"id": "hf", "command": "false", "mode": "stream"}, {"id": "lf", "builtin": "ishigami/lf1"}]
+        cfg = ishigami_config(tmp_path, tmp_path / "out", models=models)
+        out = tmp_path / "fresh"
+        assert main(["--config", str(cfg), "--out", str(out), *COMMANDS[command]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model evaluation error: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert spawned and all(child.poll() is not None for child in spawned)
+
     @pytest.mark.parametrize("output, code", [("x", 0), ("'nan'", 3)], ids=["ok", "model_error"])
     @pytest.mark.parametrize(
         "argv",
@@ -1074,6 +1097,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "at node (" in err and message in err and err.count("\n") == 1
         assert spawned and all(child.poll() is not None for child in spawned)
+
+    def test_child_that_ends_its_output_unread_is_model_error(self, tmp_path):
+        """A stream child that closes its stdout and stderr, then exits 1
+        without reading a request, while ``converge``'s 2,000 validation
+        requests (about 120 kB) fill its input pipe: its input is the last
+        pipe to close, and the command exits 3 within the child
+        interpreter's 30 s bound, naming the exit status."""
+        script = tmp_path / "model.py"
+        script.write_text("import os, time\nos.close(1)\nos.close(2)\ntime.sleep(0.5)\nos._exit(1)\n")
+        models = [
+            {"id": "hf", "command": f"{sys.executable} {script}", "mode": "stream"},
+            {"id": "lf", "builtin": "ishigami/lf1"},
+        ]
+        cfg = ishigami_config(tmp_path, tmp_path / "out", models=models)
+        argv = [sys.executable, "-m", "mfpce.cli", "--config", str(cfg), "converge"]
+        done = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=30)
+        assert done.returncode == 3
+        assert done.stderr.startswith("model evaluation error: ") and "exit status 1" in done.stderr
 
     @pytest.mark.parametrize("mode", ["oneshot", "stream"])
     def test_over_long_reply_line_is_malformed_at_once(self, tmp_path, capsys, spawned, mode):

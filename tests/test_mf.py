@@ -5,6 +5,7 @@ from mfpce.mf import build_mf_parts, physical_nodes
 from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
 from mfpce.pce import mean, project, variance
 from mfpce.sparse_grid import smolyak_grid
+from mfpce.study import SchemeSpec, build_scheme
 
 
 def shifted(model, offset):
@@ -102,3 +103,53 @@ class TestBuild:
         assert parts.lf_expansion.provenance == "LF"
         assert parts.correction.provenance == "Correction"
         assert parts.expansion.provenance == "Combined"
+
+
+def projected_difference(lf_model, hf_model, specs, w, q):
+    """The MF build with its correction projected from the HF minus LF
+    values at the level ``w - q`` nodes, paid on one fresh cache in the
+    order LF at ``w``, HF and LF at ``w - q``: the combined coefficients
+    and ``(n_hf, n_lf)``."""
+    cache = EvalCache()
+    nodes = lambda level: physical_nodes(smolyak_grid(len(specs), level, specs), specs)  # noqa: E731
+    lf_exp = project(cache.evaluate_many(lf_model, nodes(w)), w, specs)
+    hf_at_cr = cache.evaluate_many(hf_model, nodes(w - q))
+    lf_at_cr = cache.evaluate_many(lf_model, nodes(w - q))
+    correction = project(hf_at_cr - lf_at_cr, w - q, specs)
+    slot = {tuple(term): k for k, term in enumerate(lf_exp.terms.tolist())}
+    coeffs = lf_exp.coeffs.copy()
+    for term, c in zip(correction.terms.tolist(), correction.coeffs):
+        coeffs[slot[tuple(term)]] += c
+    return coeffs, (cache.count(hf_model.id), cache.count(lf_model.id))
+
+
+class TestSumOfFits:
+    """An MF build is ``LF(w) + HF(w - q) - LF(w - q)``: three single-model
+    fits, each bit for bit the single-fidelity build of its level."""
+
+    @pytest.mark.parametrize(
+        "problem,lf_name,w,q",
+        [("ishigami", "lf1", w, q) for w in range(1, 6) for q in (0, 1, 2) if q <= w]
+        + [("borehole", "lf", w, 1) for w in range(1, 4)]
+        + [("short_column", "lf4", 5, 3)],
+    )
+    def test_mf_build_is_a_sum_of_fits(self, problem, lf_name, w, q):
+        specs = tuple(BENCHMARK_SPECS[problem])
+        hf, lf = builtin_model(problem, "hf"), builtin_model(problem, lf_name)
+        models = {"hf": hf, "lf": lf}
+        parts = build_mf_parts(lf, hf, specs, w=w, q=q)
+
+        hf_fit = build_scheme(SchemeSpec("hf", "hf", "hf"), w - q, specs, models).expansion
+        lf_scheme = SchemeSpec("lf", "lf", "hf", lf="lf")
+        lf_fit = build_scheme(lf_scheme, w - q, specs, models).expansion
+        assert parts.hf_expansion.provenance == "HF"
+        assert np.array_equal(parts.hf_expansion.terms, hf_fit.terms)
+        assert np.array_equal(parts.hf_expansion.coeffs, hf_fit.coeffs)
+        lf_at_w = build_scheme(lf_scheme, w, specs, models).expansion
+        assert np.array_equal(parts.lf_expansion.coeffs, lf_at_w.coeffs)
+        assert np.array_equal(parts.correction.terms, lf_fit.terms)
+        assert np.array_equal(parts.correction.coeffs, hf_fit.coeffs - lf_fit.coeffs)
+
+        coeffs, paid = projected_difference(lf, hf, specs, w, q)
+        assert np.abs(parts.expansion.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+        assert (parts.n_hf, parts.n_lf) == paid
