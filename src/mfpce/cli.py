@@ -11,7 +11,10 @@ Global flags: ``--config`` (required), ``--out`` (default: the config's
 ``output``) and ``--seed`` (default: the config's validation seed, which
 ``converge`` and ``mc-check`` draw from). Nothing is read from the
 environment. Each command creates ``--out`` just before its first report,
-so a command that fails before it leaves no ``--out`` it did not find.
+so a command that fails before it leaves no ``--out`` it did not find,
+and each report appears whole or not at all. ``sobol``, ``decay`` and
+``converge`` fit through the config's ``cache``: a ``sobol`` report counts
+what its run paid, and ``convergence.csv`` each cell's cost.
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
@@ -150,11 +153,14 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 
 
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
-    scheme = _scheme(cfg, args)
-    built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
+    scheme, cache = _scheme(cfg, args), EvalCache(cfg.cache)
+    built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), cache)
+    n_hf = 0 if scheme.kind == "lf" else cache.count(scheme.hf)
+    n_lf = 0 if scheme.kind == "hf" else cache.count(scheme.lf)
+    del cache  # what the run paid is read; its store goes before the report is made
     report = all_indices(built.expansion)
     stem = f"sobol_{scheme.name}_w{args.w}"
-    paid = {"scheme": scheme.label(args.w), "n_hf": built.n_hf, "n_lf": built.n_lf}
+    paid = {"scheme": scheme.label(args.w), "n_hf": n_hf, "n_lf": n_lf}
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / f"{stem}.json", report, cfg.variables, **paid)
     totals = zip([v.name for v in cfg.variables], report.total_indices)

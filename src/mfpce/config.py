@@ -393,12 +393,13 @@ def config_to_dict(cfg: StudyConfig) -> dict:
 def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
     """Reference Sobol report named by the config: the analytic Ishigami
     decomposition, a high-level PCE of one model (one :func:`~mfpce.mf.fit`
-    on a fresh in-memory cache), or a seeded Monte Carlo run."""
+    on an :class:`~mfpce.models.EvalCache` of the config's ``cache`` of its
+    own, dropped once the fit is made), or a seeded Monte Carlo run."""
     ref = cfg.reference
     if ref.kind == "analytic":
         if len(cfg.variables) != 3:
             raise ConfigError(f"the analytic reference needs 3 variables, got {len(cfg.variables)}")
         return ishigami_analytic(ref.a, ref.b)
     if ref.kind == "pce":
-        return all_indices(fit(models[ref.model], ref.w, cfg.variables, EvalCache(), "HF"))
+        return all_indices(fit(models[ref.model], ref.w, cfg.variables, EvalCache(cfg.cache), "HF"))
     return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import os
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -17,11 +18,7 @@ from .mf import BuiltScheme, build_mf_parts, fit
 from .models import EvalCache, Model
 from .pce import evaluate_batch, mean, union, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices
-from .sparse_grid import grid_plan
-
-# ``build_scheme`` reaches ``smolyak_grid`` through ``mf.fit``; the name stays in
-# this namespace, where bench/tracer.py and bench/selftest.py expect it.
-from .sparse_grid import smolyak_grid  # noqa: F401
+from .sparse_grid import grid_plan, smolyak_grid
 
 log = logging.getLogger(__name__)
 
@@ -203,17 +200,15 @@ def build_scheme(
     cache: EvalCache | None = None,
 ) -> BuiltScheme:
     """Build the expansion a scheme prescribes at sparse level ``w``: one
-    :func:`~mfpce.mf.fit`, or :func:`~mfpce.mf.build_mf_parts` for ``mf``."""
+    :func:`~mfpce.mf.fit`, which costs the level-``w`` grid's nodes of its
+    model, or :func:`~mfpce.mf.build_mf_parts` for ``mf``."""
     cache = cache if cache is not None else EvalCache()
     if scheme.kind == "mf":
         return build_mf_parts(models[scheme.lf], models[scheme.hf], specs, w, scheme.q, cache)
     model = models[scheme.hf if scheme.kind == "hf" else scheme.lf]
-    before = cache.count(model.id)
     exp = fit(model, w, specs, cache, scheme.kind.upper())
-    paid = cache.count(model.id) - before
-    if scheme.kind == "hf":
-        return BuiltScheme(exp, None, None, None, n_hf=paid, n_lf=0)
-    return BuiltScheme(exp, None, None, None, n_hf=0, n_lf=paid)
+    cost = len(smolyak_grid(len(specs), w, specs))
+    return BuiltScheme(exp, None, None, None, *((cost, 0) if scheme.kind == "hf" else (0, cost)))
 
 
 def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
@@ -258,15 +253,16 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
 
     ``cfg`` is a :class:`mfpce.config.StudyConfig` and ``models`` its open
     models. The plan of a PCE reference, the run's largest grid, is first
-    released from :func:`~mfpce.sparse_grid.grid_plan`'s cache. Each cell
-    is built on a fresh in-memory cache, so each row's counts are that
-    cell's own cost; the config's ``cache`` file is read by ``sobol`` and
-    ``decay`` only. All cells are validated by one :func:`evaluate_batch`
-    call on their union, whose r² and MARE are summed block by block (see
-    :func:`_prediction_scores`): only the HF truths are held whole, one
-    array per HF model. The cells' plans are released from the
-    :func:`~mfpce.sparse_grid.grid_plan` cache before validation, which
-    reads none of them. A sweep with no cells writes no rows.
+    released from :func:`~mfpce.sparse_grid.grid_plan`'s cache. Every cell
+    is built on one :class:`~mfpce.models.EvalCache` of the config's
+    ``cache``, so a node is paid once per run, or once for good with a
+    cache file; each row's counts are its cell's cost, which no cache
+    changes. All cells are validated by one :func:`evaluate_batch` call on
+    their union, whose r² and MARE are summed block by block (see
+    :func:`_prediction_scores`): only the HF truths, paid by the models
+    themselves, are held whole, one array per HF model. The cells' plans
+    and cache are released before validation, which reads none of them. A
+    sweep with no cells writes no rows.
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
@@ -274,16 +270,17 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
     y_true: dict[str, np.ndarray] = {}
 
-    cells = []
+    cache, cells = EvalCache(cfg.cache), []
     for scheme in cfg.schemes:
         if scheme.hf not in y_true:
             y_true[scheme.hf] = models[scheme.hf].batch(X_val)
         for w in range(cfg.levels.min, cfg.levels.max + 1):
             if w < scheme.q:
                 continue
-            cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models)))
-    # Validation reads no grid plan either.
+            cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models, cache)))
+    # Validation reads no grid plan either, nor the cells' cache.
     grid_plan.cache_clear()
+    del cache
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
         X_val,
@@ -292,29 +289,12 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
 
     rows = []
     for (scheme, w, built), (r2, mare) in zip(cells, scores):
-        e, e_t = sobol_errors(all_indices(built.expansion), reference)
-        n_e = built.n_hf if scheme.kind != "lf" else built.n_lf
-        if scheme.rt is not None:
-            n_tot = built.n_hf + scheme.rt * built.n_lf
-        else:
-            n_tot = float(n_e)
-        rows.append(
-            ConvergenceRow(
-                scheme=scheme.name,
-                w=w,
-                q=scheme.q,
-                n_hf=built.n_hf,
-                n_lf=built.n_lf,
-                n_e=n_e,
-                n_tot=n_tot,
-                mare=mare,
-                r2=r2,
-                e=e,
-                e_t=e_t,
-                mean=mean(built.expansion),
-                std=math.sqrt(max(variance(built.expansion), 0.0)),
-            )
-        )
+        exp, n_hf, n_lf = built.expansion, built.n_hf, built.n_lf
+        n_e = n_hf if scheme.kind != "lf" else n_lf
+        n_tot = n_hf + scheme.rt * n_lf if scheme.rt is not None else float(n_e)
+        e, e_t = sobol_errors(all_indices(exp), reference)
+        row = (scheme.name, w, scheme.q, n_hf, n_lf, n_e, n_tot, mare, r2, e, e_t, mean(exp))
+        rows.append(ConvergenceRow(*row, std=math.sqrt(max(variance(exp), 0.0))))
     return rows
 
 
@@ -334,16 +314,19 @@ def decay_report(expansions) -> list[tuple[str, int, float]]:
 
 @contextlib.contextmanager
 def report_file(path):
-    """``path`` opened to write a report. An OS error while it is written,
-    such as a file size limit, removes the partial file and is raised
-    naming ``path``, which a failed write does not."""
-    fh = open(path, "w")
+    """A file to write the report ``path`` under a temporary name beside it,
+    moved into place by ``os.replace``, so that the report appears whole or
+    not at all: any exception, a stop signal too, removes the temporary file.
+    An OS error, such as a file size limit, is raised naming ``path``."""
+    part = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.part")
     try:
-        with fh:
+        with open(part, "w") as fh:
             yield fh
+        os.replace(part, path)
     except OSError as exc:
-        Path(path).unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,4 +1,5 @@
 import collections
+import csv
 import json
 import os
 import signal
@@ -12,10 +13,12 @@ import pytest
 import yaml
 
 import mfpce.mf
-from mfpce.cli import main
-from mfpce.models import BENCHMARK_SPECS, ISHIGAMI_SPECS, ExternalModel, Model, builtin_model
+from mfpce.cli import _Stopped, main
+from mfpce.models import (
+    BENCHMARK_SPECS, ISHIGAMI_SPECS, EvalCache, ExternalModel, Model, builtin_model,
+)
 from mfpce.sparse_grid import physical_nodes, smolyak_grid
-from mfpce.study import SchemeSpec, build_scheme, decay_report
+from mfpce.study import SchemeSpec, build_scheme, decay_report, report_file
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
 
@@ -101,6 +104,20 @@ def record_batches(monkeypatch) -> list:
     for cls in (Model, ExternalModel):
         monkeypatch.setattr(cls, "batch", lambda self, X, on_answered=None: ids.append(self.id))
     return ids
+
+
+def record_paid_rows(monkeypatch) -> list:
+    """Let every builtin batch run, and record ``(model id, rows, through
+    a cache)`` of each: an ``EvalCache`` pays a model with ``on_answered``,
+    and ``converge``'s validation truths are asked of the model without."""
+    calls, batch = [], Model.batch
+
+    def recorded(self, X, on_answered=None):
+        calls.append((self.id, len(X), on_answered is not None))
+        return batch(self, X, on_answered)
+
+    monkeypatch.setattr(Model, "batch", recorded)
+    return calls
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -226,6 +243,53 @@ class TestConvergeCommand:
         assert main(argv) == 0
         got = (tmp_path / "convergence.csv").read_text()
         assert got == (root / "data" / f"convergence_{name}_seed7.csv").read_text()
+
+    def test_cells_pay_each_node_once(self, tmp_path, monkeypatch):
+        """The cells of ``configs/ishigami.yaml`` share one cache: the level-5
+        grid holds every lower grid's nodes, so they pay 2,031 HF and 2,031
+        LF rows, while the csv still counts each cell's cost, 3,035 and
+        5,655 in all. The validation truths are one HF batch of their own."""
+        calls = record_paid_rows(monkeypatch)
+        config = Path(__file__).resolve().parent.parent / "configs" / "ishigami.yaml"
+        assert main(["--config", str(config), "--out", str(tmp_path), "converge"]) == 0
+        paid = collections.Counter()
+        for model_id, rows, cached in calls:
+            paid[model_id] += rows if cached else 0
+        assert paid == {"hf": 2031, "lf1": 2031}
+        assert [call for call in calls if not call[2]] == [("hf", 100_000, False)]
+        with open(tmp_path / "convergence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(int(row["n_hf"]) for row in rows) == 3035
+        assert sum(int(row["n_lf"]) for row in rows) == 5655
+
+    def test_rerun_on_a_cache_file_pays_nothing(self, tmp_path, monkeypatch):
+        """With ``cache:`` set, the PCE reference and the cells pay through
+        the file, each on one cache of their own: the cells find the
+        reference's HF records there, a rerun appends nothing, and every run
+        writes the csv of a run without the file."""
+        opened, init = [], EvalCache.__init__
+
+        def counted(self, path=None):
+            opened.append(path)
+            init(self, path)
+
+        monkeypatch.setattr(EvalCache, "__init__", counted)
+        reference = {"kind": "pce", "model": "hf", "w": 3}
+        cache = tmp_path / "cache.tsv"
+        plain = ishigami_config(tmp_path, tmp_path / "plain", reference=reference)
+        assert main(["--config", str(plain), "converge"]) == 0
+        expected = (tmp_path / "plain" / "convergence.csv").read_bytes()
+        cfg = ishigami_config(tmp_path, tmp_path / "out", reference=reference, cache=str(cache))
+        assert main(["--config", str(cfg), "converge"]) == 0
+        records = cache.read_bytes()
+        # The reference's 159 HF nodes, then the MF cells' 37 LF nodes.
+        ids = [line.split(b"\t")[0] for line in records.splitlines()]
+        assert (ids.count(b"hf"), ids.count(b"lf"), len(ids)) == (159, 37, 196)
+        assert (tmp_path / "out" / "convergence.csv").read_bytes() == expected
+        assert main(["--config", str(cfg), "converge"]) == 0
+        assert cache.read_bytes() == records
+        assert (tmp_path / "out" / "convergence.csv").read_bytes() == expected
+        assert opened == [None, None] + [str(cache)] * 4
 
     def test_no_cells_writes_the_header_only(self, tmp_path):
         """With every scheme's ``q`` above ``levels.max`` there is no cell
@@ -447,6 +511,32 @@ class TestExitCodes:
         assert str(out / report) in done.stderr and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
         assert not (out / report).exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_rerun_keeps_the_earlier_reports(self, tmp_path, command):
+        """A rerun into an ``--out`` that holds a run's reports, whose first
+        report write the OS refuses past a 200-byte file size limit, exits 2
+        and leaves each earlier report byte for byte, and no other file."""
+        out = tmp_path / "out"
+        argv = ["--config", str(ishigami_config(tmp_path, out)), *COMMANDS[command]]
+        assert main(argv) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        done = run_with_file_size_limit(200, argv)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_stopped_report_write_keeps_the_earlier_report(self, tmp_path):
+        """A stop signal while a report is written leaves the earlier report
+        as it was, and no temporary file."""
+        path = tmp_path / "report.csv"
+        path.write_text("earlier\n")
+        with pytest.raises(_Stopped):
+            with report_file(path) as fh:
+                fh.write("partial\n")
+                raise _Stopped(signal.SIGTERM)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier\n"
 
     @pytest.mark.parametrize("mode, k", [("stream", 150), ("oneshot", 5)])
     def test_failed_batch_keeps_the_rows_answered_below_it(self, tmp_path, spawned, mode, k):

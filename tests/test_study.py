@@ -284,9 +284,9 @@ class TestBuildScheme:
         assert built.correction is not None
         assert built.n_hf > 0 and built.n_lf > 0
 
-    def test_each_build_reports_what_it_paid(self, ishigami_range_specs):
-        """On a shared cache a build counts the evaluations it paid, not the
-        cache's running total."""
+    def test_each_build_reports_its_cost(self, ishigami_range_specs):
+        """On a shared cache a build reports its cost, the distinct nodes its
+        grids ask of each model, and the cache counts what was paid."""
         models = {
             "hf": builtin_model("ishigami", "hf"),
             "lf": builtin_model("ishigami", "lf1"),
@@ -295,14 +295,16 @@ class TestBuildScheme:
         mf = SchemeSpec(name="mf", kind="mf", hf="hf", lf="lf", q=2)
         cache = EvalCache()
         assert build_scheme(hf, 3, ishigami_range_specs, models, cache).n_hf == 159
-        # The 37 nodes of the w=2 grid are among the w=3 grid's 159.
-        assert build_scheme(hf, 2, ishigami_range_specs, models, cache).n_hf == 0
+        # The 37 nodes of the w=2 grid are among the w=3 grid's 159: they
+        # cost 37, and the cache pays none of them again.
+        assert build_scheme(hf, 2, ishigami_range_specs, models, cache).n_hf == 37
+        assert cache.count(models["hf"].id) == 159
 
         cache = EvalCache()
         first = build_scheme(mf, 3, ishigami_range_specs, models, cache)
         again = build_scheme(mf, 3, ishigami_range_specs, models, cache)
         assert (first.n_hf, first.n_lf) == (7, 159)
-        assert (again.n_hf, again.n_lf) == (0, 0)
+        assert (again.n_hf, again.n_lf) == (7, 159)
         assert (cache.count(models["hf"].id), cache.count(models["lf"].id)) == (7, 159)
 
 
