@@ -219,8 +219,8 @@ _LINE_BYTES = 4096
 _QUOTE_CHARS = 64
 #: Lines of a failed child's stderr quoted in its ModelError.
 _STDERR_LINES = 5
-#: Seconds a child that has answered every row has to end its output and
-#: exit; it is killed after them, and its replies stand.
+#: Seconds a child has to end its output and exit, from its last reply or
+#: the end of its output, whichever comes first; it is killed after them.
 _LINGER_S = 10.0
 
 
@@ -256,8 +256,8 @@ class _Child:
     the next row; after the last reply, blank lines are ignored and any
     other line is malformed. Its stderr is read as it comes, keeping a
     bounded tail. It is done, and its replies final, once its output has
-    ended with a reply for each row and it has exited with status 0; once
-    it has answered every row, it has until ``deadline`` to get there.
+    ended with a reply for each row and it has exited with status 0, which
+    it must reach by ``deadline``: :data:`_LINGER_S` after either end.
     """
 
     def __init__(self, command: str, rows: range, X: np.ndarray, values: np.ndarray, selector):
@@ -289,7 +289,10 @@ class _Child:
             pipe.close()
 
     def on_ready(self, pipe) -> bool:
-        """Move the bytes ``pipe`` is ready for; True once the child is done.
+        """Move the bytes ``pipe`` is ready for; no pipe means the deadline
+        has passed. Then, with every pipe closed or past the deadline, wait
+        for the exit status until the deadline and reap the child: True if
+        it is done or lingered after its last reply, its replies standing.
         Raises :class:`ModelError` for a bad reply, a non-zero exit or an
         output that ends before the last reply."""
         if pipe is self.proc.stdin:
@@ -304,7 +307,7 @@ class _Child:
                 self.pending, self.sent = self.pending[:0], self.rows.stop  # its output tells
             if not self.pending and self.sent == self.rows.stop:
                 self._drop(pipe)
-        else:
+        elif pipe is not None:
             data = os.read(pipe.fileno(), _READ_BYTES)
             if pipe is self.proc.stderr:
                 self.stderr = (self.stderr + data)[-_READ_BYTES:]
@@ -321,18 +324,19 @@ class _Child:
                 if pipe is self.proc.stdout and self.partial:
                     self._reply(self.partial)  # the end of output ends a last line
                 self._drop(pipe)
+        if self.answered == self.rows.stop or self.proc.stdout.closed:
+            self.deadline = min(self.deadline, time.monotonic() + _LINGER_S)
         # Any pipe can close last: the input does when the child ended its output unread.
-        if self.open:
+        if self.open and pipe is not None:
             return False
         import subprocess
 
-        linger = max(self.deadline - time.monotonic(), 0.0)
-        try:
-            status = self.proc.wait(None if linger == math.inf else linger)
-        except subprocess.TimeoutExpired:  # it answered every row, and lingers
-            self.reap()
-            return True
-        if status != 0:
+        try:  # the output has ended, so the deadline is set
+            status = self.proc.wait(max(self.deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:  # it lingers, and is killed
+            status = None
+        self.reap()
+        if status:  # neither 0 nor None
             raise ModelError(
                 f"external model {self.command!r} failed at node {_node(self.X[self.row])}: "
                 f"exit status {status}"
@@ -360,8 +364,6 @@ class _Child:
             raise self._bad_reply("non-finite output", raw)
         self.values[self.answered] = value
         self.answered += 1
-        if self.answered == self.rows.stop:
-            self.deadline = time.monotonic() + _LINGER_S
 
     def _bad_reply(self, kind: str, raw: str) -> ModelError:
         node = _node(self.X[self.row])
@@ -381,12 +383,12 @@ class _Child:
         if self.proc.returncode is None:
             self.proc.kill()
             self.proc.wait()
-            # Read stderr to the end, or until the pipe is empty while a
-            # grandchild holds it open.
-            stderr = self.proc.stderr
-            with contextlib.suppress(BlockingIOError):
-                while not stderr.closed and (data := os.read(stderr.fileno(), _READ_BYTES)):
-                    self.stderr = (self.stderr + data)[-_READ_BYTES:]
+        # Read stderr to the end, or until the pipe is empty while a
+        # grandchild holds it open.
+        stderr = self.proc.stderr
+        with contextlib.suppress(BlockingIOError):
+            while not stderr.closed and (data := os.read(stderr.fileno(), _READ_BYTES)):
+                self.stderr = (self.stderr + data)[-_READ_BYTES:]
         self._drop(*self.open)
 
 
@@ -420,9 +422,9 @@ class ExternalModel:
         """Evaluate the rows of ``X``. Children start in row order. After a
         failure no child starts and those of higher rows are killed; those
         of lower rows finish, since one of them may fail too, and the lowest
-        failing child's error is raised. A child that has answered every
-        row and has not ended its output and exited :data:`_LINGER_S`
-        seconds later is killed, and its replies stand.
+        failing child's error is raised. A child past its deadline goes to
+        :meth:`_Child.on_ready` with no pipe, as the child of a ready pipe
+        does with it, and that method alone ends a child.
 
         ``on_answered(values, stop)``, if given, is called after each round of
         ready events with the batch's values and the end of the rows
@@ -464,22 +466,20 @@ class ExternalModel:
                     if not running:
                         break
                     wait = min(child.deadline for child in running.values()) - time.monotonic()
-                    for key, _ in selector.select(None if wait == math.inf else max(wait, 0.0)):
-                        child = key.data
+                    ready = selector.select(None if wait == math.inf else max(wait, 0.0))
+                    late = [(c, None) for c in running.values() if c.deadline <= time.monotonic()]
+                    for child, pipe in [(key.data, key.fileobj) for key, _ in ready] + late:
                         # A child ended earlier in this round of events is skipped.
                         if running.get(child.rows.start) is not child:
                             continue
                         try:
-                            if child.on_ready(key.fileobj):
+                            if child.on_ready(pipe):
                                 del running[child.rows.start]
                         except ModelError as exc:
                             del running[child.rows.start]
                             failures[child.rows.start] = child.failed(exc)
                             for later in [r for r in running if r > min(failures)]:
                                 running.pop(later).reap()
-                    now = time.monotonic()
-                    for first in [r for r, c in running.items() if c.deadline <= now]:
-                        running.pop(first).reap()  # it answered every row, and lingers
                     report()
             finally:
                 for child in running.values():

@@ -272,11 +272,9 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
 
     cache, cells = EvalCache(cfg.cache), []
     for scheme in cfg.schemes:
-        if scheme.hf not in y_true:
-            y_true[scheme.hf] = models[scheme.hf].batch(X_val)
-        for w in range(cfg.levels.min, cfg.levels.max + 1):
-            if w < scheme.q:
-                continue
+        for w in range(max(cfg.levels.min, scheme.q), cfg.levels.max + 1):
+            if scheme.hf not in y_true:  # paid just before the first cell that reads them
+                y_true[scheme.hf] = models[scheme.hf].batch(X_val)
             cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models, cache)))
     # Validation reads no grid plan either, nor the cells' cache.
     grid_plan.cache_clear()

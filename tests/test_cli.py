@@ -291,15 +291,18 @@ class TestConvergeCommand:
         assert (tmp_path / "out" / "convergence.csv").read_bytes() == expected
         assert opened == [None, None] + [str(cache)] * 4
 
-    def test_no_cells_writes_the_header_only(self, tmp_path):
+    def test_no_cells_writes_the_header_only(self, tmp_path, monkeypatch):
         """With every scheme's ``q`` above ``levels.max`` there is no cell
-        to build or validate: the csv is its header alone, and exit 0."""
+        to build or validate: the csv is its header alone, exit 0, and no
+        model is asked for anything, not even the validation truths."""
+        calls = record_paid_rows(monkeypatch)
         out = tmp_path / "out"
         mf = {"name": "mf", "kind": "mf", "hf": "hf", "lf": "lf", "q": 3, "rt": 0.125}
         cfg = ishigami_config(tmp_path, out, schemes=[mf])
         assert main(["--config", str(cfg), "converge"]) == 0
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines == ["scheme,w,q,n_hf,n_lf,n_e,n_tot,mare,r2,e,e_t,mean,std"]
+        assert calls == []
 
 
 class TestDecayCommand:
@@ -538,17 +541,29 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text() == "earlier\n"
 
-    @pytest.mark.parametrize("mode, k", [("stream", 150), ("oneshot", 5)])
-    def test_failed_batch_keeps_the_rows_answered_below_it(self, tmp_path, spawned, mode, k):
+    @pytest.mark.parametrize(
+        "mode, k, fault",
+        [
+            ("stream", 150, "sys.exit('fault')"),
+            ("oneshot", 5, "sys.exit('fault')"),
+            ("oneshot", 5, "os.close(1); time.sleep(30)"),
+        ],
+        ids=["stream-150", "oneshot-5", "oneshot-5-linger"],
+    )
+    def test_failed_batch_keeps_the_rows_answered_below_it(
+        self, tmp_path, monkeypatch, spawned, mode, k, fault
+    ):
         """A model that fails at row ``k`` of the 159 of ``sobol --scheme
-        hf --w 3`` (for the stream model, at its request 151) exits 3. The
-        oneshot batch leaves the cache records of rows 0 to k - 1, in row
-        order; the stream batch leaves none, as its one child answered
-        every row and none of them is final. A rerun with a sound model
-        pays the rows not kept."""
+        hf --w 3`` (for the stream model, at its request 151) exits 3,
+        whether it exits 1 or closes its output and lingers past the
+        deadline (0.2 s here). The oneshot batch leaves the cache records
+        of rows 0 to k - 1, in row order; the stream batch leaves none, as
+        its one child answered every row and none of them is final. A
+        rerun with a sound model pays the rows not kept."""
+        monkeypatch.setattr("mfpce.models._LINGER_S", 0.2)
         requests = ishigami_w3_requests()
         script = tmp_path / "model.py"
-        script.write_text(ISHIGAMI_FAULT_AT.format(target=requests[k], fault="sys.exit('fault')"))
+        script.write_text(ISHIGAMI_FAULT_AT.format(target=requests[k], fault=fault))
         cfg = cached_ishigami_config(tmp_path, f"{sys.executable} {script}", mode)
         argv = ["--config", str(cfg), "sobol", "--scheme", "hf", "--w", "3"]
         assert main(argv) == 3
@@ -1162,13 +1177,29 @@ class TestExitCodes:
                 "malformed response 'garbage'",
             ),
             ("stream", STREAM_FAULT.format(fault="break"), "closed its output"),
+            *[
+                (mode, f"import os, time\n{close}\ntime.sleep(30)", "closed its output")
+                for mode in ("oneshot", "stream")
+                for close in ("os.close(1)", "os.close(1); os.close(2)")
+            ],
         ],
-        ids=["oneshot_exit", "stream_garbage", "stream_exit"],
+        ids=[
+            "oneshot_exit", "stream_garbage", "stream_exit",
+            "oneshot_closed_stdout", "oneshot_closed_output",
+            "stream_closed_stdout", "stream_closed_output",
+        ],
     )
-    def test_external_fault_is_model_error(self, tmp_path, capsys, spawned, mode, model, message):
-        """A oneshot child failing above 0.5, or a stream child answering
-        garbage or exiting at its third request, exits 3 within 5 s with
-        one line naming the node, and leaves no child running."""
+    def test_external_fault_is_model_error(
+        self, tmp_path, monkeypatch, capsys, spawned, mode, model, message
+    ):
+        """A oneshot child failing above 0.5, a stream child answering
+        garbage or exiting at its third request, or a child of either mode
+        that closes its stdout, or its stdout and stderr, before its first
+        reply and then sleeps 30 s, exits 3 within 5 s with one line naming
+        the node, and leaves no child running. The sleeping child is killed
+        once the deadline after the end of its output has passed: 0.2 s
+        here, 10 s as shipped."""
+        monkeypatch.setattr("mfpce.models._LINGER_S", 0.2)
         script = tmp_path / "model.py"
         script.write_text("import sys\n" + model)
         cfg = write_config(
@@ -1186,6 +1217,7 @@ class TestExitCodes:
         assert time.monotonic() - start < 5
         err = capsys.readouterr().err
         assert "at node (" in err and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
         assert spawned and all(child.poll() is not None for child in spawned)
 
     def test_child_that_ends_its_output_unread_is_model_error(self, tmp_path):
