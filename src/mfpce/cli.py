@@ -10,9 +10,9 @@ Subcommands, after the global flags::
 Global flags: ``--config`` (required), ``--out`` (default: the config's
 ``output``) and ``--seed`` (default: the config's validation seed, which
 ``converge`` and ``mc-check`` draw from). Nothing is read from the
-environment. Each command creates ``--out`` just before its first report,
-so a command that fails before it leaves no ``--out`` it did not find,
-and each report appears whole or not at all. ``sobol``, ``decay`` and
+environment. The first report written creates ``--out``, so a command
+that fails before it leaves no ``--out`` it did not find, and each report
+appears whole or not at all. ``sobol``, ``decay`` and
 ``converge`` fit through the config's ``cache``: a ``sobol`` report counts
 what its run paid, and ``convergence.csv`` each cell's cost.
 
@@ -103,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[StudyConfig, Path]:
-    """The config with ``--seed`` applied, and the output directory, which
-    each command creates just before its first report write."""
+    """The config with ``--seed`` applied, and the output directory."""
     if not args.config:
         raise ConfigError("no config given (use --config)")
     cfg = load_config(args.config)
@@ -140,7 +139,7 @@ def _write_report(path: Path, report: SobolReport, variables, **extra) -> None:
 def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
     """The scheme of ``--scheme``, with ``--q`` if given (an MF scheme
     only), checked to build at level ``--w``: an MF scheme needs ``w >= q``,
-    and a normal variable ``w <= 8``."""
+    and every grid the bounds of :func:`~mfpce.config.sparse_level`."""
     scheme = cfg.scheme(args.scheme)
     if getattr(args, "q", None) is not None:
         q = int_at_least(args.q, 0, "--q")
@@ -161,7 +160,6 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
     report = all_indices(built.expansion)
     stem = f"sobol_{scheme.name}_w{args.w}"
     paid = {"scheme": scheme.label(args.w), "n_hf": n_hf, "n_lf": n_lf}
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(out / f"{stem}.json", report, cfg.variables, **paid)
     totals = zip([v.name for v in cfg.variables], report.total_indices)
     write_csv(out / f"{stem}_totals.csv", ["variable", "total_index"], totals)
@@ -171,10 +169,8 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
     models = cfg.open_models()
-    reference = build_reference(cfg, models)
-    rows = run_convergence(cfg, models, reference)
+    rows = run_convergence(cfg, models, build_reference(cfg, models))
     path = out / "convergence.csv"
-    out.mkdir(parents=True, exist_ok=True)
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -185,7 +181,6 @@ def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
     built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
     parts = [built.lf_expansion, built.correction, built.expansion, built.hf_expansion]
     path = out / f"decay_{scheme.name}_w{args.w}.csv"
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(path, ["provenance", "rank", "abs_coeff"], decay_report(p for p in parts if p is not None))
     print(f"wrote {path}")
     return EXIT_OK
@@ -198,7 +193,6 @@ def cmd_mc_check(cfg: StudyConfig, out: Path, args) -> int:
     seed = cfg.validation.seed
     report = mc_sobol(cfg.open_models()[args.model], cfg.variables, args.n, seed)
     path = out / f"mc_{args.model}_n{args.n}.json"
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(path, report, cfg.variables, model=args.model, n=args.n, seed=seed)
     print(f"wrote {path}")
     return EXIT_OK

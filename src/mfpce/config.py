@@ -22,6 +22,7 @@ from .mf import fit
 from .models import BENCHMARK_SPECS, BUILTINS, EvalCache, ExternalModel, Model
 from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
+from .sparse_grid import grid_size
 from .study import SchemeSpec, ishigami_analytic
 
 
@@ -64,19 +65,24 @@ def sample_count(value, what: str) -> int:
     return count
 
 
-#: The highest sparse level on a normal variable: the Gauss-Hermite rule of
-#: level 9 (1,023 points) has NaN weights, as ``orthopoly.gauss_rule`` says.
-HERMITE_MAX_LEVEL = 8
+#: The highest sparse level per input distribution. Level 9's Gauss-Hermite
+#: rule has NaN weights (``orthopoly.gauss_rule``). The weights take an
+#: (m, m) table: 32 MiB at level 10 (m = 2,047), four times that per level up.
+MAX_LEVEL = {Normal: 8, Uniform: 10}
+#: The most nodes a grid may have: borehole (8-D) up to level 6, not 7.
+MAX_GRID_NODES = 2**20
 
 
 def sparse_level(w: int, variables, what: str) -> int:
     """``w``, a level already checked to be an integer, unless it passes
-    :data:`HERMITE_MAX_LEVEL` while one of ``variables`` is normal."""
-    normal = next((v.name for v in variables if isinstance(v.dist, Normal)), None)
-    if normal is not None and w > HERMITE_MAX_LEVEL:
-        raise ConfigError(
-            f"{what} must be <= {HERMITE_MAX_LEVEL} with the normal variable {normal!r}, got {w}"
-        )
+    the :data:`MAX_LEVEL` of one of ``variables``, or their level-``w``
+    grid, counted before any rule is built, passes :data:`MAX_GRID_NODES`."""
+    low = min(variables, key=lambda v: MAX_LEVEL[type(v.dist)])
+    if w > (bound := MAX_LEVEL[type(low.dist)]):
+        kind = f"{type(low.dist).__name__.lower()} variable {low.name!r}"
+        raise ConfigError(f"{what} must be <= {bound} with the {kind}, got {w}")
+    if (size := grid_size(len(variables), w)) > MAX_GRID_NODES:
+        raise ConfigError(f"{what} of {w} makes a grid of {size:,} nodes, over {MAX_GRID_NODES:,}")
     return w
 
 

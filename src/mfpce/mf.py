@@ -17,16 +17,16 @@ import numpy as np
 
 from .models import EvalCache, Model
 from .pce import Expansion, project
-from .sparse_grid import QuadratureGrid, physical_nodes, row_keys, smolyak_grid
+from .sparse_grid import grid_size, physical_nodes, row_keys, smolyak_grid
 
 
 @dataclass(frozen=True)
 class BuiltScheme:
     """Expansions and cost of one build. An MF build's parts are the LF fit
     at ``w`` and the correction and HF fit at ``w - q``. ``n_hf`` and
-    ``n_lf`` are its cost, the distinct nodes it asks of each model, read
-    from its grids whatever its cache holds; what a cache paid is its
-    :meth:`~mfpce.models.EvalCache.count`."""
+    ``n_lf`` are its cost, the distinct nodes it asks of each model,
+    counted from its grids whatever its cache holds; what a cache paid is
+    its :meth:`~mfpce.models.EvalCache.count`."""
 
     expansion: Expansion
     lf_expansion: Expansion | None
@@ -43,25 +43,15 @@ def fit(model: Model, w: int, specs, cache: EvalCache, provenance: str) -> Expan
     return project(cache.evaluate_many(model, physical_nodes(grid, specs)), w, specs, provenance)
 
 
-def _union_size(grid: QuadratureGrid, sub: QuadratureGrid) -> int:
-    """The number of distinct nodes in ``grid`` and ``sub``, a lower level's
-    grid: ``sub``'s rows mapped to ``grid``'s axis ids, looked up in its rows."""
-    rows = [np.searchsorted(p, s)[i] for p, s, i in zip(grid.points, sub.points, sub.ids.T)]
-    keys, wanted = row_keys(grid.ids), row_keys(np.column_stack(rows))
-    found = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
-    return len(grid) + len(sub) - int(np.count_nonzero(found))
-
-
 def build_mf_parts(
     lf_model: Model, hf_model: Model, specs, w: int, q: int, cache: EvalCache | None = None
 ) -> BuiltScheme:
     """The LF fit at level ``w``, then the HF fit and the correction at
     level ``w - q``, paid in that order, and their sum, the combined
-    ``expansion``; needs ``0 <= q <= w``. It costs the level ``w - q``
-    grid's nodes of HF and the nodes of both grids together of LF."""
-    if not 0 <= q <= w:
-        raise ValueError(f"need 0 <= q <= w, got w={w}, q={q}")
+    ``expansion``; needs ``0 <= q <= w``. Its cost, counted first, is the
+    level ``w - q`` grid's nodes of HF and both grids' nodes of LF."""
     specs = tuple(specs)
+    n_lf, n_hf = grid_size(len(specs), w, q), grid_size(len(specs), w - q)
     cache = cache if cache is not None else EvalCache()
 
     lf_exp = fit(lf_model, w, specs, cache, "LF")
@@ -74,5 +64,4 @@ def build_mf_parts(
     coeffs = lf_exp.coeffs.copy()
     coeffs[np.searchsorted(row_keys(lf_exp.terms), row_keys(cr_exp.terms))] += cr_coeffs
     combined = Expansion(specs=specs, terms=lf_exp.terms, coeffs=coeffs, provenance="Combined")
-    grid, sub = (smolyak_grid(len(specs), level, specs) for level in (w, w - q))
-    return BuiltScheme(combined, lf_exp, cr_exp, hf_exp, n_hf=len(sub), n_lf=_union_size(grid, sub))
+    return BuiltScheme(combined, lf_exp, cr_exp, hf_exp, n_hf, n_lf)

@@ -263,7 +263,7 @@ def gauss_rule(family: PolyFamily, m: int) -> GaussRule:
     far out, are unaffected; high-degree polynomial exactness is lost. From
     ``m = 727`` on, the recurrence overflows at the outermost Hermite
     points and the weights are NaN, so a study refuses a level above 8 on
-    a normal variable (``config.HERMITE_MAX_LEVEL``).
+    a normal variable (``config.MAX_LEVEL``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")

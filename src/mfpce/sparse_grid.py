@@ -14,7 +14,7 @@ those rows, which is lexicographic order of the coordinates. A grid
 weights; coordinates are gathered from them when read. Both the nodes and
 the projection's degrees form sets with a closed form, so a row's position
 in its set is counted from its entries, not found by sorting all rows
-(:func:`grid_plan`).
+(:func:`grid_plan`), and a grid's size before it is built (:func:`grid_size`).
 
 Any other set of rows is deduplicated by :func:`first_occurrences` over
 one fixed-width byte key per row: :func:`row_keys` of integer rows
@@ -143,6 +143,23 @@ def level_terms(n: int, w: int) -> list[LevelTerm]:
         for levels in compositions(n, total):
             terms.append(LevelTerm(levels=levels, coeff=coeff))
     return terms
+
+
+def grid_size(n: int, w: int, q: int = 0) -> int:
+    """The nodes of the level-``w`` grid in ``n >= 1`` dimensions, and with
+    ``0 < q <= w`` those of the level-``(w - q)`` grid too, with no grid
+    built. On an axis the centre costs 0 and the ``growth(c) - 1`` others
+    of the level-``c`` rule cost ``c``; a level-``v`` node costs at most
+    ``v`` and holds a centre or costs at least ``v - n + 1`` (:func:`grid_plan`)."""
+    if not 0 <= q <= w:
+        raise ValueError(f"need 0 <= q <= w, got w={w}, q={q}")
+    off = [growth(c) - 1 for c in range(w + 1)]
+    total, bare = [1] + [0] * w, [1] + [0] * w  # rows per cost sum: all, and with no centre
+    for _ in range(n):
+        total = [total[s] + sum(total[s - c] * off[c] for c in range(s + 1)) for s in range(w + 1)]
+        bare = [sum(bare[s - c] * off[c] for c in range(s + 1)) for s in range(w + 1)]
+    sums = {s for v in (w, w - q) for s in range(max(0, v - n + 1), v + 1)}
+    return sum(total) - sum(bare) + sum(bare[s] for s in sums)
 
 
 def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid:

@@ -313,10 +313,11 @@ def decay_report(expansions) -> list[tuple[str, int, float]]:
 @contextlib.contextmanager
 def report_file(path):
     """A file to write the report ``path`` under a temporary name beside it,
-    moved into place by ``os.replace``, so that the report appears whole or
-    not at all: any exception, a stop signal too, removes the temporary file.
-    An OS error, such as a file size limit, is raised naming ``path``."""
+    in its directory (made if missing), moved into place by ``os.replace``.
+    Any exception, a stop signal too, removes the temporary file, so the
+    report appears whole or not at all. A write's OS error names ``path``."""
     part = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.part")
+    part.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(part, "w") as fh:
             yield fh

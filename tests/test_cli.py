@@ -724,6 +724,26 @@ class TestExitCodes:
                 {"variables": ONE_NORMAL, "reference": {"kind": "pce", "model": "hf", "w": 9}},
                 "reference w must be <= 8 with the normal variable 'g', got 9",
             ),
+            (
+                ["sobol", "--scheme", "hf", "--w", "40"],
+                {},
+                "--w must be <= 10 with the uniform variable 'xi_1', got 40",
+            ),
+            (
+                ["converge"],
+                {"levels": {"min": 1, "max": 40}},
+                "levels max must be <= 10 with the uniform variable 'xi_1', got 40",
+            ),
+            (
+                ["converge"],
+                {"levels": {"max": 1000000000}},
+                "levels max must be <= 10 with the uniform variable 'xi_1', got 1000000000",
+            ),
+            (
+                ["converge"],
+                {"reference": {"kind": "pce", "model": "hf", "w": 40}},
+                "reference w must be <= 10 with the uniform variable 'xi_1', got 40",
+            ),
         ],
         ids=[
             "sobol_w",
@@ -743,14 +763,18 @@ class TestExitCodes:
             "decay_w_hermite",
             "levels_max_hermite",
             "reference_pce_w_hermite",
+            "sobol_w_legendre",
+            "levels_max_legendre",
+            "levels_max_a_billion",
+            "reference_pce_w_legendre",
         ],
     )
     def test_out_of_range_number_is_config_error(
         self, tmp_path, monkeypatch, capsys, argv, overrides, message
     ):
         """Exit 2 with one line naming the value, before any model runs. A
-        level past 8 is refused only with a normal variable, whose level-9
-        Gauss-Hermite rule has NaN weights."""
+        level past 8 is refused with a normal variable, whose level-9
+        Gauss-Hermite rule has NaN weights, and past 10 with uniform ones."""
         evaluated = record_batches(monkeypatch)
         schemes = [
             {"name": "hf", "kind": "hf", "hf": "hf"},

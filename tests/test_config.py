@@ -167,11 +167,31 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(minimal_config(levels={"min": 3, "max": 1}))
 
-    def test_uniform_inputs_take_any_level(self):
-        """The Hermite level bound leaves uniform-only problems as they are."""
-        reference = {"kind": "pce", "model": "hf", "w": 12}
-        cfg = parse_config(minimal_config(levels={"min": 1, "max": 12}, reference=reference))
-        assert (cfg.levels.max, cfg.reference.w) == (12, 12)
+    def test_uniform_levels_end_at_the_level_or_node_bound(self):
+        """A uniform problem's ``levels max`` and reference ``w`` go up to the
+        Legendre level bound, 10 on ishigami (377,661 nodes), or to the node
+        bound, 6 on borehole (287,409 nodes, against 1,388,737 at 7). One
+        level more is refused with a message naming the bound."""
+
+        def parse(problem, levels_max, reference_w):
+            return parse_config(minimal_config(
+                problem=problem,
+                models=[{"id": "hf", "builtin": f"{problem}/hf"}],
+                schemes=[{"name": "hf", "kind": "hf", "hf": "hf"}],
+                levels={"min": 1, "max": levels_max},
+                reference={"kind": "pce", "model": "hf", "w": reference_w},
+            ))
+
+        for problem, largest, message in [
+            ("ishigami", 10, "must be <= 10 with the uniform variable 'xi_1', got 11"),
+            ("borehole", 6, "of 7 makes a grid of 1,388,737 nodes, over 1,048,576"),
+        ]:
+            cfg = parse(problem, largest, largest)
+            assert (cfg.levels.max, cfg.reference.w) == (largest, largest)
+            with pytest.raises(ConfigError, match=f"^levels max {message}$"):
+                parse(problem, largest + 1, 1)
+            with pytest.raises(ConfigError, match=f"^reference w {message}$"):
+                parse(problem, 1, largest + 1)
 
     @pytest.mark.parametrize("key", ["rt_values", "levles"])
     def test_unknown_top_level_key(self, key):

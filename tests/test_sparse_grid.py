@@ -12,6 +12,7 @@ from mfpce.pce import project
 from mfpce.sparse_grid import (
     compositions,
     grid_plan,
+    grid_size,
     growth,
     level_terms,
     smolyak_grid,
@@ -137,6 +138,37 @@ class TestLevelTerms:
             level_terms(0, 1)
         with pytest.raises(ValueError):
             level_terms(2, -1)
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["legendre", "mixed"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_counts_the_built_grids_and_their_unions(self, n, mixed):
+        """The level-w grid's nodes, and for each q <= w the distinct
+        coordinates of the level-w and level-(w - q) grids together."""
+        families = tuple(H if mixed and j % 2 else L for j in range(n))
+        for w in range(7 if n <= 5 else 5):
+            grid = grid_plan(w, families).grid
+            nodes = set(map(tuple, grid.nodes.tolist()))
+            assert grid_size(n, w) == len(grid) == len(nodes)
+            for q in range(1, w + 1):
+                lower = map(tuple, grid_plan(w - q, families).grid.nodes.tolist())
+                assert grid_size(n, w, q) == len(nodes.union(lower)), (w, q)
+
+    def test_known_sizes(self):
+        assert grid_size(3, 6) == 6_397
+        assert grid_size(3, 6, 1) == grid_size(3, 6, 2) == 6_405
+        assert grid_size(8, 5) == 54_673
+        assert grid_size(8, 7) == 1_388_737
+        assert grid_size(3, 12) == 2_390_485
+
+    def test_level_forty_is_counted_exactly(self):
+        assert grid_size(3, 40) == 10_401_379_998_749_301
+
+    @pytest.mark.parametrize("w, q", [(1, 2), (1, -1), (-1, 0)])
+    def test_q_outside_zero_to_w_is_refused(self, w, q):
+        with pytest.raises(ValueError, match="need 0 <= q <= w"):
+            grid_size(3, w, q)
 
 
 class TestTensorGrid:
