@@ -152,7 +152,7 @@ def _scheme(cfg: StudyConfig, args) -> SchemeSpec:
 
 
 def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
-    scheme, cache = _scheme(cfg, args), EvalCache(cfg.cache)
+    scheme, cache = _scheme(cfg, args), EvalCache(cfg.variables, args.w, cfg.cache)
     built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), cache)
     n_hf = 0 if scheme.kind == "lf" else cache.count(scheme.hf)
     n_lf = 0 if scheme.kind == "hf" else cache.count(scheme.lf)
@@ -177,8 +177,8 @@ def cmd_converge(cfg: StudyConfig, out: Path) -> int:
 
 
 def cmd_decay(cfg: StudyConfig, out: Path, args) -> int:
-    scheme = _scheme(cfg, args)
-    built = build_scheme(scheme, args.w, cfg.variables, cfg.open_models(), EvalCache(cfg.cache))
+    scheme, specs = _scheme(cfg, args), cfg.variables
+    built = build_scheme(scheme, args.w, specs, cfg.open_models(), EvalCache(specs, args.w, cfg.cache))
     parts = [built.lf_expansion, built.correction, built.expansion, built.hf_expansion]
     path = out / f"decay_{scheme.name}_w{args.w}.csv"
     write_csv(path, ["provenance", "rank", "abs_coeff"], decay_report(p for p in parts if p is not None))

@@ -407,5 +407,6 @@ def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
             raise ConfigError(f"the analytic reference needs 3 variables, got {len(cfg.variables)}")
         return ishigami_analytic(ref.a, ref.b)
     if ref.kind == "pce":
-        return all_indices(fit(models[ref.model], ref.w, cfg.variables, EvalCache(cfg.cache), "HF"))
+        specs = cfg.variables
+        return all_indices(fit(models[ref.model], ref.w, specs, EvalCache(specs, ref.w, cfg.cache), "HF"))
     return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed)

@@ -52,7 +52,7 @@ def build_mf_parts(
     level ``w - q`` grid's nodes of HF and both grids' nodes of LF."""
     specs = tuple(specs)
     n_lf, n_hf = grid_size(len(specs), w, q), grid_size(len(specs), w - q)
-    cache = cache if cache is not None else EvalCache()
+    cache = cache if cache is not None else EvalCache(specs, w)
 
     lf_exp = fit(lf_model, w, specs, cache, "LF")
     hf_exp = fit(hf_model, w - q, specs, cache, "HF")

@@ -1,5 +1,6 @@
 """Benchmark model families, an external black-box adapter, and the shared
-evaluation cache used for cost accounting.
+evaluation cache, which knows a grid node by its rank among the nodes of
+the grids up to its level and counts what a run paid.
 
 Three builtin families ship with their study input distributions, and
 :data:`BUILTINS` names each of their variants once, by ``problem/variant``:
@@ -47,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .orthopoly import Normal, Uniform, VariableSpec
-from .sparse_grid import first_occurrences
+from .sparse_grid import union_axis, union_ranks
 
 log = logging.getLogger(__name__)
 
@@ -546,51 +547,49 @@ class _Records:
             self.file.close()
 
 
-def _cache_keys(X: np.ndarray) -> np.ndarray:
-    """Cache keys of the rows of ``X``: the float64 bytes of each row, with
-    -0.0 folded into 0.0, one fixed-width ``np.void`` per row. Two rows are
-    one node only when their coordinates are bit-identical, as the grid's
-    integer ids gather them; the ``%.17g`` records of a cache file read
-    back to the same bits."""
-    keys = np.ascontiguousarray(X + 0.0)
-    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-
-
 class EvalCache:
-    """Memoizes (model, node) evaluations and counts distinct evaluations,
-    a node being the exact bits of its coordinates (:func:`_cache_keys`).
+    """Memoizes (model, node) evaluations over ``U_w``, the union of the
+    Smolyak grids of ``specs`` at levels ``0..w``, and counts what it paid.
 
-    The store holds, per model id and dimension, the sorted
-    :func:`_cache_keys` of the nodes seen and their values. A batch is
-    deduplicated by :func:`~mfpce.sparse_grid.first_occurrences`, the one
-    rule for which of a key's rows counts, and looked up with
-    ``np.searchsorted``. With a persistence path, existing records are
-    loaded on construction into flat arrays (the last record of a key
-    wins), and the fresh evaluations of each batch are appended by
-    :class:`_Records`, one ``model_id<TAB>coords<TAB>value`` record per
-    line, in row order and in chunks, as the model's ``batch`` reports its
-    rows answered for good: a command model's as its children are done,
-    so that a oneshot batch that fails or is stopped keeps every row
-    answered below the failure and a stream batch keeps none, and a builtin
-    model's once its values are known.
+    A node is known by its rank in ``U_w`` (:meth:`_ranks`), and the store
+    holds per model id one value array and one paid mask over ``U_w``. A
+    row that is no node of ``U_w`` raises ``ValueError``. With a path, the
+    file's records are loaded on construction, and the fresh values of each
+    batch are appended by :class:`_Records` as the model's ``batch`` reports
+    its rows answered for good (:meth:`ExternalModel.batch`).
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.store: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.counters: dict[str, int] = {}
+    def __init__(self, specs, w: int, path: str | Path | None = None):
+        axes = [union_axis(w, spec.family) for spec in specs]
+        self.points = [spec.from_standard(p) for spec, (p, _) in zip(specs, axes)]
+        self.costs, self.w = [cost for _, cost in axes], w
+        self.size = union_ranks(np.empty((len(axes), 0), dtype=np.intp), self.costs, w)[1]
+        self.store, self.counters = {}, {}  # by model id: (values, paid); evaluations paid
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
             self._load(self.path)
+
+    def _ranks(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of ``X`` are nodes of ``U_w``: each coordinate exactly
+        one of its axis's points (-0.0 is 0.0), their costs summing to at
+        most ``w``; and the ranks of those rows in ``U_w``."""
+        on = np.full(len(X), X.shape[1] == len(self.points))
+        ids = np.zeros((len(self.points), len(X)), np.min_scalar_type(max(map(len, self.points))))
+        for points, x, column in zip(self.points, X.T if on.any() else (), ids):
+            column[...] = np.minimum(np.searchsorted(points, x), len(points) - 1)
+            on &= points[column] == x
+        on &= sum(cost[column] for cost, column in zip(self.costs, ids)) <= self.w
+        return on, union_ranks(ids if on.all() else ids[:, on], self.costs, self.w)[0]
 
     def _load(self, path: Path) -> None:
         """Read every record; a malformed or non-finite line raises
         :class:`CacheFileError` naming the file and its 1-based line number.
         A last line with no newline is a record cut short by a crash, even if
         it parses: it is dropped with a warning and cut from the file, so
-        that the next append starts a line of its own. The records of each
-        model id and dimension are gathered in two flat ``array('d')``
-        buffers, coordinates and values."""
-        records: dict[tuple[str, int], tuple[array, array]] = {}
+        that the next append starts a line of its own. Each model id's
+        records of the cache's dimension gather in two flat ``array('d')``
+        buffers; those of a node of ``U_w`` are stored, its last one winning."""
+        records: dict[str, tuple[array, array]] = {}
         complete = 0  # bytes up to the end of the last complete line
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -608,59 +607,46 @@ class EvalCache:
                     if not xi or not all(map(math.isfinite, [*xi, y])):
                         raise ValueError("no coordinates, or a nan or an inf")
                 except ValueError:
-                    raise CacheFileError(
-                        f"{path}:{lineno}: malformed cache record {line!r}"
-                    ) from None
-                coords, values = records.setdefault((model_id, len(xi)), (array("d"), array("d")))
-                coords.extend(xi)
-                values.append(y)
+                    raise CacheFileError(f"{path}:{lineno}: malformed cache record {line!r}") from None
+                if len(xi) == len(self.points):
+                    coords, values = records.setdefault(model_id, (array("d"), array("d")))
+                    coords.extend(xi)
+                    values.append(y)
         if complete < path.stat().st_size:
             os.truncate(path, complete)
-        for (model_id, dim), (coords, values) in records.items():
-            # Reversed, a key's first record is the last one written.
-            rows = np.frombuffer(coords).reshape(-1, dim)[::-1]
-            keys, last, _ = first_occurrences(_cache_keys(rows))
-            self.store[model_id, dim] = keys, np.frombuffer(values)[::-1][last]
+        for model_id, (coords, values) in records.items():
+            on, ranks = self._ranks(np.frombuffer(coords).reshape(-1, len(self.points)))
+            last = np.full(self.size, -1)
+            np.maximum.at(last, ranks, np.flatnonzero(on))
+            self.store[model_id] = np.frombuffer(values)[last], last >= 0
 
     def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
-        """Evaluate ``model`` at rows of ``X`` (physical coordinates),
-        paying only for nodes not seen before. Rows sharing a key are paid
-        once, at their first occurrence, and in the order of those.
-
-        Besides ``X`` and the result, a batch holds its keys and their
-        sorted copy until it is deduplicated, then one sorted copy and a
-        few integers per row. The model is handed ``X`` itself when every
-        row is a fresh distinct node, else a gather of the rows to pay, and
-        pays them through one call, ``model.batch(new, on_answered=...)``,
-        which checks their shape and reports the rows to keep on file. An
-        empty store takes the batch's sorted keys and values as they are;
-        a non-empty one gets them inserted."""
+        """Evaluate ``model`` at rows of ``X`` (physical coordinates, each a
+        node of ``U_w``), paying only for nodes not paid before, at the first
+        row of each, in row order: ``X`` itself when every row is a fresh
+        distinct node, else a gather, through one ``model.batch(new,
+        on_answered=...)``, which checks their shape and reports the rows to
+        keep on file."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        slot = (model.id, X.shape[1])
-        keys, first, inverse = first_occurrences(_cache_keys(X))
-        known, known_values = self.store.get(slot, (keys[:0], np.empty(0)))
-        at = np.searchsorted(known, keys)
-        hit = at < len(known)
-        hit[hit] = known[at[hit]] == keys[hit]
-        values = np.empty(len(keys))
-        values[hit] = known_values[at[hit]]
-        missing = np.flatnonzero(~hit)
-        if len(missing):
-            rows = np.sort(first[missing])
-            new = X if len(rows) == len(X) else X[rows]
+        on, ranks = self._ranks(X)
+        if not on.all():
+            raise ValueError(f"node {_node(X[np.argmin(on)])} is not in the grids up to level {self.w}")
+        values, paid = self.store.get(model.id) or (np.empty(0), np.zeros(self.size, dtype=bool))
+        rows = np.full(self.size, len(X))  # per node, its first row, unless it is paid
+        np.minimum.at(rows, ranks, np.arange(len(X)))
+        rows[paid] = len(X)
+        rows = np.flatnonzero(rows[ranks] == np.arange(len(X)))
+        if len(rows):
+            new, at = (X, ranks) if len(rows) == len(X) else (X[rows], ranks[rows])
+            del rows  # not held through the model call
             with contextlib.closing(_Records(self.path, model.id, new)) as records:
                 fresh = model.batch(new, on_answered=records.write)
-            values[inverse[rows]] = fresh
-            self.counters[model.id] = self.counters.get(model.id, 0) + len(rows)
-            if len(known):
-                at = at[missing]
-                self.store[slot] = (
-                    np.insert(known, at, keys[missing]),
-                    np.insert(known_values, at, values[missing]),
-                )
-            else:  # every key is a miss; ``values`` is not the returned array
-                self.store[slot] = keys, values
-        return values[inverse]
+            if not len(values):  # made once a batch is paid, not under its temporaries
+                self.store[model.id] = (values := np.empty(self.size)), paid
+            values[at] = fresh
+            paid[at] = True
+            self.counters[model.id] = self.counters.get(model.id, 0) + len(at)
+        return values[ranks]
 
     def count(self, model_id: str) -> int:
         return self.counters.get(model_id, 0)

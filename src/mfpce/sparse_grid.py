@@ -15,10 +15,12 @@ weights; coordinates are gathered from them when read. Both the nodes and
 the projection's degrees form sets with a closed form, so a row's position
 in its set is counted from its entries, not found by sorting all rows
 (:func:`grid_plan`), and a grid's size before it is built (:func:`grid_size`).
+A node's rank in the union of the grids up to level ``w`` is its identity
+in :class:`mfpce.models.EvalCache` (:func:`union_ranks`).
 
 Any other set of rows is deduplicated by :func:`first_occurrences` over
 one fixed-width byte key per row: :func:`row_keys` of integer rows
-(multi-indices, supports, non-zero patterns) or the cache's node keys.
+(multi-indices, supports, non-zero patterns).
 
 The same signed combination is the sparse projection, where each term
 projects its own nodes (:func:`mfpce.pce.project`). One cached
@@ -193,16 +195,13 @@ def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The distinct ``keys`` in sorted order, the position in ``keys`` of
     each one's first occurrence, and each key's position among them: what
     ``np.unique`` returns with ``return_index`` and ``return_inverse``,
-    from one stable argsort and one sorted copy. When the keys are
-    distinct, the sorted copy and the argsort are the first two results."""
+    from one stable argsort and one sorted copy."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    if new.all():
-        return keys, order, inverse
     return keys[new], order[new], inverse
 
 
@@ -261,6 +260,18 @@ def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray,
         ranks += before[state]
         state = after[state]
     return ranks, int(completions[w, 0])
+
+
+def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The axis points of every grid up to level ``w``, and their costs."""
+    points, _, cost, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
+    return points, cost
+
+
+def union_ranks(columns, costs, w: int) -> tuple[np.ndarray, int]:
+    """The ranks of the ``(n, N)`` axis ids ``columns`` in ``U_w = {x : sum_j
+    costs[j][x_j] <= w}``, the union of the grids up to level ``w``, and ``|U_w|``."""
+    return _lex_ranks(columns, costs, [np.zeros_like(c) for c in costs], w, 0)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -342,7 +353,8 @@ def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:
 
 
 def physical_nodes(grid: QuadratureGrid, specs) -> np.ndarray:
-    """``grid.nodes`` in the physical coordinates of ``specs``, mapped per axis point."""
-    return np.column_stack(
-        [spec.from_standard(p)[i] for spec, p, i in zip(specs, grid.points, grid.ids.T)]
-    )
+    """``grid.nodes`` in the physical coordinates of ``specs``, one axis at a time."""
+    X = np.empty((len(grid), len(specs)))
+    for column, spec, p, i in zip(X.T, specs, grid.points, grid.ids.T):
+        column[...] = spec.from_standard(p)[i]
+    return X

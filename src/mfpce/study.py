@@ -202,7 +202,7 @@ def build_scheme(
     """Build the expansion a scheme prescribes at sparse level ``w``: one
     :func:`~mfpce.mf.fit`, which costs the level-``w`` grid's nodes of its
     model, or :func:`~mfpce.mf.build_mf_parts` for ``mf``."""
-    cache = cache if cache is not None else EvalCache()
+    cache = cache if cache is not None else EvalCache(specs, w)
     if scheme.kind == "mf":
         return build_mf_parts(models[scheme.lf], models[scheme.hf], specs, w, scheme.q, cache)
     model = models[scheme.hf if scheme.kind == "hf" else scheme.lf]
@@ -270,7 +270,7 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
     y_true: dict[str, np.ndarray] = {}
 
-    cache, cells = EvalCache(cfg.cache), []
+    cache, cells = EvalCache(cfg.variables, cfg.levels.max, cfg.cache), []
     for scheme in cfg.schemes:
         for w in range(max(cfg.levels.min, scheme.q), cfg.levels.max + 1):
             if scheme.hf not in y_true:  # paid just before the first cell that reads them

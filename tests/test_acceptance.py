@@ -28,7 +28,7 @@ EXTERNAL_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami
 def build_hf(problem, w, cache=None):
     specs = tuple(BENCHMARK_SPECS[problem])
     model = builtin_model(problem, "hf")
-    cache = cache if cache is not None else EvalCache()
+    cache = cache if cache is not None else EvalCache(specs, w)
     grid = smolyak_grid(len(specs), w, list(specs))
     values = cache.evaluate_many(model, physical_nodes(grid, specs))
     return project(values, w, specs)
@@ -353,7 +353,7 @@ def test_criterion_10_cost_accounting(borehole_reference_w5):
     parts = build_mf("borehole", "lf", 3, 1)
     n_tot_mf = parts.n_hf + rt * parts.n_lf
 
-    cache = EvalCache()
+    cache = EvalCache(BENCHMARK_SPECS["borehole"], 3)
     hf3 = build_hf("borehole", 3, cache)
     n_tot_hf = cache.count("borehole/hf")
 

@@ -269,9 +269,9 @@ class TestConvergeCommand:
         writes the csv of a run without the file."""
         opened, init = [], EvalCache.__init__
 
-        def counted(self, path=None):
+        def counted(self, specs, w, path=None):
             opened.append(path)
-            init(self, path)
+            init(self, specs, w, path)
 
         monkeypatch.setattr(EvalCache, "__init__", counted)
         reference = {"kind": "pce", "model": "hf", "w": 3}

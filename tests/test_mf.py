@@ -79,7 +79,7 @@ class TestBuild:
     def test_evaluation_counts(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf1")
-        cache = EvalCache()
+        cache = EvalCache(ishigami_range_specs, 3)
         parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=2, cache=cache)
         n = len(ishigami_range_specs)
         assert parts.n_hf == len(smolyak_grid(n, 1, list(ishigami_range_specs)))
@@ -90,7 +90,7 @@ class TestBuild:
     def test_shared_cache_avoids_repeat_hf_work(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf1")
-        cache = EvalCache()
+        cache = EvalCache(ishigami_range_specs, 3)
         build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=2, cache=cache)
         first = cache.count(hf.id)
         build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=2, cache=cache)
@@ -110,7 +110,7 @@ def projected_difference(lf_model, hf_model, specs, w, q):
     values at the level ``w - q`` nodes, paid on one fresh cache in the
     order LF at ``w``, HF and LF at ``w - q``: the combined coefficients
     and ``(n_hf, n_lf)``."""
-    cache = EvalCache()
+    cache = EvalCache(specs, w)
     nodes = lambda level: physical_nodes(smolyak_grid(len(specs), level, specs), specs)  # noqa: E731
     lf_exp = project(cache.evaluate_many(lf_model, nodes(w)), w, specs)
     hf_at_cr = cache.evaluate_many(hf_model, nodes(w - q))

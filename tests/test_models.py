@@ -24,14 +24,30 @@ from mfpce.models import (
     ModelError,
     ExternalModel,
     _Records,
-    _cache_keys,
     _usable_cpus,
     borehole_hf,
     borehole_lf,
     builtin_model,
     ishigami_fn,
 )
+from mfpce.orthopoly import Normal, Uniform, VariableSpec
 from mfpce.sparse_grid import physical_nodes, smolyak_grid
+
+#: One variable whose centre, the one node of the level-0 grid, is 1.0.
+LINE = (VariableSpec("x", Uniform(0.0, 2.0)),)
+#: Two variables whose centre is (1.0, 0.0).
+PLANE = (VariableSpec("x", Uniform(0.0, 2.0)), VariableSpec("y", Uniform(-1.0, 1.0)))
+
+
+def grid_nodes(specs, w):
+    """The physical nodes of the level-``w`` Smolyak grid of ``specs``."""
+    return physical_nodes(smolyak_grid(len(specs), w, list(specs)), specs)
+
+
+def union_nodes(specs, w):
+    """The distinct nodes of the grids of levels ``0..w``: ``U_w``, sorted."""
+    return np.unique(np.vstack([grid_nodes(specs, level) for level in range(w + 1)]), axis=0)
+
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ishigami_model.py"
 
@@ -185,13 +201,13 @@ class TestBatchContract:
     def test_wrong_shape_is_refused_before_any_record(self, tmp_path, fn, shape):
         """A model returning anything but one value per row raises
         :class:`ModelError`, reports nothing and leaves no cache record."""
-        X = np.arange(6.0).reshape(3, 2)
+        X = grid_nodes(PLANE, 1)[:3]
         model, reports = Model(id="m", fn=fn), []
         message = f"model 'm' returned shape {shape} for 3 nodes"
         with pytest.raises(ModelError, match=re.escape(message)):
             model.batch(X, on_answered=lambda v, stop: reports.append(stop))
         assert reports == []
-        cache = EvalCache(tmp_path / "cache.tsv")
+        cache = EvalCache(PLANE, 1, tmp_path / "cache.tsv")
         with pytest.raises(ModelError, match=re.escape(message)):
             cache.evaluate_many(model, X)
         assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
@@ -202,7 +218,8 @@ class TestBatchContract:
         """A builtin that makes a nan or an inf raises :class:`ModelError`
         naming its first such node, with no numpy warning, reports nothing
         and leaves no cache record."""
-        X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        X = grid_nodes(PLANE, 1)
+        X = X[X[:, 1] == 0.0][[1, 0, 2]]  # (1.0, 0.0), the centre, first
         model, reports = Model(id="m", fn=lambda X: X[:, 0] / X[:, 1] * bad), []
         message = f"non-finite output {bad!r} from model 'm' at node (1.0, 0.0)"
         with warnings.catch_warnings():
@@ -210,7 +227,7 @@ class TestBatchContract:
             with pytest.raises(ModelError, match=re.escape(message)):
                 model.batch(X, on_answered=lambda v, stop: reports.append(stop))
             assert reports == []
-            cache = EvalCache(tmp_path / "cache.tsv")
+            cache = EvalCache(PLANE, 1, tmp_path / "cache.tsv")
             with pytest.raises(ModelError, match=re.escape(message)):
                 cache.evaluate_many(model, X)
         assert not (tmp_path / "cache.tsv").exists() and cache.count("m") == 0
@@ -429,7 +446,7 @@ class TestOverlappedFaults:
             "    print(x, flush=True)\n    time.sleep(0.05)\n    print(x + 100, flush=True)\n"
         )
         proc = ExternalModel(f"{sys.executable} {script}", mode="stream", id="m")
-        cache = EvalCache(tmp_path / "cache.tsv")
+        cache = EvalCache(LINE, 0, tmp_path / "cache.tsv")
         with pytest.raises(ModelError, match=r"malformed response '101\.0' .*at node \(1\.0,\)"):
             cache.evaluate_many(proc, np.array([[1.0]]))
         assert len(spawned) == 1 and spawned[0].poll() is not None
@@ -450,7 +467,7 @@ class TestOverlappedFaults:
         proc = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
         message = r"at node \(1\.0,\): exit status 1; stderr: exit after the replies$"
         with pytest.raises(ModelError, match=message):
-            EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, np.array([[1.0]]))
+            EvalCache(LINE, 0, tmp_path / "cache.tsv").evaluate_many(proc, np.array([[1.0]]))
         assert not (tmp_path / "cache.tsv").exists()
         assert spawned and all(child.poll() is not None for child in spawned)
 
@@ -472,20 +489,21 @@ class TestOverlappedFaults:
             "import os, sys, time\nfor line in sys.stdin:\n    print(float(line), flush=True)\n"
             f"{linger}\n"
         )
-        X = np.arange(3.0)[:, None]
+        X = grid_nodes(LINE, 1)
         proc = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
         start = time.monotonic()
-        assert EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, X).tolist() == [0.0, 1.0, 2.0]
+        cache = lambda: EvalCache(LINE, 1, tmp_path / "cache.tsv")  # noqa: E731
+        assert cache().evaluate_many(proc, X).tolist() == X[:, 0].tolist()
         assert time.monotonic() - start < 5
         assert spawned and all(child.returncode == -signal.SIGKILL for child in spawned)
-        assert EvalCache(tmp_path / "cache.tsv").evaluate_many(proc, X).tolist() == [0.0, 1.0, 2.0]
+        assert cache().evaluate_many(proc, X).tolist() == X[:, 0].tolist()
         assert len(spawned) == (3 if mode == "oneshot" else 1)
 
 
 def tuple_keys(X):
-    """Cache keys as tuples of Python floats, the representation the array
-    keys replaced. Two such tuples are equal exactly when their floats are
-    bit-identical, except that -0.0 equals 0.0."""
+    """Cache keys as tuples of Python floats, the representation the rank
+    store replaced. On the nodes of a grid, two such tuples are equal
+    exactly when they are one node: -0.0 equals 0.0."""
     return list(map(tuple, X.tolist()))
 
 
@@ -498,10 +516,10 @@ def whole_batch_text(model_id: str, X, values) -> str:
 
 class TupleDictCache:
     """The tuple-dict cache algorithm, written out as the reference for
-    :class:`EvalCache`: one dict from ``(model id, key tuple)`` to value,
-    loaded from the file with the last record of a key winning, and a
-    batch that pays for each missing key at its first row, in row order,
-    with one append per batch."""
+    :class:`EvalCache` on grid nodes: one dict from ``(model id, key
+    tuple)`` to value, loaded from the file with the last record of a key
+    winning, and a batch that pays for each missing key at its first row,
+    in row order, with one append per batch."""
 
     def __init__(self, path):
         self.store, self.counters, self.path = {}, {}, path
@@ -534,32 +552,76 @@ class TupleDictCache:
         return np.array([self.store[k] for k in keys])
 
 
-#: Coordinates that stress the keys: a signed zero, values 1e-14 and 1e-13
-#: apart, a subnormal, and magnitudes of 2**52 and more.
-KEY_EDGES = [0.0, -0.0, 0.5, 0.5 + 1e-14, 1e-13, 2e-13, -3.25, 5e-324,
-             2.0**52, -(2.0**52) - 2, 2.0**53 + 2, 1e300, -1e300]
-coordinates = st.sampled_from(KEY_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
-cache_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("eval"),
-            st.sampled_from(["a", "b"]),
-            st.integers(1, 2).flatmap(
-                lambda d: st.lists(
-                    st.lists(coordinates, min_size=d, max_size=d), min_size=1, max_size=8
-                )
-            ),
-        ),
-        st.tuples(st.just("reload"), st.none(), st.none()),
-        st.tuples(
-            st.just("inject"),
-            st.sampled_from(["a", "b"]),
-            st.tuples(st.lists(coordinates, min_size=1, max_size=2), st.floats(-10, 10)),
-        ),
-    ),
-    min_size=1,
-    max_size=8,
+#: The caches the hypothesis tests draw from, as ``(specs, w)``: 1-D and
+#: 2-D Legendre, Hermite and mixed, each but the first centred at 0.0 on
+#: some axis, so that a node has a coordinate -0.0 as well as 0.0.
+GRIDS = [
+    ((VariableSpec("u", Uniform(2.0, 6.0)),), 3),
+    ((VariableSpec("z", Normal(0.0, 1.0)),), 3),
+    ((VariableSpec("u", Uniform(-1.0, 1.0)), VariableSpec("v", Uniform(-np.pi, 0.5))), 2),
+    ((VariableSpec("z", Normal(-1.0, 0.5)), VariableSpec("g", Normal(0.0, 2.0))), 2),
+    ((VariableSpec("u", Uniform(-1.0, 1.0)), VariableSpec("z", Normal(0.0, 1.0))), 2),
+]
+POOLS = {}
+
+
+def pool(grid: int) -> np.ndarray:
+    """``U_w`` of ``GRIDS[grid]``, made once."""
+    if grid not in POOLS:
+        POOLS[grid] = union_nodes(*GRIDS[grid])
+    return POOLS[grid]
+
+
+def pool_rows(grid: int, picks) -> np.ndarray:
+    """The rows of ``pool(grid)`` picked as ``(k, signed)``: row ``k``, its
+    zeros as -0.0 if ``signed``."""
+    X = pool(grid)[[k for k, _ in picks]]
+    X[np.array([signed for _, signed in picks])[:, None] & (X == 0.0)] = -0.0
+    return X
+
+
+def picks(grid: int, **size):
+    return st.lists(st.tuples(st.integers(0, len(pool(grid)) - 1), st.booleans()), **size)
+
+
+grid_rows = st.integers(0, len(GRIDS) - 1).flatmap(
+    lambda g: st.tuples(st.just(g), picks(g, min_size=1, max_size=8))
 )
+grid_ops = st.integers(0, len(GRIDS) - 1).flatmap(
+    lambda g: st.tuples(
+        st.just(g),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("eval"), st.sampled_from(["a", "b"]), picks(g, min_size=1, max_size=8)
+                ),
+                st.tuples(st.just("reload"), st.none(), st.none()),
+                st.tuples(
+                    st.just("inject"),
+                    st.sampled_from(["a", "b"]),
+                    st.tuples(picks(g, min_size=1, max_size=1), st.floats(-10, 10)),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+def unpaid(Y):
+    raise AssertionError(f"re-evaluated {len(Y)} rows")
+
+
+#: The ways a row or a record can miss ``U_w`` of ``PLANE`` at ``w = 1``,
+#: made from the node ``(1 + a, 0.0)``: its centre one ulp off, a third
+#: coordinate, and its centre swapped for the level-1 point ``-b``, so that
+#: both coordinates are axis points but their costs sum to 2.
+OFF_GRID = {
+    "one_ulp_off": lambda node: [node[0], np.nextafter(node[1], 1.0)],
+    "other_dimension": lambda node: [*node, 0.0],
+    "cost_above_w": lambda node: [node[0], grid_nodes(PLANE, 1)[1, 1]],
+}
 
 
 class TestEvalCache:
@@ -571,32 +633,31 @@ class TestEvalCache:
             return X.sum(axis=1)
 
         model = Model(id="m", fn=fn)
-        cache = EvalCache()
-        X = np.array([[0.0, 1.0], [2.0, 3.0]])
+        cache = EvalCache(PLANE, 1)
+        X = grid_nodes(PLANE, 1)
         first = cache.evaluate_many(model, X)
         second = cache.evaluate_many(model, X)
         assert np.array_equal(first, second)
-        assert calls == [2]
-        assert cache.count("m") == 2
+        assert calls == [5]
+        assert cache.count("m") == 5
 
     def test_reference_batch_memory(self):
         """A fresh cache on the borehole w=5 reference: 54,673 distinct nodes,
-        3.5 MB of coordinates, all paid. ``np.unique``'s copies, a gathered
-        copy of ``X`` and an ``np.insert`` into the empty store would peak
-        near 18 MB."""
+        3.5 MB of coordinates, all paid. Keys of the coordinates' bits,
+        sorted and inserted into a store, peaked near 7.6 MiB."""
         specs = BENCHMARK_SPECS["borehole"]
         X = physical_nodes(smolyak_grid(8, 5, specs), specs)
         model = builtin_model("borehole", "hf")
         tracemalloc.start()
         try:
-            cache = EvalCache()
+            cache = EvalCache(specs, 5)
             values = cache.evaluate_many(model, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cache.count(model.id) == len(X) == 54_673
+        assert cache.count(model.id) == len(X) == cache.size == 54_673
         assert np.array_equal(values, model.batch(X))
-        assert peak < 11e6
+        assert peak < 5e6
 
     def test_append_memory(self, tmp_path):
         """Appending a fresh 10,000-row 5-D batch holds one chunk of records
@@ -616,21 +677,20 @@ class TestEvalCache:
         assert peak < 0.5 * 2**20
 
     def test_load_memory(self, tmp_path):
-        """Loading 10,000 5-D records holds them in flat arrays; lists of
-        Python floats would peak near 3.5 MiB."""
-        X = np.random.default_rng(0).normal(size=(10_000, 5))
+        """Loading the 10,363 records of the 5-D short column grid at w=5
+        holds them in flat arrays; lists of Python floats would peak near
+        3.5 MiB."""
+        specs = SHORT_COLUMN_SPECS
+        X = grid_nodes(specs, 5)
         path = tmp_path / "cache.tsv"
         path.write_text(whole_batch_text("m", X, X.sum(axis=1)))
         tracemalloc.start()
         try:
-            cache = EvalCache(path)
+            cache = EvalCache(specs, 5, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-        def unpaid(Y):
-            raise AssertionError(f"re-evaluated {len(Y)} rows")
-
+        assert len(X) == 10_363
         assert cache.evaluate_many(Model(id="m", fn=unpaid), X).tolist() == X.sum(axis=1).tolist()
         assert peak < 2 * 2**20
 
@@ -643,100 +703,116 @@ class TestEvalCache:
             return X.sum(axis=1)
 
         model = Model(id="m", fn=fn)
-        cache = EvalCache(path)
-        values = cache.evaluate_many(model, [[1, 2], [1, 2], [1 + 1e-14, 2], [1, 2]])
+        cache = EvalCache(LINE, 1, path)
+        a, b = grid_nodes(LINE, 1)[[1, 2], 0]
+        values = cache.evaluate_many(model, [[a], [a], [b], [a]])
         assert len(calls) == 1
-        assert np.array_equal(calls[0], [[1.0, 2.0], [1 + 1e-14, 2.0]])
+        assert np.array_equal(calls[0], [[a], [b]])
         assert cache.count("m") == 2
-        assert np.array_equal(values, [3.0, 3.0, (1 + 1e-14) + 2, 3.0])
+        assert np.array_equal(values, [a, a, b, a])
         assert len(path.read_text().splitlines()) == 2
 
-    def test_near_identical_nodes_merge(self):
-        """Nodes that differ only in the sign of a zero merge; a coordinate
-        1e-15 away is a node of its own."""
-        model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        cache = EvalCache()
-        cache.evaluate_many(model, np.array([[0.5, -0.0]]))
-        cache.evaluate_many(model, np.array([[0.5, 0.0]]))
-        assert cache.count("m") == 1
-        cache.evaluate_many(model, np.array([[0.5 + 1e-15, 0.0]]))
-        assert cache.count("m") == 2
+    def test_minus_zero_is_the_centre(self, tmp_path, unit_uniform_specs):
+        """A coordinate -0.0 is the centre 0.0, in a batch and on file."""
+        path = tmp_path / "cache.tsv"
+        path.write_text("m\t-0 -0\t1.5\n")
+        model = Model(id="m", fn=unpaid)
+        cache = EvalCache(unit_uniform_specs, 0, path)
+        got = cache.evaluate_many(model, [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        assert got.tolist() == [1.5] * 3 and cache.count("m") == 0
 
-    def test_nodes_1e_13_apart_are_paid_apart(self):
+    @pytest.mark.parametrize("kind", list(OFF_GRID))
+    def test_off_grid_row_raises_before_any_call(self, tmp_path, kind):
+        """A row that is no node of ``U_w`` raises ``ValueError`` naming it,
+        before the model is called or a record is written."""
+        path, calls = tmp_path / "cache.tsv", []
+        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X.sum(axis=1))
+        cache = EvalCache(PLANE, 1, path)
+        X = grid_nodes(PLANE, 1)
+        bad = np.array(OFF_GRID[kind](X[-1]), dtype=float)
+        rows = np.vstack([X, bad]) if len(bad) == 2 else [bad]
+        with pytest.raises(ValueError, match=re.escape(f"node {tuple(bad.tolist())} is not")):
+            cache.evaluate_many(model, rows)
+        assert calls == [] and cache.count("m") == 0 and not path.exists()
+
+    @pytest.mark.parametrize("kind", list(OFF_GRID))
+    def test_off_grid_record_is_kept_but_not_loaded(self, tmp_path, kind):
+        """A record that is no node of ``U_w`` is neither loaded nor served,
+        and stays in the file; the other records are served."""
+        node, centre = grid_nodes(PLANE, 1)[[-1, 2]]
+        bad = np.array(OFF_GRID[kind](node), dtype=float)
+        path = tmp_path / "cache.tsv"
+        text = whole_batch_text("m", [bad, centre], [99.0, 7.0])
+        path.write_text(text)
         calls = []
-        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X[:, 0] * 1e13)
-        cache = EvalCache()
-        values = cache.evaluate_many(model, [[1e-13], [2e-13], [3e-13]])
-        assert calls == [3] and cache.count("m") == 3
-        assert values.tolist() == [1.0, 2.0, 3.0]
+        model = Model(id="m", fn=lambda X: calls.append(X.copy()) or X.sum(axis=1))
+        cache = EvalCache(PLANE, 1, path)
+        assert cache.evaluate_many(model, [centre, node]).tolist() == [7.0, node.sum()]
+        assert cache.count("m") == 1 and np.array_equal(calls[0], [node])
+        assert path.read_text() == text + whole_batch_text("m", [node], [node.sum()])
 
-    @pytest.mark.parametrize(
-        "a, b, keys",
-        [
-            (-0.0, 0.0, 1),
-            (0.5, 0.5 + 1e-14, 2),
-            (5e-324, 0.0, 2),
-            (2.0**53 + 2, -(2.0**53 + 2), 2),
-            (1e300, -1e300, 2),
-        ],
-        ids=["signed_zero", "1e-14_apart", "subnormal", "two_to_the_53_plus_2", "1e300"],
-    )
-    def test_exact_key_edges(self, a, b, keys):
-        """Two coordinates are one node only when their bits are equal, or
-        they are the two zeros."""
-        model = Model(id="m", fn=lambda X: X[:, 0])
-        cache = EvalCache()
-        values = cache.evaluate_many(model, [[a], [b], [a]])
-        assert cache.count("m") == keys
-        assert values.tolist() == ([a, b, a] if keys == 2 else [a, a, a])
-        assert len(np.unique(_cache_keys(np.array([[a], [b]])))) == keys
+    def test_file_of_a_higher_level_serves_a_lower_one(self, tmp_path, ishigami_range_specs):
+        """A file written by a ``w = 5`` cache over the grids of levels 0 to
+        5, opened by a ``w = 3`` cache, pays nothing for the ``w = 3`` grid."""
+        specs, path = ishigami_range_specs, tmp_path / "cache.tsv"
+        model = Model(id="m", fn=lambda X: X.sum(axis=1))
+        written = EvalCache(specs, 5, path)
+        for w in range(6):
+            written.evaluate_many(model, grid_nodes(specs, w))
+        assert written.count("m") == written.size == 2031
+        lower = EvalCache(specs, 3, path)
+        X = grid_nodes(specs, 3)
+        assert lower.evaluate_many(Model(id="m", fn=unpaid), X).tolist() == X.sum(axis=1).tolist()
+        assert lower.count("m") == 0
 
     def test_persisted_grid_nodes_are_found_by_a_fresh_cache(self, tmp_path):
         """The ``%.17g`` records reproduce the bits of a grid's physical
         nodes: a fresh cache on the file pays nothing for them."""
         specs = SHORT_COLUMN_SPECS
-        nodes = lambda: physical_nodes(smolyak_grid(len(specs), 3, specs), specs)
+        nodes = lambda: grid_nodes(specs, 3)  # noqa: E731
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        written = EvalCache(path)
+        written = EvalCache(specs, 3, path)
         values = written.evaluate_many(model, nodes())
         assert written.count("m") == len(nodes())
-        fresh = EvalCache(path)
+        fresh = EvalCache(specs, 3, path)
         assert fresh.evaluate_many(model, nodes()).tolist() == values.tolist()
         assert fresh.count("m") == 0
 
     def test_models_are_isolated(self):
         a = Model(id="a", fn=lambda X: X.sum(axis=1))
         b = Model(id="b", fn=lambda X: 2 * X.sum(axis=1))
-        cache = EvalCache()
-        x = np.array([[1.0, 2.0]])
-        assert cache.evaluate_many(a, x).tolist() == pytest.approx([3.0])
-        assert cache.evaluate_many(b, x).tolist() == pytest.approx([6.0])
+        cache = EvalCache(PLANE, 0)
+        x = np.array([[1.0, 0.0]])
+        assert cache.evaluate_many(a, x).tolist() == [1.0]
+        assert cache.evaluate_many(b, x).tolist() == [2.0]
         assert cache.count("a") == 1 and cache.count("b") == 1
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        cache = EvalCache(path)
-        X = np.array([[0.125, -4.5], [1e-13, 3.0]])
+        cache = EvalCache(PLANE, 1, path)
+        X = grid_nodes(PLANE, 1)[[0, 3]]
         values = cache.evaluate_many(model, X)
 
-        reloaded = EvalCache(path)
+        reloaded = EvalCache(PLANE, 1, path)
         calls = []
         probe = Model(id="m", fn=lambda Y: calls.append(len(Y)) or Y.sum(axis=1))
         again = reloaded.evaluate_many(probe, X)
-        assert np.allclose(again, values)
+        assert np.array_equal(again, values)
         assert calls == []
 
     def test_reopened_cache_pays_nothing(self, tmp_path):
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        X = np.array([[2461.7621578959875, -0.0], [0.1, 1e-13], [-3.25, 7.0]])
-        EvalCache(path).evaluate_many(model, X)
+        specs, _ = GRIDS[4]
+        X = pool_rows(4, [(0, False), (7, True), (len(pool(4)) - 1, False)])
+        assert -0.0 in X and np.signbit(X).any()
+        EvalCache(specs, 2, path).evaluate_many(model, X)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
 
-        reloaded = EvalCache(path)
+        reloaded = EvalCache(specs, 2, path)
         again = reloaded.evaluate_many(model, X)
         assert reloaded.count("m") == 0
         assert np.array_equal(again, X.sum(axis=1))
@@ -750,88 +826,62 @@ class TestEvalCache:
         dropped with one warning naming the file and cut from the file, so
         that the next record starts a line of its own."""
         path = tmp_path / "cache.tsv"
-        path.write_text("m\t0 0\t1.5\n" + cut)
-        cache = EvalCache(path)
+        path.write_text("m\t1 0\t1.5\n" + cut)
+        cache = EvalCache(PLANE, 1, path)
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and str(path) in warnings[0].getMessage()
-        assert path.read_text() == "m\t0 0\t1.5\n"
+        assert path.read_text() == "m\t1 0\t1.5\n"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        assert cache.evaluate_many(model, [[0.0, 0.0], [1.0, 2.0]]).tolist() == [1.5, 3.0]
+        node = grid_nodes(PLANE, 1)[-1]
+        record = whole_batch_text("m", [node], [node.sum()])
+        assert cache.evaluate_many(model, [[1.0, 0.0], node]).tolist() == [1.5, node.sum()]
         assert cache.count("m") == 1
-        assert path.read_text() == "m\t0 0\t1.5\nm\t1 2\t3\n"
-        again = EvalCache(path)
-        assert again.evaluate_many(model, [[0.0, 0.0], [1.0, 2.0]]).tolist() == [1.5, 3.0]
+        assert path.read_text() == "m\t1 0\t1.5\n" + record
+        again = EvalCache(PLANE, 1, path)
+        assert again.evaluate_many(model, [[1.0, 0.0], node]).tolist() == [1.5, node.sum()]
         assert again.count("m") == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
-    def test_written_rows_are_found_on_reload(self, rows):
-        """Any finite row written by ``_Records`` and read back by
-        ``_load`` has the key ``evaluate_many`` computes for it fresh, so a
-        reopened cache pays for none of them."""
-        X = np.array(rows, dtype=float)
+    @given(grid_rows)
+    def test_written_rows_are_found_on_reload(self, drawn):
+        """Any grid node written by ``_Records`` and read back by ``_load``
+        is the node ``evaluate_many`` finds for it fresh, so a reopened
+        cache pays for none of them, and serves each the last value
+        written for it."""
+        grid, chosen = drawn
+        X = pool_rows(grid, chosen)
         values = np.arange(len(X), dtype=float)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cache.tsv"
             with contextlib.closing(_Records(path, "m", X)) as records:
                 records.write(values, len(X))
-            reloaded = EvalCache(path)
-
-            def unpaid(Y):
-                raise AssertionError(f"re-evaluated {Y!r}")
-
+            reloaded = EvalCache(*GRIDS[grid], path)
             got = reloaded.evaluate_many(Model(id="m", fn=unpaid), X)
         assert reloaded.count("m") == 0
-        keys = [k.tobytes() for k in _cache_keys(X)]
-        last = dict(zip(keys, values))
-        assert got.tolist() == [last[k] for k in keys]
-
-    def test_huge_coordinates_are_keyed_apart(self):
-        calls = []
-        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X[:, 0])
-        cache = EvalCache()
-        values = cache.evaluate_many(model, [[1e300], [2e300], [-2.0**52 - 2]])
-        assert calls == [3] and cache.count("m") == 3
-        assert values.tolist() == [1e300, 2e300, -2.0**52 - 2]
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
-    def test_keys_are_the_bits_of_each_row(self, coords):
-        """A key is the float64 bytes of its row, with -0.0 as 0.0."""
-        X = np.array([coords, [-0.0] * len(coords)])
-        keys = _cache_keys(X)
-        assert keys.shape == (2,) and keys.dtype.itemsize == 8 * len(coords)
-        assert keys[0].tobytes() == np.array([c + 0.0 for c in coords]).tobytes()
-        assert keys[1].tobytes() == bytes(8 * len(coords))
+        last = dict(zip(tuple_keys(X), values))
+        assert got.tolist() == [last[k] for k in tuple_keys(X)]
 
     @settings(max_examples=100, deadline=None)
-    @example(
-        [
-            ("eval", "a", [[0.5, -0.0], [0.5 + 1e-14, 0.0], [2.0**53 + 2, 1.0], [0.5, -0.0]]),
-            ("eval", "b", [[0.5], [1e300], [-(2.0**52) - 2], [1e300]]),
-            ("inject", "a", ([0.5, 0.0], 7.0)),
-            ("reload", None, None),
-            ("eval", "a", [[0.5, 0.0], [2.0**53 + 2, 1.0], [-3.25, 1e-13]]),
-            ("eval", "b", [[0.5], [2461.7621578959875], [1e300]]),
-        ]
-    )
-    @given(cache_ops)
-    def test_array_store_equals_tuple_dict_cache(self, ops):
+    @example((4, [
+        ("eval", "a", [(0, False), (5, True), (5, False), (0, False), (12, True)]),
+        ("eval", "b", [(5, True), (3, False), (3, False)]),
+        ("inject", "a", ([(5, True)], 7.0)),
+        ("reload", None, None),
+        ("eval", "a", [(5, False), (12, False), (1, False)]),
+        ("eval", "b", [(5, False), (2, True), (3, False)]),
+    ]))
+    @given(grid_ops)
+    def test_array_store_equals_tuple_dict_cache(self, drawn):
         """Values, counts, the rows each model is asked for, in order, and
         the appended bytes all equal those of :class:`TupleDictCache`, over
-        duplicate rows, signed zeros, rows 1e-14 apart, subnormal and huge
-        coordinates, two model ids, two dimensions, records appended from
+        the nodes of 1-D and 2-D Legendre, Hermite and mixed grids, with
+        duplicate rows, signed zeros, two model ids, records appended from
         outside and reloads."""
+        grid, ops = drawn
+        specs, w = GRIDS[grid]
         with tempfile.TemporaryDirectory() as tmp:
             paths = Path(tmp) / "array.tsv", Path(tmp) / "tuple.tsv"
-            caches = EvalCache(paths[0]), TupleDictCache(paths[1])
+            caches = EvalCache(specs, w, paths[0]), TupleDictCache(paths[1])
             calls = {}
 
             def model(impl, model_id):
@@ -845,13 +895,14 @@ class TestEvalCache:
 
             for op, model_id, arg in ops:
                 if op == "eval":
-                    got = [c.evaluate_many(model(i, model_id), arg) for i, c in enumerate(caches)]
+                    X = pool_rows(grid, arg)
+                    got = [c.evaluate_many(model(i, model_id), X) for i, c in enumerate(caches)]
                     assert got[0].dtype == got[1].dtype and got[0].tobytes() == got[1].tobytes()
                 elif op == "reload":
-                    caches = EvalCache(paths[0]), TupleDictCache(paths[1])
+                    caches = EvalCache(specs, w, paths[0]), TupleDictCache(paths[1])
                 else:
-                    row, value = arg
-                    record = f"{model_id}\t{' '.join(f'{c:.17g}' for c in row)}\t{value:.17g}\n"
+                    chosen, value = arg
+                    record = whole_batch_text(model_id, pool_rows(grid, chosen), [value])
                     for path in paths:
                         with open(path, "a") as fh:
                             fh.write(record)
@@ -867,14 +918,14 @@ class TestEvalCache:
     def test_one_append_per_batch(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
         model = Model(id="m", fn=lambda X: X.sum(axis=1))
-        cache = EvalCache(path)
+        cache = EvalCache(PLANE, 1, path)
         opened = []
         real_open = open
         monkeypatch.setattr(
             "builtins.open", lambda *a, **k: opened.append(a) or real_open(*a, **k)
         )
-        cache.evaluate_many(model, np.arange(10.0).reshape(5, 2))
-        cache.evaluate_many(model, np.arange(10.0).reshape(5, 2))
+        cache.evaluate_many(model, grid_nodes(PLANE, 1))
+        cache.evaluate_many(model, grid_nodes(PLANE, 1))
         assert len(opened) == 1
         assert len(path.read_text().splitlines()) == 5
 
@@ -883,7 +934,8 @@ class TestEvalCache:
         """An external batch opens the cache file once and writes its
         records in row order, as the whole batch's text at once would, even
         when its rows are answered out of order: every oneshot child is in
-        flight, and row 0's answers only once the others have."""
+        flight, and row 0's, the centre 0.0, answers only once the others
+        have."""
         monkeypatch.setattr(models, "_usable_cpus", lambda: rows)
         done = tmp_path / "done"
         done.mkdir()
@@ -897,10 +949,12 @@ class TestEvalCache:
         monkeypatch.setattr(
             "builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k)
         )
-        X = np.arange(float(rows))[:, None]
+        axis = (VariableSpec("u", Uniform(-1.0, 1.0)),)
+        nodes = union_nodes(axis, 7)
+        X = np.vstack([[[0.0]], nodes[nodes[:, 0] != 0.0][: rows - 1]])
         model = ExternalModel(f"{sys.executable} {script}", mode=mode, id="m")
         try:
-            values = EvalCache(path).evaluate_many(model, X)
+            values = EvalCache(axis, 7, path).evaluate_many(model, X)
         finally:
             model.close()
         assert values.tolist() == (X[:, 0] ** 2).tolist()
@@ -911,19 +965,19 @@ class TestEvalCache:
         path = tmp_path / "cache.tsv"
         path.write_text("m\t0.5 2\t2.5\n\nm\t1 2\n")
         with pytest.raises(CacheFileError, match=r"cache\.tsv:3: malformed"):
-            EvalCache(path)
+            EvalCache(PLANE, 1, path)
 
     def test_record_without_coordinates_is_malformed(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("m\t0.5 2\t2.5\nm\t\t1.0\n")
         with pytest.raises(CacheFileError, match=r"cache\.tsv:2: malformed"):
-            EvalCache(path)
+            EvalCache(PLANE, 1, path)
 
     def test_persistence_format(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        model = Model(id="prob/hf", fn=lambda X: X.sum(axis=1))
-        EvalCache(path).evaluate_many(model, np.array([[0.5, 2.0]]))
+        model = Model(id="prob/hf", fn=lambda X: X.sum(axis=1) + 1.5)
+        EvalCache(PLANE, 0, path).evaluate_many(model, np.array([[1.0, 0.0]]))
         record = path.read_text().strip().split("\t")
         assert record[0] == "prob/hf"
-        assert [float(c) for c in record[1].split()] == [0.5, 2.0]
+        assert [float(c) for c in record[1].split()] == [1.0, 0.0]
         assert float(record[2]) == 2.5

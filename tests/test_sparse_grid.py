@@ -171,6 +171,22 @@ class TestGridSize:
             grid_size(3, w, q)
 
 
+class TestUnionRanks:
+    @pytest.mark.parametrize(
+        "families, w",
+        [((L, L, L), 6), ((L, H, L), 5), ((L, L, L, L), 3), ((H, H), 7), ((L,), 6)],
+        ids=["3d-w6", "mixed-3d-w5", "4d-w3", "hermite-2d-w7", "1d-w6"],
+    )
+    def test_ranks_are_positions_in_the_union_of_the_grids(self, families, w):
+        """The distinct nodes of the grids of levels 0..w, in lexicographic
+        order, rank 0, 1, ... in ``U_w``, whose size is their count."""
+        axes = [sparse_grid.union_axis(w, f) for f in families]
+        nodes = np.unique(np.vstack([grid_plan(v, families).grid.nodes for v in range(w + 1)]), axis=0)
+        ids = np.array([np.searchsorted(points, nodes[:, j]) for j, (points, _) in enumerate(axes)])
+        ranks, size = sparse_grid.union_ranks(ids, [cost for _, cost in axes], w)
+        assert size == len(nodes) and ranks.tolist() == list(range(len(nodes)))
+
+
 class TestTensorGrid:
     def test_mixed_families_outer_product(self, mixed_specs):
         grid = tensor_grid((1, 1), list(mixed_specs))

@@ -293,14 +293,14 @@ class TestBuildScheme:
         }
         hf = SchemeSpec(name="hf", kind="hf", hf="hf")
         mf = SchemeSpec(name="mf", kind="mf", hf="hf", lf="lf", q=2)
-        cache = EvalCache()
+        cache = EvalCache(ishigami_range_specs, 3)
         assert build_scheme(hf, 3, ishigami_range_specs, models, cache).n_hf == 159
         # The 37 nodes of the w=2 grid are among the w=3 grid's 159: they
         # cost 37, and the cache pays none of them again.
         assert build_scheme(hf, 2, ishigami_range_specs, models, cache).n_hf == 37
         assert cache.count(models["hf"].id) == 159
 
-        cache = EvalCache()
+        cache = EvalCache(ishigami_range_specs, 3)
         first = build_scheme(mf, 3, ishigami_range_specs, models, cache)
         again = build_scheme(mf, 3, ishigami_range_specs, models, cache)
         assert (first.n_hf, first.n_lf) == (7, 159)
