@@ -47,7 +47,7 @@ def int_at_least(value, low: int, what: str) -> int:
 
 
 def seed_value(value, what: str) -> int:
-    """``value`` as a seed: a key of the Philox generator, ``0 <= seed < 2**128``."""
+    """``value`` as a seed: a key of :class:`~mfpce.philox.Philox`, ``0 <= seed < 2**128``."""
     seed = int_at_least(value, 0, what)
     if seed >= 2**128:
         raise ConfigError(f"{what} must be < 2**128, got {seed}")

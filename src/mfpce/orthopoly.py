@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .philox import Philox
+
 
 class PolyFamily(Enum):
     LEGENDRE = "legendre"
@@ -82,8 +84,10 @@ class VariableSpec:
             return 0.5 * (x * (b - a) + a + b)
         return self.dist.mu + self.dist.sigma * x
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` samples in physical coordinates."""
+    def sample(self, rng: Philox | np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` samples in physical coordinates with ``rng``'s
+        ``uniform`` or ``normal``: a :class:`~mfpce.philox.Philox` or any
+        object with those two ``Generator`` methods."""
         if isinstance(self.dist, Uniform):
             return rng.uniform(self.dist.a, self.dist.b, size)
         return rng.normal(self.dist.mu, self.dist.sigma, size)

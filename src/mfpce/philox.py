@@ -1,0 +1,123 @@
+"""The counter-based Philox4x64-10 generator in plain numpy.
+
+``Philox(seed)`` draws the same words as numpy's
+``np.random.Generator(np.random.Philox(key=seed))``: Philox4x64-10 (Salmon,
+Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC11,
+2011) is a pure function of a 256-bit counter and a 128-bit key, so a few
+whole-array ``uint64`` passes reproduce numpy's stream bit for bit. A
+uniform draw, the only kind a config of uniform inputs makes, then follows
+the published algorithm rather than numpy's ``Generator`` stream policy,
+and never imports ``numpy.random``, whose ``secrets`` → ``hashlib`` →
+OpenSSL chain costs about 6 MB of resident memory. A normal draw hands the
+stream position to numpy's ziggurat and reads it back.
+
+numpy's word order: the key is ``(seed mod 2**64, seed >> 64)``; the counter
+is incremented before each 4-word block, so block ``i`` of the stream is the
+function of counter ``i + 1``; a draw that ends inside a block leaves the
+block's other words to the next draw.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_MASK = 2**64 - 1
+_LOW = 2**32 - 1
+#: The round multipliers and the two words added to the key between rounds.
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_ROUNDS = 10
+#: Blocks computed per pass. A pass holds about 20 ``uint64`` temporaries of
+#: this length, 0.6 MiB, whatever the size of the draw.
+_CHUNK_BLOCKS = 4096
+
+
+def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products ``m * c``, from 32-bit
+    halves so that no partial product wraps."""
+    m_lo, m_hi = m & _LOW, m >> 32
+    c_lo, c_hi = c & _LOW, c >> 32
+    lh, hl = m_lo * c_hi, m_hi * c_lo
+    mid = ((m_lo * c_lo) >> 32) + (lh & _LOW) + (hl & _LOW)
+    return m_hi * c_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def _blocks(first: int, count: int, key: tuple[int, int]) -> np.ndarray:
+    """The ``4 * count`` words of blocks with counters ``first ..
+    first + count - 1``, block after block. A counter stays below ``2**64``,
+    so its three high words are 0. The key schedule is kept in Python
+    ``int``s masked to 64 bits: numpy scalar arithmetic warns on the
+    wrap that whole arrays do silently."""
+    c0 = np.arange(first, first + count, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(count, dtype=np.uint64)
+    k0, k1 = key
+    for _ in range(_ROUNDS):
+        hi0, lo0 = _mulhi(_M0, c0), c0 * _M0
+        hi1, lo1 = _mulhi(_M1, c2), c2 * _M1
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = (k0 + _W0) & _MASK, (k1 + _W1) & _MASK
+    return np.stack([c0, c1, c2, c3], axis=1).ravel()
+
+
+class Philox:
+    """The stream of ``np.random.Generator(np.random.Philox(key=seed))``,
+    ``0 <= seed < 2**128``, for the two draws that
+    :meth:`~mfpce.orthopoly.VariableSpec.sample` makes.
+
+    The position is numpy's own: ``counter`` is the last block computed,
+    ``buffer`` its words and ``buffer_pos`` the next of them to draw (4 when
+    none is left).
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"a Philox key is in [0, 2**128), got {seed}")
+        self.key = (seed & _MASK, seed >> 64)
+        self.counter = 0
+        self.buffer = np.zeros(4, dtype=np.uint64)
+        self.buffer_pos = 4
+
+    def _raw(self, n: int):
+        """Yield the next ``n`` words in order, in pieces of at most
+        ``4 * _CHUNK_BLOCKS`` words; the position advances as they go."""
+        left = self.buffer[self.buffer_pos : self.buffer_pos + n]
+        self.buffer_pos += len(left)
+        n -= len(left)
+        if len(left):
+            yield left
+        while n > 0:
+            count = min(_CHUNK_BLOCKS, -(-n // 4))
+            words = _blocks(self.counter + 1, count, self.key)
+            self.counter += count
+            use = min(n, words.size)
+            self.buffer, self.buffer_pos = words[-4:].copy(), 4 - (words.size - use)
+            n -= use
+            yield words[:use]
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """``size`` draws on ``[low, high)``, as ``Generator.uniform``:
+        ``low + (high - low) * ((word >> 11) * 2**-53)``."""
+        low, high = float(low), float(high)
+        out, at, span = np.empty(size), 0, high - low
+        for words in self._raw(size):
+            out[at : at + len(words)] = low + span * ((words >> 11) * 2.0**-53)
+            at += len(words)
+        return out
+
+    def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
+        """``size`` draws of ``N(loc, scale**2)``, as ``Generator.normal``.
+        numpy's ziggurat draws a varying number of words, so it is run by
+        numpy itself from this position, which is then read back; only
+        here is ``numpy.random`` imported."""
+        import numpy.random
+
+        bits = numpy.random.Philox(key=self.key[0] | self.key[1] << 64)
+        state = bits.state
+        state["state"]["counter"][0] = self.counter
+        state.update(buffer=self.buffer, buffer_pos=self.buffer_pos)
+        bits.state = state
+        out = numpy.random.Generator(bits).normal(loc, scale, size)
+        state = bits.state
+        self.counter = int(state["state"]["counter"][0])
+        self.buffer, self.buffer_pos = state["buffer"], state["buffer_pos"]
+        return out

@@ -15,6 +15,7 @@ import numpy as np
 
 from .models import Model
 from .pce import Expansion, mean, variance
+from .philox import Philox
 from .sparse_grid import first_occurrences, row_keys
 
 #: Subsets contributing less than this fraction of the variance are dropped
@@ -91,13 +92,16 @@ def mc_sobol(model: Model, specs, N: int, seed: int) -> SobolReport:
     Uses a pick-freeze design with two base matrices (``N * (n + 2)`` model
     evaluations): the Saltelli first-order estimator and the Jansen total
     estimator, with standard errors from the per-sample estimator spread.
-    Deterministic given the seed (counter-based Philox generator).
+    Deterministic given the seed: the samples are drawn by
+    :class:`~mfpce.philox.Philox`, the Philox4x64-10 stream of numpy's
+    ``Generator(Philox(key=seed))``, so uniform inputs import no
+    ``numpy.random``.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     specs = list(specs)
     n = len(specs)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Philox(seed)
     A = np.column_stack([spec.sample(rng, N) for spec in specs])
     B = np.column_stack([spec.sample(rng, N) for spec in specs])
     y_a = model.batch(A)

@@ -17,6 +17,7 @@ import numpy as np
 from .mf import BuiltScheme, build_mf_parts, fit
 from .models import EvalCache, Model
 from .pce import evaluate_batch, mean, union, variance
+from .philox import Philox
 from .sobol import SobolReport, ZeroVarianceError, all_indices
 from .sparse_grid import grid_plan, smolyak_grid
 
@@ -266,7 +267,7 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
-    rng = np.random.Generator(np.random.Philox(key=cfg.validation.seed))
+    rng = Philox(cfg.validation.seed)
     X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
     y_true: dict[str, np.ndarray] = {}
 

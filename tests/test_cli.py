@@ -9,6 +9,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -1393,10 +1394,10 @@ def test_mfpce_environment_changes_nothing(tmp_path, monkeypatch, capsys):
 
 
 def modules_after(code: str, *args: str) -> set[str]:
-    """The top-level packages in ``sys.modules`` of a fresh interpreter
-    that imports ``mfpce`` from this tree, once it has run ``code`` with
-    ``args`` as ``sys.argv[1:]``."""
-    probe = f"{code}\nimport sys; print(*sorted({{m.split('.')[0] for m in sys.modules}}))"
+    """The names in ``sys.modules`` of a fresh interpreter that imports
+    ``mfpce`` from this tree, once it has run ``code`` with ``args`` as
+    ``sys.argv[1:]``."""
+    probe = f"{code}\nimport sys; print(*sorted(sys.modules))"
     argv = [sys.executable, "-c", probe, *args]
     done = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -1405,8 +1406,8 @@ def modules_after(code: str, *args: str) -> set[str]:
 
 def test_import_does_not_load_scipy():
     """The CLI runs on numpy alone: importing it in a fresh interpreter
-    loads no SciPy module."""
-    assert "scipy" not in modules_after("import mfpce.cli")
+    loads no SciPy module, nor ``numpy.random``."""
+    assert not {"scipy", "numpy.random"} & modules_after("import mfpce.cli")
 
 
 def test_builtin_converge_loads_no_process_machinery(tmp_path):
@@ -1417,3 +1418,34 @@ def test_builtin_converge_loads_no_process_machinery(tmp_path):
     run = "import sys; from mfpce.cli import main; assert main(['--config', sys.argv[1], 'converge']) == 0"
     assert not {"subprocess", "selectors"} & modules_after(run, str(cfg))
     assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["converge"], ["mc-check", "--model", "hf", "--n", "64"]])
+def test_uniform_draws_load_no_numpy_random(tmp_path, argv):
+    """Uniform validation points and Monte Carlo samples come from
+    ``mfpce.philox``: a fresh interpreter that draws them has not loaded
+    ``numpy.random`` and its ``secrets`` → ``hashlib`` chain."""
+    cfg = ishigami_config(tmp_path, tmp_path / "out")
+    run = "import sys; from mfpce.cli import main; assert main(['--config', *sys.argv[1:]]) == 0"
+    assert "numpy.random" not in modules_after(run, str(cfg), *argv)
+
+
+def test_normal_input_draws_numpy_points(tmp_path, monkeypatch):
+    """A config with a normal input validates on the points of numpy's
+    ``Generator(Philox(key=seed))``, bit for bit: its normal column comes
+    from numpy's ziggurat, after the two uniform columns' words."""
+    calls, batch = [], Model.batch
+
+    def recorded(self, X, on_answered=None):
+        if on_answered is None:  # the validation truths
+            calls.append(X)
+        return batch(self, X, on_answered)
+
+    monkeypatch.setattr(Model, "batch", recorded)
+    cfg = ishigami_config(tmp_path, tmp_path / "out", variables=ONE_NORMAL)
+    assert main(["--config", str(cfg), "converge"]) == 0
+    rng = np.random.Generator(np.random.Philox(key=3))
+    columns = [rng.uniform(-3.0, 3.0, 2000), rng.uniform(-3.0, 3.0, 2000), rng.normal(0.0, 1.0, 2000)]
+    want = np.column_stack(columns)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0].view(np.uint64), want.view(np.uint64))
