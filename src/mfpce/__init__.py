@@ -13,7 +13,7 @@ from .orthopoly import (
 )
 from .pce import Expansion, evaluate_batch, mean, project, variance
 from .sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
-from .sparse_grid import growth, level_terms, smolyak_grid, tensor_grid
+from .sparse_grid import growth, level_terms, smolyak_grid
 from .study import (
     ConvergenceRow,
     SchemeSpec,
@@ -53,7 +53,6 @@ __all__ = [
     "growth",
     "level_terms",
     "smolyak_grid",
-    "tensor_grid",
     "ConvergenceRow",
     "SchemeSpec",
     "decay_report",

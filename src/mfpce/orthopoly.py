@@ -93,6 +93,16 @@ class VariableSpec:
         return rng.normal(self.dist.mu, self.dist.sigma, size)
 
 
+def sample_points(specs, rng: Philox | np.random.Generator, size: int) -> np.ndarray:
+    """``size`` points of ``specs`` as one ``(size, n)`` array: the draws of
+    each variable in turn, in the order of ``specs``, written into its
+    column (:meth:`VariableSpec.sample`)."""
+    X = np.empty((size, len(specs)))
+    for j, spec in enumerate(specs):
+        X[:, j] = spec.sample(rng, size)
+    return X
+
+
 @dataclass(frozen=True)
 class GaussRule:
     """Points and probability-normalized weights of a 1D Gauss rule."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import Model
+from .orthopoly import sample_points
 from .pce import Expansion, mean, variance
 from .philox import Philox
 from .sparse_grid import first_occurrences, row_keys
@@ -102,8 +103,8 @@ def mc_sobol(model: Model, specs, N: int, seed: int) -> SobolReport:
     specs = list(specs)
     n = len(specs)
     rng = Philox(seed)
-    A = np.column_stack([spec.sample(rng, N) for spec in specs])
-    B = np.column_stack([spec.sample(rng, N) for spec in specs])
+    A = sample_points(specs, rng, N)
+    B = sample_points(specs, rng, N)
     y_a = model.batch(A)
     y_b = model.batch(B)
 

@@ -36,7 +36,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .orthopoly import GaussRule, Normal, PolyFamily, Uniform, VariableSpec
+from .orthopoly import GaussRule, PolyFamily, VariableSpec
 from .orthopoly import eval_poly_table, gauss_rule
 
 MultiIndex = tuple[int, ...]
@@ -44,13 +44,6 @@ MultiIndex = tuple[int, ...]
 #: Ids in row keys: big-endian, so that comparing the bytes of two rows
 #: compares their ids lexicographically.
 _ID_DTYPE = np.dtype(">u4")
-
-#: Grids live in standard coordinates, where a variable is known by its
-#: family alone; plans are assembled from one standard spec per family.
-_STANDARD_SPECS = {
-    PolyFamily.LEGENDRE: VariableSpec("u", Uniform(-1.0, 1.0)),
-    PolyFamily.HERMITE: VariableSpec("z", Normal(0.0, 1.0)),
-}
 
 #: Distinct (n, w, families) plans kept per process. A converge study uses
 #: a handful, and clears the cache once its reference is built and again
@@ -166,7 +159,9 @@ def grid_size(n: int, w: int, q: int = 0) -> int:
 
 def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid:
     """Cartesian product of the per-dimension Gauss rules, in C order of the
-    per-axis point indices (which are the grid's ``ids``)."""
+    per-axis point indices (which are the grid's ``ids``). One term of a
+    Smolyak grid on its own: :func:`grid_plan` makes the rows of all its
+    terms at once, and does not call this."""
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
     rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
@@ -209,7 +204,9 @@ def _axis_ids(rules: list[GaussRule]):
     """An axis's rules at levels ``0..w``: their sorted distinct points; at
     ``[l, i]`` the id among these of point ``i`` of the level-``l`` rule;
     per id its cost, the level of the one rule holding the point, 0 for the
-    centre 0.0, which every rule holds; and per id 1 for the centre, else 0.
+    centre 0.0, which every rule holds; per id 1 for the centre, else 0;
+    and at ``[l, id]`` the point's weight in the level-``l`` rule, 0 where
+    that rule has no such point.
     """
     level = np.repeat(np.arange(len(rules)), [len(r.points) for r in rules])
     points = np.concatenate([r.points for r in rules])
@@ -218,10 +215,12 @@ def _axis_ids(rules: list[GaussRule]):
     points, cost = points[once][order], level[once][order]
     if (points[1:] == points[:-1]).any():
         raise ValueError("rules of two levels share a point other than the centre")
-    table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.intp)
+    table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.int32)
+    weights = np.zeros((len(rules), len(points)))
     for l, r in enumerate(rules):
         table[l, : len(r.points)] = np.searchsorted(points, r.points)
-    return points, table, cost, (points == 0.0).astype(np.intp)
+        weights[l, table[l, : len(r.points)]] = r.weights
+    return points, table, cost, (points == 0.0).astype(np.intp), weights
 
 
 def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray, int]:
@@ -264,7 +263,7 @@ def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray,
 
 def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
     """The axis points of every grid up to level ``w``, and their costs."""
-    points, _, cost, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
+    points, _, cost, _, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
     return points, cost
 
 
@@ -274,69 +273,95 @@ def union_ranks(columns, costs, w: int) -> tuple[np.ndarray, int]:
     return _lex_ranks(columns, costs, [np.zeros_like(c) for c in costs], w, 0)
 
 
+def _term_weights(columns, levels, sizes, coeffs, weight_tables) -> np.ndarray:
+    """The signed weights of the term rows whose axis ids are ``columns``,
+    of terms with ``levels`` and ``coeffs`` and ``sizes`` rows each: per
+    row, the product of its rule weights in axis order from 1.0, times its
+    term's coefficient. A level-0 rule's one weight is exactly 1.0, so these
+    are the bits of each term's tensor product. An axis gathers its weights
+    at one flat ``(level, axis id)`` position of its ``weight_tables``."""
+    out = np.ones(columns.shape[1])
+    for column, level, table in zip(columns, levels.T, weight_tables):
+        at = np.repeat(level * table.shape[1], sizes)
+        at += column
+        out *= table.ravel()[at]
+    out *= np.repeat(coeffs, sizes)
+    return out
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     """Assemble the Smolyak grid of level ``w`` over ``families`` and its
     projection, ranking rows by counting instead of sorting them.
 
-    Each term's per-axis point indices come from :func:`tensor_grid`. They
-    are the term's degree box ``d_j < growth(l_j)``. The union of the boxes
-    is the index set ``{d : sum_j lvl(d_j) <= w}``, where ``lvl(d)`` is the
-    lowest level whose rule has more than ``d`` points, so a box row's slot
-    is its lexicographic rank there (:func:`_lex_ranks`). Mapped to axis
-    ids, the point indices are the term's nodes. A point other than the
-    centre is in the rule of one level, its cost, and the union of the
-    terms' nodes is ``{x : sum_j cost(x_j) <= w}`` where some ``x_j`` is the
-    centre, or the cost sum is at least ``w - n + 1``; a node's rank there
-    is its position in the canonical order. Weights are summed per node
-    with ``np.bincount`` in ``level_terms`` order. Terms share the
-    ``psi * w`` tables of each (family, level) rule. The plan is cached and
-    its arrays are read-only.
+    The ``S`` rows of all terms, in ``level_terms`` order, are made in
+    whole-array passes: row ``r`` of a term has point index ``(r // inner)
+    % count`` on an axis of ``count`` points with ``inner`` points in the
+    axes after it (C order), one ``divmod`` per axis from the last. The
+    point indices are the term's degree box ``d_j < growth(l_j)``. The
+    union of the boxes is the index set ``{d : sum_j lvl(d_j) <= w}``,
+    where ``lvl(d)`` is the lowest level whose rule has more than ``d``
+    points, so a box row's slot is its lexicographic rank there
+    (:func:`_lex_ranks`). Gathered at its flat ``(level, point)`` position,
+    a point index becomes its axis id. A point other than the centre is in
+    the rule of one level, its cost, and the union of the terms' nodes is
+    ``{x : sum_j cost(x_j) <= w}`` where some ``x_j`` is the centre, or the
+    cost sum is at least ``w - n + 1``; a node's rank there is its position
+    in the canonical order. Weights (:func:`_term_weights`) are summed per
+    node with ``np.bincount`` in ``level_terms`` order. Terms share the
+    ``psi * w`` tables of each (family, level) rule, and slice their
+    ``rows`` and ``slots`` from one array each. The plan is cached and its
+    arrays are read-only.
 
-    The ``S`` rows of all terms, in ``level_terms`` order, live in one
-    ``(n, S)`` int32 array, one contiguous column per axis, and their signed
-    weights in one ``(S,)`` array; each term's tensor grid is copied in as
-    it is made and then dropped. The columns hold the point indices until
-    the index is scattered from them, and are then overwritten, one axis at
-    a time, with the axis ids. At the peak, the second ranking, these two
-    arrays, the slots, the index and the ranking's per-row state are alive:
-    13.5 MB of ``tracemalloc`` for the 8-D grid at ``w = 5``
-    (``S`` = 149,031).
+    The rows live in one ``(n, S)`` int32 array, one contiguous column per
+    axis, of point indices and then, one axis at a time, of axis ids. All
+    arithmetic on rows is int64: no other step of a run executes numpy's
+    int32 arithmetic kernels, whose code would add 64 KB to its RSS. The
+    rows' weights are made from the ids after the second ranking. At the
+    peak, that weights pass, the column array, the slots, the index, the
+    node positions, the weights and one axis's flat positions and gathered
+    weights are alive: 13.2 MB of ``tracemalloc`` for the 8-D grid at
+    ``w = 5`` (``S`` = 149,031) and 69.8 MB at ``w = 6`` (``S`` = 828,795).
     """
     n = len(families)
     terms = level_terms(n, w)
-    specs = tuple(_STANDARD_SPECS[f] for f in families)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
     axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
-    points, id_tables, costs, centres = zip(*(axes[f] for f in families))
-    sizes = [prod(growth(l) for l in t.levels) for t in terms]
+    points, id_tables, costs, centres, id_weights = zip(*(axes[f] for f in families))
+    levels = np.array([t.levels for t in terms])
+    counts = np.array([growth(l) for l in range(w + 1)])[levels]
+    sizes = counts.prod(axis=1)
     ends = np.cumsum(sizes)
     columns = np.empty((n, ends[-1]), dtype=np.int32)
-    term_weights = np.empty(ends[-1])
-    for t, end, size in zip(terms, ends, sizes):
-        sub = tensor_grid(t.levels, specs)
-        columns[:, end - size : end] = sub.ids.T
-        np.multiply(t.coeff, sub.weights, out=term_weights[end - size : end])
+    local = np.arange(ends[-1])
+    local -= np.repeat(ends - sizes, sizes)
+    for j in reversed(range(n)):
+        np.divmod(local, np.repeat(counts[:, j], sizes), out=(local, columns[j]))
+    del local
     degree_cost = np.repeat(np.arange(w + 1), np.diff([0] + [growth(l) for l in range(w + 1)]))
     no_centre = np.zeros(len(degree_cost), dtype=np.intp)
     slots, size = _lex_ranks(columns, [degree_cost] * n, [no_centre] * n, w, 0)
     index = np.empty((size, n), dtype=np.intp)
-    levels = np.array([t.levels for t in terms])
     index[slots] = columns.T
-    for j, (column, table) in enumerate(zip(columns, id_tables)):
-        column[...] = table[np.repeat(levels[:, j], sizes), column]
+    for column, table, level in zip(columns, id_tables, levels.T):
+        at = np.repeat(level * table.shape[1], sizes)
+        at += column
+        np.take(table.ravel(), at, out=column)
+    del at
     inverse, size = _lex_ranks(columns, costs, centres, w, w - n + 1)
+    coeffs = np.array([float(t.coeff) for t in terms])
+    weights = np.bincount(inverse, _term_weights(columns, levels, sizes, coeffs, id_weights), size)
     ids = np.empty((size, n), dtype=np.uint32)
     ids[inverse] = columns.T
-    weights = np.bincount(inverse, weights=term_weights, minlength=size)
+    del columns
     grid = QuadratureGrid(points=points, ids=ids, weights=weights)
     for a in (weights, ids, index, *grid.points, *tables.values(), inverse, slots):
         a.setflags(write=False)
-    plan_terms = (
-        PlanTerm(t.levels, t.coeff, r, tuple(tables[k] for k in zip(families, t.levels) if k[1]), s)
-        for t, r, s in zip(terms, np.split(inverse, ends[:-1]), np.split(slots, ends[:-1]))
-    )
+    plan_terms = []
+    for t, a, b in zip(terms, (ends - sizes).tolist(), ends.tolist()):
+        term_tables = tuple(tables[k] for k in zip(families, t.levels) if k[1])
+        plan_terms.append(PlanTerm(t.levels, t.coeff, inverse[a:b], term_tables, slots[a:b]))
     return GridPlan(grid, index, tuple(sorted(plan_terms, key=lambda t: t.levels)))
 
 

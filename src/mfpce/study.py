@@ -16,6 +16,7 @@ import numpy as np
 
 from .mf import BuiltScheme, build_mf_parts, fit
 from .models import EvalCache, Model
+from .orthopoly import sample_points
 from .pce import evaluate_batch, mean, union, variance
 from .philox import Philox
 from .sobol import SobolReport, ZeroVarianceError, all_indices
@@ -267,8 +268,7 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
-    rng = Philox(cfg.validation.seed)
-    X_val = np.column_stack([s.sample(rng, cfg.validation.count) for s in cfg.variables])
+    X_val = sample_points(cfg.variables, Philox(cfg.validation.seed), cfg.validation.count)
     y_true: dict[str, np.ndarray] = {}
 
     cache, cells = EvalCache(cfg.variables, cfg.levels.max, cfg.cache), []

@@ -94,6 +94,57 @@ def sorted_assembly(w, families):
     )
 
 
+#: One standard spec per family: the coordinates grid plans live in.
+STANDARD = {L: VariableSpec("u", Uniform(-1.0, 1.0)), H: VariableSpec("z", Normal(0.0, 1.0))}
+
+
+def tensor_grid_assembly(w, families):
+    """The per-term assembly that whole-array passes replaced: per term in
+    ``level_terms`` order, its :func:`tensor_grid` point indices (its
+    degree box, in C order) and ``coeff`` times its weights; each level's
+    point indices map to axis ids by ``np.searchsorted`` in the axis's
+    distinct points, and ``np.unique`` ranks the box rows and the node rows.
+    Returns the index, ids, weights, and per term in sorted level order its
+    rows, slots and expected ``psi * w`` tables."""
+    n = len(families)
+    terms = level_terms(n, w)
+    rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
+    axis_ids = {}
+    for f in set(families):
+        points = np.unique(np.concatenate([rules[f, l].points for l in range(w + 1)]))
+        axis_ids[f] = [np.searchsorted(points, rules[f, l].points) for l in range(w + 1)]
+    sizes = [math.prod(growth(l) for l in t.levels) for t in terms]
+    boxes = np.empty((sum(sizes), n), dtype=">u2")  # ids stay below 2**16 up to w = 14
+    nodes = np.empty_like(boxes)
+    weights = np.empty(sum(sizes))
+    end = 0
+    for t, size in zip(terms, sizes):
+        sub = tensor_grid(t.levels, [STANDARD[f] for f in families])
+        end += size
+        boxes[end - size : end] = sub.ids
+        for j, (f, l) in enumerate(zip(families, t.levels)):
+            nodes[end - size : end, j] = axis_ids[f][l][sub.ids[:, j]]
+        weights[end - size : end] = t.coeff * sub.weights
+
+    def unique_rows(rows):
+        keys, inverse = np.unique(rows.view(np.dtype((np.void, 2 * n))).ravel(), return_inverse=True)
+        return keys.view(">u2").reshape(len(keys), n), inverse
+
+    index, slots = unique_rows(boxes)
+    ids, positions = unique_rows(nodes)
+    cuts = np.cumsum(sizes)[:-1]
+    per_term = {}
+    for t, rows, term_slots in zip(terms, np.split(positions, cuts), np.split(slots, cuts)):
+        tables = [
+            eval_poly_table(f, growth(l) - 1, rules[f, l].points) * rules[f, l].weights
+            for f, l in zip(families, t.levels)
+            if l > 0
+        ]
+        per_term[t.levels] = (rows, term_slots, tables)
+    summed = np.bincount(positions, weights=weights, minlength=len(ids))
+    return index, ids, summed, [per_term[levels] for levels in sorted(per_term)]
+
+
 class TestGrowth:
     def test_values(self):
         assert [growth(l) for l in range(5)] == [1, 3, 7, 15, 31]
@@ -268,13 +319,8 @@ class TestSmolyakGrid:
         assert np.array_equal(grid.nodes, nodes)
         assert np.array_equal(grid.weights, weights)
 
-    def test_one_cached_plan_per_level_and_families(self, monkeypatch, mixed_specs):
-        grid_plan.cache_clear()
-        calls = []
-        original = sparse_grid.tensor_grid
-        monkeypatch.setattr(
-            sparse_grid, "tensor_grid", lambda *a: calls.append(a[0]) or original(*a)
-        )
+    def test_one_cached_plan_per_level_and_families(self, mixed_specs):
+        grid_plan.cache_clear()  # which also zeroes the cache's counts
         first = smolyak_grid(2, 3, list(mixed_specs))
         for _ in range(2):
             assert smolyak_grid(2, 3, list(mixed_specs)).ids is first.ids
@@ -283,7 +329,7 @@ class TestSmolyakGrid:
         other = (VariableSpec("a", Uniform(0.0, 1.0)), VariableSpec("b", Normal(5.0, 2.0)))
         again = smolyak_grid(2, 3, list(other))
         assert again.weights is first.weights and np.array_equal(again.nodes, first.nodes)
-        assert calls == [t.levels for t in level_terms(2, 3)]
+        assert grid_plan.cache_info().misses == 1  # one plan built
         assert not first.ids.flags.writeable and not first.weights.flags.writeable
 
     @pytest.mark.parametrize("specs", [(LEG,), (HER, LEG), (LEG, HER, LEG)], ids=["L", "HL", "LHL"])
@@ -335,9 +381,31 @@ class TestSmolyakGrid:
             assert term.rows.dtype == rows.dtype and np.array_equal(term.rows, rows)
             assert term.slots.dtype == slots.dtype and np.array_equal(term.slots, slots)
 
+    @pytest.mark.parametrize(
+        "w, families",
+        [(5, (L,) * 8), (6, (L,) * 8), (5, (L, L, L, H, H)), (8, (L, H)), (4, (H,))],
+        ids=lambda v: v if isinstance(v, int) else "".join(f.name[0] for f in v),
+    )
+    def test_equals_the_per_term_tensor_grid_assembly(self, w, families):
+        """At the sizes the converge workloads and their references reach,
+        the whole-array passes give the index, ids, weights (bit for bit),
+        and every term's rows, slots and tables of one :func:`tensor_grid`
+        call per term."""
+        grid_plan.cache_clear()
+        plan = grid_plan(w, families)
+        index, ids, weights, per_term = tensor_grid_assembly(w, families)
+        assert np.array_equal(plan.index, index) and np.array_equal(plan.grid.ids, ids)
+        assert np.array_equal(plan.grid.weights.view(np.uint64), weights.view(np.uint64))
+        assert len(plan.terms) == len(per_term)
+        for term, (rows, slots, tables) in zip(plan.terms, per_term):
+            assert np.array_equal(term.rows, rows) and np.array_equal(term.slots, slots)
+            assert len(term.tables) == len(tables)
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(term.tables, tables))
+        grid_plan.cache_clear()
+
     def test_cold_plan_memory_is_one_column_array(self):
         """The 8-D w=5 plan (1,287 terms, 149,031 term rows, 54,673 nodes)
-        streams its terms into one array; a list of per-term grids and
+        makes its term rows in one array; a list of per-term grids and
         their concatenated copy would peak near 24 MB."""
         grid_plan.cache_clear()
         tracemalloc.start()
