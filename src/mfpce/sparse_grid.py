@@ -204,9 +204,7 @@ def _axis_ids(rules: list[GaussRule]):
     """An axis's rules at levels ``0..w``: their sorted distinct points; at
     ``[l, i]`` the id among these of point ``i`` of the level-``l`` rule;
     per id its cost, the level of the one rule holding the point, 0 for the
-    centre 0.0, which every rule holds; per id 1 for the centre, else 0;
-    and at ``[l, id]`` the point's weight in the level-``l`` rule, 0 where
-    that rule has no such point.
+    centre 0.0, which every rule holds; and per id 1 for the centre, else 0.
     """
     level = np.repeat(np.arange(len(rules)), [len(r.points) for r in rules])
     points = np.concatenate([r.points for r in rules])
@@ -216,11 +214,9 @@ def _axis_ids(rules: list[GaussRule]):
     if (points[1:] == points[:-1]).any():
         raise ValueError("rules of two levels share a point other than the centre")
     table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.int32)
-    weights = np.zeros((len(rules), len(points)))
     for l, r in enumerate(rules):
         table[l, : len(r.points)] = np.searchsorted(points, r.points)
-        weights[l, table[l, : len(r.points)]] = r.weights
-    return points, table, cost, (points == 0.0).astype(np.intp), weights
+    return points, table, cost, (points == 0.0).astype(np.intp)
 
 
 def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray, int]:
@@ -263,7 +259,7 @@ def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray,
 
 def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
     """The axis points of every grid up to level ``w``, and their costs."""
-    points, _, cost, _, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
+    points, _, cost, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
     return points, cost
 
 
@@ -279,7 +275,8 @@ def _term_weights(columns, levels, sizes, coeffs, weight_tables) -> np.ndarray:
     row, the product of its rule weights in axis order from 1.0, times its
     term's coefficient. A level-0 rule's one weight is exactly 1.0, so these
     are the bits of each term's tensor product. An axis gathers its weights
-    at one flat ``(level, axis id)`` position of its ``weight_tables``."""
+    at one flat ``(level, axis id)`` position of its ``weight_tables``,
+    which hold at ``[l, id]`` the point's weight in the level-``l`` rule."""
     out = np.ones(columns.shape[1])
     for column, level, table in zip(columns, levels.T, weight_tables):
         at = np.repeat(level * table.shape[1], sizes)
@@ -328,7 +325,11 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
     axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
-    points, id_tables, costs, centres, id_weights = zip(*(axes[f] for f in families))
+    axis_weights = {f: np.zeros((w + 1, len(axes[f][0]))) for f in axes}
+    for (f, l), r in rules.items():
+        axis_weights[f][l, axes[f][1][l, : len(r)]] = r.weights
+    points, id_tables, costs, centres = zip(*(axes[f] for f in families))
+    id_weights = [axis_weights[f] for f in families]
     levels = np.array([t.levels for t in terms])
     counts = np.array([growth(l) for l in range(w + 1)])[levels]
     sizes = counts.prod(axis=1)
