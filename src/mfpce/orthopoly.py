@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .philox import Philox
+from .philox import Philox, uniform_columns
 
 
 class PolyFamily(Enum):
@@ -93,14 +93,99 @@ class VariableSpec:
         return rng.normal(self.dist.mu, self.dist.sigma, size)
 
 
-def sample_points(specs, rng: Philox | np.random.Generator, size: int) -> np.ndarray:
+#: Points per outer block of :func:`~mfpce.pce.evaluate_batch`, and so per
+#: block that :class:`RedrawnPoints` redraws.
+OUTER_POINTS = 4096
+
+
+def sample_points(specs, rng: Philox | np.random.Generator, size: int, marks=None) -> np.ndarray:
     """``size`` points of ``specs`` as one ``(size, n)`` array: the draws of
     each variable in turn, in the order of ``specs``, written into its
-    column (:meth:`VariableSpec.sample`)."""
+    column (:meth:`VariableSpec.sample`).
+
+    Given a list ``marks``, ``rng`` is a :class:`~mfpce.philox.Philox`, and
+    one list per variable is appended to ``marks``: the ``rng.position``
+    where its column starts each block of ``OUTER_POINTS`` rows. A uniform
+    column's follow from its first, one word per point; a normal column is
+    drawn block by block and its marks read in between, since numpy's
+    ziggurat takes a varying number of words. The draws are the same."""
     X = np.empty((size, len(specs)))
+    starts = range(0, size, OUTER_POINTS)
     for j, spec in enumerate(specs):
-        X[:, j] = spec.sample(rng, size)
+        if marks is None:
+            X[:, j] = spec.sample(rng, size)
+        elif isinstance(spec.dist, Uniform):
+            marks.append([rng.position + start for start in starts])
+            X[:, j] = spec.sample(rng, size)
+        else:
+            marks.append([])
+            for start in starts:
+                marks[-1].append(rng.position)
+                rows = X[start : start + OUTER_POINTS, j]
+                rows[:] = spec.sample(rng, len(rows))
     return X
+
+
+class RedrawnPoints:
+    """The ``size`` points that :func:`sample_points` draws from
+    ``Philox(seed)``, drawn whole by :meth:`whole` and then redrawn one
+    block of ``OUTER_POINTS`` at a time by :meth:`block`, so that a caller
+    of :meth:`block` need not hold them all.
+
+    The Philox stream is a function of its position, so the points need
+    not be kept: :meth:`whole` records the ``marks`` of
+    :func:`sample_points`, and a block is drawn again from them. Its
+    uniform columns come from one :func:`~mfpce.philox.uniform_columns`
+    call, and each normal column from numpy's ziggurat resumed at its mark.
+
+    For numpy the object is a ``(size, n)`` array of NaN that holds one
+    float, so that ``np.atleast_2d`` reads its rows without drawing them;
+    the points themselves come only from :meth:`whole` and :meth:`block`.
+    """
+
+    def __init__(self, specs, seed: int, size: int):
+        self.specs, self.seed = tuple(specs), seed
+        self.shape = (size, len(self.specs))
+        self.marks = None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        shape_only = np.broadcast_to(np.nan, self.shape)
+        return shape_only.copy() if copy else shape_only
+
+    def whole(self) -> np.ndarray:
+        """All the points as one ``(size, n)`` array, bit for bit those of
+        :func:`sample_points`; the marks are recorded on the way."""
+        marks = []
+        X = sample_points(self.specs, Philox(self.seed), len(self), marks)
+        self.marks = marks
+        return X
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """The points ``start..stop - 1`` of :meth:`whole`, bit for bit, as
+        a ``(stop - start, n)`` array. ``start`` is a multiple of
+        ``OUTER_POINTS`` and ``stop`` at most the next; :meth:`whole` has
+        run."""
+        k, off = divmod(start, OUTER_POINTS)
+        if off or not start < stop <= min(start + OUTER_POINTS, len(self)):
+            raise ValueError(f"no block of {OUTER_POINTS} points starts at {start} and ends at {stop}")
+        if self.marks is None:
+            raise ValueError("no marks yet: whole() records them")
+        X = np.empty((stop - start, len(self.specs)))
+        uniform = [j for j, spec in enumerate(self.specs) if isinstance(spec.dist, Uniform)]
+        if uniform:
+            uniform_columns(
+                Philox(self.seed).key,
+                [self.marks[j][k] for j in uniform],
+                [(self.specs[j].dist.a, self.specs[j].dist.b) for j in uniform],
+                [X[:, j] for j in uniform],
+            )
+        for j, spec in enumerate(self.specs):
+            if j not in uniform:
+                X[:, j] = spec.sample(Philox(self.seed, self.marks[j][k]), stop - start)
+        return X
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthopoly import VariableSpec, eval_poly_table
+from .orthopoly import OUTER_POINTS, VariableSpec, eval_poly_table
 from .sparse_grid import first_occurrences, grid_plan, row_keys
 
 # ``project`` takes values in ``smolyak_grid`` node order; the name stays in
@@ -121,9 +121,8 @@ def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
 
 
 # ``evaluate_batch`` blocking: the 1D tables are built once per outer block
-# of points, and the prefix products run over inner column blocks of about
-# ``INNER_BYTES``, so that they stay in cache.
-OUTER_POINTS = 4096
+# of ``OUTER_POINTS`` points, and the prefix products run over inner column
+# blocks of about ``INNER_BYTES``, so that they stay in cache.
 INNER_BYTES = 1 << 20
 
 
@@ -236,6 +235,13 @@ def _view(buffer: np.ndarray, rows: int, columns: int) -> np.ndarray:
 def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray | None:
     """Evaluate the expansion at rows of physical-coordinate points.
 
+    ``xi_physical`` is the ``(N, n)`` points, or an object of that ``len``
+    and ``shape`` whose ``block(start, stop)`` gives the points
+    ``start..stop - 1`` of one outer block, such as a
+    :class:`~mfpce.orthopoly.RedrawnPoints` whose ``whole`` has run: then
+    each outer block of points is drawn as the loop reaches it, and no
+    block outlives its turn.
+
     Returns shape ``(N,)`` for scalar coefficients and ``(N, E)`` for
     length-``E`` coefficient vectors, one column per output. Given
     ``each_block``, it returns None and holds no such array: it calls
@@ -271,10 +277,11 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
     products, the sum over the runs, and one scratch that a segment's
     gathered table rows and then a run's matrix product and its sum take in
     turn. So a call holds its result (none with ``each_block``), one block's
-    tables and a few ``INNER_BYTES``-sized buffers, whatever the number of
-    points.
+    points and tables and a few ``INNER_BYTES``-sized buffers, whatever the
+    number of points, besides the points it is given as an array.
     """
-    X = np.atleast_2d(np.asarray(xi_physical, dtype=float))
+    points_at = getattr(xi_physical, "block", None)
+    X = xi_physical if points_at is not None else np.atleast_2d(np.asarray(xi_physical, dtype=float))
     if X.shape[1] != e.n:
         raise ValueError(f"expected {e.n}-dimensional points, got {X.shape[1]}")
     coeffs = e.coeffs.reshape(len(e.terms), -1)
@@ -305,7 +312,8 @@ def evaluate_batch(e: Expansion, xi_physical, *, each_block=None) -> np.ndarray 
             out[:, start : start + block.shape[1]] = block
 
     for start in range(0, len(X), OUTER_POINTS):
-        points = X[start : start + OUTER_POINTS]
+        stop = min(start + OUTER_POINTS, len(X))
+        points = X[start:stop] if points_at is None else points_at(start, stop)
         T = [
             eval_poly_table(
                 spec.family, len(table) - 1, spec.to_standard(points[:, j]), out=table[:, : len(points)]

@@ -4,12 +4,13 @@
 ``np.random.Generator(np.random.Philox(key=seed))``: Philox4x64-10 (Salmon,
 Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC11,
 2011) is a pure function of a 256-bit counter and a 128-bit key, so a few
-whole-array ``uint64`` passes reproduce numpy's stream bit for bit. A
-uniform draw, the only kind a config of uniform inputs makes, then follows
-the published algorithm rather than numpy's ``Generator`` stream policy,
-and never imports ``numpy.random``, whose ``secrets`` → ``hashlib`` →
-OpenSSL chain costs about 6 MB of resident memory. A normal draw hands the
-stream position to numpy's ziggurat and reads it back.
+whole-array ``uint64`` passes reproduce numpy's stream bit for bit, from
+any word on. A uniform draw, the only kind a config of uniform inputs
+makes, then follows the published algorithm rather than numpy's
+``Generator`` stream policy, and never imports ``numpy.random``, whose
+``secrets`` → ``hashlib`` → OpenSSL chain costs about 6 MB of resident
+memory. A normal draw hands the stream position to numpy's ziggurat and
+reads it back.
 
 numpy's word order: the key is ``(seed mod 2**64, seed >> 64)``; the counter
 is incremented before each 4-word block, so block ``i`` of the stream is the
@@ -42,21 +43,40 @@ def _mulhi(m: int, c: np.ndarray) -> np.ndarray:
     return m_hi * c_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
 
 
-def _blocks(first: int, count: int, key: tuple[int, int]) -> np.ndarray:
-    """The ``4 * count`` words of blocks with counters ``first ..
-    first + count - 1``, block after block. A counter stays below ``2**64``,
-    so its three high words are 0. The key schedule is kept in Python
-    ``int``s masked to 64 bits: numpy scalar arithmetic warns on the
-    wrap that whole arrays do silently."""
-    c0 = np.arange(first, first + count, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(count, dtype=np.uint64)
-    k0, k1 = key
-    for _ in range(_ROUNDS):
-        hi0, lo0 = _mulhi(_M0, c0), c0 * _M0
-        hi1, lo1 = _mulhi(_M1, c2), c2 * _M1
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = (k0 + _W0) & _MASK, (k1 + _W1) & _MASK
-    return np.stack([c0, c1, c2, c3], axis=1).ravel()
+def _blocks(counters: np.ndarray, key: tuple[int, int]) -> np.ndarray:
+    """The words of the blocks with the ``uint64`` ``counters``, as a
+    ``(len(counters), 4)`` array, in passes of at most ``_CHUNK_BLOCKS``.
+    A counter stays below ``2**64``, so its three high words are 0. The key
+    schedule is kept in Python ``int``s masked to 64 bits: numpy scalar
+    arithmetic warns on the wrap that whole arrays do silently."""
+    words = np.empty((len(counters), 4), dtype=np.uint64)
+    for lo in range(0, len(counters), _CHUNK_BLOCKS):
+        c0 = counters[lo : lo + _CHUNK_BLOCKS]
+        c1 = c2 = c3 = np.zeros(len(c0), dtype=np.uint64)
+        k0, k1 = key
+        for _ in range(_ROUNDS):
+            hi0, lo0 = _mulhi(_M0, c0), c0 * _M0
+            hi1, lo1 = _mulhi(_M1, c2), c2 * _M1
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0, k1 = (k0 + _W0) & _MASK, (k1 + _W1) & _MASK
+        words[lo : lo + len(c0)] = np.stack([c0, c1, c2, c3], axis=1)
+    return words
+
+
+def uniform_columns(key: tuple[int, int], starts, bounds, columns) -> None:
+    """Fill each of the float arrays ``columns`` with the draws that a
+    :class:`Philox` of ``key`` at position ``starts[i]`` makes by
+    ``uniform(*bounds[i], len(columns[i]))``, from one run of passes over
+    the columns' counter ranges, concatenated."""
+    ranges = [(p // 4 + 1, -(-(p % 4 + len(col)) // 4)) for p, col in zip(starts, columns)]
+    counters = np.concatenate([np.arange(f, f + n, dtype=np.uint64) for f, n in ranges])
+    words, at = _blocks(counters, key).ravel(), 0
+    for p, (low, high), col, (_, count) in zip(starts, bounds, columns, ranges):
+        # Generator.uniform: low + (high - low) * ((word >> 11) * 2**-53).
+        low, high = float(low), float(high)
+        mine = words[at + p % 4 : at + p % 4 + len(col)]
+        col[:] = low + (high - low) * ((mine >> 11) * 2.0**-53)
+        at += 4 * count
 
 
 class Philox:
@@ -64,60 +84,47 @@ class Philox:
     ``0 <= seed < 2**128``, for the two draws that
     :meth:`~mfpce.orthopoly.VariableSpec.sample` makes.
 
-    The position is numpy's own: ``counter`` is the last block computed,
-    ``buffer`` its words and ``buffer_pos`` the next of them to draw (4 when
-    none is left).
+    ``position`` is the number of words drawn so far: the next word is word
+    ``position % 4`` of the block with counter ``position // 4 + 1``. A
+    generator with the same key set to a position it once had draws the
+    same words again from there.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, position: int = 0):
         if not 0 <= seed < 2**128:
             raise ValueError(f"a Philox key is in [0, 2**128), got {seed}")
         self.key = (seed & _MASK, seed >> 64)
-        self.counter = 0
-        self.buffer = np.zeros(4, dtype=np.uint64)
-        self.buffer_pos = 4
-
-    def _raw(self, n: int):
-        """Yield the next ``n`` words in order, in pieces of at most
-        ``4 * _CHUNK_BLOCKS`` words; the position advances as they go."""
-        left = self.buffer[self.buffer_pos : self.buffer_pos + n]
-        self.buffer_pos += len(left)
-        n -= len(left)
-        if len(left):
-            yield left
-        while n > 0:
-            count = min(_CHUNK_BLOCKS, -(-n // 4))
-            words = _blocks(self.counter + 1, count, self.key)
-            self.counter += count
-            use = min(n, words.size)
-            self.buffer, self.buffer_pos = words[-4:].copy(), 4 - (words.size - use)
-            n -= use
-            yield words[:use]
+        self.position = position
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        """``size`` draws on ``[low, high)``, as ``Generator.uniform``:
-        ``low + (high - low) * ((word >> 11) * 2**-53)``."""
-        low, high = float(low), float(high)
-        out, at, span = np.empty(size), 0, high - low
-        for words in self._raw(size):
-            out[at : at + len(words)] = low + span * ((words >> 11) * 2.0**-53)
-            at += len(words)
+        """``size`` draws on ``[low, high)``, as ``Generator.uniform``, by
+        :func:`uniform_columns` in pieces that span at most one pass."""
+        out, piece = np.empty(size), 4 * (_CHUNK_BLOCKS - 1)
+        for at in range(0, size, piece):
+            column = out[at : at + piece]
+            uniform_columns(self.key, [self.position], [(low, high)], [column])
+            self.position += len(column)
         return out
 
     def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
         """``size`` draws of ``N(loc, scale**2)``, as ``Generator.normal``.
         numpy's ziggurat draws a varying number of words, so it is run by
         numpy itself from this position, which is then read back; only
-        here is ``numpy.random`` imported."""
+        here is ``numpy.random`` imported. numpy's position is the last
+        block computed, its words and the next of them to draw (4 when none
+        is left)."""
         import numpy.random
 
         bits = numpy.random.Philox(key=self.key[0] | self.key[1] << 64)
         state = bits.state
-        state["state"]["counter"][0] = self.counter
-        state.update(buffer=self.buffer, buffer_pos=self.buffer_pos)
+        counter = -(-self.position // 4)
+        buffer_pos = self.position - 4 * (counter - 1)
+        if buffer_pos < 4:
+            state["buffer"] = _blocks(np.array([counter], dtype=np.uint64), self.key)[0]
+        state["state"]["counter"][0] = counter
+        state["buffer_pos"] = buffer_pos
         bits.state = state
         out = numpy.random.Generator(bits).normal(loc, scale, size)
         state = bits.state
-        self.counter = int(state["state"]["counter"][0])
-        self.buffer, self.buffer_pos = state["buffer"], state["buffer_pos"]
+        self.position = 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
         return out

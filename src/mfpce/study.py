@@ -16,9 +16,8 @@ import numpy as np
 
 from .mf import BuiltScheme, build_mf_parts, fit
 from .models import EvalCache, Model
-from .orthopoly import sample_points
+from .orthopoly import RedrawnPoints
 from .pce import evaluate_batch, mean, union, variance
-from .philox import Philox
 from .sobol import SobolReport, ZeroVarianceError, all_indices
 from .sparse_grid import grid_plan, smolyak_grid
 
@@ -215,7 +214,10 @@ def build_scheme(
 
 def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     """``prediction_error`` of each expansion at the rows of ``X`` against
-    ``y_true[i]``. The expansions are evaluated by one
+    ``y_true[i]``. ``X`` is an ``(N, n)`` array or a
+    :class:`~mfpce.orthopoly.RedrawnPoints` whose :meth:`whole` has run,
+    which :func:`evaluate_batch` redraws block by block, so that the
+    points are not held whole either. The expansions are evaluated by one
     :func:`evaluate_batch` call on their :func:`union`, one column each;
     columns with the same terms (one level of a sweep) share their
     products, and all share the 1D tables. The predictions are never held
@@ -259,30 +261,35 @@ def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]
     is built on one :class:`~mfpce.models.EvalCache` of the config's
     ``cache``, so a node is paid once per run, or once for good with a
     cache file; each row's counts are its cell's cost, which no cache
-    changes. All cells are validated by one :func:`evaluate_batch` call on
-    their union, whose r² and MARE are summed block by block (see
-    :func:`_prediction_scores`): only the HF truths, paid by the models
-    themselves, are held whole, one array per HF model. The cells' plans
-    and cache are released before validation, which reads none of them. A
-    sweep with no cells writes no rows.
+    changes. The validation points are drawn whole only for the one
+    ``batch`` call of each HF model that pays its truths, just before the
+    first cell that reads them, and let go after it; that draw records
+    where in the Philox stream each outer block of each column starts (see
+    :class:`~mfpce.orthopoly.RedrawnPoints`). All cells are validated by
+    one :func:`evaluate_batch` call on their union, which redraws each
+    outer block of points from those positions, and whose r² and MARE are
+    summed block by block (see :func:`_prediction_scores`): only the HF
+    truths, paid by the models themselves, are held whole, one array per HF
+    model. The cells' plans and cache are released before validation,
+    which reads none of them. A sweep with no cells writes no rows.
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
-    X_val = sample_points(cfg.variables, Philox(cfg.validation.seed), cfg.validation.count)
+    points = RedrawnPoints(cfg.variables, cfg.validation.seed, cfg.validation.count)
     y_true: dict[str, np.ndarray] = {}
 
     cache, cells = EvalCache(cfg.variables, cfg.levels.max, cfg.cache), []
     for scheme in cfg.schemes:
         for w in range(max(cfg.levels.min, scheme.q), cfg.levels.max + 1):
             if scheme.hf not in y_true:  # paid just before the first cell that reads them
-                y_true[scheme.hf] = models[scheme.hf].batch(X_val)
+                y_true[scheme.hf] = models[scheme.hf].batch(points.whole())
             cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models, cache)))
     # Validation reads no grid plan either, nor the cells' cache.
     grid_plan.cache_clear()
     del cache
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
-        X_val,
+        points,
         [y_true[scheme.hf] for scheme, _, _ in cells],
     )
 

@@ -8,7 +8,7 @@ import pytest
 
 from mfpce.config import build_reference, parse_config
 from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, ModelError, builtin_model
-from mfpce.orthopoly import PolyFamily
+from mfpce.orthopoly import PolyFamily, RedrawnPoints
 from mfpce.pce import INNER_BYTES, OUTER_POINTS, evaluate_batch, mean, union, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
 from mfpce.sparse_grid import grid_plan
@@ -168,6 +168,25 @@ class TestPredictionScores:
             tracemalloc.stop()
         assert len(scores) == 14
         assert tables <= peak < tables + 3 * INNER_BYTES < 8 * len(X) * len(cells)
+
+    def test_memory_holds_no_point_array(self, ishigami_sweep):
+        """Validation on points redrawn block by block holds one block of
+        them, not all: twice the points add no more to the peak than the
+        truths grow, 800 kB, plus 64 KiB, where a whole ``(N, 3)`` array
+        would add 2.4 MB."""
+        specs, cells = ishigami_sweep
+        peaks = []
+        for count in (100_000, 200_000):
+            points = RedrawnPoints(specs, 19, count)
+            truths = [builtin_model("ishigami", "hf").batch(points.whole())] * len(cells)
+            tracemalloc.start()
+            try:
+                scores = _prediction_scores(cells, points, truths)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(scores) == 14
+        assert peaks[1] - peaks[0] <= 8 * 100_000 + 2**16
 
 
 class TestSobolErrors:
