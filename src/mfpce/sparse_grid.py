@@ -2,7 +2,7 @@
 
 Levels are counted from zero. A grid at level ``w`` in ``n`` dimensions is a
 signed combination of small tensor-product Gauss grids; nodes recurring in
-several tensor terms are deduplicated with their weights accumulated.
+several tensor terms are deduplicated.
 
 Node identity is exact and integer. On each axis, the rules at levels
 ``0..w`` together have a sorted set of distinct points, and a point's id is
@@ -10,8 +10,8 @@ its rank in that set. Under the 2m+1 growth the center 0.0 is the only point
 two rules share, so no rounding tolerance is involved. A tensor node is the
 row of its ``n`` axis ids. The grid lists its nodes in lexicographic order of
 those rows, which is lexicographic order of the coordinates. A grid
-(:class:`QuadratureGrid`) keeps only the axis points, the ids and the
-weights; coordinates are gathered from them when read. Both the nodes and
+(:class:`QuadratureGrid`) keeps only the axis points and the ids;
+coordinates are gathered from them when read. Both the nodes and
 the projection's degrees form sets with a closed form, so a row's position
 in its set is counted from its entries, not found by sorting all rows
 (:func:`grid_plan`), and a grid's size before it is built (:func:`grid_size`).
@@ -23,7 +23,9 @@ one fixed-width byte key per row: :func:`row_keys` of integer rows
 (multi-indices, supports, non-zero patterns).
 
 The same signed combination is the sparse projection, where each term
-projects its own nodes (:func:`mfpce.pce.project`). One cached
+projects its own nodes with its rules' weights (:func:`mfpce.pce.project`).
+As ``psi_0 = 1``, the projection's constant coefficient is the Smolyak
+quadrature of the values. One cached
 :func:`grid_plan` per ``(w, families)`` holds the grid and, per term,
 everything the projection reads; a term contracts only its level > 0 axes.
 """
@@ -59,20 +61,19 @@ class LevelTerm:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and weights in standard coordinates, as ids into axis points.
+    """Nodes in standard coordinates, as ids into axis points.
 
     ``points[j]`` are the sorted points that axis ``j`` draws from: the axis
     rule for a tensor grid, and the distinct points of the rules at levels
     ``0..w`` for a Smolyak grid at level ``w``. Node ``k`` has coordinate
-    ``points[j][ids[k, j]]`` on axis ``j`` and weight ``weights[k]``.
+    ``points[j][ids[k, j]]`` on axis ``j``.
     """
 
     points: tuple[np.ndarray, ...] = field(repr=False)
     ids: np.ndarray = field(repr=False)  # shape (N, n), integer
-    weights: np.ndarray = field(repr=False)  # shape (N,)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.ids)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -158,24 +159,21 @@ def grid_size(n: int, w: int, q: int = 0) -> int:
 
 
 def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid:
-    """Cartesian product of the per-dimension Gauss rules, in C order of the
-    per-axis point indices (which are the grid's ``ids``). One term of a
-    Smolyak grid on its own: :func:`grid_plan` makes the rows of all its
-    terms at once, and does not call this."""
+    """Cartesian product of the per-dimension Gauss rules' points, in C
+    order of the per-axis point indices (which are the grid's ``ids``). One
+    term of a Smolyak grid on its own: :func:`grid_plan` makes the rows of
+    all its terms at once, and does not call this."""
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
     rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
     shape = [len(r.points) for r in rules]
     ids = np.zeros((prod(shape), len(shape)), dtype=np.intp)
-    weights = np.ones(1)
-    # A one-point rule has point index 0 and weight exactly 1.0, so it
-    # changes neither the ids nor the weights.
-    for j, (size, r) in enumerate(zip(shape, rules)):
+    # A one-point rule has point index 0, so it leaves its column at zero.
+    for j, size in enumerate(shape):
         if size > 1:
             column = ids.reshape(*shape, -1)[..., j]
             column[...] = np.arange(size).reshape(size, *[1] * (len(shape) - j - 1))
-            weights = np.multiply.outer(weights, r.weights)
-    return QuadratureGrid(points=tuple(r.points for r in rules), ids=ids, weights=weights.ravel())
+    return QuadratureGrid(points=tuple(r.points for r in rules), ids=ids)
 
 
 def row_keys(rows) -> np.ndarray:
@@ -269,23 +267,6 @@ def union_ranks(columns, costs, w: int) -> tuple[np.ndarray, int]:
     return _lex_ranks(columns, costs, [np.zeros_like(c) for c in costs], w, 0)
 
 
-def _term_weights(columns, levels, sizes, coeffs, weight_tables) -> np.ndarray:
-    """The signed weights of the term rows whose axis ids are ``columns``,
-    of terms with ``levels`` and ``coeffs`` and ``sizes`` rows each: per
-    row, the product of its rule weights in axis order from 1.0, times its
-    term's coefficient. A level-0 rule's one weight is exactly 1.0, so these
-    are the bits of each term's tensor product. An axis gathers its weights
-    at one flat ``(level, axis id)`` position of its ``weight_tables``,
-    which hold at ``[l, id]`` the point's weight in the level-``l`` rule."""
-    out = np.ones(columns.shape[1])
-    for column, level, table in zip(columns, levels.T, weight_tables):
-        at = np.repeat(level * table.shape[1], sizes)
-        at += column
-        out *= table.ravel()[at]
-    out *= np.repeat(coeffs, sizes)
-    return out
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     """Assemble the Smolyak grid of level ``w`` over ``families`` and its
@@ -304,32 +285,26 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     the rule of one level, its cost, and the union of the terms' nodes is
     ``{x : sum_j cost(x_j) <= w}`` where some ``x_j`` is the centre, or the
     cost sum is at least ``w - n + 1``; a node's rank there is its position
-    in the canonical order. Weights (:func:`_term_weights`) are summed per
-    node with ``np.bincount`` in ``level_terms`` order. Terms share the
-    ``psi * w`` tables of each (family, level) rule, and slice their
-    ``rows`` and ``slots`` from one array each. The plan is cached and its
-    arrays are read-only.
+    in the canonical order. Terms share the ``psi * w`` tables of each
+    (family, level) rule, the only place a rule's weights enter, and slice
+    their ``rows`` and ``slots`` from one array each. The plan is cached
+    and its arrays are read-only.
 
     The rows live in one ``(n, S)`` int32 array, one contiguous column per
     axis, of point indices and then, one axis at a time, of axis ids. All
     arithmetic on rows is int64: no other step of a run executes numpy's
     int32 arithmetic kernels, whose code would add 64 KB to its RSS. The
-    rows' weights are made from the ids after the second ranking. At the
-    peak, that weights pass, the column array, the slots, the index, the
-    node positions, the weights and one axis's flat positions and gathered
-    weights are alive: 13.2 MB of ``tracemalloc`` for the 8-D grid at
-    ``w = 5`` (``S`` = 149,031) and 69.8 MB at ``w = 6`` (``S`` = 828,795).
+    peak is the nodes' ranking: the column array, the slots, the index and
+    the ranking's ranks, state and gathers are alive, 12.3 MB of
+    ``tracemalloc`` for the 8-D grid at ``w = 5`` (``S`` = 149,031) and
+    63.8 MB at ``w = 6`` (``S`` = 828,795).
     """
     n = len(families)
     terms = level_terms(n, w)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
     axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
-    axis_weights = {f: np.zeros((w + 1, len(axes[f][0]))) for f in axes}
-    for (f, l), r in rules.items():
-        axis_weights[f][l, axes[f][1][l, : len(r)]] = r.weights
     points, id_tables, costs, centres = zip(*(axes[f] for f in families))
-    id_weights = [axis_weights[f] for f in families]
     levels = np.array([t.levels for t in terms])
     counts = np.array([growth(l) for l in range(w + 1)])[levels]
     sizes = counts.prod(axis=1)
@@ -351,13 +326,11 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
         np.take(table.ravel(), at, out=column)
     del at
     inverse, size = _lex_ranks(columns, costs, centres, w, w - n + 1)
-    coeffs = np.array([float(t.coeff) for t in terms])
-    weights = np.bincount(inverse, _term_weights(columns, levels, sizes, coeffs, id_weights), size)
     ids = np.empty((size, n), dtype=np.uint32)
     ids[inverse] = columns.T
     del columns
-    grid = QuadratureGrid(points=points, ids=ids, weights=weights)
-    for a in (weights, ids, index, *grid.points, *tables.values(), inverse, slots):
+    grid = QuadratureGrid(points=points, ids=ids)
+    for a in (ids, index, *grid.points, *tables.values(), inverse, slots):
         a.setflags(write=False)
     plan_terms = []
     for t, a, b in zip(terms, (ends - sizes).tolist(), ends.tolist()):
@@ -367,7 +340,7 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:
-    """Union of the combination's tensor grids with accumulated weights.
+    """Union of the combination's tensor grids, each node once.
 
     Nodes are in the canonical order (lexicographic by axis ids, hence by
     coordinates), so the grid is deterministic for a given (n, w,

@@ -185,7 +185,8 @@ class TestExpansionInvariants:
         e = from_map(mixed_specs, {(0, 0): 0.0, (2, 3): 1.0})
         grid = tensor_grid((1, 2), list(mixed_specs))
         psi = evaluate_batch(e, physical(grid, mixed_specs))
-        assert grid.weights @ psi**2 == pytest.approx(1.0, rel=1e-14)
+        u, g = (gauss_rule(s.family, growth(l)) for s, l in zip(mixed_specs, (1, 2)))
+        assert np.outer(u.weights, g.weights).ravel() @ psi**2 == pytest.approx(1.0, rel=1e-14)
 
 
 class TestProjection:

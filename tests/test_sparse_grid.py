@@ -26,35 +26,24 @@ HER = VariableSpec("g", Normal(-1.0, 0.5))
 
 def rounded_key_grid(n, w, specs):
     """The float-key assembly integer node ids replaced: each tensor node is
-    keyed by its coordinates rounded to 12 decimals, weights accumulate in a
-    dict in ``level_terms`` order, and nodes are sorted by key."""
-    acc, coords = {}, {}
+    keyed by its coordinates rounded to 12 decimals in a dict, first seen in
+    ``level_terms`` order, and nodes are sorted by key."""
+    coords = {}
     for term in level_terms(n, w):
         rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(term.levels, specs)]
         mesh = np.meshgrid(*[r.points for r in rules], indexing="ij")
-        nodes = np.column_stack([m.ravel() for m in mesh])
-        weights = np.ones(1)
-        for r in rules:
-            weights = np.outer(weights, r.weights).ravel()
-        for node, wgt in zip(nodes, weights):
-            key = tuple(round(c, 12) + 0.0 for c in node)
-            if key in acc:
-                acc[key] += term.coeff * wgt
-            else:
-                acc[key] = term.coeff * wgt
-                coords[key] = node
-    keys = sorted(acc)
-    return np.array([coords[k] for k in keys]), np.array([acc[k] for k in keys])
+        for node in np.column_stack([m.ravel() for m in mesh]):
+            coords.setdefault(tuple(round(c, 12) + 0.0 for c in node), node)
+    return np.array([coords[k] for k in sorted(coords)])
 
 
 def sorted_assembly(w, families):
     """The sort-based plan assembly that counting ranks replaced: per term
-    in ``level_terms`` order its degree box (``np.indices``), its node rows
-    of axis ids and its weights (``np.outer``); ``np.unique`` over the
-    big-endian bytes of the box rows gives the index and the slots, and
-    over the node rows the ids and each node's position; weights are summed
-    with ``np.bincount``. Returns the index, ids, weights, and per term in
-    sorted level order its rows and slots."""
+    in ``level_terms`` order its degree box (``np.indices``) and its node
+    rows of axis ids; ``np.unique`` over the big-endian bytes of the box
+    rows gives the index and the slots, and over the node rows the ids and
+    each node's position. Returns the index, ids, and per term in sorted
+    level order its rows and slots."""
     n = len(families)
     terms = level_terms(n, w)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
@@ -62,16 +51,12 @@ def sorted_assembly(w, families):
     for f in set(families):
         points = np.unique(np.concatenate([rules[f, l].points for l in range(w + 1)]))
         axes[f] = [np.searchsorted(points, rules[f, l].points) for l in range(w + 1)]
-    boxes, nodes, weights = [], [], []
+    boxes, nodes = [], []
     for term in terms:
         box = np.indices([growth(l) for l in term.levels]).reshape(n, -1).T
         boxes.append(box)
         levels = list(zip(families, term.levels))
         nodes.append(np.column_stack([axes[f][l][box[:, j]] for j, (f, l) in enumerate(levels)]))
-        wgt = np.ones(1)
-        for f, l in zip(families, term.levels):
-            wgt = np.outer(wgt, rules[f, l].weights).ravel()
-        weights.append(term.coeff * wgt)
 
     def unique_rows(rows):
         rows = np.ascontiguousarray(np.concatenate(rows), dtype=">u4")
@@ -81,17 +66,12 @@ def sorted_assembly(w, families):
 
     index, slots = unique_rows(boxes)
     ids, positions = unique_rows(nodes)
-    summed = np.bincount(positions, weights=np.concatenate(weights), minlength=len(ids))
     cuts = np.cumsum([len(b) for b in boxes])[:-1]
     per_term = {
         t.levels: (r, s) for t, r, s in zip(terms, np.split(positions, cuts), np.split(slots, cuts))
     }
-    return (
-        index.astype(np.intp),
-        ids.astype(np.uint32),
-        summed,
-        [per_term[levels] for levels in sorted(per_term)],
-    )
+    per_term = [per_term[levels] for levels in sorted(per_term)]
+    return index.astype(np.intp), ids.astype(np.uint32), per_term
 
 
 #: One standard spec per family: the coordinates grid plans live in.
@@ -101,11 +81,11 @@ STANDARD = {L: VariableSpec("u", Uniform(-1.0, 1.0)), H: VariableSpec("z", Norma
 def tensor_grid_assembly(w, families):
     """The per-term assembly that whole-array passes replaced: per term in
     ``level_terms`` order, its :func:`tensor_grid` point indices (its
-    degree box, in C order) and ``coeff`` times its weights; each level's
-    point indices map to axis ids by ``np.searchsorted`` in the axis's
-    distinct points, and ``np.unique`` ranks the box rows and the node rows.
-    Returns the index, ids, weights, and per term in sorted level order its
-    rows, slots and expected ``psi * w`` tables."""
+    degree box, in C order); each level's point indices map to axis ids by
+    ``np.searchsorted`` in the axis's distinct points, and ``np.unique``
+    ranks the box rows and the node rows. Returns the index, ids, and per
+    term in sorted level order its rows, slots and expected ``psi * w``
+    tables."""
     n = len(families)
     terms = level_terms(n, w)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
@@ -116,7 +96,6 @@ def tensor_grid_assembly(w, families):
     sizes = [math.prod(growth(l) for l in t.levels) for t in terms]
     boxes = np.empty((sum(sizes), n), dtype=">u2")  # ids stay below 2**16 up to w = 14
     nodes = np.empty_like(boxes)
-    weights = np.empty(sum(sizes))
     end = 0
     for t, size in zip(terms, sizes):
         sub = tensor_grid(t.levels, [STANDARD[f] for f in families])
@@ -124,7 +103,6 @@ def tensor_grid_assembly(w, families):
         boxes[end - size : end] = sub.ids
         for j, (f, l) in enumerate(zip(families, t.levels)):
             nodes[end - size : end, j] = axis_ids[f][l][sub.ids[:, j]]
-        weights[end - size : end] = t.coeff * sub.weights
 
     def unique_rows(rows):
         keys, inverse = np.unique(rows.view(np.dtype((np.void, 2 * n))).ravel(), return_inverse=True)
@@ -141,8 +119,7 @@ def tensor_grid_assembly(w, families):
             if l > 0
         ]
         per_term[t.levels] = (rows, term_slots, tables)
-    summed = np.bincount(positions, weights=weights, minlength=len(ids))
-    return index, ids, summed, [per_term[levels] for levels in sorted(per_term)]
+    return index, ids, [per_term[levels] for levels in sorted(per_term)]
 
 
 class TestGrowth:
@@ -248,8 +225,6 @@ class TestTensorGrid:
             (p1, p2) for p1, p2 in product(leg.points, her.points)
         ]
         assert np.allclose(grid.nodes, expected)
-        w_expected = np.outer(leg.weights, her.weights).ravel()
-        assert np.allclose(grid.weights, w_expected)
         assert [tuple(row) for row in grid.ids] == list(product(range(3), range(3)))
         assert np.array_equal(grid.nodes[:, 0], leg.points[grid.ids[:, 0]])
         assert np.array_equal(grid.nodes[:, 1], her.points[grid.ids[:, 1]])
@@ -264,7 +239,6 @@ class TestSmolyakGrid:
         grid = smolyak_grid(2, 0, list(mixed_specs))
         assert len(grid) == 1
         assert np.allclose(grid.nodes, [[0.0, 0.0]])
-        assert grid.weights == pytest.approx([1.0])
 
     def test_level_one_counts(self, mixed_specs, ishigami_range_specs):
         # 2m+1 growth shares only the center with the level-0 rule, so level
@@ -274,8 +248,11 @@ class TestSmolyakGrid:
 
     @pytest.mark.parametrize("w", range(0, 4))
     def test_weights_integrate_constant(self, mixed_specs, w):
-        grid = smolyak_grid(2, w, list(mixed_specs))
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        """The projection of the constant 1 is ``psi_0``: its constant
+        coefficient, the Smolyak quadrature of 1, is 1 and the others 0."""
+        coeffs = project(np.ones(len(smolyak_grid(2, w, list(mixed_specs)))), w, mixed_specs).coeffs
+        assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(coeffs[1:]).max(initial=0.0) <= 1e-12
 
     def test_ids_are_unique_and_sorted(self, ishigami_range_specs):
         grid = smolyak_grid(3, 3, list(ishigami_range_specs))
@@ -297,7 +274,6 @@ class TestSmolyakGrid:
         assert a.ids is not b.ids and len(a) > 1
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.weights, b.weights)
 
     @pytest.mark.parametrize(
         "specs",
@@ -307,17 +283,13 @@ class TestSmolyakGrid:
     @pytest.mark.parametrize("w", range(0, 5))
     def test_equals_rounded_key_assembly(self, specs, w):
         grid = smolyak_grid(len(specs), w, list(specs))
-        nodes, weights = rounded_key_grid(len(specs), w, specs)
-        assert np.array_equal(grid.nodes, nodes)
-        assert np.array_equal(grid.weights, weights)
+        assert np.array_equal(grid.nodes, rounded_key_grid(len(specs), w, specs))
 
     def test_equals_rounded_key_assembly_in_twenty_dimensions(self):
         specs = [LEG, HER] * 10
         grid = smolyak_grid(20, 2, specs)
-        nodes, weights = rounded_key_grid(20, 2, specs)
         assert len(grid) == 921
-        assert np.array_equal(grid.nodes, nodes)
-        assert np.array_equal(grid.weights, weights)
+        assert np.array_equal(grid.nodes, rounded_key_grid(20, 2, specs))
 
     def test_one_cached_plan_per_level_and_families(self, mixed_specs):
         grid_plan.cache_clear()  # which also zeroes the cache's counts
@@ -328,9 +300,9 @@ class TestSmolyakGrid:
         # Standard coordinates: other ranges of the same families share it.
         other = (VariableSpec("a", Uniform(0.0, 1.0)), VariableSpec("b", Normal(5.0, 2.0)))
         again = smolyak_grid(2, 3, list(other))
-        assert again.weights is first.weights and np.array_equal(again.nodes, first.nodes)
+        assert again.ids is first.ids and np.array_equal(again.nodes, first.nodes)
         assert grid_plan.cache_info().misses == 1  # one plan built
-        assert not first.ids.flags.writeable and not first.weights.flags.writeable
+        assert not first.ids.flags.writeable
 
     @pytest.mark.parametrize("specs", [(LEG,), (HER, LEG), (LEG, HER, LEG)], ids=["L", "HL", "LHL"])
     @pytest.mark.parametrize("w", [0, 1, 3])
@@ -370,11 +342,11 @@ class TestSmolyakGrid:
         ids=lambda v: v if isinstance(v, int) else "".join(f.name[0] for f in v),
     )
     def test_ranks_equal_the_sorted_assembly(self, w, families):
-        """Counting ranks give the index, slots, rows, ids and weights of
-        the sort-based assembly, bit for bit and with the same dtypes."""
+        """Counting ranks give the index, slots, rows and ids of the
+        sort-based assembly, bit for bit and with the same dtypes."""
         plan = grid_plan(w, families)
-        index, ids, weights, per_term = sorted_assembly(w, families)
-        for got, want in [(plan.index, index), (plan.grid.ids, ids), (plan.grid.weights, weights)]:
+        index, ids, per_term = sorted_assembly(w, families)
+        for got, want in [(plan.index, index), (plan.grid.ids, ids)]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert len(plan.terms) == len(per_term)
         for term, (rows, slots) in zip(plan.terms, per_term):
@@ -388,14 +360,13 @@ class TestSmolyakGrid:
     )
     def test_equals_the_per_term_tensor_grid_assembly(self, w, families):
         """At the sizes the converge workloads and their references reach,
-        the whole-array passes give the index, ids, weights (bit for bit),
-        and every term's rows, slots and tables of one :func:`tensor_grid`
-        call per term."""
+        the whole-array passes give the index, ids, and every term's rows,
+        slots and tables (bit for bit) of one :func:`tensor_grid` call per
+        term."""
         grid_plan.cache_clear()
         plan = grid_plan(w, families)
-        index, ids, weights, per_term = tensor_grid_assembly(w, families)
+        index, ids, per_term = tensor_grid_assembly(w, families)
         assert np.array_equal(plan.index, index) and np.array_equal(plan.grid.ids, ids)
-        assert np.array_equal(plan.grid.weights.view(np.uint64), weights.view(np.uint64))
         assert len(plan.terms) == len(per_term)
         for term, (rows, slots, tables) in zip(plan.terms, per_term):
             assert np.array_equal(term.rows, rows) and np.array_equal(term.slots, slots)
@@ -405,8 +376,9 @@ class TestSmolyakGrid:
 
     def test_cold_plan_memory_is_one_column_array(self):
         """The 8-D w=5 plan (1,287 terms, 149,031 term rows, 54,673 nodes)
-        makes its term rows in one array; a list of per-term grids and
-        their concatenated copy would peak near 24 MB."""
+        makes its term rows in one array and no combined weights: it peaks
+        near 12.3 MB, where a weights pass would add 1 MB and a list of
+        per-term grids with their concatenated copy would peak near 24 MB."""
         grid_plan.cache_clear()
         tracemalloc.start()
         try:
@@ -415,7 +387,7 @@ class TestSmolyakGrid:
         finally:
             tracemalloc.stop()
         assert len(plan.grid) == 54_673 and len(plan.terms) == 1_287
-        assert peak < 19e6
+        assert peak < 12.6e6
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
@@ -458,6 +430,7 @@ class TestSmolyakGrid:
                     weights = np.outer(weights, wt).ravel()
                 total += float(weights @ f(nodes))
 
+        # The projection's constant coefficient is the Smolyak quadrature.
         grid = smolyak_grid(n, w, specs)
-        direct = float(grid.weights @ f(grid.nodes))
+        direct = float(project(f(grid.nodes), w, specs).coeffs[0])
         assert direct == pytest.approx(total, abs=1e-12 * max(1.0, abs(total)))
