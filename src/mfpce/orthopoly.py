@@ -107,8 +107,9 @@ def sample_points(specs, rng: Philox | np.random.Generator, size: int, marks=Non
     one list per variable is appended to ``marks``: the ``rng.position``
     where its column starts each block of ``OUTER_POINTS`` rows. A uniform
     column's follow from its first, one word per point; a normal column is
-    drawn block by block and its marks read in between, since numpy's
-    ziggurat takes a varying number of words. The draws are the same."""
+    drawn block by block by one numpy generator, whose position is read in
+    between, since numpy's ziggurat takes a varying number of words
+    (:meth:`~mfpce.philox.Philox.fill_normal`). The draws are the same."""
     X = np.empty((size, len(specs)))
     starts = range(0, size, OUTER_POINTS)
     for j, spec in enumerate(specs):
@@ -118,11 +119,7 @@ def sample_points(specs, rng: Philox | np.random.Generator, size: int, marks=Non
             marks.append([rng.position + start for start in starts])
             X[:, j] = spec.sample(rng, size)
         else:
-            marks.append([])
-            for start in starts:
-                marks[-1].append(rng.position)
-                rows = X[start : start + OUTER_POINTS, j]
-                rows[:] = spec.sample(rng, len(rows))
+            marks.append(rng.fill_normal(spec.dist.mu, spec.dist.sigma, X[:, j], OUTER_POINTS))
     return X
 
 

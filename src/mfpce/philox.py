@@ -107,12 +107,20 @@ class Philox:
         return out
 
     def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
-        """``size`` draws of ``N(loc, scale**2)``, as ``Generator.normal``.
-        numpy's ziggurat draws a varying number of words, so it is run by
-        numpy itself from this position, which is then read back; only
-        here is ``numpy.random`` imported. numpy's position is the last
-        block computed, its words and the next of them to draw (4 when none
-        is left)."""
+        """``size`` draws of ``N(loc, scale**2)``, as ``Generator.normal``."""
+        out = np.empty(size)
+        self.fill_normal(loc, scale, out, max(size, 1))
+        return out
+
+    def fill_normal(self, loc: float, scale: float, out: np.ndarray, block: int) -> list[int]:
+        """Fill ``out`` with the draws of ``normal(loc, scale, len(out))``,
+        ``block`` at a time, and return the position where each block
+        starts. numpy's ziggurat draws a varying number of words, so it is
+        run by numpy itself from this position, on one bit generator for
+        all the blocks, whose position is read back before each block after
+        the first and after the last; only here is ``numpy.random``
+        imported. numpy's position is the last block computed, its words
+        and the next of them to draw (4 when none is left)."""
         import numpy.random
 
         bits = numpy.random.Philox(key=self.key[0] | self.key[1] << 64)
@@ -124,7 +132,15 @@ class Philox:
         state["state"]["counter"][0] = counter
         state["buffer_pos"] = buffer_pos
         bits.state = state
-        out = numpy.random.Generator(bits).normal(loc, scale, size)
-        state = bits.state
-        self.position = 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
-        return out
+
+        def position() -> int:
+            state = bits.state
+            return 4 * (int(state["state"]["counter"][0]) - 1) + int(state["buffer_pos"])
+
+        draw, marks = numpy.random.Generator(bits).normal, []
+        for start in range(0, len(out), block):
+            marks.append(position() if start else self.position)
+            rows = out[start : start + block]
+            rows[...] = draw(loc, scale, len(rows))
+        self.position = position()
+        return marks

@@ -13,8 +13,9 @@ those rows, which is lexicographic order of the coordinates. A grid
 (:class:`QuadratureGrid`) keeps only the axis points and the ids;
 coordinates are gathered from them when read. Both the nodes and
 the projection's degrees form sets with a closed form, so a row's position
-in its set is counted from its entries, not found by sorting all rows
-(:func:`grid_plan`), and a grid's size before it is built (:func:`grid_size`).
+in its set is counted from its entries, and the row at a position from the
+position, not found by sorting all rows (:class:`LexRanks`); and a grid's
+size is counted before it is built (:func:`grid_size`).
 A node's rank in the union of the grids up to level ``w`` is its identity
 in :class:`mfpce.models.EvalCache` (:func:`union_ranks`).
 
@@ -25,9 +26,14 @@ one fixed-width byte key per row: :func:`row_keys` of integer rows
 The same signed combination is the sparse projection, where each term
 projects its own nodes with its rules' weights (:func:`mfpce.pce.project`).
 As ``psi_0 = 1``, the projection's constant coefficient is the Smolyak
-quadrature of the values. One cached
-:func:`grid_plan` per ``(w, families)`` holds the grid and, per term,
-everything the projection reads; a term contracts only its level > 0 axes.
+quadrature of the values. One cached :func:`grid_plan` per ``(w,
+families)`` holds the grid, the index set, per term its levels, coefficient
+and tables (a term contracts only its level > 0 axes), and the rank tables
+of both sets, but nothing per term row: the rows of the terms, 149,031 for
+the 8-D grid at ``w = 5`` against its 54,673 nodes, are made a bounded
+chunk at a time as a projection reads them (:meth:`GridPlan.term_rows`).
+The plan and one projection on it peak at 7.7 MB of ``tracemalloc`` there,
+and at 26.5 MB at ``w = 6`` (828,795 term rows, 287,409 nodes).
 """
 
 from __future__ import annotations
@@ -51,6 +57,10 @@ _ID_DTYPE = np.dtype(">u4")
 #: a handful, and clears the cache once its reference is built and again
 #: after its cells; the bound keeps a long-lived process from holding every grid.
 PLAN_CACHE_SIZE = 8
+
+#: Rows that :meth:`GridPlan.term_rows` makes at a time, and
+#: :meth:`LexRanks.rows` unranks at a time.
+TERM_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -83,16 +93,16 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class PlanTerm:
-    """One tensor term of a :class:`GridPlan`. Its nodes, in C order of
-    their per-axis point indices, and its degree box (``d_j < growth(l_j)``,
-    the degrees its rules integrate exactly) share one shape and order. A
-    level-0 axis's table is exactly ``[[1.0]]``, so it has none in ``tables``."""
+    """One tensor term of a :class:`GridPlan`: its levels, its Smolyak
+    coefficient and the ``psi * w`` tables of its level > 0 axes. A level-0
+    axis's table is exactly ``[[1.0]]``, so it has none in ``tables``. Its
+    nodes, in C order of their per-axis point indices, and its degree box
+    (``d_j < growth(l_j)``, the degrees its rules integrate exactly) share
+    one shape and order; :meth:`GridPlan.term_rows` makes their positions."""
 
     levels: MultiIndex
     coeff: int
-    rows: np.ndarray = field(repr=False)  # grid positions of the term's nodes
     tables: tuple[np.ndarray, ...] = field(repr=False)  # per level > 0 axis
-    slots: np.ndarray = field(repr=False)  # positions in the index of the degree box
 
 
 @dataclass(frozen=True)
@@ -101,12 +111,66 @@ class GridPlan:
 
     ``index`` is the union of the terms' degree boxes in lexicographic
     order. ``terms`` are in sorted level order, the order in which
-    :func:`mfpce.pce.project` adds them up.
+    :func:`mfpce.pce.project` adds them up. Nothing is kept per term row:
+    ``nodes`` ranks a node's axis ids in the grid, ``degrees`` a degree row
+    in ``index``, and ``id_tables[j][l, i]`` is the axis-``j`` id of point
+    ``i`` of the level-``l`` rule.
     """
 
     grid: QuadratureGrid
     index: np.ndarray = field(repr=False)  # (K, n) degrees
     terms: tuple[PlanTerm, ...]
+    nodes: LexRanks = field(repr=False)
+    degrees: LexRanks = field(repr=False)
+    id_tables: tuple[np.ndarray, ...] = field(repr=False)
+
+    def term_rows(self):
+        """Per term, in ``terms`` order, ``(term, rows, slots)``: the grid
+        positions of its nodes and the positions in ``index`` of its degree
+        box, both in C order of the box, as intp.
+
+        They are made a chunk of consecutive terms at a time, about
+        ``TERM_ROWS`` rows or one larger term, in whole-array passes: row
+        ``r`` of a term has point index ``(r // inner) % count`` on an axis
+        of ``count`` points with ``inner`` points in the axes after it, one
+        ``divmod`` per axis from the last. The point indices are the degree
+        box, ranked by ``degrees``; gathered from ``id_tables``, they are
+        the node's axis ids, ranked by ``nodes``. One buffer is allocated
+        per pass, for the largest chunk, so ``rows`` and ``slots`` are views
+        that the next chunk overwrites.
+        """
+        n = len(self.id_tables)
+        levels = np.array([t.levels for t in self.terms], dtype=np.intp).reshape(-1, n)
+        counts = (2 << levels) - 1  # growth(l)
+        offsets = levels * np.array([table.shape[1] for table in self.id_tables])
+        sizes = counts.prod(axis=1)
+        ends = np.cumsum(sizes)
+        bound = max(TERM_ROWS, int(sizes.max()))
+        buffer, iota = np.empty((n + 7, bound), dtype=np.intp), np.arange(bound)
+        first, done = 0, 0
+        while first < len(self.terms):
+            stop = max(first + 1, int(np.searchsorted(ends, done + bound, side="right")))
+            size = int(ends[stop - 1]) - done
+            starts = ends[first:stop] - sizes[first:stop] - done
+            columns, (rows, slots, local, term, at), work = np.split(buffer[:, :size], [n, n + 5])
+            # Each row's term in the chunk, and its position in that term.
+            term[:] = 0
+            term[starts[1:]] = 1
+            np.cumsum(term, out=term)
+            starts.take(term, out=at, mode="clip")
+            np.subtract(iota[:size], at, out=local)
+            for j in reversed(range(n)):
+                counts[first:stop, j].take(term, out=at, mode="clip")
+                np.divmod(local, at, out=(local, columns[j]))
+            self.degrees.ranks(columns, slots, work)
+            for j, table in enumerate(self.id_tables):
+                offsets[first:stop, j].take(term, out=at, mode="clip")
+                at += columns[j]
+                table.take(at, out=columns[j], mode="clip")
+            self.nodes.ranks(columns, rows, work)
+            for t, a, b in zip(self.terms[first:stop], starts.tolist(), (starts + sizes[first:stop]).tolist()):
+                yield t, rows[a:b], slots[a:b]
+            first, done = stop, done + size
 
 
 def growth(level: int) -> int:
@@ -161,8 +225,8 @@ def grid_size(n: int, w: int, q: int = 0) -> int:
 def tensor_grid(levels: MultiIndex, specs: list[VariableSpec]) -> QuadratureGrid:
     """Cartesian product of the per-dimension Gauss rules' points, in C
     order of the per-axis point indices (which are the grid's ``ids``). One
-    term of a Smolyak grid on its own: :func:`grid_plan` makes the rows of
-    all its terms at once, and does not call this."""
+    term of a Smolyak grid on its own: :meth:`GridPlan.term_rows` makes the
+    rows of its terms a chunk at a time, and does not call this."""
     if len(levels) != len(specs):
         raise ValueError("levels must have one entry per variable")
     rules = [gauss_rule(spec.family, growth(l)) for l, spec in zip(levels, specs)]
@@ -211,25 +275,81 @@ def _axis_ids(rules: list[GaussRule]):
     points, cost = points[once][order], level[once][order]
     if (points[1:] == points[:-1]).any():
         raise ValueError("rules of two levels share a point other than the centre")
-    table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.int32)
+    table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.intp)
     for l, r in enumerate(rules):
         table[l, : len(r.points)] = np.searchsorted(points, r.points)
     return points, table, cost, (points == 0.0).astype(np.intp)
 
 
-def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray, int]:
-    """Lexicographic ranks of the rows ``x`` whose axis ``j`` entries are
-    ``columns[j]``, in the set ``S`` of all rows with
-    ``sum_j costs[j][x_j] <= w`` and, unless some ``centres[j][x_j]``
-    holds, that sum at least ``floor``; and the size of ``S``. No sort.
+@dataclass(frozen=True)
+class LexRanks:
+    """The set ``S`` of the rows ``x`` with ``sum_j costs[j][x_j] <= w``
+    and, unless some ``centres[j][x_j]`` holds, that sum at least a floor,
+    as per-axis tables that rank a row of ``S`` in lexicographic order and
+    unrank a rank, with no sort (:func:`_lex_ranks`); and ``|S|``.
 
     A row's rank counts the rows of ``S`` before it: per axis ``j``, those
     that agree on axes ``< j`` and are smaller on axis ``j``. That count
     depends only on ``x_j`` and the state after axes ``< j``: the budget
-    left and whether a centre was among them. Per axis, a table holds it,
-    as prefix sums over ``x_j`` of the completions of the axes after ``j``
-    (counted from the last axis back), together with the next state; a
-    rank is then one gather per axis and table.
+    ``b`` left and whether a centre ``c`` was among them, ``2 * b + c``.
+    Per axis, ``steps`` holds at ``state * width + x`` that count and the
+    next state, and per state the rows of ``S`` that start from it there.
+    """
+
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...] = field(repr=False)
+    w: int
+    size: int
+
+    def ranks(self, columns, out=None, work=None) -> np.ndarray:
+        """The ranks of the rows of ``S`` whose axis ``j`` entries are
+        ``columns[j]``: one gather per axis and table. ``out`` and the
+        ``(2, len(out))`` scratch ``work``, both intp, are allocated if not given."""
+        count = columns.shape[1]
+        out = np.empty(count, dtype=np.intp) if out is None else out
+        state, spare = np.empty((2, count), dtype=np.intp) if work is None else work
+        out[...] = 0
+        state[...] = 2 * self.w
+        for x, (before, after, _, width) in zip(columns, self.steps):
+            state *= width
+            state += x
+            before.take(state, out=spare, mode="clip")
+            out += spare
+            after.take(state, out=spare, mode="clip")
+            state, spare = spare, state
+        return out
+
+    def rows(self, dtype) -> np.ndarray:
+        """Every row of ``S`` in lexicographic order, an ``(|S|, n)`` array
+        of ``dtype``, unranked ``TERM_ROWS`` ranks at a time. On each axis,
+        the counts plus the rows of the states before theirs ascend, so a
+        rank plus that offset of its state falls on the last such key not
+        above it, whose position is ``state * width + x``."""
+        axes = []
+        for before, after, totals, width in self.steps:
+            start = np.cumsum(totals) - totals
+            axes.append((after, start, before + np.repeat(start, width), width))
+        out = np.empty((self.size, len(self.steps)), dtype=dtype)
+        for first in range(0, self.size, TERM_ROWS):
+            rank = np.arange(first, min(first + TERM_ROWS, self.size))
+            state = np.full(len(rank), 2 * self.w)
+            for column, (after, start, keys, width) in zip(out[first:].T, axes):
+                rank += start[state]
+                at = np.searchsorted(keys, rank, side="right")
+                at -= 1
+                rank -= keys[at]
+                state *= width
+                column[: len(rank)] = at - state
+                state = after[at]
+        return out
+
+
+def _lex_ranks(costs, centres, w: int, floor: int) -> LexRanks:
+    """The :class:`LexRanks` of the rows ``x`` whose entry on axis ``j``
+    ranges over ``len(costs[j])`` values, with ``sum_j costs[j][x_j] <= w``
+    and, unless some ``centres[j][x_j]`` holds, that sum at least
+    ``floor``. Per axis, counted from the last axis back, the rows before
+    ``x_j`` are prefix sums over ``x_j`` of the completions of the axes
+    after ``j``.
     """
     budget = np.arange(w + 1)[:, None, None]
     seen = np.arange(2)[None, :, None]
@@ -244,15 +364,11 @@ def _lex_ranks(columns, costs, centres, w: int, floor: int) -> tuple[np.ndarray,
         completions = before[:, :, -1]
         # The state is 2 * budget + seen; a row of S never overspends.
         after = 2 * np.maximum(left, 0) + (seen | centre)
-        steps.append((before[:, :, :-1].ravel(), after.ravel(), len(cost)))
-    ranks = np.zeros(columns.shape[1], dtype=np.intp)
-    state = np.full(columns.shape[1], 2 * w)
-    for x, (before, after, width) in zip(columns, steps[::-1]):
-        state *= width
-        state += x
-        ranks += before[state]
-        state = after[state]
-    return ranks, int(completions[w, 0])
+        steps.append((before[:, :, :-1].ravel(), after.ravel(), completions.ravel(), len(cost)))
+    for step in steps:
+        for a in step[:-1]:
+            a.setflags(write=False)
+    return LexRanks(tuple(steps[::-1]), w, int(completions[w, 0]))
 
 
 def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -264,79 +380,52 @@ def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
 def union_ranks(columns, costs, w: int) -> tuple[np.ndarray, int]:
     """The ranks of the ``(n, N)`` axis ids ``columns`` in ``U_w = {x : sum_j
     costs[j][x_j] <= w}``, the union of the grids up to level ``w``, and ``|U_w|``."""
-    return _lex_ranks(columns, costs, [np.zeros_like(c) for c in costs], w, 0)
+    ranking = _lex_ranks(costs, [np.zeros_like(c) for c in costs], w, 0)
+    return ranking.ranks(columns), ranking.size
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     """Assemble the Smolyak grid of level ``w`` over ``families`` and its
-    projection, ranking rows by counting instead of sorting them.
+    projection, listing both sets by counting instead of forming the terms'
+    rows.
 
-    The ``S`` rows of all terms, in ``level_terms`` order, are made in
-    whole-array passes: row ``r`` of a term has point index ``(r // inner)
-    % count`` on an axis of ``count`` points with ``inner`` points in the
-    axes after it (C order), one ``divmod`` per axis from the last. The
-    point indices are the term's degree box ``d_j < growth(l_j)``. The
-    union of the boxes is the index set ``{d : sum_j lvl(d_j) <= w}``,
-    where ``lvl(d)`` is the lowest level whose rule has more than ``d``
-    points, so a box row's slot is its lexicographic rank there
-    (:func:`_lex_ranks`). Gathered at its flat ``(level, point)`` position,
-    a point index becomes its axis id. A point other than the centre is in
-    the rule of one level, its cost, and the union of the terms' nodes is
-    ``{x : sum_j cost(x_j) <= w}`` where some ``x_j`` is the centre, or the
-    cost sum is at least ``w - n + 1``; a node's rank there is its position
-    in the canonical order. Terms share the ``psi * w`` tables of each
-    (family, level) rule, the only place a rule's weights enter, and slice
-    their ``rows`` and ``slots`` from one array each. The plan is cached
-    and its arrays are read-only.
+    A point other than the centre is in the rule of one level, its cost,
+    and the union of the terms' nodes is ``{x : sum_j cost(x_j) <= w}``
+    where some ``x_j`` is the centre, or the cost sum is at least ``w - n +
+    1``. The union of the terms' degree boxes ``d_j < growth(l_j)`` is the
+    index set ``{d : sum_j lvl(d_j) <= w}``, where ``lvl(d)`` is the lowest
+    level whose rule has more than ``d`` points. Both sets are unranked in
+    lexicographic order (:meth:`LexRanks.rows`), which for the nodes is
+    the canonical order, and their tables are kept to rank the terms'
+    rows when a projection reads them (:meth:`GridPlan.term_rows`). Terms
+    share the ``psi * w`` tables of each (family, level) rule, the only
+    place a rule's weights enter. The plan is cached and its arrays are
+    read-only.
 
-    The rows live in one ``(n, S)`` int32 array, one contiguous column per
-    axis, of point indices and then, one axis at a time, of axis ids. All
-    arithmetic on rows is int64: no other step of a run executes numpy's
-    int32 arithmetic kernels, whose code would add 64 KB to its RSS. The
-    peak is the nodes' ranking: the column array, the slots, the index and
-    the ranking's ranks, state and gathers are alive, 12.3 MB of
-    ``tracemalloc`` for the 8-D grid at ``w = 5`` (``S`` = 149,031) and
-    63.8 MB at ``w = 6`` (``S`` = 828,795).
+    The plan keeps nothing per term row (149,031 rows for the 8-D grid at
+    ``w = 5``, 828,795 at ``w = 6``): its ids, index and tables. All
+    arithmetic on rows is int64: no step of a run executes numpy's int32
+    arithmetic kernels, whose code would add 64 KB to its RSS.
     """
     n = len(families)
-    terms = level_terms(n, w)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
     axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
     points, id_tables, costs, centres = zip(*(axes[f] for f in families))
-    levels = np.array([t.levels for t in terms])
-    counts = np.array([growth(l) for l in range(w + 1)])[levels]
-    sizes = counts.prod(axis=1)
-    ends = np.cumsum(sizes)
-    columns = np.empty((n, ends[-1]), dtype=np.int32)
-    local = np.arange(ends[-1])
-    local -= np.repeat(ends - sizes, sizes)
-    for j in reversed(range(n)):
-        np.divmod(local, np.repeat(counts[:, j], sizes), out=(local, columns[j]))
-    del local
     degree_cost = np.repeat(np.arange(w + 1), np.diff([0] + [growth(l) for l in range(w + 1)]))
     no_centre = np.zeros(len(degree_cost), dtype=np.intp)
-    slots, size = _lex_ranks(columns, [degree_cost] * n, [no_centre] * n, w, 0)
-    index = np.empty((size, n), dtype=np.intp)
-    index[slots] = columns.T
-    for column, table, level in zip(columns, id_tables, levels.T):
-        at = np.repeat(level * table.shape[1], sizes)
-        at += column
-        np.take(table.ravel(), at, out=column)
-    del at
-    inverse, size = _lex_ranks(columns, costs, centres, w, w - n + 1)
-    ids = np.empty((size, n), dtype=np.uint32)
-    ids[inverse] = columns.T
-    del columns
-    grid = QuadratureGrid(points=points, ids=ids)
-    for a in (ids, index, *grid.points, *tables.values(), inverse, slots):
+    degrees = _lex_ranks([degree_cost] * n, [no_centre] * n, w, 0)
+    nodes = _lex_ranks(costs, centres, w, w - n + 1)
+    grid = QuadratureGrid(points=points, ids=nodes.rows(np.uint32))
+    index = degrees.rows(np.intp)
+    for a in (grid.ids, index, *grid.points, *tables.values(), *id_tables):
         a.setflags(write=False)
-    plan_terms = []
-    for t, a, b in zip(terms, (ends - sizes).tolist(), ends.tolist()):
-        term_tables = tuple(tables[k] for k in zip(families, t.levels) if k[1])
-        plan_terms.append(PlanTerm(t.levels, t.coeff, inverse[a:b], term_tables, slots[a:b]))
-    return GridPlan(grid, index, tuple(sorted(plan_terms, key=lambda t: t.levels)))
+    terms = sorted(level_terms(n, w), key=lambda t: t.levels)
+    plan_terms = tuple(
+        PlanTerm(t.levels, t.coeff, tuple(tables[k] for k in zip(families, t.levels) if k[1])) for t in terms
+    )
+    return GridPlan(grid, index, plan_terms, nodes, degrees, id_tables)
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:

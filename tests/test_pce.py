@@ -32,6 +32,7 @@ from mfpce.pce import (
     union,
     variance,
 )
+import mfpce.sparse_grid as sparse_grid
 from mfpce.sparse_grid import (
     compositions,
     grid_plan,
@@ -49,6 +50,50 @@ def project_model(model, specs, w):
         [spec.from_standard(grid.nodes[:, j]) for j, spec in enumerate(specs)]
     )
     return project(model.batch(nodes), w, specs)
+
+
+def per_node_case():
+    """Specs, level and values on the mixed 3-D grid that
+    :func:`per_node_projection` checks the projection on."""
+    specs = (
+        VariableSpec("u", Uniform(2.0, 6.0)),
+        VariableSpec("g", Normal(-1.0, 0.5)),
+        VariableSpec("v", Uniform(-1.0, 3.0)),
+    )
+    grid = smolyak_grid(3, 4, list(specs))
+    return specs, 4, np.exp(0.3 * grid.nodes.sum(axis=1)) + np.prod(np.cos(grid.nodes), axis=1)
+
+
+def per_node_projection(specs, w, values) -> dict:
+    """The per-node projection algorithm: values looked up by rounded node
+    key, term by term in sorted level order, accumulated into a dict of
+    ``{multi-index: coefficient}`` entry by entry."""
+    n = len(specs)
+    grid = smolyak_grid(n, w, list(specs))
+
+    def key(node):
+        return tuple(round(c, 12) + 0.0 for c in node)
+
+    value_of = {key(node): v for node, v in zip(grid.nodes, values)}
+    terms = {
+        phi: 0.0
+        for levels in compositions(n, w)
+        for phi in product(*(range(growth(l)) for l in levels))
+    }
+    for term in sorted(level_terms(n, w), key=lambda t: t.levels):
+        rules = [gauss_rule(s.family, growth(l)) for s, l in zip(specs, term.levels)]
+        shape = tuple(len(r) for r in rules)
+        f = np.array(
+            [value_of[key(node)] for node in product(*(r.points for r in rules))]
+        ).reshape(shape)
+        coeffs = f
+        for rule, spec in zip(rules, specs):
+            table = eval_poly_table(spec.family, len(rule) - 1, rule.points)
+            coeffs = np.tensordot(coeffs, table * rule.weights, axes=([0], [1]))
+        flat = coeffs.ravel()
+        for i, phi in enumerate(product(*(range(m) for m in shape))):
+            terms[phi] += term.coeff * flat[i]
+    return terms
 
 
 def from_map(specs, coefficients) -> Expansion:
@@ -246,41 +291,33 @@ class TestProjection:
         """The plan-based projection against the per-node algorithm it
         replaced: values looked up by rounded node key, term by term in
         sorted level order, accumulated into a dict entry by entry."""
-        specs = (
-            VariableSpec("u", Uniform(2.0, 6.0)),
-            VariableSpec("g", Normal(-1.0, 0.5)),
-            VariableSpec("v", Uniform(-1.0, 3.0)),
-        )
-        n, w = 3, 4
-        grid = smolyak_grid(n, w, list(specs))
-        values = np.exp(0.3 * grid.nodes.sum(axis=1)) + np.prod(np.cos(grid.nodes), axis=1)
-
-        def key(node):
-            return tuple(round(c, 12) + 0.0 for c in node)
-
-        value_of = {key(node): v for node, v in zip(grid.nodes, values)}
-        terms = {
-            phi: 0.0
-            for levels in compositions(n, w)
-            for phi in product(*(range(growth(l)) for l in levels))
-        }
-        for term in sorted(level_terms(n, w), key=lambda t: t.levels):
-            rules = [gauss_rule(s.family, growth(l)) for s, l in zip(specs, term.levels)]
-            shape = tuple(len(r) for r in rules)
-            f = np.array(
-                [value_of[key(node)] for node in product(*(r.points for r in rules))]
-            ).reshape(shape)
-            coeffs = f
-            for rule, spec in zip(rules, specs):
-                table = eval_poly_table(spec.family, len(rule) - 1, rule.points)
-                coeffs = np.tensordot(coeffs, table * rule.weights, axes=([0], [1]))
-            flat = coeffs.ravel()
-            for i, phi in enumerate(product(*(range(m) for m in shape))):
-                terms[phi] += term.coeff * flat[i]
-
+        specs, w, values = per_node_case()
+        terms = per_node_projection(specs, w, values)
         e = project(values, w, specs)
         assert len(terms) > 100
         assert list(as_map(e).items()) == sorted(terms.items())
+
+    @pytest.mark.parametrize("chunk", [1, 100, 300])
+    def test_equals_per_node_projection_across_chunks(self, monkeypatch, chunk):
+        """Made ``chunk`` rows at a time (at least one term), a grid's term
+        rows span several chunks, a boundary falling between two terms of
+        one level, and the projection still equals the per-node algorithm
+        bit for bit; the plan is built under the same bound."""
+        monkeypatch.setattr(sparse_grid, "TERM_ROWS", chunk)
+        grid_plan.cache_clear()
+        specs, w, values = per_node_case()
+        plan = grid_plan(w, tuple(spec.family for spec in specs))
+        terms, starts = [], []
+        for term, rows, _ in plan.term_rows():
+            terms.append(term)
+            starts.append(rows.ctypes.data)
+        # A chunk's first term's rows start where the rows buffer starts.
+        cuts = [k for k in range(1, len(terms)) if starts[k] == starts[0]]
+        assert len(cuts) > 1
+        assert any(sum(terms[k - 1].levels) == sum(terms[k].levels) for k in cuts)
+        e = project(values, w, specs)
+        assert list(as_map(e).items()) == sorted(per_node_projection(specs, w, values).items())
+        grid_plan.cache_clear()
 
     def test_projection_deterministic(self, ishigami_range_specs):
         model = builtin_model("ishigami", "hf")

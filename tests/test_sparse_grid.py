@@ -74,6 +74,13 @@ def sorted_assembly(w, families):
     return index.astype(np.intp), ids.astype(np.uint32), per_term
 
 
+def made_rows(plan):
+    """Per term in plan order, ``(term, rows, slots)`` as
+    :meth:`~mfpce.sparse_grid.GridPlan.term_rows` makes them, copied out of
+    the chunk buffers that its next chunk overwrites."""
+    return [(term, rows.copy(), slots.copy()) for term, rows, slots in plan.term_rows()]
+
+
 #: One standard spec per family: the coordinates grid plans live in.
 STANDARD = {L: VariableSpec("u", Uniform(-1.0, 1.0)), H: VariableSpec("z", Normal(0.0, 1.0))}
 
@@ -309,8 +316,8 @@ class TestSmolyakGrid:
     def test_plan_terms_address_their_nodes_and_degree_boxes(self, specs, w):
         """The plan's index is the union of the boxes ``np.indices(growth(l))``
         over ``level_terms``; each term's slots address its own box and its
-        rows its own tensor nodes, both in C order. Its tables are the
-        ``psi * w`` tables of its level > 0 axes only."""
+        rows its own tensor nodes, both in C order, as ``term_rows`` makes
+        them. Its tables are the ``psi * w`` tables of its level > 0 axes only."""
         n = len(specs)
         plan = grid_plan(w, tuple(spec.family for spec in specs))
         nodes = smolyak_grid(n, w, list(specs)).nodes
@@ -322,9 +329,11 @@ class TestSmolyakGrid:
         assert [tuple(row) for row in plan.index.tolist()] == union
         assert [t.levels for t in plan.terms] == sorted(boxes)
         assert {t.levels: t.coeff for t in plan.terms} == {t.levels: t.coeff for t in terms}
-        for term in plan.terms:
-            assert np.array_equal(plan.index[term.slots], boxes[term.levels])
-            assert np.array_equal(nodes[term.rows], tensor_grid(term.levels, list(specs)).nodes)
+        made = made_rows(plan)
+        assert [term for term, _, _ in made] == list(plan.terms)
+        for term, rows, slots in made:
+            assert np.array_equal(plan.index[slots], boxes[term.levels])
+            assert np.array_equal(nodes[rows], tensor_grid(term.levels, list(specs)).nodes)
             expected = []
             for spec, l in zip(specs, term.levels):
                 if l > 0:
@@ -342,16 +351,17 @@ class TestSmolyakGrid:
         ids=lambda v: v if isinstance(v, int) else "".join(f.name[0] for f in v),
     )
     def test_ranks_equal_the_sorted_assembly(self, w, families):
-        """Counting ranks give the index, slots, rows and ids of the
-        sort-based assembly, bit for bit and with the same dtypes."""
+        """Counting gives the index and ids, and ``term_rows`` the slots and
+        rows, of the sort-based assembly, bit for bit and with the same dtypes."""
         plan = grid_plan(w, families)
         index, ids, per_term = sorted_assembly(w, families)
         for got, want in [(plan.index, index), (plan.grid.ids, ids)]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert len(plan.terms) == len(per_term)
-        for term, (rows, slots) in zip(plan.terms, per_term):
-            assert term.rows.dtype == rows.dtype and np.array_equal(term.rows, rows)
-            assert term.slots.dtype == slots.dtype and np.array_equal(term.slots, slots)
+        made = made_rows(plan)
+        assert len(made) == len(per_term)
+        for (_, rows, slots), (want_rows, want_slots) in zip(made, per_term):
+            assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+            assert slots.dtype == want_slots.dtype and np.array_equal(slots, want_slots)
 
     @pytest.mark.parametrize(
         "w, families",
@@ -360,34 +370,47 @@ class TestSmolyakGrid:
     )
     def test_equals_the_per_term_tensor_grid_assembly(self, w, families):
         """At the sizes the converge workloads and their references reach,
-        the whole-array passes give the index, ids, and every term's rows,
-        slots and tables (bit for bit) of one :func:`tensor_grid` call per
-        term."""
+        the plan's index and ids, and every term's rows and slots as
+        ``term_rows`` makes them a chunk at a time, and its tables (bit for
+        bit), are those of one :func:`tensor_grid` call per term."""
         grid_plan.cache_clear()
         plan = grid_plan(w, families)
         index, ids, per_term = tensor_grid_assembly(w, families)
         assert np.array_equal(plan.index, index) and np.array_equal(plan.grid.ids, ids)
-        assert len(plan.terms) == len(per_term)
-        for term, (rows, slots, tables) in zip(plan.terms, per_term):
-            assert np.array_equal(term.rows, rows) and np.array_equal(term.slots, slots)
+        made = made_rows(plan)
+        assert len(made) == len(per_term)
+        for (term, got_rows, got_slots), (rows, slots, tables) in zip(made, per_term):
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_slots, slots)
             assert len(term.tables) == len(tables)
             assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(term.tables, tables))
         grid_plan.cache_clear()
 
-    def test_cold_plan_memory_is_one_column_array(self):
-        """The 8-D w=5 plan (1,287 terms, 149,031 term rows, 54,673 nodes)
-        makes its term rows in one array and no combined weights: it peaks
-        near 12.3 MB, where a weights pass would add 1 MB and a list of
-        per-term grids with their concatenated copy would peak near 24 MB."""
+    @pytest.mark.parametrize(
+        "w, nodes, terms, bound",
+        [(5, 54_673, 1_287, 8.0e6), (6, 287_409, 3_003, 27.5e6)],
+        ids=["w5", "w6"],
+    )
+    def test_cold_plan_and_projection_peak(self, w, nodes, terms, bound):
+        """The 8-D plan and one projection on it keep nothing per term row
+        (149,031 rows at w=5, 828,795 at w=6): the peak, 7.7 and 26.5 MB, is
+        what follows the nodes, the grid ids, the index, the values and the
+        coefficients (4.5 and 21.7 MB), plus under 5 MB of one chunk's
+        buffers and the plan's small tables and terms. Rows made in the plan
+        peaked at 12.3 and 63.8 MB; their ``(n, S)`` int32 column array alone
+        is 4.8 and 26.5 MB."""
         grid_plan.cache_clear()
         tracemalloc.start()
         try:
-            plan = grid_plan(5, (L,) * 8)
+            plan = grid_plan(w, (L,) * 8)
+            values = np.ones(len(plan.grid))
+            e = project(values, w, (STANDARD[L],) * 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(plan.grid) == 54_673 and len(plan.terms) == 1_287
-        assert peak < 12.6e6
+            grid_plan.cache_clear()
+        assert len(plan.grid) == nodes and len(plan.terms) == terms
+        held = plan.grid.ids.nbytes + plan.index.nbytes + values.nbytes + e.coeffs.nbytes
+        assert peak < bound and peak - held < 5e6
 
     def test_spec_count_mismatch(self, mixed_specs):
         with pytest.raises(ValueError):
