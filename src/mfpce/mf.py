@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import EvalCache, Model
 from .pce import Expansion, project
-from .sparse_grid import grid_size, physical_nodes, row_keys, smolyak_grid
+from .sparse_grid import grid_size, row_keys, smolyak_grid
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,11 @@ class BuiltScheme:
 
 def fit(model: Model, w: int, specs, cache: EvalCache, provenance: str) -> Expansion:
     """``model``'s expansion labelled ``provenance``: its values at the
-    level-``w`` sparse grid's nodes, paid through ``cache``, projected."""
+    level-``w`` sparse grid's nodes, paid through ``cache``, projected
+    straight from the cache's value array, by each node's rank in the
+    cache's ``U_W`` (:meth:`~mfpce.models.EvalCache.evaluate_grid`)."""
     grid = smolyak_grid(len(specs), w, specs)
-    return project(cache.evaluate_many(model, physical_nodes(grid, specs)), w, specs, provenance)
+    return project(cache.evaluate_grid(model, grid, w), w, specs, provenance, cache.space)
 
 
 def build_mf_parts(

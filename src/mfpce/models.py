@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .orthopoly import Normal, Uniform, VariableSpec
-from .sparse_grid import union_axis, union_ranks
+from .sparse_grid import node_space
 
 log = logging.getLogger(__name__)
 
@@ -551,19 +551,22 @@ class EvalCache:
     """Memoizes (model, node) evaluations over ``U_w``, the union of the
     Smolyak grids of ``specs`` at levels ``0..w``, and counts what it paid.
 
-    A node is known by its rank in ``U_w`` (:meth:`_ranks`), and the store
-    holds per model id one value array and one paid mask over ``U_w``. A
-    row that is no node of ``U_w`` raises ``ValueError``. With a path, the
-    file's records are loaded on construction, and the fresh values of each
-    batch are appended by :class:`_Records` as the model's ``batch`` reports
-    its rows answered for good (:meth:`ExternalModel.batch`).
+    A node is known by its rank in ``U_w``, the cache's
+    :class:`~mfpce.sparse_grid.NodeSpace` ``space``, and the store holds
+    per model id one value array and one paid mask over ``U_w``. A fit pays
+    a grid by its integer axis ids (:meth:`evaluate_grid`); a row of
+    physical coordinates is matched against the axis points
+    (:meth:`_ranks`), and one that is no node of ``U_w`` raises
+    ``ValueError``. Both pay through one core (:meth:`_pay`). With a path,
+    the file's records are loaded on construction, and the fresh values of
+    each batch are appended by :class:`_Records` as the model's ``batch``
+    reports its rows answered for good (:meth:`ExternalModel.batch`).
     """
 
     def __init__(self, specs, w: int, path: str | Path | None = None):
-        axes = [union_axis(w, spec.family) for spec in specs]
-        self.points = [spec.from_standard(p) for spec, (p, _) in zip(specs, axes)]
-        self.costs, self.w = [cost for _, cost in axes], w
-        self.size = union_ranks(np.empty((len(axes), 0), dtype=np.intp), self.costs, w)[1]
+        self.space = node_space(w, tuple(spec.family for spec in specs))
+        self.points = [spec.from_standard(p) for spec, p in zip(specs, self.space.points)]
+        self.w, self.size = w, self.space.ranks.size
         self.store, self.counters = {}, {}  # by model id: (values, paid); evaluations paid
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
@@ -578,8 +581,8 @@ class EvalCache:
         for points, x, column in zip(self.points, X.T if on.any() else (), ids):
             column[...] = np.minimum(np.searchsorted(points, x), len(points) - 1)
             on &= points[column] == x
-        on &= sum(cost[column] for cost, column in zip(self.costs, ids)) <= self.w
-        return on, union_ranks(ids if on.all() else ids[:, on], self.costs, self.w)[0]
+        on &= sum(cost[column] for cost, column in zip(self.space.costs, ids)) <= self.w
+        return on, self.space.ranks.ranks(ids if on.all() else ids[:, on])
 
     def _load(self, path: Path) -> None:
         """Read every record; a malformed or non-finite line raises
@@ -620,24 +623,20 @@ class EvalCache:
             np.maximum.at(last, ranks, np.flatnonzero(on))
             self.store[model_id] = np.frombuffer(values)[last], last >= 0
 
-    def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
-        """Evaluate ``model`` at rows of ``X`` (physical coordinates, each a
-        node of ``U_w``), paying only for nodes not paid before, at the first
-        row of each, in row order: ``X`` itself when every row is a fresh
-        distinct node, else a gather, through one ``model.batch(new,
-        on_answered=...)``, which checks their shape and reports the rows to
-        keep on file."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        on, ranks = self._ranks(X)
-        if not on.all():
-            raise ValueError(f"node {_node(X[np.argmin(on)])} is not in the grids up to level {self.w}")
+    def _pay(self, model: Model, ranks: np.ndarray, nodes) -> np.ndarray:
+        """Pay ``model`` at the nodes ``ranks`` of ``U_w`` not paid before,
+        at the first position of each, in order, through one
+        ``model.batch(nodes(positions), on_answered=...)``, which checks
+        their shape and reports the rows to keep on file; ``nodes`` gives
+        the physical coordinates of those positions. Returns the model's
+        value array over ``U_w``, valid at every paid rank."""
         values, paid = self.store.get(model.id) or (np.empty(0), np.zeros(self.size, dtype=bool))
-        rows = np.full(self.size, len(X))  # per node, its first row, unless it is paid
-        np.minimum.at(rows, ranks, np.arange(len(X)))
-        rows[paid] = len(X)
-        rows = np.flatnonzero(rows[ranks] == np.arange(len(X)))
+        rows = np.full(self.size, len(ranks))  # per node, its first position, unless it is paid
+        np.minimum.at(rows, ranks, np.arange(len(ranks)))
+        rows[paid] = len(ranks)
+        rows = np.flatnonzero(rows[ranks] == np.arange(len(ranks)))
         if len(rows):
-            new, at = (X, ranks) if len(rows) == len(X) else (X[rows], ranks[rows])
+            new, at = nodes(rows), ranks if len(rows) == len(ranks) else ranks[rows]
             del rows  # not held through the model call
             with contextlib.closing(_Records(self.path, model.id, new)) as records:
                 fresh = model.batch(new, on_answered=records.write)
@@ -646,7 +645,41 @@ class EvalCache:
             values[at] = fresh
             paid[at] = True
             self.counters[model.id] = self.counters.get(model.id, 0) + len(at)
+        return values
+
+    def evaluate_many(self, model: Model, X: np.ndarray) -> np.ndarray:
+        """Evaluate ``model`` at rows of ``X`` (physical coordinates, each a
+        node of ``U_w``), paying only for nodes not paid before, at the first
+        row of each, in row order: ``X`` itself when every row is a fresh
+        distinct node, else a gather (:meth:`_pay`)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        on, ranks = self._ranks(X)
+        if not on.all():
+            raise ValueError(f"node {_node(X[np.argmin(on)])} is not in the grids up to level {self.w}")
+        values = self._pay(model, ranks, lambda rows: X if len(rows) == len(X) else X[rows])
         return values[ranks]
+
+    def evaluate_grid(self, model: Model, grid, w: int) -> np.ndarray:
+        """Pay ``model`` at the nodes of ``grid``, the level-``w`` Smolyak
+        grid of the cache's families, not paid before, and return its value
+        array over ``U_w``, which :func:`mfpce.pce.project` reads by rank.
+        The grid's axis ids are mapped onto the cache's by integer lookup
+        (:meth:`~mfpce.sparse_grid.NodeSpace.axis_maps`) and ranked; physical
+        coordinates are formed only for the nodes paid, in ascending rank,
+        which is grid order (:meth:`_pay`)."""
+        if w > self.w:
+            raise ValueError(f"the level-{w} grid is not in the grids up to level {self.w}")
+        maps = self.space.axis_maps(node_space(w, self.space.families))
+        ranks = self.space.ranks.ranks(np.array([lookup[ids] for lookup, ids in zip(maps, grid.ids.T)]))
+        axes = [points[lookup] for points, lookup in zip(self.points, maps)]  # the grid's, physical
+
+        def nodes(rows):
+            X = np.empty((len(rows), len(axes)))
+            for x, points, ids in zip(X.T, axes, grid.ids.T):
+                x[...] = points[ids[rows]]
+            return X
+
+        return self._pay(model, ranks, nodes)
 
     def count(self, model_id: str) -> int:
         return self.counters.get(model_id, 0)

@@ -11,7 +11,8 @@ term's Gauss rules integrate exactly, and the signed combination of these
 partial tables is the sparse expansion. The terms, their tables and the
 index set come from the grid's own cached plan
 (:func:`mfpce.sparse_grid.grid_plan`), which makes the terms' rows as
-:func:`project` reads them; :func:`project` only gathers, contracts and adds.
+:func:`project` reads them, ranked in the node space that holds the
+values; :func:`project` only gathers, contracts and adds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import OUTER_POINTS, VariableSpec, eval_poly_table
-from .sparse_grid import first_occurrences, grid_plan, row_keys
+from .sparse_grid import NodeSpace, first_occurrences, grid_plan, row_keys
 
 # ``project`` takes values in ``smolyak_grid`` node order; the name stays in
 # this namespace, where bench/tracer.py and bench/selftest.py expect it.
@@ -93,32 +94,37 @@ def union(expansions) -> Expansion:
     )
 
 
-def project(grid_values, w: int, specs, provenance: str = "HF") -> Expansion:
-    """Spectral projection of model values sampled on ``smolyak_grid``.
+def project(grid_values, w: int, specs, provenance: str = "HF", space: NodeSpace | None = None) -> Expansion:
+    """Spectral projection of model values at the nodes of ``smolyak_grid``.
 
-    ``grid_values`` must be aligned with the canonical node order of
-    ``smolyak_grid(len(specs), w, specs)``. The grid is not rebuilt: each
-    term of the cached :func:`~mfpce.sparse_grid.grid_plan` gathers its
-    values, contracts them with the ``psi * w`` tables of its level > 0
-    axes and scatter-adds the result into the coefficient vector. The
-    terms' rows and slots are made once per call, a chunk of terms at a
-    time, as the loop reaches them
-    (:meth:`~mfpce.sparse_grid.GridPlan.term_rows`), so a call holds the
-    values, the coefficients and one chunk's buffers besides the plan: at
-    ``w = 5`` on 8 axes (149,031 term rows) plan and projection peak at
-    7.7 MB of ``tracemalloc``, and at ``w = 6`` (828,795) at 26.5 MB.
+    Without ``space``, ``grid_values`` must be aligned with the canonical
+    node order of ``smolyak_grid(len(specs), w, specs)``. With a
+    :class:`~mfpce.sparse_grid.NodeSpace` of the same families at a level
+    of at least ``w``, such as an :class:`~mfpce.models.EvalCache`'s,
+    ``grid_values`` holds a value per rank in it, and only the grid's
+    nodes are read. The grid is not rebuilt: each term of the cached
+    :func:`~mfpce.sparse_grid.grid_plan` gathers its values by their rows,
+    contracts them with the ``psi * w`` tables of its level > 0 axes and
+    scatter-adds the result into the coefficient vector. The terms' rows
+    and slots are made once per call, a chunk of terms at a time, as the
+    loop reaches them (:meth:`~mfpce.sparse_grid.GridPlan.term_rows`), so
+    a call holds the values, the coefficients and one chunk's buffers
+    besides the plan: at ``w = 5`` on 8 axes (149,031 term rows) plan and
+    projection peak at 7.5 MB of ``tracemalloc``, and at ``w = 6``
+    (828,795) at 25.8 MB.
     """
     specs = tuple(specs)
-    plan = grid_plan(w, tuple(spec.family for spec in specs))
+    families = tuple(spec.family for spec in specs)
+    plan = grid_plan(w, families)
+    if space is not None and (space.families != families or space.w < w):
+        raise ValueError(f"a node space of level {space.w} cannot rank the level-{w} grid of these families")
     values = np.asarray(grid_values, dtype=float)
-    if values.shape != (len(plan.grid),):
-        raise ValueError(
-            f"expected {len(plan.grid)} grid values for (n={len(specs)}, w={w}), "
-            f"got {values.shape}"
-        )
+    size = len(plan.grid) if space is None else space.ranks.size
+    if values.shape != (size,):
+        raise ValueError(f"expected {size} values for (n={len(specs)}, w={w}), got {values.shape}")
     coeffs = np.zeros(len(plan.index))
     # Fixed (sorted) term order keeps the accumulation bitwise reproducible.
-    for term, rows, slots in plan.term_rows():
+    for term, rows, slots in plan.term_rows(space):
         # Contract one level > 0 axis at a time; after the last contraction
         # the axes are those axes' degrees (a level-0 axis has degree 0 only).
         # Each step is ``np.tensordot(partial, table, ([0], [1]))`` without

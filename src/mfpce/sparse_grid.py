@@ -8,16 +8,19 @@ Node identity is exact and integer. On each axis, the rules at levels
 ``0..w`` together have a sorted set of distinct points, and a point's id is
 its rank in that set. Under the 2m+1 growth the center 0.0 is the only point
 two rules share, so no rounding tolerance is involved. A tensor node is the
-row of its ``n`` axis ids. The grid lists its nodes in lexicographic order of
-those rows, which is lexicographic order of the coordinates. A grid
+row of its ``n`` axis ids, and its one identity is its rank, in
+lexicographic order, in ``U_w = {x : sum_j cost(x_j) <= w}``, the union of
+the grids of levels ``0..w`` (:class:`NodeSpace`, one cached per ``(w,
+families)``): counted from its entries, not found by sorting all rows
+(:class:`LexRanks`). The level-``w`` grid is a subset of ``U_w`` in the
+same order, which is lexicographic order of the coordinates, and every
+grid of a lower level is one too, so a projection reads its values by
+rank in the space of any level at least its own, such as an
+:class:`mfpce.models.EvalCache`'s (:meth:`GridPlan.term_rows`). A grid
 (:class:`QuadratureGrid`) keeps only the axis points and the ids;
-coordinates are gathered from them when read. Both the nodes and
-the projection's degrees form sets with a closed form, so a row's position
-in its set is counted from its entries, and the row at a position from the
-position, not found by sorting all rows (:class:`LexRanks`); and a grid's
-size is counted before it is built (:func:`grid_size`).
-A node's rank in the union of the grids up to level ``w`` is its identity
-in :class:`mfpce.models.EvalCache` (:func:`union_ranks`).
+coordinates are gathered from them when read. The projection's degrees
+form a set with the same closed form, and a grid's size is counted before
+it is built (:func:`grid_size`).
 
 Any other set of rows is deduplicated by :func:`first_occurrences` over
 one fixed-width byte key per row: :func:`row_keys` of integer rows
@@ -27,13 +30,13 @@ The same signed combination is the sparse projection, where each term
 projects its own nodes with its rules' weights (:func:`mfpce.pce.project`).
 As ``psi_0 = 1``, the projection's constant coefficient is the Smolyak
 quadrature of the values. One cached :func:`grid_plan` per ``(w,
-families)`` holds the grid, the index set, per term its levels, coefficient
-and tables (a term contracts only its level > 0 axes), and the rank tables
-of both sets, but nothing per term row: the rows of the terms, 149,031 for
-the 8-D grid at ``w = 5`` against its 54,673 nodes, are made a bounded
+families)`` holds its ``U_w``, the grid, the index set and its rank tables,
+and per term its levels, coefficient and tables (a term contracts only its
+level > 0 axes), but nothing per term row: the rows of the terms, 149,031
+for the 8-D grid at ``w = 5`` against its 54,673 nodes, are made a bounded
 chunk at a time as a projection reads them (:meth:`GridPlan.term_rows`).
-The plan and one projection on it peak at 7.7 MB of ``tracemalloc`` there,
-and at 26.5 MB at ``w = 6`` (828,795 term rows, 287,409 nodes).
+The plan and one projection on it peak at 7.5 MB of ``tracemalloc`` there,
+and at 25.8 MB at ``w = 6`` (828,795 term rows, 287,409 nodes).
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ MultiIndex = tuple[int, ...]
 #: compares their ids lexicographically.
 _ID_DTYPE = np.dtype(">u4")
 
-#: Distinct (n, w, families) plans kept per process. A converge study uses
-#: a handful, and clears the cache once its reference is built and again
-#: after its cells; the bound keeps a long-lived process from holding every grid.
+#: Distinct (w, families) plans, and node spaces, kept per process. A
+#: converge study uses a handful, and clears the plans once its reference is
+#: built and again after its cells; the bound keeps a long-lived process
+#: from holding every grid. A node space holds nothing per node.
 PLAN_CACHE_SIZE = 8
 
 #: Rows that :meth:`GridPlan.term_rows` makes at a time, and
@@ -106,43 +110,86 @@ class PlanTerm:
 
 
 @dataclass(frozen=True)
+class NodeSpace:
+    """``U_w = {x : sum_j cost(x_j) <= w}``, the nodes of the Smolyak grids
+    of levels ``0..w`` over ``families``, each known by its rank here.
+
+    On axis ``j``, ``points[j]`` are the sorted distinct points of the rules
+    at levels ``0..w`` in standard coordinates, ``id_tables[j][l, i]`` is
+    the id among them of point ``i`` of the level-``l`` rule (0 past the
+    rule's end), and ``costs[j]`` holds per id the level of the one rule
+    holding the point, 0 for the centre 0.0, which every rule holds.
+    ``ranks`` ranks a row of axis ids in lexicographic order, which is
+    coordinate order. So one space ranks the nodes of every grid up to its
+    level: :meth:`GridPlan.term_rows` ranks a projection's rows in it, and
+    :class:`mfpce.models.EvalCache` stores one value per rank. The space is
+    cached per ``(w, families)`` (:func:`node_space`) and read-only.
+    """
+
+    w: int
+    families: tuple[PolyFamily, ...]
+    points: tuple[np.ndarray, ...] = field(repr=False)
+    id_tables: tuple[np.ndarray, ...] = field(repr=False)
+    costs: tuple[np.ndarray, ...] = field(repr=False)
+    ranks: LexRanks = field(repr=False)
+
+    def axis_maps(self, lower: NodeSpace) -> list[np.ndarray]:
+        """Per axis, the id here of each of ``lower``'s ids, in the
+        narrowest unsigned dtype, for ``lower.w <= w``: read off the id
+        tables of the rules both spaces hold, so no point is compared."""
+        dtype = np.min_scalar_type(max(map(len, self.points)) - 1)
+        maps = [np.empty(len(points), dtype) for points in lower.points]
+        for ids, mine, theirs in zip(maps, self.id_tables, lower.id_tables):
+            for l in range(lower.w + 1):
+                ids[theirs[l, : growth(l)]] = mine[l, : growth(l)]
+        return maps
+
+
+@dataclass(frozen=True)
 class GridPlan:
     """A Smolyak grid and the projection onto its index set.
 
     ``index`` is the union of the terms' degree boxes in lexicographic
     order. ``terms`` are in sorted level order, the order in which
     :func:`mfpce.pce.project` adds them up. Nothing is kept per term row:
-    ``nodes`` ranks a node's axis ids in the grid, ``degrees`` a degree row
-    in ``index``, and ``id_tables[j][l, i]`` is the axis-``j`` id of point
-    ``i`` of the level-``l`` rule.
+    ``space`` is ``U_w`` (:class:`NodeSpace`), which holds the grid, and
+    ``degrees`` ranks a degree row in ``index``.
     """
 
     grid: QuadratureGrid
     index: np.ndarray = field(repr=False)  # (K, n) degrees
     terms: tuple[PlanTerm, ...]
-    nodes: LexRanks = field(repr=False)
+    space: NodeSpace = field(repr=False)
     degrees: LexRanks = field(repr=False)
-    id_tables: tuple[np.ndarray, ...] = field(repr=False)
 
-    def term_rows(self):
-        """Per term, in ``terms`` order, ``(term, rows, slots)``: the grid
-        positions of its nodes and the positions in ``index`` of its degree
-        box, both in C order of the box, as intp.
+    def term_rows(self, space: NodeSpace | None = None):
+        """Per term, in ``terms`` order, ``(term, rows, slots)``: the ranks
+        of its nodes in ``space``, a :class:`NodeSpace` of this plan's
+        families at a level of at least the plan's, or without one their
+        positions in the grid; and the positions in ``index`` of its degree
+        box; both in C order of the box, as intp.
 
         They are made a chunk of consecutive terms at a time, about
         ``TERM_ROWS`` rows or one larger term, in whole-array passes: row
         ``r`` of a term has point index ``(r // inner) % count`` on an axis
         of ``count`` points with ``inner`` points in the axes after it, one
         ``divmod`` per axis from the last. The point indices are the degree
-        box, ranked by ``degrees``; gathered from ``id_tables``, they are
-        the node's axis ids, ranked by ``nodes``. One buffer is allocated
-        per pass, for the largest chunk, so ``rows`` and ``slots`` are views
-        that the next chunk overwrites.
+        box, ranked by ``degrees``; gathered from the space's id tables,
+        they are the node's axis ids, ranked by the space. A grid position
+        is a rank in the plan's own ``U_w`` when the grid is all of it, and
+        else that rank's position among the grid's ranks. One buffer is
+        allocated per pass, for the largest chunk, so ``rows`` and
+        ``slots`` are views that the next chunk overwrites.
         """
-        n = len(self.id_tables)
+        where = None
+        if space is None:
+            space = self.space
+            if len(self.grid) < space.ranks.size:
+                where = space.ranks.ranks(self.grid.ids.T)
+        n = len(space.id_tables)
         levels = np.array([t.levels for t in self.terms], dtype=np.intp).reshape(-1, n)
         counts = (2 << levels) - 1  # growth(l)
-        offsets = levels * np.array([table.shape[1] for table in self.id_tables])
+        offsets = levels * np.array([table.shape[1] for table in space.id_tables])
         sizes = counts.prod(axis=1)
         ends = np.cumsum(sizes)
         bound = max(TERM_ROWS, int(sizes.max()))
@@ -163,11 +210,13 @@ class GridPlan:
                 counts[first:stop, j].take(term, out=at, mode="clip")
                 np.divmod(local, at, out=(local, columns[j]))
             self.degrees.ranks(columns, slots, work)
-            for j, table in enumerate(self.id_tables):
+            for j, table in enumerate(space.id_tables):
                 offsets[first:stop, j].take(term, out=at, mode="clip")
                 at += columns[j]
                 table.take(at, out=columns[j], mode="clip")
-            self.nodes.ranks(columns, rows, work)
+            space.ranks.ranks(columns, rows, work)
+            if where is not None:
+                rows[...] = np.searchsorted(where, rows)
             for t, a, b in zip(self.terms[first:stop], starts.tolist(), (starts + sizes[first:stop]).tolist()):
                 yield t, rows[a:b], slots[a:b]
             first, done = stop, done + size
@@ -265,8 +314,8 @@ def first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _axis_ids(rules: list[GaussRule]):
     """An axis's rules at levels ``0..w``: their sorted distinct points; at
     ``[l, i]`` the id among these of point ``i`` of the level-``l`` rule;
-    per id its cost, the level of the one rule holding the point, 0 for the
-    centre 0.0, which every rule holds; and per id 1 for the centre, else 0.
+    and per id its cost, the level of the one rule holding the point, 0 for
+    the centre 0.0, which every rule holds.
     """
     level = np.repeat(np.arange(len(rules)), [len(r.points) for r in rules])
     points = np.concatenate([r.points for r in rules])
@@ -278,22 +327,20 @@ def _axis_ids(rules: list[GaussRule]):
     table = np.zeros((len(rules), len(rules[-1].points)), dtype=np.intp)
     for l, r in enumerate(rules):
         table[l, : len(r.points)] = np.searchsorted(points, r.points)
-    return points, table, cost, (points == 0.0).astype(np.intp)
+    return points, table, cost
 
 
 @dataclass(frozen=True)
 class LexRanks:
-    """The set ``S`` of the rows ``x`` with ``sum_j costs[j][x_j] <= w``
-    and, unless some ``centres[j][x_j]`` holds, that sum at least a floor,
-    as per-axis tables that rank a row of ``S`` in lexicographic order and
+    """The set ``S`` of the rows ``x`` with ``sum_j costs[j][x_j] <= w``, as
+    per-axis tables that rank a row of ``S`` in lexicographic order and
     unrank a rank, with no sort (:func:`_lex_ranks`); and ``|S|``.
 
     A row's rank counts the rows of ``S`` before it: per axis ``j``, those
     that agree on axes ``< j`` and are smaller on axis ``j``. That count
-    depends only on ``x_j`` and the state after axes ``< j``: the budget
-    ``b`` left and whether a centre ``c`` was among them, ``2 * b + c``.
-    Per axis, ``steps`` holds at ``state * width + x`` that count and the
-    next state, and per state the rows of ``S`` that start from it there.
+    depends only on ``x_j`` and the state after axes ``< j``, the budget
+    left. Per axis, ``steps`` holds at ``state * width + x`` that count and
+    the next state, and per state the rows of ``S`` that start from it there.
     """
 
     steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...] = field(repr=False)
@@ -308,7 +355,7 @@ class LexRanks:
         out = np.empty(count, dtype=np.intp) if out is None else out
         state, spare = np.empty((2, count), dtype=np.intp) if work is None else work
         out[...] = 0
-        state[...] = 2 * self.w
+        state[...] = self.w
         for x, (before, after, _, width) in zip(columns, self.steps):
             state *= width
             state += x
@@ -331,7 +378,7 @@ class LexRanks:
         out = np.empty((self.size, len(self.steps)), dtype=dtype)
         for first in range(0, self.size, TERM_ROWS):
             rank = np.arange(first, min(first + TERM_ROWS, self.size))
-            state = np.full(len(rank), 2 * self.w)
+            state = np.full(len(rank), self.w)
             for column, (after, start, keys, width) in zip(out[first:].T, axes):
                 rank += start[state]
                 at = np.searchsorted(keys, rank, side="right")
@@ -343,45 +390,39 @@ class LexRanks:
         return out
 
 
-def _lex_ranks(costs, centres, w: int, floor: int) -> LexRanks:
+def _lex_ranks(costs, w: int) -> LexRanks:
     """The :class:`LexRanks` of the rows ``x`` whose entry on axis ``j``
-    ranges over ``len(costs[j])`` values, with ``sum_j costs[j][x_j] <= w``
-    and, unless some ``centres[j][x_j]`` holds, that sum at least
-    ``floor``. Per axis, counted from the last axis back, the rows before
-    ``x_j`` are prefix sums over ``x_j`` of the completions of the axes
-    after ``j``.
+    ranges over ``len(costs[j])`` values, with ``sum_j costs[j][x_j] <=
+    w``. Per axis, counted from the last axis back, the rows before ``x_j``
+    are prefix sums over ``x_j`` of the completions of the axes after ``j``.
     """
-    budget = np.arange(w + 1)[:, None, None]
-    seen = np.arange(2)[None, :, None]
-    # completions[b, c]: tails with budget b left, c = a centre came before them.
-    completions = np.stack([budget[:, 0, 0] <= w - floor, np.ones(w + 1, dtype=bool)], axis=1)
+    budget = np.arange(w + 1)[:, None]
+    completions = np.ones(w + 1, dtype=np.intp)  # tails with budget b left
     steps = []
-    for cost, centre in zip(costs[::-1], centres[::-1]):
+    for cost in costs[::-1]:
         left = budget - cost
-        counts = np.where(left >= 0, completions[np.maximum(left, 0), seen | centre], 0)
-        before = np.zeros((w + 1, 2, len(cost) + 1), dtype=np.intp)
-        np.cumsum(counts, axis=2, out=before[:, :, 1:])
-        completions = before[:, :, -1]
-        # The state is 2 * budget + seen; a row of S never overspends.
-        after = 2 * np.maximum(left, 0) + (seen | centre)
-        steps.append((before[:, :, :-1].ravel(), after.ravel(), completions.ravel(), len(cost)))
+        counts = np.where(left >= 0, completions[np.maximum(left, 0)], 0)
+        before = np.zeros((w + 1, len(cost) + 1), dtype=np.intp)
+        np.cumsum(counts, axis=1, out=before[:, 1:])
+        completions = before[:, -1]
+        # The state is the budget left; a row of S never overspends.
+        after = np.maximum(left, 0)
+        steps.append((before[:, :-1].ravel(), after.ravel(), completions, len(cost)))
     for step in steps:
         for a in step[:-1]:
             a.setflags(write=False)
-    return LexRanks(tuple(steps[::-1]), w, int(completions[w, 0]))
+    return LexRanks(tuple(steps[::-1]), w, int(completions[w]))
 
 
-def union_axis(w: int, family: PolyFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The axis points of every grid up to level ``w``, and their costs."""
-    points, _, cost, _ = _axis_ids([gauss_rule(family, growth(l)) for l in range(w + 1)])
-    return points, cost
-
-
-def union_ranks(columns, costs, w: int) -> tuple[np.ndarray, int]:
-    """The ranks of the ``(n, N)`` axis ids ``columns`` in ``U_w = {x : sum_j
-    costs[j][x_j] <= w}``, the union of the grids up to level ``w``, and ``|U_w|``."""
-    ranking = _lex_ranks(costs, [np.zeros_like(c) for c in costs], w, 0)
-    return ranking.ranks(columns), ranking.size
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def node_space(w: int, families: tuple[PolyFamily, ...]) -> NodeSpace:
+    """The :class:`NodeSpace` ``U_w`` of the grids up to level ``w`` over
+    ``families``, built once per ``(w, families)``."""
+    axes = {f: _axis_ids([gauss_rule(f, growth(l)) for l in range(w + 1)]) for f in set(families)}
+    points, id_tables, costs = zip(*(axes[f] for f in families))
+    for a in (*points, *id_tables, *costs):
+        a.setflags(write=False)
+    return NodeSpace(w, families, points, id_tables, costs, _lex_ranks(costs, w))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -391,17 +432,18 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     rows.
 
     A point other than the centre is in the rule of one level, its cost,
-    and the union of the terms' nodes is ``{x : sum_j cost(x_j) <= w}``
+    and the union of the terms' nodes is the rows of ``U_w`` (:func:`node_space`)
     where some ``x_j`` is the centre, or the cost sum is at least ``w - n +
-    1``. The union of the terms' degree boxes ``d_j < growth(l_j)`` is the
-    index set ``{d : sum_j lvl(d_j) <= w}``, where ``lvl(d)`` is the lowest
-    level whose rule has more than ``d`` points. Both sets are unranked in
-    lexicographic order (:meth:`LexRanks.rows`), which for the nodes is
-    the canonical order, and their tables are kept to rank the terms'
-    rows when a projection reads them (:meth:`GridPlan.term_rows`). Terms
-    share the ``psi * w`` tables of each (family, level) rule, the only
-    place a rule's weights enter. The plan is cached and its arrays are
-    read-only.
+    1``; when ``w < 2n`` that is every row, as ``n`` axes off the centre
+    cost at least ``n``. The union of the terms' degree boxes ``d_j <
+    growth(l_j)`` is the index set ``{d : sum_j lvl(d_j) <= w}``, where
+    ``lvl(d)`` is the lowest level whose rule has more than ``d`` points.
+    Both sets are unranked in lexicographic order (:meth:`LexRanks.rows`),
+    which for the nodes is the canonical order, and their rank tables are
+    kept to rank the terms' rows when a projection reads them
+    (:meth:`GridPlan.term_rows`). Terms share the ``psi * w`` tables of
+    each (family, level) rule, the only place a rule's weights enter. The
+    plan is cached and its arrays are read-only.
 
     The plan keeps nothing per term row (149,031 rows for the 8-D grid at
     ``w = 5``, 828,795 at ``w = 6``): its ids, index and tables. All
@@ -411,21 +453,25 @@ def grid_plan(w: int, families: tuple[PolyFamily, ...]) -> GridPlan:
     n = len(families)
     rules = {(f, l): gauss_rule(f, growth(l)) for f in set(families) for l in range(w + 1)}
     tables = {k: eval_poly_table(k[0], len(r) - 1, r.points) * r.weights for k, r in rules.items()}
-    axes = {f: _axis_ids([rules[f, l] for l in range(w + 1)]) for f in set(families)}
-    points, id_tables, costs, centres = zip(*(axes[f] for f in families))
     degree_cost = np.repeat(np.arange(w + 1), np.diff([0] + [growth(l) for l in range(w + 1)]))
-    no_centre = np.zeros(len(degree_cost), dtype=np.intp)
-    degrees = _lex_ranks([degree_cost] * n, [no_centre] * n, w, 0)
-    nodes = _lex_ranks(costs, centres, w, w - n + 1)
-    grid = QuadratureGrid(points=points, ids=nodes.rows(np.uint32))
+    degrees = _lex_ranks([degree_cost] * n, w)
+    space = node_space(w, families)
+    ids = space.ranks.rows(np.uint32)
+    if w >= 2 * n:  # drop the rows off every centre that cost at most w - n
+        spent, centred = np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
+        for cost, column in zip(space.costs, ids.T):
+            spent += cost[column]
+            centred |= cost[column] == 0
+        ids = ids[centred | (spent > w - n)]
+    grid = QuadratureGrid(points=space.points, ids=ids)
     index = degrees.rows(np.intp)
-    for a in (grid.ids, index, *grid.points, *tables.values(), *id_tables):
+    for a in (grid.ids, index, *tables.values()):
         a.setflags(write=False)
     terms = sorted(level_terms(n, w), key=lambda t: t.levels)
     plan_terms = tuple(
         PlanTerm(t.levels, t.coeff, tuple(tables[k] for k in zip(families, t.levels) if k[1])) for t in terms
     )
-    return GridPlan(grid, index, plan_terms, nodes, degrees, id_tables)
+    return GridPlan(grid, index, plan_terms, space, degrees)
 
 
 def smolyak_grid(n: int, w: int, specs: list[VariableSpec]) -> QuadratureGrid:

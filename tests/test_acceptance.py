@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 from mfpce.cli import main as cli_main
-from mfpce.mf import build_mf_parts, physical_nodes
+from mfpce.mf import build_mf_parts
 from mfpce.models import BENCHMARK_SPECS, EvalCache, ExternalModel, builtin_model
 from mfpce.orthopoly import PolyFamily, gauss_rule
 from mfpce.pce import project, variance
 from mfpce.sobol import SobolReport, ZeroVarianceError, all_indices, mc_sobol
-from mfpce.sparse_grid import compositions, growth, level_terms, smolyak_grid
+from mfpce.sparse_grid import compositions, growth, level_terms, physical_nodes, smolyak_grid
 from mfpce.study import ishigami_analytic, prediction_error, sobol_errors
 
 SIMILARITY_SEED = 19  # fixed validation stream for the similarity metrics

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from mfpce.mf import build_mf_parts, physical_nodes
+from mfpce import sparse_grid
+from mfpce.mf import build_mf_parts, fit
 from mfpce.models import BENCHMARK_SPECS, EvalCache, Model, builtin_model
+from mfpce.orthopoly import Normal, Uniform, VariableSpec
 from mfpce.pce import mean, project, variance
-from mfpce.sparse_grid import smolyak_grid
+from mfpce.sparse_grid import grid_size, node_space, physical_nodes, smolyak_grid
 from mfpce.study import SchemeSpec, build_scheme
 
 
@@ -156,3 +158,100 @@ class TestSumOfFits:
         coeffs, paid = projected_difference(lf, hf, specs, w, q)
         assert np.abs(parts.expansion.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
         assert (parts.n_hf, parts.n_lf) == paid
+
+
+#: Fits whose grid is a proper subset of its ``U_w`` (``w >= 2n``), paid
+#: on a cache of a higher level ``W``: ``(specs, W, w)``.
+ONE_D = (VariableSpec("u", Uniform(2.0, 6.0)),)
+TWO_D = (VariableSpec("u", Uniform(2.0, 6.0)), VariableSpec("g", Normal(-1.0, 0.5)))
+HIGHER = [(ONE_D, 9, w) for w in range(2, 9)] + [(TWO_D, 8, w) for w in range(4, 8)]
+HIGHER_IDS = [f"{len(specs)}d-w{w}-on-{W}" for specs, W, w in HIGHER]
+
+
+def hf_fn(X):
+    return np.exp(0.3 * X.sum(axis=1)) + np.cos(X).prod(axis=1)
+
+
+def lf_fn(X):
+    return np.exp(0.25 * X.sum(axis=1)) + 0.1 * X[:, 0]
+
+
+def direct_fit(model, w, specs):
+    """The grid's nodes from ``physical_nodes`` and their projection."""
+    nodes = physical_nodes(smolyak_grid(len(specs), w, list(specs)), specs)
+    return nodes, project(model.batch(nodes), w, specs)
+
+
+def record_text(model, X) -> str:
+    """The cache-file records of ``model`` at the rows of ``X``, in row order."""
+    return "".join(
+        f"{model.id}\t{' '.join(f'{c:.17g}' for c in xi)}\t{v:.17g}\n" for xi, v in zip(X, model.batch(X))
+    )
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFitOnAHigherLevelCache:
+    """A fit reads its values by rank in its cache's ``U_W``, ``W > w``,
+    where the grid is a proper subset of ``U_w``: the coefficients, the
+    count and the file are those of the grid's own nodes in grid order."""
+
+    @pytest.mark.parametrize("specs, W, w", HIGHER, ids=HIGHER_IDS)
+    def test_fit_is_the_projection_of_its_grid(self, tmp_path, specs, W, w):
+        model = Model("hf", hf_fn)
+        cache = EvalCache(specs, W, tmp_path / "cache.tsv")
+        got = fit(model, w, specs, cache, "HF")
+        nodes, want = direct_fit(model, w, specs)
+        assert len(nodes) < node_space(w, tuple(s.family for s in specs)).ranks.size < cache.size
+        assert np.array_equal(got.terms, want.terms) and same_bits(got.coeffs, want.coeffs)
+        assert cache.count(model.id) == grid_size(len(specs), w) == len(nodes)
+        assert (tmp_path / "cache.tsv").read_text() == record_text(model, nodes)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("specs, W, w", HIGHER, ids=HIGHER_IDS)
+    def test_mf_build_is_the_projections_of_its_grids(self, tmp_path, specs, W, w, q):
+        """LF at ``w``, then HF and LF at ``w - q``: each fit pays, in grid
+        order, the nodes not paid before it."""
+        hf, lf = Model("hf", hf_fn), Model("lf", lf_fn)
+        cache = EvalCache(specs, W, tmp_path / "cache.tsv")
+        parts = build_mf_parts(lf, hf, specs, w, q, cache)
+        lf_nodes, lf_fit = direct_fit(lf, w, specs)
+        hf_nodes, hf_fit = direct_fit(hf, w - q, specs)
+        low_nodes, low_fit = direct_fit(lf, w - q, specs)
+        assert same_bits(parts.lf_expansion.coeffs, lf_fit.coeffs)
+        assert same_bits(parts.hf_expansion.coeffs, hf_fit.coeffs)
+        assert same_bits(parts.correction.coeffs, hf_fit.coeffs - low_fit.coeffs)
+        n = len(specs)
+        assert (cache.count(hf.id), cache.count(lf.id)) == (grid_size(n, w - q), grid_size(n, w, q))
+        assert (parts.n_hf, parts.n_lf) == (grid_size(n, w - q), grid_size(n, w, q))
+        paid = set(map(tuple, lf_nodes.tolist()))
+        unpaid = low_nodes[[tuple(x) not in paid for x in low_nodes.tolist()]]
+        expected = record_text(lf, lf_nodes) + record_text(hf, hf_nodes) + record_text(lf, unpaid)
+        assert (tmp_path / "cache.tsv").read_text() == expected
+
+    def test_warm_fit_forms_no_grid_coordinates_and_matches_no_floats(self, tmp_path, monkeypatch):
+        """On a warm plan, a fit maps the grid's axis ids onto its cache's
+        and ranks them: it neither forms the grid's physical nodes nor
+        matches a float, on a fresh cache or on one that holds the values."""
+        specs, W, w = TWO_D, 8, 6
+        model = Model("hf", hf_fn)
+        held = EvalCache(specs, W)
+        cold = fit(model, w, specs, held, "HF")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit went through physical coordinates")
+
+        monkeypatch.setattr(sparse_grid, "physical_nodes", refuse)
+        monkeypatch.setattr(EvalCache, "_ranks", refuse)
+        fresh = EvalCache(specs, W, tmp_path / "cache.tsv")
+        for cache in (fresh, held):
+            assert same_bits(fit(model, w, specs, cache, "HF").coeffs, cold.coeffs)
+        assert fresh.count(model.id) == held.count(model.id) == grid_size(2, w)
+
+    def test_fit_above_the_cache_level_is_refused(self):
+        cache = EvalCache(TWO_D, 4)
+        with pytest.raises(ValueError, match="not in the grids up to level 4"):
+            fit(Model("hf", hf_fn), 5, TWO_D, cache, "HF")
+        assert cache.count("hf") == 0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mfpce import models
+from mfpce import models, sparse_grid
 from mfpce.models import (
     BENCHMARK_SPECS,
     SHORT_COLUMN_SPECS,
@@ -30,8 +30,9 @@ from mfpce.models import (
     builtin_model,
     ishigami_fn,
 )
+from mfpce.mf import fit
 from mfpce.orthopoly import Normal, Uniform, VariableSpec
-from mfpce.sparse_grid import physical_nodes, smolyak_grid
+from mfpce.sparse_grid import grid_plan, physical_nodes, smolyak_grid
 
 #: One variable whose centre, the one node of the level-0 grid, is 1.0.
 LINE = (VariableSpec("x", Uniform(0.0, 2.0)),)
@@ -764,6 +765,35 @@ class TestEvalCache:
         X = grid_nodes(specs, 3)
         assert lower.evaluate_many(Model(id="m", fn=unpaid), X).tolist() == X.sum(axis=1).tolist()
         assert lower.count("m") == 0
+
+    def test_rank_tables_are_built_once_per_space(self, tmp_path, monkeypatch, ishigami_range_specs):
+        """``U_W``'s rank tables (``_lex_ranks``) are built once per new
+        ``(W, families)``; a cache's load, its batches and fits on built
+        plans build none."""
+        specs, W, path = ishigami_range_specs, 4, tmp_path / "cache.tsv"
+        families = tuple(spec.family for spec in specs)
+        built, real = [], sparse_grid._lex_ranks
+        monkeypatch.setattr(sparse_grid, "_lex_ranks", lambda costs, w: built.append(w) or real(costs, w))
+        sparse_grid.node_space.cache_clear()
+        grid_plan.cache_clear()
+        cache = EvalCache(specs, W, path)
+        assert built == [W]
+        for w in range(W + 1):
+            grid_plan(w, families)
+        built.clear()
+        model, sums = Model(id="m", fn=lambda X: X.sum(axis=1)), Model(id="s", fn=lambda X: X[:, 0])
+        for w in range(W + 1):
+            fit(model, w, specs, cache, "HF")
+            cache.evaluate_many(sums, grid_nodes(specs, w))
+        loaded = EvalCache(specs, W, path)
+        assert loaded.count("m") == loaded.count("s") == 0 and loaded.store.keys() == {"m", "s"}
+        for w in range(W + 1):
+            fit(Model(id="m", fn=unpaid), w, specs, loaded, "HF")
+            loaded.evaluate_many(Model(id="s", fn=unpaid), grid_nodes(specs, w))
+        assert built == []
+        EvalCache(specs[:2], W)
+        EvalCache(specs, W + 1)
+        assert built == [W, W + 1]
 
     def test_persisted_grid_nodes_are_found_by_a_fresh_cache(self, tmp_path):
         """The ``%.17g`` records reproduce the bits of a grid's physical

@@ -255,6 +255,15 @@ class TestProjection:
         with pytest.raises(ValueError):
             project(np.zeros(3), 1, unit_uniform_specs)
 
+    @pytest.mark.parametrize("level, other, count", [(2, False, None), (4, True, None), (4, False, 13)])
+    def test_node_space_must_hold_the_grid_and_its_values(self, mixed_specs, level, other, count):
+        """Values by rank need a space of the grid's families at a level of
+        at least the grid's, and one value per rank there."""
+        families = tuple(spec.family for spec in mixed_specs)
+        space = sparse_grid.node_space(level, families[::-1] if other else families)
+        with pytest.raises(ValueError):
+            project(np.zeros(count or space.ranks.size), 3, mixed_specs, "HF", space)
+
     def test_polynomial_reproduction(self, mixed_specs, rng):
         # a dense cubic lies inside the level-3 sparse index set, so the
         # surrogate must reproduce it pointwise

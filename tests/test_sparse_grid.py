@@ -215,10 +215,10 @@ class TestUnionRanks:
     def test_ranks_are_positions_in_the_union_of_the_grids(self, families, w):
         """The distinct nodes of the grids of levels 0..w, in lexicographic
         order, rank 0, 1, ... in ``U_w``, whose size is their count."""
-        axes = [sparse_grid.union_axis(w, f) for f in families]
+        space = sparse_grid.node_space(w, families)
         nodes = np.unique(np.vstack([grid_plan(v, families).grid.nodes for v in range(w + 1)]), axis=0)
-        ids = np.array([np.searchsorted(points, nodes[:, j]) for j, (points, _) in enumerate(axes)])
-        ranks, size = sparse_grid.union_ranks(ids, [cost for _, cost in axes], w)
+        ids = np.array([np.searchsorted(points, nodes[:, j]) for j, points in enumerate(space.points)])
+        ranks, size = space.ranks.ranks(ids), space.ranks.size
         assert size == len(nodes) and ranks.tolist() == list(range(len(nodes)))
 
 
