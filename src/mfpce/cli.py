@@ -13,8 +13,10 @@ Global flags: ``--config`` (required), ``--out`` (default: the config's
 environment. The first report written creates ``--out``, so a command
 that fails before it leaves no ``--out`` it did not find, and each report
 appears whole or not at all. ``sobol``, ``decay`` and
-``converge`` fit through the config's ``cache``: a ``sobol`` report counts
-what its run paid, and ``convergence.csv`` each cell's cost.
+``converge`` each make one :class:`~mfpce.models.EvalCache` of the config's
+``cache``, and every fit of the command pays through it, a PCE reference's
+too: a ``sobol`` report counts what its run paid, and ``convergence.csv``
+each cell's cost.
 
 Exit codes: 0 success, 2 configuration error (a config that breaks the
 tables and rules of README "Study configuration", an out-of-range flag,
@@ -168,8 +170,10 @@ def cmd_sobol(cfg: StudyConfig, out: Path, args) -> int:
 
 
 def cmd_converge(cfg: StudyConfig, out: Path) -> int:
-    models = cfg.open_models()
-    rows = run_convergence(cfg, models, build_reference(cfg, models))
+    models, ref = cfg.open_models(), cfg.reference
+    w = max(cfg.levels.max, ref.w) if ref.kind == "pce" else cfg.levels.max
+    cache = EvalCache(cfg.variables, w, cfg.cache)
+    rows = run_convergence(cfg, models, build_reference(cfg, models, cache), cache)
     path = out / "convergence.csv"
     write_convergence_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")

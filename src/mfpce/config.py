@@ -19,7 +19,7 @@ from typing import Callable
 import yaml
 
 from .mf import fit
-from .models import BENCHMARK_SPECS, BUILTINS, EvalCache, ExternalModel, Model
+from .models import BENCHMARK_SPECS, BUILTINS, ExternalModel, Model
 from .orthopoly import Normal, Uniform, VariableSpec
 from .sobol import SobolReport, all_indices, mc_sobol
 from .sparse_grid import grid_size
@@ -396,17 +396,17 @@ def config_to_dict(cfg: StudyConfig) -> dict:
     return CONFIG.dump(cfg)
 
 
-def build_reference(cfg: StudyConfig, models: dict[str, Model]) -> SobolReport:
+def build_reference(cfg: StudyConfig, models: dict[str, Model], cache) -> SobolReport:
     """Reference Sobol report named by the config: the analytic Ishigami
     decomposition, a high-level PCE of one model (one :func:`~mfpce.mf.fit`
-    on an :class:`~mfpce.models.EvalCache` of the config's ``cache`` of its
-    own, dropped once the fit is made), or a seeded Monte Carlo run."""
+    paid through ``cache``, the command's one
+    :class:`~mfpce.models.EvalCache`, of a level at least the reference's
+    ``w``), or a seeded Monte Carlo run, which reads no cache."""
     ref = cfg.reference
     if ref.kind == "analytic":
         if len(cfg.variables) != 3:
             raise ConfigError(f"the analytic reference needs 3 variables, got {len(cfg.variables)}")
         return ishigami_analytic(ref.a, ref.b)
     if ref.kind == "pce":
-        specs = cfg.variables
-        return all_indices(fit(models[ref.model], ref.w, specs, EvalCache(specs, ref.w, cfg.cache), "HF"))
+        return all_indices(fit(models[ref.model], ref.w, cfg.variables, cache, "HF"))
     return mc_sobol(models[ref.model], cfg.variables, ref.n, ref.seed)

@@ -45,16 +45,14 @@ def fit(model: Model, w: int, specs, cache: EvalCache, provenance: str) -> Expan
     return project(cache.evaluate_grid(model, grid, w), w, specs, provenance, cache.space)
 
 
-def build_mf_parts(
-    lf_model: Model, hf_model: Model, specs, w: int, q: int, cache: EvalCache | None = None
-) -> BuiltScheme:
+def build_mf_parts(lf_model: Model, hf_model: Model, specs, w: int, q: int, cache: EvalCache) -> BuiltScheme:
     """The LF fit at level ``w``, then the HF fit and the correction at
-    level ``w - q``, paid in that order, and their sum, the combined
-    ``expansion``; needs ``0 <= q <= w``. Its cost, counted first, is the
-    level ``w - q`` grid's nodes of HF and both grids' nodes of LF."""
+    level ``w - q``, paid in that order through ``cache``, of a level at
+    least ``w``, and their sum, the combined ``expansion``; needs ``0 <= q
+    <= w``. Its cost, counted first, is the level ``w - q`` grid's nodes of
+    HF and both grids' nodes of LF."""
     specs = tuple(specs)
     n_lf, n_hf = grid_size(len(specs), w, q), grid_size(len(specs), w - q)
-    cache = cache if cache is not None else EvalCache(specs, w)
 
     lf_exp = fit(lf_model, w, specs, cache, "LF")
     hf_exp = fit(hf_model, w - q, specs, cache, "HF")

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .orthopoly import Normal, Uniform, VariableSpec
-from .sparse_grid import node_space
+from .sparse_grid import grid_size, node_space
 
 log = logging.getLogger(__name__)
 
@@ -666,10 +666,20 @@ class EvalCache:
         The grid's axis ids are mapped onto the cache's by integer lookup
         (:meth:`~mfpce.sparse_grid.NodeSpace.axis_maps`) and ranked; physical
         coordinates are formed only for the nodes paid, in ascending rank,
-        which is grid order (:meth:`_pay`)."""
+        which is grid order (:meth:`_pay`). Any other ``grid``, such as a
+        lower level's or a tensor grid, raises ``ValueError`` before the
+        model is called: its axis points are not those of ``U_w``, or its
+        size is not the level-``w`` grid's; neither check reads a node."""
         if w > self.w:
             raise ValueError(f"the level-{w} grid is not in the grids up to level {self.w}")
-        maps = self.space.axis_maps(node_space(w, self.space.families))
+        lower = node_space(w, self.space.families)
+        if (
+            len(grid.points) != len(lower.points)
+            or not all(map(np.array_equal, grid.points, lower.points))
+            or len(grid) != grid_size(len(lower.points), w)
+        ):
+            raise ValueError(f"the grid is not the level-{w} Smolyak grid of the cache's families")
+        maps = self.space.axis_maps(lower)
         ranks = self.space.ranks.ranks(np.array([lookup[ids] for lookup, ids in zip(maps, grid.ids.T)]))
         axes = [points[lookup] for points, lookup in zip(self.points, maps)]  # the grid's, physical
 

@@ -197,17 +197,11 @@ class ConvergenceRow:
     std: float
 
 
-def build_scheme(
-    scheme: SchemeSpec,
-    w: int,
-    specs,
-    models: dict[str, Model],
-    cache: EvalCache | None = None,
-) -> BuiltScheme:
-    """Build the expansion a scheme prescribes at sparse level ``w``: one
+def build_scheme(scheme: SchemeSpec, w: int, specs, models: dict[str, Model], cache: EvalCache) -> BuiltScheme:
+    """Build the expansion a scheme prescribes at sparse level ``w``,
+    paid through ``cache``, of a level at least ``w``: one
     :func:`~mfpce.mf.fit`, which costs the level-``w`` grid's nodes of its
     model, or :func:`~mfpce.mf.build_mf_parts` for ``mf``."""
-    cache = cache if cache is not None else EvalCache(specs, w)
     if scheme.kind == "mf":
         return build_mf_parts(models[scheme.lf], models[scheme.hf], specs, w, scheme.q, cache)
     model = models[scheme.hf if scheme.kind == "hf" else scheme.lf]
@@ -255,42 +249,43 @@ def _prediction_scores(expansions, X, y_true) -> list[tuple[float, float]]:
     return results
 
 
-def run_convergence(cfg, models, reference: SobolReport) -> list[ConvergenceRow]:
+def run_convergence(cfg, models, reference: SobolReport, cache: EvalCache) -> list[ConvergenceRow]:
     """One row per (scheme, level) with ``w >= q``, in config order,
     deterministically, with Sobol errors against ``reference``.
 
     ``cfg`` is a :class:`mfpce.config.StudyConfig` and ``models`` its open
     models. The plan of a PCE reference, the run's largest grid, is first
     released from :func:`~mfpce.sparse_grid.grid_plan`'s cache. Every cell
-    is built on one :class:`~mfpce.models.EvalCache` of the config's
-    ``cache``, so a node is paid once per run, or once for good with a
-    cache file; each row's counts are its cell's cost, which no cache
-    changes. The validation points are drawn whole only for the one
-    ``batch`` call of each HF model that pays its truths, just before the
-    first cell that reads them, and let go after it; that draw records
-    where in the Philox stream each outer block of each column starts (see
-    :class:`~mfpce.orthopoly.RedrawnPoints`). All cells are validated by
-    one :func:`evaluate_batch` call on their union, which redraws each
-    outer block of points from those positions, and whose r² and MARE are
-    summed block by block (see :func:`_prediction_scores`): only the HF
-    truths, paid by the models themselves, are held whole, one array per HF
-    model. The cells' plans and cache are released before validation,
-    which reads none of them. A sweep with no cells writes no rows.
+    is paid through ``cache``, the command's one
+    :class:`~mfpce.models.EvalCache`, of a level at least ``levels max``,
+    which a PCE reference has paid through too, so a node is paid once per
+    run, or once for good with a cache file; each row's counts are its
+    cell's cost, which no cache changes. The validation points are drawn
+    whole only for the one ``batch`` call of each HF model that pays its
+    truths, just before the first cell that reads them, and let go after
+    it; that draw records where in the Philox stream each outer block of
+    each column starts (see :class:`~mfpce.orthopoly.RedrawnPoints`). All
+    cells are validated by one :func:`evaluate_batch` call on their union,
+    which redraws each outer block of points from those positions, and
+    whose r² and MARE are summed block by block (see
+    :func:`_prediction_scores`): only the HF truths, paid by the models
+    themselves, are held whole, one array per HF model. The cells' plans
+    are released before validation, which reads none of them. A sweep with
+    no cells writes no rows.
     """
     # No cell reads the reference's plan, the largest grid of the run.
     grid_plan.cache_clear()
     points = RedrawnPoints(cfg.variables, cfg.validation.seed, cfg.validation.count)
     y_true: dict[str, np.ndarray] = {}
 
-    cache, cells = EvalCache(cfg.variables, cfg.levels.max, cfg.cache), []
+    cells = []
     for scheme in cfg.schemes:
         for w in range(max(cfg.levels.min, scheme.q), cfg.levels.max + 1):
             if scheme.hf not in y_true:  # paid just before the first cell that reads them
                 y_true[scheme.hf] = models[scheme.hf].batch(points.whole())
             cells.append((scheme, w, build_scheme(scheme, w, cfg.variables, models, cache)))
-    # Validation reads no grid plan either, nor the cells' cache.
+    # Validation reads no grid plan either.
     grid_plan.cache_clear()
-    del cache
     scores = _prediction_scores(
         [built.expansion for _, _, built in cells],
         points,

@@ -36,7 +36,8 @@ def build_hf(problem, w, cache=None):
 
 def build_mf(problem, lf_name, w, q):
     specs = tuple(BENCHMARK_SPECS[problem])
-    return build_mf_parts(builtin_model(problem, lf_name), builtin_model(problem, "hf"), specs, w, q)
+    lf, hf = builtin_model(problem, lf_name), builtin_model(problem, "hf")
+    return build_mf_parts(lf, hf, specs, w, q, EvalCache(specs, w))
 
 
 def e_t_or_inf(expansion, reference):

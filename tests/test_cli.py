@@ -279,11 +279,58 @@ class TestConvergeCommand:
         assert sum(int(row["n_hf"]) for row in rows) == 3035
         assert sum(int(row["n_lf"]) for row in rows) == 5655
 
+    @pytest.mark.parametrize(
+        "levels_max, reference_w, hf_nodes",
+        [(2, 4, 597), (4, 2, 597), (4, 6, 6405)],
+        ids=["reference-above-levels", "reference-below-levels", "reference-grid-a-proper-subset"],
+    )
+    def test_pce_reference_and_cells_pay_each_node_once(
+        self, tmp_path, monkeypatch, levels_max, reference_w, hf_nodes
+    ):
+        """The PCE reference and the cells pay through one store: each
+        model is asked for the distinct nodes of the grids it is fitted on,
+        and HF for the 2,000 validation truths besides. At ``w = 6`` the 3-D
+        reference grid, 6,397 nodes, is a proper subset of ``U_6``: the 8
+        level-3 nodes off every centre lie outside it, and the cells pay
+        them."""
+        calls = record_paid_rows(monkeypatch)
+        reference = {"kind": "pce", "model": "hf", "w": reference_w}
+        levels = {"min": 1, "max": levels_max}
+        cfg = ishigami_config(tmp_path, tmp_path / "out", reference=reference, levels=levels)
+        assert main(["--config", str(cfg), "converge"]) == 0
+        paid = collections.Counter()
+        for model_id, rows, _ in calls:
+            paid[model_id] += rows
+
+        def nodes(*ws):
+            grids = (physical_nodes(smolyak_grid(3, w, ISHIGAMI_SPECS), ISHIGAMI_SPECS) for w in ws)
+            return {tuple(x) for X in grids for x in X.tolist()}
+
+        # The hf cells fit levels 1..max, and the MF cells (q = 1) HF at
+        # levels 0..max-1 and LF at levels 0..max.
+        cells = range(levels_max + 1)
+        assert len(nodes(reference_w, *cells)) == hf_nodes
+        assert paid == {"hf": hf_nodes + 2000, "lf": len(nodes(*cells))}
+
+    def test_loads_its_cache_file_once(self, tmp_path, monkeypatch):
+        """With a PCE reference and ``cache:``, a cold ``converge`` loads no
+        file, and a warm one loads it once, for the reference and the
+        cells alike."""
+        loads, load = [], EvalCache._load
+        monkeypatch.setattr(EvalCache, "_load", lambda self, path: loads.append(path) or load(self, path))
+        reference = {"kind": "pce", "model": "hf", "w": 3}
+        cache = tmp_path / "cache.tsv"
+        cfg = ishigami_config(tmp_path, tmp_path / "out", reference=reference, cache=str(cache))
+        assert main(["--config", str(cfg), "converge"]) == 0
+        assert loads == [] and cache.exists()
+        assert main(["--config", str(cfg), "converge"]) == 0
+        assert loads == [cache]
+
     def test_rerun_on_a_cache_file_pays_nothing(self, tmp_path, monkeypatch):
         """With ``cache:`` set, the PCE reference and the cells pay through
-        the file, each on one cache of their own: the cells find the
-        reference's HF records there, a rerun appends nothing, and every run
-        writes the csv of a run without the file."""
+        the file: the cells find the reference's HF records there, a rerun
+        appends nothing, and every run writes the csv of a run without the
+        file."""
         opened, init = [], EvalCache.__init__
 
         def counted(self, specs, w, path=None):
@@ -306,7 +353,7 @@ class TestConvergeCommand:
         assert main(["--config", str(cfg), "converge"]) == 0
         assert cache.read_bytes() == records
         assert (tmp_path / "out" / "convergence.csv").read_bytes() == expected
-        assert opened == [None, None] + [str(cache)] * 4
+        assert opened == [None] + [str(cache)] * 2
 
     def test_no_cells_writes_the_header_only(self, tmp_path, monkeypatch):
         """With every scheme's ``q`` above ``levels.max`` there is no cell
@@ -345,7 +392,8 @@ class TestDecayCommand:
         assert levels == [2, 1, 1]
         assert rows["hf"] == len(smolyak_grid(3, 1, ISHIGAMI_SPECS))
         models = {"hf": builtin_model("ishigami", "hf")}
-        hf = build_scheme(SchemeSpec("hf", "hf", "hf"), 1, ISHIGAMI_SPECS, models).expansion
+        cache = EvalCache(ISHIGAMI_SPECS, 1)
+        hf = build_scheme(SchemeSpec("hf", "hf", "hf"), 1, ISHIGAMI_SPECS, models, cache).expansion
         hf_rows = [f"HF,{rank},{mag:.12g}" for _, rank, mag in decay_report([hf])]
         assert [line for line in lines if line.startswith("HF,")] == hf_rows
 

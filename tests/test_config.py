@@ -13,7 +13,7 @@ from mfpce.config import (
     load_config,
     parse_config,
 )
-from mfpce.models import BUILTINS, ExternalModel, Model, builtin_model
+from mfpce.models import BUILTINS, EvalCache, ExternalModel, Model, builtin_model
 from mfpce.orthopoly import Normal, Uniform
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
@@ -308,7 +308,7 @@ class TestResolution:
 class TestReference:
     def test_analytic(self):
         cfg = parse_config(minimal_config())
-        report = build_reference(cfg, cfg.open_models())
+        report = build_reference(cfg, cfg.open_models(), EvalCache(cfg.variables, 0))
         assert report.n == 3
         assert sum(report.subset_indices.values()) == pytest.approx(1.0)
 
@@ -316,7 +316,7 @@ class TestReference:
         cfg = parse_config(
             minimal_config(reference={"kind": "pce", "model": "hf", "w": 3})
         )
-        report = build_reference(cfg, cfg.open_models())
+        report = build_reference(cfg, cfg.open_models(), EvalCache(cfg.variables, 3))
         assert report.n == 3
 
     def test_mc(self):
@@ -325,5 +325,5 @@ class TestReference:
                 reference={"kind": "mc", "model": "hf", "n": 2048, "seed": 5}
             )
         )
-        report = build_reference(cfg, cfg.open_models())
+        report = build_reference(cfg, cfg.open_models(), EvalCache(cfg.variables, 0))
         assert report.first_order_se is not None

@@ -19,19 +19,20 @@ def shifted(model, offset):
 
 class TestConfig:
     def test_offset_bounds(self, ishigami_range_specs):
-        hf = builtin_model("ishigami", "hf")
-        build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=0)
-        build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=1)
+        hf, cache = builtin_model("ishigami", "hf"), EvalCache(ishigami_range_specs, 1)
+        build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=0, cache=cache)
+        build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=1, cache=cache)
         with pytest.raises(ValueError, match="need 0 <= q <= w"):
-            build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=2)
+            build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=2, cache=cache)
         with pytest.raises(ValueError, match="need 0 <= q <= w"):
-            build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=-1)
+            build_mf_parts(hf, hf, ishigami_range_specs, w=1, q=-1, cache=cache)
 
 
 class TestBuild:
     def test_identical_models_give_zero_correction(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
-        parts = build_mf_parts(hf, hf, ishigami_range_specs, w=3, q=1)
+        cache = EvalCache(ishigami_range_specs, 3)
+        parts = build_mf_parts(hf, hf, ishigami_range_specs, w=3, q=1, cache=cache)
         assert np.abs(parts.correction.coeffs).max() < 1e-12
         assert np.array_equal(parts.expansion.terms, parts.lf_expansion.terms)
         assert parts.expansion.coeffs == pytest.approx(parts.lf_expansion.coeffs)
@@ -39,7 +40,8 @@ class TestBuild:
     def test_constant_offset_is_fully_corrected(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = shifted(hf, 2.5)
-        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=2)
+        cache = EvalCache(ishigami_range_specs, 3)
+        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=2, cache=cache)
         assert parts.correction.terms[0].tolist() == [0, 0, 0]
         assert parts.correction.coeffs[0] == pytest.approx(2.5)
         assert np.abs(parts.correction.coeffs[1:]).max() < 1e-12
@@ -54,7 +56,7 @@ class TestBuild:
         hf = builtin_model(problem, "hf")
         lf = builtin_model(problem, lf_name)
         w = 2
-        combined = build_mf_parts(lf, hf, specs, w=w, q=0).expansion
+        combined = build_mf_parts(lf, hf, specs, w=w, q=0, cache=EvalCache(specs, w)).expansion
         grid = smolyak_grid(len(specs), w, list(specs))
         direct = project(hf.batch(physical_nodes(grid, specs)), w, specs)
         assert np.array_equal(combined.terms, direct.terms)
@@ -64,7 +66,8 @@ class TestBuild:
     def test_correction_basis_is_contained(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf2")
-        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=1)
+        cache = EvalCache(ishigami_range_specs, 3)
+        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=1, cache=cache)
         rows = lambda e: set(map(tuple, e.terms.tolist()))  # noqa: E731
         assert rows(parts.correction) <= rows(parts.lf_expansion)
         assert rows(parts.expansion) == rows(parts.lf_expansion)
@@ -72,7 +75,8 @@ class TestBuild:
     def test_coefficients_add_on_shared_bases(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf1")
-        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=1)
+        cache = EvalCache(ishigami_range_specs, 3)
+        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=3, q=1, cache=cache)
         correction = dict(zip(map(tuple, parts.correction.terms.tolist()), parts.correction.coeffs))
         lf_exp = parts.lf_expansion
         for phi, lf, c in zip(map(tuple, lf_exp.terms.tolist()), lf_exp.coeffs, parts.expansion.coeffs):
@@ -101,7 +105,8 @@ class TestBuild:
     def test_provenances(self, ishigami_range_specs):
         hf = builtin_model("ishigami", "hf")
         lf = builtin_model("ishigami", "lf3")
-        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=2, q=1)
+        cache = EvalCache(ishigami_range_specs, 2)
+        parts = build_mf_parts(lf, hf, ishigami_range_specs, w=2, q=1, cache=cache)
         assert parts.lf_expansion.provenance == "LF"
         assert parts.correction.provenance == "Correction"
         assert parts.expansion.provenance == "Combined"
@@ -142,15 +147,16 @@ class TestSumOfFits:
         specs = tuple(BENCHMARK_SPECS[problem])
         hf, lf = builtin_model(problem, "hf"), builtin_model(problem, lf_name)
         models = {"hf": hf, "lf": lf}
-        parts = build_mf_parts(lf, hf, specs, w=w, q=q)
+        parts = build_mf_parts(lf, hf, specs, w=w, q=q, cache=EvalCache(specs, w))
 
-        hf_fit = build_scheme(SchemeSpec("hf", "hf", "hf"), w - q, specs, models).expansion
+        hf_scheme = SchemeSpec("hf", "hf", "hf")
+        hf_fit = build_scheme(hf_scheme, w - q, specs, models, EvalCache(specs, w - q)).expansion
         lf_scheme = SchemeSpec("lf", "lf", "hf", lf="lf")
-        lf_fit = build_scheme(lf_scheme, w - q, specs, models).expansion
+        lf_fit = build_scheme(lf_scheme, w - q, specs, models, EvalCache(specs, w - q)).expansion
         assert parts.hf_expansion.provenance == "HF"
         assert np.array_equal(parts.hf_expansion.terms, hf_fit.terms)
         assert np.array_equal(parts.hf_expansion.coeffs, hf_fit.coeffs)
-        lf_at_w = build_scheme(lf_scheme, w, specs, models).expansion
+        lf_at_w = build_scheme(lf_scheme, w, specs, models, EvalCache(specs, w)).expansion
         assert np.array_equal(parts.lf_expansion.coeffs, lf_at_w.coeffs)
         assert np.array_equal(parts.correction.terms, lf_fit.terms)
         assert np.array_equal(parts.correction.coeffs, hf_fit.coeffs - lf_fit.coeffs)

@@ -32,7 +32,7 @@ from mfpce.models import (
 )
 from mfpce.mf import fit
 from mfpce.orthopoly import Normal, Uniform, VariableSpec
-from mfpce.sparse_grid import grid_plan, physical_nodes, smolyak_grid
+from mfpce.sparse_grid import grid_plan, physical_nodes, smolyak_grid, tensor_grid
 
 #: One variable whose centre, the one node of the level-0 grid, is 1.0.
 LINE = (VariableSpec("x", Uniform(0.0, 2.0)),)
@@ -794,6 +794,27 @@ class TestEvalCache:
         EvalCache(specs[:2], W)
         EvalCache(specs, W + 1)
         assert built == [W, W + 1]
+
+    @pytest.mark.parametrize(
+        "grid, w",
+        [
+            (lambda specs: smolyak_grid(3, 2, list(specs)), 3),
+            (lambda specs: tensor_grid((2, 1, 0), list(specs)), 3),
+            (lambda specs: tensor_grid((1, 1, 1), list(specs)), 1),
+        ],
+        ids=["level-2-grid-as-3", "tensor-2-1-0-as-3", "tensor-1-1-1-as-1"],
+    )
+    def test_grid_not_of_its_level_is_refused_before_any_call(self, tmp_path, ishigami_range_specs, grid, w):
+        """``evaluate_grid(model, grid, w)`` pays only the level-``w`` grid:
+        a lower level's grid, a tensor grid on other axis points, or one on
+        the same points (``U_1``'s) raises ``ValueError`` before the model
+        is called or a record is written."""
+        path, calls = tmp_path / "cache.tsv", []
+        model = Model(id="m", fn=lambda X: calls.append(len(X)) or X.sum(axis=1))
+        cache = EvalCache(ishigami_range_specs, 3, path)
+        with pytest.raises(ValueError, match=f"not the level-{w} Smolyak grid"):
+            cache.evaluate_grid(model, grid(ishigami_range_specs), w)
+        assert calls == [] and cache.count("m") == 0 and not path.exists()
 
     def test_persisted_grid_nodes_are_found_by_a_fresh_cache(self, tmp_path):
         """The ``%.17g`` records reproduce the bits of a grid's physical

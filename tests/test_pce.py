@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mfpce.mf import build_mf_parts
 from mfpce.models import (
     BENCHMARK_SPECS,
+    EvalCache,
     Model,
     builtin_model,
 )
@@ -199,7 +200,7 @@ class TestExactness:
         standard = lambda X: np.column_stack([s.to_standard(X[:, j]) for j, s in enumerate(specs)])
         lf = Model(id="lf", fn=lambda X: np.sin(standard(X) @ a))
         hf = Model(id="hf", fn=lambda X: lf.batch(X) + evaluate_batch(g, X))
-        built = build_mf_parts(lf, hf, specs, w, q)
+        built = build_mf_parts(lf, hf, specs, w, q, EvalCache(specs, w))
         nodes = physical_nodes(smolyak_grid(len(specs), w, list(specs)), specs)
         assert_coefficients(built.expansion, project(hf.batch(nodes), w, specs))
 
@@ -403,11 +404,11 @@ def _expansion(case):
         # One coefficient is exactly 0, so its term drops out of the plan.
         specs = tuple(BENCHMARK_SPECS["borehole"])
         hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
-        return build_mf_parts(lf, hf, specs, w=2, q=1).expansion
+        return build_mf_parts(lf, hf, specs, w=2, q=1, cache=EvalCache(specs, 2)).expansion
     assert case == "mf_combined"
     specs = tuple(BENCHMARK_SPECS["ishigami"])
     hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
-    return build_mf_parts(lf, hf, specs, w=4, q=2).expansion
+    return build_mf_parts(lf, hf, specs, w=4, q=2, cache=EvalCache(specs, 4)).expansion
 
 
 def _stack_case(case):
@@ -430,7 +431,8 @@ def _stack_case(case):
     if case == "borehole_hf_mf_w3":
         specs = tuple(BENCHMARK_SPECS["borehole"])
         hf, lf = builtin_model("borehole", "hf"), builtin_model("borehole", "lf")
-        return [project_model(hf, specs, 3), build_mf_parts(lf, hf, specs, w=3, q=1).expansion]
+        mf = build_mf_parts(lf, hf, specs, w=3, q=1, cache=EvalCache(specs, 3))
+        return [project_model(hf, specs, 3), mf.expansion]
     if case == "constant":
         return [from_map(MIXED3, {(0, 0, 0): c}) for c in (2.5, -0.75)]
     if case == "not_downward_closed":
@@ -456,7 +458,9 @@ def _ishigami_cells():
     specs = tuple(BENCHMARK_SPECS["ishigami"])
     hf, lf = builtin_model("ishigami", "hf"), builtin_model("ishigami", "lf1")
     cells = [project_model(model, specs, w) for model in (hf, lf) for w in range(1, 6)]
-    return cells + [build_mf_parts(lf, hf, specs, w=w, q=2).expansion for w in range(2, 6)]
+    return cells + [
+        build_mf_parts(lf, hf, specs, w=w, q=2, cache=EvalCache(specs, w)).expansion for w in range(2, 6)
+    ]
 
 
 def _union_case(case):
@@ -604,7 +608,7 @@ class TestEvaluation:
         e = project_model(hf, specs, 5)
         assert len(e.terms) == 1023
         # Three outputs are one level of the ishigami study: HF, LF and MF.
-        mf = build_mf_parts(lf, hf, specs, w=5, q=2).expansion
+        mf = build_mf_parts(lf, hf, specs, w=5, q=2, cache=EvalCache(specs, 5)).expansion
         stacked = union([e, project_model(lf, specs, 5), mf])
         X = _sample(specs, 100_000)
         for expansion, shape in ((e, (100_000,)), (stacked, (100_000, 3))):

@@ -78,7 +78,12 @@ def _sweep(problem, lf, q, levels):
         SchemeSpec("lf", "lf", "hf", lf="lf"),
         SchemeSpec("mf", "mf", "hf", lf="lf", q=q),
     ]
-    cells = [build_scheme(s, w, specs, models).expansion for s in schemes for w in levels if w >= s.q]
+    cells = [
+        build_scheme(s, w, specs, models, EvalCache(specs, w)).expansion
+        for s in schemes
+        for w in levels
+        if w >= s.q
+    ]
     return specs, cells
 
 
@@ -286,7 +291,7 @@ class TestBuildScheme:
             "lf": builtin_model("ishigami", "lf1"),
         }
         scheme = SchemeSpec(name="lf", kind="lf", hf="hf", lf="lf")
-        built = build_scheme(scheme, 2, ishigami_range_specs, models)
+        built = build_scheme(scheme, 2, ishigami_range_specs, models, EvalCache(ishigami_range_specs, 2))
         assert built.n_hf == 0
         assert built.n_lf > 0
         assert built.lf_expansion is None
@@ -297,7 +302,7 @@ class TestBuildScheme:
             "lf": builtin_model("ishigami", "lf1"),
         }
         scheme = SchemeSpec(name="mf", kind="mf", hf="hf", lf="lf", q=1)
-        built = build_scheme(scheme, 2, ishigami_range_specs, models)
+        built = build_scheme(scheme, 2, ishigami_range_specs, models, EvalCache(ishigami_range_specs, 2))
         assert built.expansion.provenance == "Combined"
         assert built.lf_expansion is not None
         assert built.correction is not None
@@ -349,7 +354,8 @@ class TestRunConvergence:
             }
         )
         models = cfg.open_models()
-        rows = run_convergence(cfg, models, build_reference(cfg, models))
+        cache = EvalCache(cfg.variables, 4)
+        rows = run_convergence(cfg, models, build_reference(cfg, models, cache), cache)
 
         reference = ishigami_analytic(7.0, 0.1)
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -360,7 +366,7 @@ class TestRunConvergence:
             for w in range(1, 5):
                 if scheme.kind == "mf" and w < scheme.q:
                     continue
-                built = build_scheme(scheme, w, cfg.variables, models)
+                built = build_scheme(scheme, w, cfg.variables, models, EvalCache(cfg.variables, w))
                 r2, mare = prediction_error(y_true, evaluate_batch(built.expansion, X))
                 e, e_t = sobol_errors(all_indices(built.expansion), reference)
                 n_e = built.n_lf if scheme.kind == "lf" else built.n_hf
@@ -405,7 +411,7 @@ class TestRunConvergence:
         hf = builtin_model("ishigami", "hf")
         models = {"hf": Model("hf", lambda X: hf.fn(X)[: len(X) - (len(X) == 100)])}
         with pytest.raises(ModelError, match=r"returned shape \(99,\) for 100 nodes"):
-            run_convergence(cfg, models, ishigami_analytic(7.0, 0.1))
+            run_convergence(cfg, models, ishigami_analytic(7.0, 0.1), EvalCache(cfg.variables, 1))
 
     def test_reference_plan_is_released_before_the_sweep(self):
         """No cell reads the w=3 reference's plan, so the sweep does not
@@ -421,7 +427,8 @@ class TestRunConvergence:
             }
         )
         models = cfg.open_models()
-        run_convergence(cfg, models, build_reference(cfg, models))
+        cache = EvalCache(cfg.variables, 3)
+        run_convergence(cfg, models, build_reference(cfg, models, cache), cache)
         misses = grid_plan.cache_info().misses
         grid_plan(3, (PolyFamily.LEGENDRE,) * 8)
         assert grid_plan.cache_info().misses == misses + 1
@@ -431,7 +438,7 @@ class TestDecay:
     def test_sorted_descending_per_spectrum(self, ishigami_range_specs):
         models = {"hf": builtin_model("ishigami", "hf")}
         scheme = SchemeSpec(name="hf", kind="hf", hf="hf")
-        built = build_scheme(scheme, 2, ishigami_range_specs, models)
+        built = build_scheme(scheme, 2, ishigami_range_specs, models, EvalCache(ishigami_range_specs, 2))
         rows = decay_report([built.expansion])
         mags = [m for _, _, m in rows]
         assert mags == sorted(mags, reverse=True)
@@ -443,7 +450,8 @@ class TestDecay:
         (4/3)/sqrt(5) for the degree-2 term of 2 x2^2, not the classical
         Legendre coefficients 1 and 4/3."""
         models = {"f": Model(id="f", fn=lambda X: X[:, 0] + 2 * X[:, 1] ** 2)}
-        built = build_scheme(SchemeSpec(name="f", kind="hf", hf="f"), 2, unit_uniform_specs, models)
+        cache = EvalCache(unit_uniform_specs, 2)
+        built = build_scheme(SchemeSpec(name="f", kind="hf", hf="f"), 2, unit_uniform_specs, models, cache)
         mags = [m for _, _, m in decay_report([built.expansion])]
         # The mean 2/3 leads, then 4/(3 sqrt(5)) = 0.596 and 1/sqrt(3) = 0.577.
         assert mags[:3] == pytest.approx([2 / 3, 4 / 3 / math.sqrt(5), 1 / math.sqrt(3)], rel=1e-14)
